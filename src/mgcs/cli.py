@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as mgio
 from .basisopt import attach_kernels, optimize_blocks, sample_prior
-from .channel import FilterSpec, discrete_ir, path_params, sample_geometry
+from .channel import FilterSpec
 from .errors import ConfigurationError
 from .estimator import BasisSpec, draw_pilots, normalized_mse, rmse
 from .harness import (
@@ -28,6 +28,7 @@ from .harness import (
     parse_solver,
     run_estimator,
     run_sweep,
+    simulate_channel,
 )
 from .partition import make_block_tiling
 from .recovery import group_ric
@@ -102,13 +103,9 @@ def cmd_simulate(args):
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0,
                              block_duration=cfg.l_r * cfg.Ts)
-    ss = np.random.SeedSequence(args.seed)
-    s_geo, s_gain = ss.spawn(2)
-    geo = sample_geometry(s_geo, geometry)
-    rng = np.random.default_rng(s_gain)
-    gains = np.exp(2j * np.pi * rng.uniform(size=geo.n_scatterers))
-    paths = path_params(geo, gains).shifted()
-    H = discrete_ir(paths, filters, cfg)
+    # the same first two seed children as harness.simulate_trial
+    s_geo, s_gain = np.random.SeedSequence(args.seed).spawn(2)
+    H = simulate_channel(cfg, filters, geometry, s_geo, s_gain)
     truth = effective_coeffs(H, pulses, cfg)
     mgio.save_tensor(args.out, truth)
     meta = {

@@ -191,6 +191,20 @@ def resolve_basis(config, cfg, pulses):
     return mgio.load_basis(config.basis, mgio.config_fingerprint(cfg))
 
 
+def simulate_channel(cfg, filters, geometry, s_geo, s_gain):
+    """Discrete impulse response of one scatterer-channel realization.
+
+    ``s_geo`` seeds the geometry and ``s_gain`` the unit-magnitude scatterer
+    gains; delays are re-referenced to the earliest arrival.  Returns the
+    (L_r, K, n_rx, n_tx) array from :func:`discrete_ir`.
+    """
+    geo = sample_geometry(s_geo, geometry)
+    rng_gain = np.random.default_rng(s_gain)
+    base_gains = np.exp(2j * np.pi * rng_gain.uniform(size=geo.n_scatterers))
+    paths = path_params(geo, base_gains).shifted()
+    return discrete_ir(paths, filters, cfg)
+
+
 def simulate_trial(cfg, scheme, pulses, filters, geometry, snr_db, seed):
     """One channel realization, transmission and noisy demodulation.
 
@@ -200,11 +214,7 @@ def simulate_trial(cfg, scheme, pulses, filters, geometry, snr_db, seed):
     """
     ss = np.random.SeedSequence(seed)
     s_geo, s_gain, s_data, s_noise = ss.spawn(4)
-    geo = sample_geometry(s_geo, geometry)
-    rng_gain = np.random.default_rng(s_gain)
-    base_gains = np.exp(2j * np.pi * rng_gain.uniform(size=geo.n_scatterers))
-    paths = path_params(geo, base_gains).shifted()
-    H = discrete_ir(paths, filters, cfg)
+    H = simulate_channel(cfg, filters, geometry, s_geo, s_gain)
     a = assemble_frame(scheme, cfg, np.random.default_rng(s_data))
     r0 = apply_discrete_channel(H, modulate(a, pulses, cfg))
     p_sig = float(np.mean(np.abs(r0) ** 2))

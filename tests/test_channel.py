@@ -1,9 +1,15 @@
 """Tests for the geometry simulator, leakage kernels and spreading functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
 
+import mgcs
 from mgcs.channel import (
     CoefficientTensor,
     FilterSpec,
@@ -16,7 +22,9 @@ from mgcs.channel import (
     effective_support_widths,
     leakage_kernel,
     path_params,
+    _rrc_impulse,
     phi_kernel,
+    phi_profiles,
     psi_kernel,
     sample_geometry,
     sparsity_budget,
@@ -32,6 +40,25 @@ def tiny_cfg(**kw):
     defaults = dict(K=8, N=8, L=4, D=4, J=2, n_tx=1, n_rx=1, Ts=2e-7)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+def trapezoid_phi(filters, x, nu_ts=0.0):
+    """Reference delay kernel: the direct trapezoid quadrature of the RRC pair
+    correlation at every point of ``x``, one full grid of RRC values each."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if filters.kind == "kronecker":
+        return np.where(np.abs(x) < 1e-9, 1.0, 0.0).astype(complex)
+    ovs, span = filters.oversampling, filters.span
+    u = np.arange(-span * ovs, span * ovs + 1) / ovs
+    h = _rrc_impulse(u, filters.rolloff)
+    mod = h * np.exp(-2j * np.pi * nu_ts * u)
+    shifted = _rrc_impulse(x[:, None] - u[None, :], filters.rolloff)
+    return np.trapezoid(shifted * mod[None, :], dx=1.0 / ovs, axis=1)
+
+
+def assert_kernel_close(actual, expected, rel=1e-9):
+    """Max-norm relative agreement of two kernel vectors."""
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
 def single_path(tau, nu, gain=1.0, n_channels=1):
@@ -82,6 +109,91 @@ class TestKernels:
                     np.array([float(i - i0)]), cfg.l_r
                 )[0]
                 assert val == pytest.approx(expect, abs=1e-12)
+
+
+# the RRC pole |u| = 1/(4 beta) sits on the quadrature lattice for beta = 1/4
+POLE = 1.0 / (4 * FilterSpec().rolloff)
+OFFSETS = (0.0, 5e-8, -5e-8, POLE - 3e-8, POLE + 1e-7 - 1e-9, 0.5, 2.37, 11.9)
+
+
+class TestPhiProfiles:
+    @pytest.mark.parametrize("span", [8, 16])
+    @pytest.mark.parametrize("m_len", [1, 16, 64])
+    @pytest.mark.parametrize("nu_ts", [0.0, 0.0137, -0.21])
+    def test_matches_direct_quadrature(self, span, m_len, nu_ts):
+        f = FilterSpec(kind="rrc", span=span)
+        prof = phi_profiles(f, np.array(OFFSETS), nu_ts, m_len)
+        assert prof.shape == (len(OFFSETS), m_len)
+        for row, off in zip(prof, OFFSETS):
+            assert_kernel_close(row, trapezoid_phi(f, np.arange(m_len) - off, nu_ts))
+
+    def test_per_path_doppler(self):
+        f = FilterSpec(kind="rrc", span=8)
+        nus = np.array([0.0, 0.05, -0.3])
+        prof = phi_profiles(f, np.array([0.0, 1.3, 4.75]), nus, 16)
+        for row, off, nu in zip(prof, (0.0, 1.3, 4.75), nus):
+            assert_kernel_close(row, trapezoid_phi(f, np.arange(16) - off, nu))
+
+    def test_path_blocks_do_not_change_values(self, monkeypatch):
+        f = FilterSpec(kind="rrc", span=8)
+        offsets, nus = np.linspace(0.0, 9.0, 7), np.linspace(-0.1, 0.1, 7)
+        whole = phi_profiles(f, offsets, nus, 16)
+        # a lattice holds 15 * 16 + 257 values: two paths per block
+        monkeypatch.setattr("mgcs.channel._LATTICE_BLOCK", 2 * 497)
+        np.testing.assert_array_equal(phi_profiles(f, offsets, nus, 16), whole)
+
+    @pytest.mark.parametrize("span", [8, 16])
+    def test_phi_kernel_at_arbitrary_points(self, span):
+        f = FilterSpec(kind="rrc", span=span)
+        x = np.concatenate([[0.0, POLE, -POLE + 2e-8, 1e-7], np.linspace(-7.3, 9.1, 23)])
+        for nu_ts in (0.0, 0.08):
+            vals = phi_kernel(f, x, nu_ts)
+            ref = trapezoid_phi(f, x, nu_ts)
+            for v, r in zip(vals, ref):
+                assert abs(v - r) <= 1e-9 * np.abs(ref).max()
+
+    def test_kronecker_at_non_unit_spacing(self):
+        offsets = np.array([0.0, 0.25, 2.0, 1.5, 3.0])
+        prof = phi_profiles(KRON, offsets, 0.1, 4)
+        for row, off in zip(prof, offsets):
+            np.testing.assert_array_equal(row, trapezoid_phi(KRON, np.arange(4) - off))
+        x = np.array([-1.0, 0.0, 0.25, 1.0, -0.5])
+        np.testing.assert_array_equal(phi_kernel(KRON, x), trapezoid_phi(KRON, x))
+
+    def test_discrete_ir_matches_per_path_oracle(self):
+        cfg = tiny_cfg(n_tx=2, n_rx=2)
+        f = FilterSpec(kind="rrc", span=8)
+        rng = np.random.default_rng(21)
+        P, n_ch = 3, cfg.n_channels
+        paths = PathSet(
+            gains=rng.normal(size=(P, n_ch)) + 1j * rng.normal(size=(P, n_ch)),
+            delays=rng.uniform(0, 5, size=(P, n_ch)) * cfg.Ts,
+            dopplers=rng.uniform(-2, 2, size=(P, n_ch)) / (cfg.Ts * cfg.l_r),
+        )
+        H = discrete_ir(paths, f, cfg)
+        n, m = np.arange(cfg.l_r), np.arange(cfg.K)
+        for r in range(cfg.n_rx):
+            for s in range(cfg.n_tx):
+                xi = r * cfg.n_tx + s
+                ref = np.zeros((cfg.l_r, cfg.K), dtype=complex)
+                for p in range(P):
+                    nu_ts = paths.dopplers[p, xi] * cfg.Ts
+                    phi = trapezoid_phi(f, m - paths.delays[p, xi] / cfg.Ts, nu_ts)
+                    ref += paths.gains[p, xi] * np.outer(np.exp(2j * np.pi * nu_ts * n), phi)
+                assert_kernel_close(H[:, :, r, s], ref)
+
+
+def test_library_import_loads_no_quadrature_module():
+    """Importing the package, its harness and basis optimizer leaves
+    scipy.integrate unloaded (it costs resident memory and is unused)."""
+    src = str(Path(mgcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mgcs, mgcs.harness, mgcs.basisopt; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestGeometry:
@@ -202,7 +314,9 @@ class TestSpreadingModel:
         mask[m0, i0] = False
         np.testing.assert_allclose(np.abs(S[mask]), 0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("filters", [KRON, FilterSpec(kind="rrc", span=8)])
+    @pytest.mark.parametrize(
+        "filters", [KRON, FilterSpec(kind="rrc", span=8), FilterSpec(kind="rrc")]
+    )
     def test_matches_dft_of_impulse_response(self, filters):
         cfg = tiny_cfg()
         rng = np.random.default_rng(8)

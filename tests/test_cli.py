@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import numpy as np
 import pytest
 
-from mgcs.cli import load_config, main
+from mgcs.cli import filters_from_config, load_config, main, system_from_config
 from mgcs.errors import ConfigurationError
-from mgcs.io import load_tensor
+from mgcs.estimator import draw_pilots
+from mgcs.harness import desk_geometry, simulate_trial
+from mgcs.io import load_tensor, save_tensor
+from mgcs.waveform import cp_ofdm_pulses
 
 SMALL = [
     "--set", "system.k=16", "--set", "system.n=20", "--set", "system.l=8",
@@ -47,6 +51,25 @@ def test_simulate_then_estimate(tmp_path, capsys):
     assert "normalized mse" in out
     est = load_tensor(est_out)
     assert est.shape == t.shape
+
+
+def test_simulate_writes_the_harness_trial_channel(tmp_path):
+    """``simulate --seed N`` writes, bit for bit, the channel that
+    simulate_trial draws for seed N: the first two children of spawn(4)
+    equal spawn(2)."""
+    seq = np.random.SeedSequence(9)
+    assert [c.spawn_key for c in seq.spawn(4)[:2]] == [
+        c.spawn_key for c in np.random.SeedSequence(9).spawn(2)]
+    tensor = tmp_path / "chan.bin"
+    assert main(SMALL + ["simulate", "--seed", "9", "--out", str(tensor)]) == 0
+    conf = load_config(None, SMALL[1::2])
+    cfg = system_from_config(conf)
+    geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
+    scheme = draw_pilots(cfg, 1, q=16)
+    _, truth, _, _ = simulate_trial(cfg, scheme, cp_ofdm_pulses(cfg.K, cfg.N),
+                                    filters_from_config(conf), geometry, 20.0, 9)
+    save_tensor(tmp_path / "trial.bin", truth)
+    assert tensor.read_bytes() == (tmp_path / "trial.bin").read_bytes()
 
 
 def test_estimate_rejects_mismatched_tensor(tmp_path):
