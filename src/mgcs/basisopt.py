@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import phi_kernel  # noqa: F401 (an attribute the bench tracer wraps)
 from .channel import phi_profiles, psi_kernel
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 from .estimator import BasisSpec, dft_block
 from .partition import group_frobenius_norm
 from .waveform import ambiguity_table
@@ -277,7 +277,10 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200
             step *= 0.5
         if not improved:
             break
-    assert f <= f0 + 1e-12
+    if f > f0 + 1e-12:
+        raise ConvergenceError(
+            f"convexified step raised the objective ({f:.12g} > {f0:.12g})"
+        )
     return A
 
 

@@ -110,6 +110,11 @@ def _solve_ls(A, y):
     return solve_triangular(r, q.conj().T @ y), False
 
 
+def _adjoint(Phi, v):
+    """Phi^H v without materializing the conjugate transpose of Phi."""
+    return (v.conj() @ Phi).conj()
+
+
 def _top_groups(energies, count):
     return np.argsort(-energies, kind="stable")[:count]
 
@@ -134,7 +139,7 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     history = [float(np.linalg.norm(resid))]
     rank_deficient = False
     while len(selected) < cap and history[-1] > residual_tol:
-        energies = idx.energies(Phi.conj().T @ resid)
+        energies = idx.energies(_adjoint(Phi, resid))
         energies[selected] = -1.0
         b = int(np.argmax(energies))
         if energies[b] <= 0:
@@ -177,7 +182,7 @@ def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
     while len(selected) < cap and history[-1] > residual_tol:
         energies = np.zeros(part.n_groups)
         for xi in range(ensemble.n_channels):
-            energies += idx.energies(mats[xi].conj().T @ resid[xi])
+            energies += idx.energies(_adjoint(mats[xi], resid[xi]))
         energies[selected] = -1.0
         b = int(np.argmax(energies))
         if energies[b] <= 0:
@@ -225,7 +230,7 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     for it in range(1, n_iters + 1):
         if history[-1] <= residual_tol:
             break
-        proxy = idx.energies(Phi.conj().T @ resid)
+        proxy = idx.energies(_adjoint(Phi, resid))
         candidates = sorted(set(_top_groups(proxy, 2 * S)) | set(support))
         cols = np.concatenate([part.groups[g] for g in candidates])
         coef, deficient = _solve_ls(Phi[:, cols], y)
@@ -258,39 +263,57 @@ def _group_prox(v, idx, thresh):
 
 
 def _fista(Phi, y, lam, idx, lip, x0, max_iter, rel_tol=1e-12):
-    """Accelerated proximal gradient for the penalized group-lasso form."""
-    x = x0.copy()
-    z = x.copy()
+    """Accelerated proximal gradient for the penalized group-lasso form.
+
+    Carries Phi x across steps, so each step costs one forward and one adjoint
+    product.  Returns (x, ||Phi x - y||, iterations, converged).
+    """
+    x, px = x0, Phi @ x0
+    z, pz = x, px
     t = 1.0
-    resid = Phi @ x - y
+    resid = px - y
     obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(idx.energies(x)).sum()
-    n_done = 0
+    n_done, converged = 0, False
     for n_done in range(1, max_iter + 1):
-        grad = Phi.conj().T @ (Phi @ z - y)
+        grad = _adjoint(Phi, pz - y)
         x_new = _group_prox(z - grad / lip, idx, lam / lip)
-        t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
-        z = x_new + ((t - 1) / t_new) * (x_new - x)
-        resid = Phi @ x_new - y
+        px_new = Phi @ x_new
+        resid = px_new - y
         obj = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(idx.energies(x_new)).sum()
+        t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
         if obj > obj_prev:  # function restart
-            z = x_new.copy()
-            t_new = 1.0
-        if abs(obj_prev - obj) <= rel_tol * max(1.0, abs(obj_prev)):
-            x = x_new
+            z, pz, t_new = x_new, px_new, 1.0
+        else:
+            beta = (t - 1) / t_new
+            z = x_new + beta * (x_new - x)
+            pz = px_new + beta * (px_new - px)
+        done = abs(obj_prev - obj) <= rel_tol * max(1.0, abs(obj_prev))
+        x, px, t, obj_prev = x_new, px_new, t_new, obj
+        if done:
+            converged = True
             break
-        x, t, obj_prev = x_new, t_new, obj
-    return x, n_done
+    return x, float(np.linalg.norm(px - y)), n_done, converged
 
 
 def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     """Group basis pursuit denoising: minimize the group norm subject to
     ||Phi x - y||_2 <= eps.
 
-    Solved by bisection on the penalty of the equivalent group-lasso form:
-    the residual of the penalized minimizer increases with the penalty, so the
-    penalty with residual eps is found by root finding and the feasible-side
-    iterate is returned.  eps = 0 is treated as the vanishing-penalty basis
-    pursuit limit.
+    Solved through the equivalent group-lasso form: the residual r(lam) of
+    the penalized minimizer increases with the penalty lam, so the penalty
+    with residual eps is a root of r(lam) - eps.  The root is bracketed by a
+    vanishing-penalty feasibility probe and by lam_max, where x = 0 and
+    r = ||y|| are known without a solve, and is found by regula falsi with
+    the Illinois modification, aimed at eps (1 - tol/2) and falling back to
+    bisection when a step lands at a bracket end.  At most ``max_bisect``
+    penalties follow the probe, each solved by FISTA warm-started from the
+    feasible end; the feasible-side iterate, with residual in
+    [eps (1 - tol), eps] once the search succeeds, is returned.  eps = 0 is
+    treated as the vanishing-penalty basis pursuit limit.
+
+    ``iterations`` is the total FISTA iteration count; the diagnostics give
+    the penalty, the number of FISTA solves (``penalty_solves``) and how many
+    of them stopped at ``max_inner`` unconverged (``inner_cap_hits``).
     """
     Phi = np.asarray(Phi, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -307,17 +330,23 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
             selected_groups=[],
             residual_norms=np.array([y_norm]),
             iterations=0,
-            diagnostics={"lambda": None},
+            diagnostics={"lambda": None, "penalty_solves": 0, "inner_cap_hits": 0},
         )
-    lip = np.linalg.norm(Phi, 2) ** 2
-    lam_max = float(np.sqrt(idx.energies(Phi.conj().T @ y)).max())
-    total_inner = 0
+    from scipy.linalg.blas import zherk
+
+    # Lipschitz constant ||Phi||_2^2 from the smaller Gram matrix, formed by
+    # a Hermitian rank-k update on the transposed view: conj(Phi Phi^H) when
+    # Q <= M, else conj(Phi^H Phi), upper triangle only, with no copy of Phi
+    q, m = Phi.shape
+    gram = zherk(1.0, Phi.T, trans=2 if q <= m else 0)
+    lip = float(np.linalg.eigvalsh(gram, UPLO="U")[-1])
+    lam_max = float(np.sqrt(idx.energies(_adjoint(Phi, y))).max())
+    solves = []  # (iterations, converged) per FISTA solve
 
     def solve(lam, x0):
-        nonlocal total_inner
-        x, n = _fista(Phi, y, lam, idx, lip, x0, max_inner)
-        total_inner += n
-        return x, float(np.linalg.norm(Phi @ x - y))
+        x, r, n, converged = _fista(Phi, y, lam, idx, lip, x0, max_inner)
+        solves.append((n, converged))
+        return x, r
 
     if eps == 0.0:
         x, r = solve(lam_max * 1e-10, zero)
@@ -330,24 +359,40 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
                 f"could not reach the feasibility radius ({r_lo:.3e} > {eps:.3e})",
                 best=x_lo,
             )
+        target = eps * (1 - tol / 2)
+        f_lo, f_hi = r_lo - target, y_norm - target
+        kept = None  # bracket end that the previous step kept
         for _ in range(max_bisect):
             if r_lo >= eps * (1 - tol):
                 break
-            mid = math.sqrt(lo * hi)
-            x_mid, r_mid = solve(mid, x_lo)
-            if r_mid > eps:
-                hi = mid
+            lam = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            margin = 1e-6 * (hi - lo)
+            if not lo + margin < lam < hi - margin:
+                lam = 0.5 * (lo + hi)
+            x_new, r_new = solve(lam, x_lo)
+            if r_new > eps:
+                hi, f_hi = lam, r_new - target
+                if kept == "lo":
+                    f_lo *= 0.5
+                kept = "lo"
             else:
-                lo, x_lo, r_lo = mid, x_mid, r_mid
-        x, r, lam_lo = x_lo, r_lo, lo
+                lo, x_lo, r_lo, f_lo = lam, x_new, r_new, r_new - target
+                if kept == "hi":
+                    f_hi *= 0.5
+                kept = "hi"
+        x, r, lam_lo = x_lo, r_lo, float(lo)
     norms = np.sqrt(idx.energies(x))
     selected = [int(b) for b in np.nonzero(norms > 1e-12 * max(norms.max(), 1e-300))[0]]
     return RecoveryResult(
         estimates=x[None, :],
         selected_groups=selected,
         residual_norms=np.array([r]),
-        iterations=total_inner,
-        diagnostics={"lambda": lam_lo if eps > 0 else None},
+        iterations=sum(n for n, _ in solves),
+        diagnostics={
+            "lambda": lam_lo,
+            "penalty_solves": len(solves),
+            "inner_cap_hits": sum(not converged for _, converged in solves),
+        },
     )
 
 

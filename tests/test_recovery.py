@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from mgcs.channel import FilterSpec
 from mgcs.errors import BudgetExceededError, DomainError
+from mgcs.estimator import BasisSpec, collect_measurements, draw_pilots
+from mgcs.harness import desk_experiment, desk_geometry, simulate_trial
 from mgcs.partition import (
     best_group_approx,
     group_norm,
+    make_block_tiling,
     singleton_partition,
     uniform_partition,
 )
@@ -25,6 +29,7 @@ from mgcs.recovery import (
     sample_count_bound,
     unstack_estimates,
 )
+from mgcs.waveform import cp_ofdm_pulses
 
 
 def partial_dft(q, m, rng):
@@ -63,6 +68,56 @@ def exhaustive_single_group_ls(Phi, y, part):
         if res < best_res - 1e-12:
             best, best_res = b, res
     return best, best_res
+
+
+def bisection_g_bpdn(Phi, y, part, eps, tol, max_inner=4000, max_bisect=60):
+    """Reference G-BPDN: geometric bisection on the group-lasso penalty, each
+    penalty solved by restarted FISTA run to a 1e-12 relative objective
+    change from the feasible end.  Returns the feasible-side iterate."""
+    groups = part.groups
+
+    def group_sum(v):
+        return sum(np.linalg.norm(v[g]) for g in groups)
+
+    def fista(lam, x0, lip):
+        x, z, t = x0.copy(), x0.copy(), 1.0
+        r = Phi @ x - y
+        obj_prev = 0.5 * np.vdot(r, r).real + lam * group_sum(x)
+        for _ in range(max_inner):
+            v = z - Phi.conj().T @ (Phi @ z - y) / lip
+            x_new = np.zeros_like(v)
+            for g in groups:
+                n = np.linalg.norm(v[g])
+                if n > lam / lip:
+                    x_new[g] = (1 - lam / lip / n) * v[g]
+            t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
+            z = x_new + ((t - 1) / t_new) * (x_new - x)
+            r = Phi @ x_new - y
+            obj = 0.5 * np.vdot(r, r).real + lam * group_sum(x_new)
+            if obj > obj_prev:
+                z, t_new = x_new.copy(), 1.0
+            if abs(obj_prev - obj) <= 1e-12 * max(1.0, abs(obj_prev)):
+                return x_new
+            x, t, obj_prev = x_new, t_new, obj
+        return x
+
+    lip = np.linalg.norm(Phi, 2) ** 2
+    corr = Phi.conj().T @ y
+    lo = hi = max(np.linalg.norm(corr[g]) for g in groups)
+    lo *= 1e-12
+    x_lo = fista(lo, np.zeros(Phi.shape[1], dtype=complex), lip)
+    r_lo = np.linalg.norm(Phi @ x_lo - y)
+    for _ in range(max_bisect):
+        if r_lo >= eps * (1 - tol):
+            break
+        mid = math.sqrt(lo * hi)
+        x_mid = fista(mid, x_lo, lip)
+        r_mid = np.linalg.norm(Phi @ x_mid - y)
+        if r_mid > eps:
+            hi = mid
+        else:
+            lo, x_lo, r_lo = mid, x_mid, r_mid
+    return x_lo
 
 
 class TestGOmp:
@@ -244,6 +299,72 @@ class TestGBpdn:
         r1 = g_bpdn(Phi, y, part, eps=eps, tol=1e-5)
         r2 = g_bpdn(Phi, alpha * y, part, eps=alpha * eps, tol=1e-5)
         np.testing.assert_allclose(r2.x, alpha * r1.x, atol=1e-4 * np.linalg.norm(r1.x))
+
+    @pytest.mark.parametrize("seed,q,m", [(11, 24, 64), (12, 24, 64), (13, 48, 32)])
+    def test_kkt_conditions_at_returned_penalty(self, seed, q, m):
+        # optimality of the group lasso at lambda: on the support
+        # Phi_g^H (Phi x - y) = -lambda x_g / ||x_g||, off it the group
+        # correlation is at most lambda; the tall case takes the other Gram
+        # matrix for the Lipschitz constant
+        rng = np.random.default_rng(seed)
+        if q <= m:
+            Phi = partial_dft(q, m, rng)
+        else:
+            Phi = (rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m))) / np.sqrt(2 * q)
+        part = uniform_partition(m, 4)
+        x_true = group_sparse_signal(part, rng.choice(m // 4, size=3, replace=False), rng)
+        z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
+        y = Phi @ x_true + z
+        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
+        lam = res.diagnostics["lambda"]
+        corr = Phi.conj().T @ (Phi @ res.x - y)
+        assert res.selected_groups
+        for b, g in enumerate(part.groups):
+            norm = np.linalg.norm(res.x[g])
+            if b in res.selected_groups:
+                assert np.linalg.norm(corr[g] + lam * res.x[g] / norm) <= 1e-3 * lam
+            else:
+                assert norm == 0
+                assert np.linalg.norm(corr[g]) <= lam * (1 + 1e-3)
+
+    @pytest.mark.parametrize("seed,group_size", [(21, 2), (22, 3), (23, 4)])
+    def test_matches_bisection_oracle(self, seed, group_size):
+        rng = np.random.default_rng(seed)
+        q, m, tol = 20, 48, 1e-4
+        Phi = partial_dft(q, m, rng)
+        part = uniform_partition(m, group_size)
+        x_true = group_sparse_signal(
+            part, rng.choice(part.n_groups, size=2, replace=False), rng)
+        z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
+        y = Phi @ x_true + z
+        eps = float(np.linalg.norm(z))
+        res = g_bpdn(Phi, y, part, eps=eps, tol=tol)
+        x_ref = bisection_g_bpdn(Phi, y, part, eps, tol)
+        r_new = np.linalg.norm(Phi @ res.x - y)
+        assert eps * (1 - tol) <= r_new <= eps
+        assert np.linalg.norm(Phi @ x_ref - y) <= eps
+        assert group_norm(res.x, part) == pytest.approx(group_norm(x_ref, part), rel=1e-3)
+
+    def test_desk_joint_instance_solves_few_penalties(self):
+        # seeded desk 2x2 trial on the 192 x 1024 stacked matrix: a handful
+        # of penalty solves, none of them stopped unconverged at max_inner
+        config = desk_experiment(3)
+        cfg = config.system
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        scheme = draw_pilots(cfg, np.random.SeedSequence([3, 7919]), q=config.q)
+        geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0,
+                                 block_duration=cfg.l_r * cfg.Ts)
+        y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, FilterSpec(kind="rrc"),
+                                               geometry, 20.0, [3, 0, 0])
+        ens = collect_measurements(y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
+        part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+        Phi, y, part_s = mgcs_stack(ens, part)
+        assert Phi.shape == (192, 1024)
+        eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
+        res = g_bpdn(Phi, y, part_s, eps=eps, tol=1e-3)
+        assert res.diagnostics["inner_cap_hits"] == 0
+        assert res.diagnostics["penalty_solves"] <= 10
+        assert eps * (1 - 1e-3) <= res.residual_norms[0] <= eps
 
 
 class TestGDcsSomp:
