@@ -14,7 +14,6 @@ from .channel import phi_kernel  # noqa: F401 (an attribute the bench tracer wra
 from .channel import phi_profiles, psi_kernel
 from .errors import ConfigurationError, ConvergenceError, DomainError
 from .estimator import BasisSpec, dft_block
-from .partition import group_frobenius_norm
 from .waveform import ambiguity_table
 
 
@@ -165,19 +164,22 @@ def _blocks_of(basis_or_blocks, J, D):
             return np.broadcast_to(dft_block(J), (D, J, J)).copy()
         return basis_or_blocks.blocks
     blocks = np.asarray(basis_or_blocks, dtype=complex)
-    eye = np.eye(blocks.shape[1])
-    for m, vm in enumerate(blocks):
-        if np.abs(vm.conj().T @ vm - eye).max() > 1e-10:
-            raise DomainError(f"basis block {m} is not unitary")
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    off = np.abs(gram - np.eye(blocks.shape[1])).max(axis=(1, 2))
+    if (off > 1e-10).any():
+        raise DomainError(f"basis block {int(np.argmax(off > 1e-10))} is not unitary")
     return blocks
 
 
-def _coefficient_tensors(blocks, C):
-    """(R, D, J, Xi) tensors V_m C_m for every sample."""
-    R, jd, xi = C.shape
-    D, J = blocks.shape[0], blocks.shape[1]
-    Cm = C.reshape(R, D, J, xi)
-    return np.einsum("mab,rmbx->rmax", blocks, Cm)
+def _block_energies(blocks, C, dm, di):
+    """Joint energies of the coefficient tensors V_m C_m: (R, D/dm, J/di) sums
+    of |.|^2 over each dm x di block and all channels.  blocks: (D, J, J),
+    C: (R, D, J, Xi)."""
+    W = blocks @ C
+    R, D, J, _ = W.shape
+    parts = W.view(float)  # Re, Im side by side; squared in place to keep no copy
+    e = np.square(parts, out=parts).sum(axis=3)
+    return e.reshape(R, D // dm, dm, J // di, di).sum(axis=(2, 4))
 
 
 def mc_objective(basis_or_blocks, samples, tiling):
@@ -186,8 +188,8 @@ def mc_objective(basis_or_blocks, samples, tiling):
     if samples.C is None:
         raise DomainError("samples carry no kernel matrices; attach them first")
     blocks = _blocks_of(basis_or_blocks, tiling.J, tiling.D)
-    G = _coefficient_tensors(blocks, samples.C)
-    return float(sum(group_frobenius_norm(G[rho], tiling) for rho in range(G.shape[0])))
+    C = samples.C.reshape(samples.n_samples, tiling.D, tiling.J, samples.n_channels)
+    return float(np.sqrt(_block_energies(blocks, C, tiling.dm, tiling.di)).sum())
 
 
 def hermitian_unitary_exp(A):
@@ -203,11 +205,8 @@ def hermitian_unitary_exp(A):
 def _subproblem_objective(v_sub, C_sub, di, smoothing=0.0):
     """Objective restricted to one delay column: sum over samples and Doppler
     blocks of the joint Frobenius norms.  C_sub: (R, dm, J, Xi)."""
-    W = np.einsum("mab,rmbx->rmax", v_sub, C_sub)
-    R, dm, J, xi = W.shape
-    e = (np.abs(W) ** 2).sum(axis=(1, 3))  # (R, J): summed over m in the column, xi
-    e_blocks = e.reshape(R, J // di, di).sum(axis=2)
-    return float(np.sqrt(e_blocks + smoothing).sum())
+    e = _block_energies(v_sub, C_sub, v_sub.shape[0], di)
+    return float(np.sqrt(e + smoothing).sum())
 
 
 def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200):
@@ -216,16 +215,34 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200
     objective at (I + jA_m) V_m.  Projected gradient with backtracking on the
     smoothed objective; the returned matrices are exactly Hermitian and inside
     the box.
+
+    The loop never forms the coefficients W_m = B_m M_m, with B_m = I + jA_m
+    and M_m = V_m C_m.  Each sample's Gram matrix G = M_m M_m^H is packed once
+    into J^2 real features: the diagonal, then 2 Re and -2 Im of the strict
+    upper triangle.  The energy of Doppler block k is then sum_{p,q} G_pq Q_pq
+    with Q = B_k^T conj(B_k) over the block's rows B_k of B_m, so all energies
+    are one real product of the packed Grams with the packed (diagonal, Re
+    and Im of the upper triangle) Q.  The gradient needs only the weighted
+    Grams H_k = sum_rho w[rho, k] G_rho, one more real product.  A block
+    energy that rounds below zero (an almost empty block) is clamped to zero.
     """
     if eps_bound <= 0:
         raise DomainError("eps_bound must be positive")
     dm, J = v_sub.shape[0], v_sub.shape[1]
-    R, xi = C_sub.shape[0], C_sub.shape[3]
-    # M_m flattened to (J, R * Xi) so the hot loop runs on matmuls
-    M = [
-        v_sub[m] @ np.moveaxis(C_sub[:, m], 0, 1).reshape(J, R * xi)
-        for m in range(dm)
-    ]
+    R, nb = C_sub.shape[0], J // di
+    iu = np.triu_indices(J, 1)
+    n_up, diag = iu[0].size, np.arange(J)
+
+    def features(H):  # (..., J, J) Hermitian -> (..., J^2): diag, Re, Im of upper
+        upper = H[..., iu[0], iu[1]]
+        return np.concatenate([H[..., diag, diag].real, upper.real, upper.imag], axis=-1)
+
+    M = v_sub @ C_sub  # (R, dm, J, Xi)
+    gram = M @ np.conj(M.transpose(0, 1, 3, 2))
+    weights = np.concatenate([np.ones(J), np.full(n_up, 2.0), np.full(n_up, -2.0)])
+    # the features of a sample's dm Grams side by side: (R, dm * J^2)
+    F = (features(gram) * weights).reshape(R, dm * J * J)
+    eye = np.eye(J)
     cap = eps_bound * (1 - 1e-9)
 
     def clip(A):
@@ -235,42 +252,42 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200
         return 0.5 * (A + np.conj(A.transpose(0, 2, 1)))
 
     def objective(A):
-        W = [M[m] + 1j * (A[m] @ M[m]) for m in range(dm)]
-        e = np.zeros((R, J))
-        for m in range(dm):
-            e += (np.abs(W[m]) ** 2).reshape(J, R, xi).sum(axis=2).T
-        e = e.reshape(R, J // di, di).sum(axis=2)
-        return float(np.sqrt(e + smoothing).sum()), W, e
+        B = eye + 1j * A
+        rows = B.reshape(dm, nb, di, J)
+        Q = rows.transpose(0, 1, 3, 2) @ np.conj(rows)  # (dm, nb, J, J)
+        K = features(Q).transpose(1, 0, 2).reshape(nb, dm * J * J)
+        e = np.maximum(F @ K.T, 0.0)  # (R, nb)
+        return float(np.sqrt(e + smoothing).sum()), B, e
 
-    def gradient(W, e):
-        # weights 1/sqrt(E + mu) per (sample, Doppler block) scale the rows of
-        # W; differential Re tr(dA Gamma) with
-        # Gamma[a, c] = j sum_{rho, xi} w conj(W[c, xi]) M[a, xi]
+    def gradient(B, e):
+        # differential Re tr(dA Gamma) with Gamma[:, c] = j H_k conj(B[c, :]),
+        # k = c // di, H_k = sum_rho w[rho, k] G_rho, w = 1/sqrt(E + mu)
         w = 1.0 / np.sqrt(e + smoothing)
-        w_flat = np.repeat(
-            np.repeat(w, di, axis=1).T[:, :, None], xi, axis=2
-        ).reshape(J, R * xi)
-        out = np.empty((dm, J, J), dtype=complex)
-        for m in range(dm):
-            gam = 1j * (M[m] @ (np.conj(W[m]) * w_flat).T)
-            out[m] = 0.5 * (gam + gam.conj().T)
-        return out
+        P = (w.T @ F).reshape(nb, dm, J * J).transpose(1, 0, 2)
+        H = np.empty((dm, nb, J, J), dtype=complex)
+        upper = 0.5 * (P[..., J:J + n_up] - 1j * P[..., J + n_up:])
+        H[..., iu[0], iu[1]] = upper
+        H[..., iu[1], iu[0]] = np.conj(upper)
+        H[..., diag, diag] = P[..., :J]
+        rows = np.conj(B).reshape(dm, nb, di, J).transpose(0, 1, 3, 2)
+        gam = 1j * (H @ rows).transpose(0, 2, 1, 3).reshape(dm, J, J)
+        return 0.5 * (gam + np.conj(gam.transpose(0, 2, 1)))
 
     A = np.zeros((dm, J, J), dtype=complex)
-    f, W, e = objective(A)
+    f, B, e = objective(A)
     f0 = f
     step = eps_bound
     for _ in range(max_iter):
-        g = gradient(W, e)
+        g = gradient(B, e)
         g_max = np.abs(g).max()
         if g_max < 1e-15:
             break
         improved = False
         while step * g_max > 1e-12 * eps_bound:
             A_try = clip(A - step * g)
-            f_try, W_try, e_try = objective(A_try)
+            f_try, B_try, e_try = objective(A_try)
             if f_try < f - 1e-15 * max(1.0, abs(f)):
-                A, f, W, e = A_try, f_try, W_try, e_try
+                A, f, B, e = A_try, f_try, B_try, e_try
                 step *= 1.5
                 improved = True
                 break

@@ -238,6 +238,19 @@ class TestMcObjective:
         with pytest.raises(DomainError):
             mc_objective(np.ones((cfg.D, cfg.J, cfg.J)), samples, tiling)
 
+    @pytest.mark.parametrize("dm,di", [(1, 2), (2, 1), (4, 2)])
+    def test_matches_per_sample_group_norm_loop(self, dm, di):
+        cfg = small_cfg()
+        samples, _ = self.setup_samples(cfg)
+        tiling = make_block_tiling(cfg.D, cfg.J, dm, di)
+        blocks = random_blocks(cfg.D, cfg.J, np.random.default_rng(13))
+        Cm = samples.C.reshape(samples.n_samples, cfg.D, cfg.J, -1)
+        expect = sum(
+            group_frobenius_norm(np.einsum("mab,mbx->max", blocks, Cm[r]), tiling)
+            for r in range(samples.n_samples)
+        )
+        assert mc_objective(blocks, samples, tiling) == pytest.approx(expect, rel=1e-12)
+
     def test_invariant_under_basis_vector_phase_rotation(self):
         cfg = small_cfg()
         samples, _ = self.setup_samples(cfg)
@@ -286,6 +299,60 @@ class TestHermitianExp:
             hermitian_unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def direct_convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200):
+    """Reference: the projected-gradient loop on the explicit coefficients
+    W_m = (I + jA_m) V_m C_m, flattened to (J, R * Xi)."""
+    dm, J = v_sub.shape[0], v_sub.shape[1]
+    R, xi = C_sub.shape[0], C_sub.shape[3]
+    M = [v_sub[m] @ np.moveaxis(C_sub[:, m], 0, 1).reshape(J, R * xi) for m in range(dm)]
+    cap = eps_bound * (1 - 1e-9)
+
+    def clip(A):
+        mag = np.abs(A)
+        over = mag > cap
+        A = np.where(over, A * (cap / np.where(over, mag, 1.0)), A)
+        return 0.5 * (A + np.conj(A.transpose(0, 2, 1)))
+
+    def objective(A):
+        W = [M[m] + 1j * (A[m] @ M[m]) for m in range(dm)]
+        e = np.zeros((R, J))
+        for m in range(dm):
+            e += (np.abs(W[m]) ** 2).reshape(J, R, xi).sum(axis=2).T
+        e = e.reshape(R, J // di, di).sum(axis=2)
+        return float(np.sqrt(e + smoothing).sum()), W, e
+
+    def gradient(W, e):
+        w = 1.0 / np.sqrt(e + smoothing)
+        w_flat = np.repeat(np.repeat(w, di, axis=1).T[:, :, None], xi, axis=2).reshape(J, R * xi)
+        out = np.empty((dm, J, J), dtype=complex)
+        for m in range(dm):
+            gam = 1j * (M[m] @ (np.conj(W[m]) * w_flat).T)
+            out[m] = 0.5 * (gam + gam.conj().T)
+        return out
+
+    A = np.zeros((dm, J, J), dtype=complex)
+    f, W, e = objective(A)
+    step = eps_bound
+    for _ in range(max_iter):
+        g = gradient(W, e)
+        g_max = np.abs(g).max()
+        if g_max < 1e-15:
+            break
+        improved = False
+        while step * g_max > 1e-12 * eps_bound:
+            A_try = clip(A - step * g)
+            f_try, W_try, e_try = objective(A_try)
+            if f_try < f - 1e-15 * max(1.0, abs(f)):
+                A, f, W, e = A_try, f_try, W_try, e_try
+                step *= 1.5
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return A
+
+
 class TestConvexUpdate:
     def make_subproblem(self, cfg, rng, R=4):
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
@@ -321,6 +388,22 @@ class TestConvexUpdate:
         lin = np.stack([(np.eye(cfg.J) + 1j * A[0]) @ v_sub[0]])
         base = _subproblem_objective(v_sub, C_sub, di=2)
         assert _subproblem_objective(lin, C_sub, di=2) <= base + 1e-10
+
+    @pytest.mark.parametrize("dm,column,scale", [(1, 0, 1.0), (2, 1, 1.0), (1, 2, 1e4)])
+    def test_matches_direct_coefficient_loop(self, dm, column, scale):
+        cfg = small_cfg()
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        R = 16
+        samples = attach_kernels(sample_prior(prior, R, 8), pulses, cfg, RRC)
+        Cm = samples.C.reshape(R, cfg.D, cfg.J, -1)
+        C_sub = scale * Cm[:, column * dm:(column + 1) * dm]
+        v_sub = random_blocks(dm, cfg.J, np.random.default_rng(14))
+        eps = 0.1
+        A = convex_update_step(v_sub, eps, C_sub, di=2)
+        assert np.isfinite(A).all()
+        ref = direct_convex_update_step(v_sub, eps, C_sub, di=2)
+        assert np.abs(A - ref).max() <= 1e-9 * eps
 
     def test_matches_grid_search_oracle_tiny(self):
         # J = 2, one sample, one delay column: exhaustive search over the free
@@ -377,6 +460,21 @@ class TestOptimizeBlocks:
             assert all(b < a for a, b in zip(hist, hist[1:]))
         assert diags.final_objective < diags.initial_objective
         # every output block stays unitary
+        for m in range(cfg.D):
+            np.testing.assert_allclose(
+                basis.blocks[m].conj().T @ basis.blocks[m], np.eye(cfg.J), atol=1e-10
+            )
+
+    def test_two_delay_rows_per_column(self):
+        cfg = small_cfg()
+        samples, _, pulses = self.opt_inputs(cfg)
+        tiling = make_block_tiling(cfg.D, cfg.J, 2, 2)
+        basis, diags = optimize_blocks(samples, tiling, pulses, cfg, max_iters=8)
+        assert len(diags.objective_history) == cfg.D // 2
+        for hist in diags.objective_history:
+            assert len(hist) > 1
+            assert all(b < a for a, b in zip(hist, hist[1:]))
+        assert diags.final_objective < diags.initial_objective
         for m in range(cfg.D):
             np.testing.assert_allclose(
                 basis.blocks[m].conj().T @ basis.blocks[m], np.eye(cfg.J), atol=1e-10
