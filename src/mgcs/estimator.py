@@ -15,6 +15,7 @@ from .errors import ConfigurationError, DomainError
 from .partition import singleton_partition
 from .recovery import (
     MeasurementEnsemble,
+    RecoveryResult,
     g_bpdn,
     g_cosamp,
     g_dcs_somp,
@@ -235,43 +236,54 @@ class ChannelEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+# solver name -> recovery function, looked up among this module's attributes
+# at call time so that a replaced attribute takes effect on every path
+_SOLVER_FUNCTIONS = {
+    "g-omp": "g_omp",
+    "g-cosamp": "g_cosamp",
+    "g-bpdn": "g_bpdn",
+    "g-dcs-somp": "g_dcs_somp",
+}
+
+
+def _solver_function(solver):
+    try:
+        return globals()[_SOLVER_FUNCTIONS[solver]]
+    except KeyError:
+        raise ConfigurationError(f"unknown solver {solver!r}") from None
+
+
 def _run_solver(ensemble, part, solver, joint, opts):
     """Dispatch to the configured reconstruction algorithm; returns the
-    per-channel estimates (n_channels, M) and the solver result."""
-    opts = dict(opts)
+    per-channel estimates (n_channels, M) and the solver result.
+
+    Joint G-OMP on the block-diagonal stack is G-DCS-SOMP, so it runs as
+    such.  Per-channel results are merged: selected groups per channel, the
+    summed iteration count and every channel's residual norm.
+    """
+    if joint and solver == "g-omp":
+        solver = "g-dcs-somp"
+    solve = _solver_function(solver)
     n_ch = ensemble.n_channels
     M = ensemble.shape[1]
     if solver == "g-dcs-somp":
-        res = g_dcs_somp(ensemble, part, **opts)
+        res = solve(ensemble, part, **opts)
         return res.estimates, res
     if joint:
         Phi, y, part_s = mgcs_stack(ensemble, part)
-        if solver == "g-omp":
-            res = g_omp(Phi, y, part_s, **opts)
-        elif solver == "g-cosamp":
-            res = g_cosamp(Phi, y, part_s, **opts)
-        elif solver == "g-bpdn":
-            res = g_bpdn(Phi, y, part_s, **opts)
-        else:
-            raise ConfigurationError(f"unknown solver {solver!r}")
+        res = solve(Phi, y, part_s, **opts)
         return unstack_estimates(res.estimates[0], M, n_ch), res
-    estimates = np.zeros((n_ch, M), dtype=complex)
-    last = None
     if solver == "g-bpdn" and "eps" in opts:
-        opts["eps"] = opts["eps"] / np.sqrt(n_ch)  # split the radius evenly
-    for xi in range(n_ch):
-        Phi = ensemble.matrix_for(xi)
-        y = ensemble.observations[xi]
-        if solver == "g-omp":
-            last = g_omp(Phi, y, part, **opts)
-        elif solver == "g-cosamp":
-            last = g_cosamp(Phi, y, part, **opts)
-        elif solver == "g-bpdn":
-            last = g_bpdn(Phi, y, part, **opts)
-        else:
-            raise ConfigurationError(f"unknown solver {solver!r}")
-        estimates[xi] = last.x
-    return estimates, last
+        opts = {**opts, "eps": opts["eps"] / np.sqrt(n_ch)}  # split the radius evenly
+    results = [solve(ensemble.matrix_for(xi), ensemble.observations[xi], part, **opts)
+               for xi in range(n_ch)]
+    estimates = np.array([r.x for r in results])
+    return estimates, RecoveryResult(
+        estimates=estimates,
+        selected_groups=[r.selected_groups for r in results],
+        residual_norms=np.concatenate([r.residual_norms for r in results]),
+        iterations=sum(r.iterations for r in results),
+    )
 
 
 def expand_coeffs(g_tensor, basis, cfg):
@@ -335,7 +347,9 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
     through the basis to the subsampled grid, invert to rectangle 2D-DFT
     coefficients, expand to the full grid.  ``tiling=None`` uses singleton
     groups; ``joint=False`` reconstructs each channel separately (a G-BPDN
-    radius ``eps`` is then split evenly across channels).
+    radius ``eps`` is then split evenly across channels), and the diagnostics
+    then list the selected groups per channel, the summed iteration count and
+    every channel's residual norm.
     """
     part = tiling.to_partition() if tiling is not None else singleton_partition(cfg.jd)
     estimates, res = _run_solver(ensemble, part, solver, joint, solver_opts)
@@ -351,9 +365,9 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
     diagnostics = {
         "solver": solver,
         "joint": joint,
-        "selected_groups": res.selected_groups if res is not None else [],
-        "iterations": res.iterations if res is not None else 0,
-        "residual_norms": res.residual_norms if res is not None else None,
+        "selected_groups": res.selected_groups,
+        "iterations": res.iterations,
+        "residual_norms": res.residual_norms,
     }
     return ChannelEstimate(
         h_full=channels_to_grid(h_full, cfg),
@@ -382,17 +396,11 @@ def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver="g-omp",
     y_grid = np.asarray(y_grid)
     ls, ks = scheme.positions(0, cfg)
     y_tilde = y_grid[ls, ks, 0] / pilot_values
-    Phi = build_phi(scheme, basis, cfg)[0]
+    ensemble = MeasurementEnsemble(matrices=tuple(build_phi(scheme, basis, cfg)),
+                                   observations=y_tilde[None, :])
     part = tiling.to_partition() if tiling is not None else singleton_partition(cfg.jd)
-    if solver == "g-omp":
-        res = g_omp(Phi, y_tilde, part, **solver_opts)
-    elif solver == "g-cosamp":
-        res = g_cosamp(Phi, y_tilde, part, **solver_opts)
-    elif solver == "g-bpdn":
-        res = g_bpdn(Phi, y_tilde, part, **solver_opts)
-    else:
-        raise ConfigurationError(f"unknown solver {solver!r}")
-    g_tensor = (np.sqrt(cfg.jd / scheme.q) * res.x).reshape(cfg.D, cfg.J, 1)
+    estimates, res = _run_solver(ensemble, part, solver, joint=True, opts=solver_opts)
+    g_tensor = (np.sqrt(cfg.jd / scheme.q) * estimates[0]).reshape(cfg.D, cfg.J, 1)
     h_full, f_tensor, _ = expand_coeffs(g_tensor, basis, cfg)
     return ChannelEstimate(
         h_full=channels_to_grid(h_full, cfg),

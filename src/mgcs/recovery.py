@@ -4,6 +4,11 @@ Greedy solvers (G-OMP, G-CoSaMP, G-DCS-SOMP), a proximal-gradient G-BPDN with
 scalar root finding on the residual curve, the multichannel stacking that
 turns simultaneous group-sparse problems into one block-diagonal group-sparse
 problem, and brute-force certification of group restricted isometry constants.
+
+G-OMP, G-CoSaMP and G-BPDN act on their measurement matrix only through a
+:class:`BlockDiagonalOperator`: a plain matrix is its one-block case, and the
+stacked multichannel problem is the operator over the per-transmit matrices,
+so the dense block-diagonal stack is never formed on the solver path.
 """
 
 import math
@@ -110,9 +115,92 @@ def _solve_ls(A, y):
     return solve_triangular(r, q.conj().T @ y), False
 
 
-def _adjoint(Phi, v):
-    """Phi^H v without materializing the conjugate transpose of Phi."""
-    return (v.conj() @ Phi).conj()
+class BlockDiagonalOperator:
+    """Block-diagonal measurement operator over per-transmit matrices.
+
+    ``blocks`` has shape (n_tx, Q, M); channel xi = r * n_tx + s is measured
+    by ``blocks[s]``, and the operator maps the stacked vector of
+    ``n_channels`` length-M coefficient vectors to the stacked vector of
+    their length-Q measurements.  Products, least squares and the Lipschitz
+    constant work block by block; ``np.asarray(op)`` gives the dense
+    (n_channels Q) x (n_channels M) matrix.
+    """
+
+    def __init__(self, blocks, n_channels):
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.ndim != 3:
+            raise DomainError("blocks must have shape (n_tx, Q, M)")
+        if n_channels < 1 or n_channels % blocks.shape[0] != 0:
+            raise DomainError("channel count must be a multiple of the transmit count")
+        self.blocks = blocks
+        self.n_channels = n_channels
+
+    @property
+    def shape(self):
+        _, q, m = self.blocks.shape
+        return (self.n_channels * q, self.n_channels * m)
+
+    def __matmul__(self, x):
+        n_tx, _, m = self.blocks.shape
+        return np.matmul(self.blocks, x.reshape(-1, n_tx, m, 1)).reshape(-1)
+
+    def rmatvec(self, v):
+        """Phi^H v without materializing the conjugate transpose of Phi."""
+        n_tx, q, _ = self.blocks.shape
+        return np.matmul(v.conj().reshape(-1, n_tx, 1, q), self.blocks).conj().reshape(-1)
+
+    def lstsq(self, cols, y):
+        """Least squares of ``y`` on the columns ``cols``, one ``_solve_ls``
+        per channel on its share of the columns.  Returns the coefficients in
+        ``cols`` order, the fit Phi[:, cols] @ coef, and whether any channel
+        fell back to minimum norm."""
+        n_tx, q, m = self.blocks.shape
+        if self.n_channels == 1:  # a plain matrix: no column split to pay for
+            A = self.blocks[0][:, cols]
+            coef, deficient = _solve_ls(A, y)
+            return coef, A @ coef, deficient
+        coef = np.empty(len(cols), dtype=complex)
+        fit = np.zeros(self.shape[0], dtype=complex)
+        owner = cols // m
+        deficient = False
+        for xi in range(self.n_channels):
+            share = owner == xi
+            A = self.blocks[xi % n_tx][:, cols[share] - xi * m]
+            c, d = _solve_ls(A, y[xi * q: (xi + 1) * q])
+            coef[share] = c
+            fit[xi * q: (xi + 1) * q] = A @ c
+            deficient |= d
+        return coef, fit, deficient
+
+    def lipschitz(self):
+        """||Phi||_2^2: the largest top eigenvalue of the per-transmit Gram
+        matrices, each the smaller Gram formed by a Hermitian rank-k update on
+        the transposed view (conj(A A^H) when Q <= M, else conj(A^H A)), upper
+        triangle only, with no copy of the block."""
+        from scipy.linalg.blas import zherk
+
+        _, q, m = self.blocks.shape
+        return max(
+            float(np.linalg.eigvalsh(zherk(1.0, A.T, trans=2 if q <= m else 0), UPLO="U")[-1])
+            for A in self.blocks
+        )
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the dense matrix of a block-diagonal operator is always a copy")
+        n_tx, q, m = self.blocks.shape
+        dense = np.zeros(self.shape, dtype=complex)
+        for xi in range(self.n_channels):
+            dense[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = self.blocks[xi % n_tx]
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def _as_operator(Phi):
+    """``Phi`` itself if it is an operator, else the one-block operator of the
+    matrix."""
+    if isinstance(Phi, BlockDiagonalOperator):
+        return Phi
+    return BlockDiagonalOperator(np.asarray(Phi, dtype=complex)[None], 1)
 
 
 def _top_groups(energies, count):
@@ -125,9 +213,9 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     Adds per iteration the group with the largest aggregated correlation
     energy and re-solves least squares on the selected column union; stops at
     ``max_groups`` selections or when the residual norm drops to
-    ``residual_tol``.
+    ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
     """
-    Phi = np.asarray(Phi, dtype=complex)
+    Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
     if part.total_length != Phi.shape[1]:
         raise DomainError("partition does not match the column count")
@@ -139,18 +227,18 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     history = [float(np.linalg.norm(resid))]
     rank_deficient = False
     while len(selected) < cap and history[-1] > residual_tol:
-        energies = idx.energies(_adjoint(Phi, resid))
+        energies = idx.energies(Phi.rmatvec(resid))
         energies[selected] = -1.0
         b = int(np.argmax(energies))
         if energies[b] <= 0:
             break
         selected.append(b)
         cols = np.concatenate([part.groups[g] for g in selected])
-        coef, deficient = _solve_ls(Phi[:, cols], y)
+        coef, fit, deficient = Phi.lstsq(cols, y)
         rank_deficient |= deficient
         x = np.zeros_like(x)
         x[cols] = coef
-        resid = y - Phi[:, cols] @ coef
+        resid = y - fit
         history.append(float(np.linalg.norm(resid)))
     return RecoveryResult(
         estimates=x[None, :],
@@ -182,7 +270,7 @@ def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
     while len(selected) < cap and history[-1] > residual_tol:
         energies = np.zeros(part.n_groups)
         for xi in range(ensemble.n_channels):
-            energies += idx.energies(_adjoint(mats[xi], resid[xi]))
+            energies += idx.energies((resid[xi].conj() @ mats[xi]).conj())
         energies[selected] = -1.0
         b = int(np.argmax(energies))
         if energies[b] <= 0:
@@ -211,9 +299,10 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     Per iteration: build the proxy Phi^H r, select the 2S groups of largest
     aggregated proxy energy, merge with the current support, least-squares on
     the merged column union, and prune to the S groups of largest solution
-    norm.  The output is always group-S-sparse.
+    norm.  The output is always group-S-sparse.  ``Phi`` is a matrix or a
+    :class:`BlockDiagonalOperator`.
     """
-    Phi = np.asarray(Phi, dtype=complex)
+    Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
     sizes = part.sizes()
     if sizes.min() != sizes.max():
@@ -230,10 +319,10 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     for it in range(1, n_iters + 1):
         if history[-1] <= residual_tol:
             break
-        proxy = idx.energies(_adjoint(Phi, resid))
+        proxy = idx.energies(Phi.rmatvec(resid))
         candidates = sorted(set(_top_groups(proxy, 2 * S)) | set(support))
         cols = np.concatenate([part.groups[g] for g in candidates])
-        coef, deficient = _solve_ls(Phi[:, cols], y)
+        coef, _, deficient = Phi.lstsq(cols, y)
         rank_deficient |= deficient
         b_full = np.zeros(Phi.shape[1], dtype=complex)
         b_full[cols] = coef
@@ -275,7 +364,7 @@ def _fista(Phi, y, lam, idx, lip, x0, max_iter, rel_tol=1e-12):
     obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(idx.energies(x)).sum()
     n_done, converged = 0, False
     for n_done in range(1, max_iter + 1):
-        grad = _adjoint(Phi, pz - y)
+        grad = Phi.rmatvec(pz - y)
         x_new = _group_prox(z - grad / lip, idx, lam / lip)
         px_new = Phi @ x_new
         resid = px_new - y
@@ -314,8 +403,10 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     ``iterations`` is the total FISTA iteration count; the diagnostics give
     the penalty, the number of FISTA solves (``penalty_solves``) and how many
     of them stopped at ``max_inner`` unconverged (``inner_cap_hits``).
+    ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`; the Lipschitz
+    constant is the largest over its blocks.
     """
-    Phi = np.asarray(Phi, dtype=complex)
+    Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
     if part.total_length != Phi.shape[1]:
         raise DomainError("partition does not match the column count")
@@ -332,15 +423,8 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
             iterations=0,
             diagnostics={"lambda": None, "penalty_solves": 0, "inner_cap_hits": 0},
         )
-    from scipy.linalg.blas import zherk
-
-    # Lipschitz constant ||Phi||_2^2 from the smaller Gram matrix, formed by
-    # a Hermitian rank-k update on the transposed view: conj(Phi Phi^H) when
-    # Q <= M, else conj(Phi^H Phi), upper triangle only, with no copy of Phi
-    q, m = Phi.shape
-    gram = zherk(1.0, Phi.T, trans=2 if q <= m else 0)
-    lip = float(np.linalg.eigvalsh(gram, UPLO="U")[-1])
-    lam_max = float(np.sqrt(idx.energies(_adjoint(Phi, y))).max())
+    lip = Phi.lipschitz()
+    lam_max = float(np.sqrt(idx.energies(Phi.rmatvec(y))).max())
     solves = []  # (iterations, converged) per FISTA solve
 
     def solve(lam, x0):
@@ -400,17 +484,17 @@ def mgcs_stack(ensemble, part):
     """Stack a multichannel ensemble into one block-diagonal group problem.
 
     Returns (Phi_stacked, y_stacked, stacked_partition); solving the stacked
-    system with any group-sparse solver is the multichannel mode.
+    system with G-OMP, G-CoSaMP or G-BPDN is the multichannel mode.
+    ``Phi_stacked`` is the :class:`BlockDiagonalOperator` over the ensemble's
+    per-transmit matrices, which never forms the (n_channels Q) x
+    (n_channels M) matrix; ``np.asarray`` of it gives that dense matrix.
     """
     n_ch = ensemble.n_channels
-    q, m = ensemble.shape
+    Phi = BlockDiagonalOperator(np.stack(ensemble.matrices), n_ch)
     if n_ch == 1:
-        return ensemble.matrices[0], ensemble.observations[0], part
-    Phi = np.zeros((q * n_ch, m * n_ch), dtype=complex)
-    for xi in range(n_ch):
-        Phi[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = ensemble.matrix_for(xi)
+        return Phi, ensemble.observations[0], part
     y = ensemble.observations.reshape(-1)
-    return Phi, y, stack_partition(part, m, n_ch)
+    return Phi, y, stack_partition(part, ensemble.shape[1], n_ch)
 
 
 def unstack_estimates(x_stacked, M, n_channels):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mgcs.estimator
 from mgcs.channel import FilterSpec, PathSet, discrete_ir, dft_coeffs, spreading_model
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import (
@@ -24,6 +25,7 @@ from mgcs.estimator import (
     error_bound,
 )
 from mgcs.partition import make_block_tiling, uniform_partition
+from mgcs.recovery import g_omp
 from mgcs.waveform import (
     SystemConfig,
     apply_discrete_channel,
@@ -278,6 +280,89 @@ class TestEstimateMimo:
                                 joint=True, residual_tol=1e-9)
             hs.append(est.h_full)
         np.testing.assert_allclose(hs[1], 2.5 * hs[0], atol=1e-8 * np.abs(hs[1]).max())
+
+    def test_per_channel_diagnostics_cover_every_channel(self):
+        # conv-omp on a 2x2 system whose four channels sit at four delays:
+        # each channel selects its own group, and the diagnostics report all
+        cfg = cfg_2x2()
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        rng = np.random.default_rng(12)
+        n_ch = cfg.n_channels
+        paths = PathSet(
+            gains=(rng.normal(size=n_ch) + 1j * rng.normal(size=n_ch))[None, :],
+            delays=np.arange(1, n_ch + 1)[None, :] * cfg.Ts,
+            dopplers=np.zeros((1, n_ch)),
+        )
+        scheme = draw_pilots(cfg, 13, q=12)
+        basis = BasisSpec.dft(cfg.J, cfg.D)
+        y_grid, truth = run_full_chain(paths, scheme, cfg, pulses, rng)
+        ens = collect_measurements(y_grid, scheme, basis, cfg)
+        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", joint=False,
+                            residual_tol=1e-9)
+        diag = est.diagnostics
+        per_channel = [g_omp(ens.matrix_for(xi), ens.observations[xi],
+                             uniform_partition(cfg.jd, 1), residual_tol=1e-9)
+                       for xi in range(n_ch)]
+        assert diag["selected_groups"] == [r.selected_groups for r in per_channel]
+        assert len({tuple(g) for g in diag["selected_groups"]}) == n_ch
+        assert diag["iterations"] == sum(r.iterations for r in per_channel) >= n_ch
+        assert diag["residual_norms"].shape == (n_ch,)
+        assert np.all(diag["residual_norms"] <= 1e-9)
+        assert rmse(est.h_full, truth) <= 1e-6 * np.linalg.norm(truth)
+
+
+class TestSolverDispatch:
+    def make_2x2(self):
+        cfg = cfg_2x2()
+        rng = np.random.default_rng(14)
+        scheme = draw_pilots(cfg, 15, q=12)
+        basis = BasisSpec.dft(cfg.J, cfg.D)
+        y_grid, _ = run_full_chain(on_grid_paths(cfg, m0=2, rng=rng), scheme, cfg,
+                                   cp_ofdm_pulses(cfg.K, cfg.N), rng)
+        return cfg, scheme, basis, collect_measurements(y_grid, scheme, basis, cfg)
+
+    def test_solvers_resolve_through_module_attributes(self, monkeypatch):
+        # a replaced mgcs.estimator attribute serves the joint, the
+        # per-channel and the scalar-pilot paths alike
+        cfg, scheme, basis, ens = self.make_2x2()
+        calls = []
+
+        def recording(original):
+            def solve(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+            return solve
+
+        for name in ("g_omp", "g_cosamp", "g_bpdn", "g_dcs_somp"):
+            monkeypatch.setattr(mgcs.estimator, name, recording(getattr(mgcs.estimator, name)))
+        tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-cosamp", tiling=tiling, S=1)
+        assert calls == ["g_cosamp"]
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", joint=False, eps=1e-3)
+        assert calls[1:] == ["g_bpdn"] * cfg.n_channels
+        del calls[:]
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", residual_tol=1e-9)
+        assert calls == ["g_dcs_somp"]  # joint G-OMP runs as G-DCS-SOMP
+        siso_cfg = cfg_2x2(n_tx=1, n_rx=1)
+        siso_scheme = draw_pilots(siso_cfg, 9, q=12)
+        y_grid = np.zeros((siso_cfg.L, siso_cfg.K, 1), dtype=complex)
+        estimate_siso(np.ones(12), y_grid, siso_scheme, BasisSpec.dft(siso_cfg.J, siso_cfg.D),
+                      siso_cfg, solver="g-cosamp", S=1)
+        assert calls[1:] == ["g_cosamp"]
+
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_unknown_solver_rejected(self, joint):
+        cfg, scheme, basis, ens = self.make_2x2()
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            estimate_mimo(ens, scheme, basis, cfg, solver="g-lasso", joint=joint)
+
+    def test_unknown_solver_rejected_by_siso(self):
+        cfg = cfg_2x2(n_tx=1, n_rx=1)
+        scheme = draw_pilots(cfg, 9, q=12)
+        y_grid = np.zeros((cfg.L, cfg.K, 1), dtype=complex)
+        with pytest.raises(ConfigurationError, match="unknown solver"):
+            estimate_siso(np.ones(12), y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
+                          solver="g-lasso")
 
 
 class TestEstimateSiso:

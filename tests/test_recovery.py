@@ -503,6 +503,127 @@ class TestMgcsStack:
         x = np.arange(12)
         np.testing.assert_array_equal(unstack_estimates(x, 4, 3), x.reshape(3, 4))
 
+    @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
+    def test_dense_view_is_the_block_diagonal_matrix(self, n_tx, n_rx):
+        rng = np.random.default_rng(17 + 10 * n_tx + n_rx)
+        ens = random_ensemble(rng, 5, 8, n_tx, n_rx)
+        Phi_s, _, _ = mgcs_stack(ens, singleton_partition(8))
+        dense = np.asarray(Phi_s)
+        assert Phi_s.shape == dense.shape == (5 * n_tx * n_rx, 8 * n_tx * n_rx)
+        assert dense.dtype == complex
+        np.testing.assert_array_equal(dense, dense_stack(ens))
+
+    @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
+    def test_products_match_the_dense_matrix(self, n_tx, n_rx):
+        rng = np.random.default_rng(27 + 10 * n_tx + n_rx)
+        ens = random_ensemble(rng, 5, 8, n_tx, n_rx)
+        Phi_s, _, _ = mgcs_stack(ens, singleton_partition(8))
+        dense = dense_stack(ens)
+        x = rng.normal(size=dense.shape[1]) + 1j * rng.normal(size=dense.shape[1])
+        v = rng.normal(size=dense.shape[0]) + 1j * rng.normal(size=dense.shape[0])
+        fwd, adj = dense @ x, dense.conj().T @ v
+        assert np.linalg.norm(Phi_s @ x - fwd) <= 1e-13 * np.linalg.norm(fwd)
+        assert np.linalg.norm(Phi_s.rmatvec(v) - adj) <= 1e-13 * np.linalg.norm(adj)
+        lip = np.linalg.norm(dense, 2) ** 2
+        assert Phi_s.lipschitz() == pytest.approx(lip, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solvers_match_on_the_dense_matrix(self, seed):
+        # each solver on the operator and on its dense matrix: same selection,
+        # iteration counts and rank-deficiency flag; the CoSaMP merged support
+        # (up to 12 columns per channel on 6 rows) is rank deficient
+        rng = np.random.default_rng(40 + seed)
+        q, m = 6, 16
+        part = uniform_partition(m, 2)
+        ens = random_ensemble(rng, q, m, 2, 2, part=part, support=(1, 5), noise=0.05)
+        Phi_s, y_s, part_s = mgcs_stack(ens, part)
+        dense = np.asarray(Phi_s)
+        eps = 0.05 * np.sqrt(2 * y_s.size)
+        runs = [
+            (g_omp, dict(max_groups=3)),
+            (g_cosamp, dict(S=2, n_iters=10)),
+            (g_bpdn, dict(eps=eps, tol=1e-3)),
+        ]
+        for solver, opts in runs:
+            on_op = solver(Phi_s, y_s, part_s, **opts)
+            on_dense = solver(dense, y_s, part_s, **opts)
+            assert on_op.selected_groups == on_dense.selected_groups
+            assert on_op.iterations == on_dense.iterations
+            for key in ("penalty_solves", "rank_deficient"):
+                assert on_op.diagnostics.get(key) == on_dense.diagnostics.get(key)
+            scale = np.linalg.norm(on_dense.x)
+            assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * scale
+        assert g_cosamp(Phi_s, y_s, part_s, S=2, n_iters=10).diagnostics["rank_deficient"]
+        # groups that ignore the channel blocks leave channels without columns
+        flat = uniform_partition(dense.shape[1], 2)
+        on_op = g_omp(Phi_s, y_s, flat, max_groups=3)
+        on_dense = g_omp(dense, y_s, flat, max_groups=3)
+        assert on_op.selected_groups == on_dense.selected_groups
+        assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * np.linalg.norm(on_dense.x)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_joint_gomp_is_dcs_somp_on_desk_trials(self, grouped):
+        # joint G-OMP on the block-diagonal stack and G-DCS-SOMP are one
+        # algorithm: same groups in the same order, same estimates
+        for t in range(3):
+            cfg, config, scheme, ens, sigma_z = desk_trial(11, t)
+            if grouped:
+                part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+            else:
+                part = singleton_partition(cfg.jd)
+            opts = dict(max_groups=scheme.q // (2 * part.groups[0].size),
+                        residual_tol=float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z))
+            Phi_s, y_s, part_s = mgcs_stack(ens, part)
+            joint = g_omp(Phi_s, y_s, part_s, **opts)
+            somp = g_dcs_somp(ens, part, **opts)
+            assert joint.selected_groups == somp.selected_groups
+            assert len(somp.selected_groups) > 1
+            x_joint = unstack_estimates(joint.x, cfg.jd, cfg.n_channels)
+            assert (np.linalg.norm(x_joint - somp.estimates)
+                    <= 1e-12 * np.linalg.norm(somp.estimates))
+
+
+def random_ensemble(rng, q, m, n_tx, n_rx, part=None, support=(), noise=0.0):
+    """Ensemble of n_tx complex Gaussian matrices (a partial DFT would give
+    groups of exactly equal correlation energy, whose order then rests on
+    rounding); with a support, each channel observes its own jointly
+    group-sparse vector, plus complex noise of standard deviation ``noise``
+    per part."""
+    mats = tuple((rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m))) / np.sqrt(2 * q)
+                 for _ in range(n_tx))
+    n_ch = n_tx * n_rx
+    if support:
+        obs = np.array([mats[xi % n_tx] @ group_sparse_signal(part, support, rng)
+                        for xi in range(n_ch)])
+    else:
+        obs = np.zeros((n_ch, q), dtype=complex)
+    obs = obs + noise * (rng.normal(size=(n_ch, q)) + 1j * rng.normal(size=(n_ch, q)))
+    return MeasurementEnsemble(matrices=mats, observations=obs)
+
+
+def dense_stack(ensemble):
+    """The dense (n_channels Q) x (n_channels M) block-diagonal matrix, block
+    xi being the matrix of channel xi."""
+    n_ch = ensemble.n_channels
+    q, m = ensemble.shape
+    Phi = np.zeros((q * n_ch, m * n_ch), dtype=complex)
+    for xi in range(n_ch):
+        Phi[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = ensemble.matrix_for(xi)
+    return Phi
+
+
+def desk_trial(seed, t):
+    """Pilot measurements of seeded desk 2x2 trial t at 20 dB."""
+    config = desk_experiment(seed)
+    cfg = config.system
+    pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+    scheme = draw_pilots(cfg, np.random.SeedSequence([seed, 7919]), q=config.q)
+    geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
+    y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, FilterSpec(kind="rrc"),
+                                           geometry, 20.0, [seed, 0, t])
+    ens = collect_measurements(y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
+    return cfg, config, scheme, ens, sigma_z
+
 
 class TestGroupRic:
     def test_orthonormal_columns(self):
