@@ -21,7 +21,7 @@ from .channel import (
     path_params,
     sample_geometry,
 )
-from .errors import ConfigurationError
+from .errors import BudgetExceededError, ConfigurationError, ConvergenceError, DomainError
 from .estimator import (
     BasisSpec,
     assemble_frame,
@@ -47,6 +47,9 @@ SOLVER_STRUCTURES = {
     "mgcs": (True, True),
 }
 SOLVER_ALGOS = ("omp", "somp", "cosamp", "bpdn")
+# the package's typed errors: a trial that raises one counts as a failure, any
+# other exception is a programming error and propagates
+_TRIAL_ERRORS = (ConfigurationError, DomainError, BudgetExceededError, ConvergenceError)
 
 
 def parse_solver(name):
@@ -316,7 +319,7 @@ def run_sweep(config):
                     sums[pi, si] += nmse
                     sq_sums[pi, si] += nmse**2
                     counts[pi, si] += 1
-            except Exception:
+            except _TRIAL_ERRORS:
                 failures[pi] += 1
     mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     var = np.where(

@@ -3,9 +3,11 @@
 Vector indices are 0-based throughout the package.  The 2D->1D rank map
 ``index_map`` keeps its textbook 1-based output range {1..J*D}; the groups of a
 :class:`Partition` store the corresponding 0-based positions (rank - 1).
+Every group reduction goes through a partition's flat group index and its
+``energies``, ``expand`` and ``columns``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,41 +19,72 @@ class Partition:
     """Partition of {0..M-1} into ordered, disjoint, nonempty groups.
 
     Groups may be non-contiguous (stacked multichannel partitions interleave
-    channels), so they are stored as explicit index arrays.
+    channels), so they are stored as explicit index arrays: views into the
+    flat index ``perm``, the groups' members in group order, where group b
+    occupies ``perm[starts[b]:starts[b] + sizes[b]]``.
     """
 
     total_length: int
     groups: tuple
+    perm: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.total_length <= 0:
+        M = self.total_length
+        if M <= 0:
             raise ConfigurationError("total_length must be positive")
-        groups = tuple(np.asarray(g, dtype=np.intp) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        seen = np.zeros(self.total_length, dtype=bool)
-        count = 0
-        for g in groups:
-            if g.size == 0:
-                raise ConfigurationError("empty group in partition")
-            if g.min() < 0 or g.max() >= self.total_length:
-                raise ConfigurationError("group index outside {0..M-1}")
-            if seen[g].any():
-                raise ConfigurationError("groups are not disjoint")
-            seen[g] = True
-            count += g.size
-        if count != self.total_length:
+        sizes = np.fromiter(map(np.size, self.groups), dtype=np.intp, count=len(self.groups))
+        if sizes.size == 0 or sizes.min() == 0:
+            raise ConfigurationError("partition without groups or with an empty group")
+        perm = np.concatenate(self.groups, axis=None).astype(np.intp, copy=False)
+        if perm.min() < 0 or perm.max() >= M:
+            raise ConfigurationError("group index outside {0..M-1}")
+        if np.bincount(perm, minlength=M).max() > 1:
+            raise ConfigurationError("groups are not disjoint")
+        if perm.size != M:
             raise ConfigurationError("groups do not cover {0..M-1}")
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # the groups become views of perm, sliced without np.split's overhead
+        groups = tuple(map(perm.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n_groups(self):
-        return len(self.groups)
-
-    def sizes(self):
-        return np.array([g.size for g in self.groups])
+        return self.sizes.size
 
     def subvector(self, x, b):
         """Entries of ``x`` indexed by group ``b``."""
         return np.asarray(x)[..., self.groups[b]]
+
+    def energies(self, v):
+        """Per-group energy over the last axis of length M.  The rows of ``v``,
+        or of a channel-stacked vector of length n_channels M, are summed
+        first, so the result is each group's joint energy across them."""
+        v = np.asarray(v)
+        if v.size % self.total_length:
+            raise DomainError("vector length does not match partition")
+        per_entry = (np.abs(v.reshape(-1, self.total_length)) ** 2).sum(axis=0)
+        return np.add.reduceat(per_entry[self.perm], self.starts)
+
+    def expand(self, per_group):
+        """Length-M vector holding ``per_group[b]`` at every member of group b."""
+        per_group = np.asarray(per_group)
+        out = np.empty(self.total_length, dtype=per_group.dtype)
+        out[self.perm] = np.repeat(per_group, self.sizes)
+        return out
+
+    def columns(self, selected):
+        """Members of the ``selected`` groups, concatenated in selection order."""
+        sel = np.asarray(selected, dtype=np.intp)
+        sizes = self.sizes[sel]
+        first = np.cumsum(sizes) - sizes  # where each selected group starts in the output
+        pos = np.arange(sizes.sum()) + np.repeat(self.starts[sel] - first, sizes)
+        return self.perm[pos]
 
 
 @dataclass(frozen=True)
@@ -82,22 +115,18 @@ class BlockTiling:
 
     def blocks(self):
         """List of (dm*di, 2) arrays of (m, i) pairs, i in -J/2..J/2-1."""
-        out = []
-        for bm in range(self.D // self.dm):
-            for bi in range(self.J // self.di):
-                ms = np.arange(bm * self.dm, (bm + 1) * self.dm)
-                iis = -self.J // 2 + np.arange(bi * self.di, (bi + 1) * self.di)
-                mm, ii = np.meshgrid(ms, iis, indexing="ij")
-                out.append(np.column_stack([mm.ravel(), ii.ravel()]))
-        return out
+        m, a = np.divmod(self.to_partition().perm.reshape(self.n_blocks, -1), self.J)
+        return list(np.stack([m, a - self.J // 2], axis=-1))
 
     def to_partition(self):
         """1D partition of {0..J*D-1} induced by the rank map."""
-        groups = []
-        for blk in self.blocks():
-            ranks = blk[:, 0] * self.J + blk[:, 1] + self.J // 2
-            groups.append(np.sort(ranks))
-        return Partition(self.J * self.D, tuple(groups))
+        # rank m J + (i + J/2) over the rectangle, split into dm x di blocks;
+        # within a block the ranks run in increasing (m, i) order
+        ranks = np.arange(self.J * self.D).reshape(
+            self.D // self.dm, self.dm, self.J // self.di, self.di
+        )
+        return Partition(self.J * self.D,
+                         tuple(ranks.transpose(0, 2, 1, 3).reshape(self.n_blocks, -1)))
 
 
 def make_block_tiling(D, J, dm, di):
@@ -127,26 +156,25 @@ def index_map_inverse(rank, D, J):
 
 def singleton_partition(M):
     """Partition of {0..M-1} into M singletons."""
-    return Partition(M, tuple(np.array([j]) for j in range(M)))
+    return Partition(M, tuple(np.arange(M)[:, None]))
 
 
 def uniform_partition(M, size):
     """Partition of {0..M-1} into contiguous groups of equal ``size``."""
     if M % size != 0:
         raise ConfigurationError("group size must divide M")
-    return Partition(M, tuple(np.arange(b * size, (b + 1) * size) for b in range(M // size)))
+    return Partition(M, tuple(np.arange(M).reshape(-1, size)))
 
 
 def stack_partition(part, M, n_channels):
     """Partition of {0..M*n_channels-1} whose group b collects group b of
-    ``part`` replicated across all channel offsets xi*M."""
+    ``part`` replicated across all channel offsets xi*M, channel by channel."""
     if part.total_length != M:
         raise DomainError("partition length does not match M")
     if n_channels < 1:
         raise DomainError("n_channels must be >= 1")
-    offsets = np.arange(n_channels) * M
-    groups = tuple(np.sort((g[:, None] + offsets[None, :]).ravel()) for g in part.groups)
-    return Partition(M * n_channels, groups)
+    offsets = np.arange(n_channels)[:, None] * M
+    return Partition(M * n_channels, tuple((offsets + g).ravel() for g in part.groups))
 
 
 def group_norm(x, part):
@@ -154,32 +182,7 @@ def group_norm(x, part):
     x = np.asarray(x)
     if x.shape[-1] != part.total_length:
         raise DomainError("vector length does not match partition")
-    return float(sum(np.linalg.norm(x[..., g]) for g in part.groups))
-
-
-def group_subnorms(x, part):
-    """Per-group l2 norms of ``x`` (helper for solvers)."""
-    x = np.asarray(x)
-    return np.array([np.linalg.norm(x[..., g]) for g in part.groups])
-
-
-def group_frobenius_norm(tensor, tiling):
-    """Joint group-sparsity measure of a (D, J, n_channels) coefficient tensor:
-    sum over blocks of the Frobenius norm of the block's entries across all
-    channels.  Equals ``group_norm`` of the channel-stacked vector under
-    ``stack_partition`` of the tiling's partition.
-    """
-    t = np.asarray(tensor)
-    if t.ndim == 2:
-        t = t[:, :, None]
-    if t.shape[0] != tiling.D or t.shape[1] != tiling.J:
-        raise DomainError("tensor shape does not match tiling rectangle")
-    energy = np.abs(t) ** 2
-    per_cell = energy.sum(axis=2)
-    blocks = per_cell.reshape(
-        tiling.D // tiling.dm, tiling.dm, tiling.J // tiling.di, tiling.di
-    ).sum(axis=(1, 3))
-    return float(np.sqrt(blocks).sum())
+    return float(np.sqrt(part.energies(x)).sum())
 
 
 def best_group_approx(x, part, S):
@@ -191,8 +194,6 @@ def best_group_approx(x, part, S):
         raise DomainError(f"S={S} outside 0..{part.n_groups}")
     x = np.asarray(x)
     out = np.zeros_like(x)
-    norms = group_subnorms(x, part)
-    order = np.argsort(-norms, kind="stable")[:S]
-    for b in order:
-        out[..., part.groups[b]] = x[..., part.groups[b]]
+    cols = part.columns(np.argsort(-part.energies(x), kind="stable")[:S])
+    out[..., cols] = x[..., cols]
     return out

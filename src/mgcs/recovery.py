@@ -8,7 +8,9 @@ problem, and brute-force certification of group restricted isometry constants.
 G-OMP, G-CoSaMP and G-BPDN act on their measurement matrix only through a
 :class:`BlockDiagonalOperator`: a plain matrix is its one-block case, and the
 stacked multichannel problem is the operator over the per-transmit matrices,
-so the dense block-diagonal stack is never formed on the solver path.
+so the dense block-diagonal stack is never formed on the solver path.  On the
+operator they also take the per-channel partition of one block's columns: its
+group b is group b at every channel offset.  G-DCS-SOMP is G-OMP in that form.
 """
 
 import math
@@ -64,6 +66,10 @@ class MeasurementEnsemble:
         """Matrix of channel index chan = r * n_tx + s."""
         return self.matrices[chan % self.n_tx]
 
+    def operator(self):
+        """The :class:`BlockDiagonalOperator` of all channels."""
+        return BlockDiagonalOperator(np.stack(self.matrices), self.n_channels)
+
 
 @dataclass
 class RecoveryResult:
@@ -79,25 +85,6 @@ class RecoveryResult:
     def x(self):
         """Single-channel estimate convenience view."""
         return self.estimates[0]
-
-
-class _GroupIndexer:
-    """Flat index machinery for fast per-group reductions."""
-
-    def __init__(self, part):
-        self.part = part
-        self.perm = np.concatenate(part.groups)
-        sizes = part.sizes()
-        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self.sizes = sizes
-
-    def energies(self, v):
-        return np.add.reduceat(np.abs(v[self.perm]) ** 2, self.starts)
-
-    def expand(self, per_group):
-        out = np.empty(self.part.total_length, dtype=per_group.dtype)
-        out[self.perm] = np.repeat(per_group, self.sizes)
-        return out
 
 
 def _solve_ls(A, y):
@@ -207,6 +194,17 @@ def _top_groups(energies, count):
     return np.argsort(-energies, kind="stable")[:count]
 
 
+def _group_columns(Phi, part):
+    """The columns of ``Phi`` spanned by selected groups of ``part``, as a
+    function of the groups.  ``part`` covers either all columns or those of
+    one channel block; then group b is group b of every block."""
+    n_cols, length = Phi.shape[1], part.total_length
+    if length not in (n_cols, Phi.blocks.shape[2]):
+        raise DomainError("partition does not match the column count")
+    offsets = np.arange(0, n_cols, length)[:, None]
+    return lambda groups: (offsets + part.columns(groups)).ravel()
+
+
 def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     """Group orthogonal matching pursuit.
 
@@ -217,9 +215,7 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    if part.total_length != Phi.shape[1]:
-        raise DomainError("partition does not match the column count")
-    idx = _GroupIndexer(part)
+    columns = _group_columns(Phi, part)
     cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
     x = np.zeros(Phi.shape[1], dtype=complex)
     resid = y.copy()
@@ -227,13 +223,13 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     history = [float(np.linalg.norm(resid))]
     rank_deficient = False
     while len(selected) < cap and history[-1] > residual_tol:
-        energies = idx.energies(Phi.rmatvec(resid))
+        energies = part.energies(Phi.rmatvec(resid))
         energies[selected] = -1.0
         b = int(np.argmax(energies))
         if energies[b] <= 0:
             break
         selected.append(b)
-        cols = np.concatenate([part.groups[g] for g in selected])
+        cols = columns(selected)
         coef, fit, deficient = Phi.lstsq(cols, y)
         rank_deficient |= deficient
         x = np.zeros_like(x)
@@ -252,45 +248,20 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
 def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
     """Greedy joint-support identification across all channels.
 
-    Each iteration adds the group maximizing the correlation energy summed
-    over channels and group members, then re-solves least squares per channel
-    on the joint support.  With singleton groups this is DCS-SOMP.
+    G-OMP on the ensemble's block-diagonal operator with the per-channel
+    partition: each iteration adds the group maximizing the correlation
+    energy summed over channels and group members, then re-solves least
+    squares per channel on the joint support.  With singleton groups this is
+    DCS-SOMP.  Returns the (n_channels, M) estimates and each channel's
+    residual norm.
     """
-    mats = [ensemble.matrix_for(xi) for xi in range(ensemble.n_channels)]
-    obs = ensemble.observations
-    if part.total_length != mats[0].shape[1]:
-        raise DomainError("partition does not match the column count")
-    idx = _GroupIndexer(part)
-    cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
-    x = np.zeros((ensemble.n_channels, part.total_length), dtype=complex)
-    resid = obs.copy()
-    selected = []
-    history = [float(np.linalg.norm(resid))]
-    rank_deficient = False
-    while len(selected) < cap and history[-1] > residual_tol:
-        energies = np.zeros(part.n_groups)
-        for xi in range(ensemble.n_channels):
-            energies += idx.energies((resid[xi].conj() @ mats[xi]).conj())
-        energies[selected] = -1.0
-        b = int(np.argmax(energies))
-        if energies[b] <= 0:
-            break
-        selected.append(b)
-        cols = np.concatenate([part.groups[g] for g in selected])
-        for xi in range(ensemble.n_channels):
-            coef, deficient = _solve_ls(mats[xi][:, cols], obs[xi])
-            rank_deficient |= deficient
-            x[xi] = 0
-            x[xi, cols] = coef
-            resid[xi] = obs[xi] - mats[xi][:, cols] @ coef
-        history.append(float(np.linalg.norm(resid)))
-    return RecoveryResult(
-        estimates=x,
-        selected_groups=selected,
-        residual_norms=np.linalg.norm(resid, axis=1),
-        iterations=len(selected),
-        diagnostics={"residual_history": history, "rank_deficient": rank_deficient},
-    )
+    Phi = ensemble.operator()
+    res = g_omp(Phi, ensemble.observations.reshape(-1), part, max_groups, residual_tol)
+    n_ch = ensemble.n_channels
+    res.estimates = res.estimates.reshape(n_ch, -1)
+    res.residual_norms = np.linalg.norm(
+        ensemble.observations - (Phi @ res.estimates.reshape(-1)).reshape(n_ch, -1), axis=1)
+    return res
 
 
 def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
@@ -304,14 +275,13 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    sizes = part.sizes()
-    if sizes.min() != sizes.max():
+    columns = _group_columns(Phi, part)
+    if part.sizes.min() != part.sizes.max():
         raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
         raise DomainError(f"need 1 <= S and 4S <= B (S={S}, B={part.n_groups})")
-    idx = _GroupIndexer(part)
     x = np.zeros(Phi.shape[1], dtype=complex)
-    support = []
+    support = np.zeros(0, dtype=np.intp)
     resid = y.copy()
     history = [float(np.linalg.norm(resid))]
     rank_deficient = False
@@ -319,39 +289,38 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     for it in range(1, n_iters + 1):
         if history[-1] <= residual_tol:
             break
-        proxy = idx.energies(Phi.rmatvec(resid))
-        candidates = sorted(set(_top_groups(proxy, 2 * S)) | set(support))
-        cols = np.concatenate([part.groups[g] for g in candidates])
+        proxy = part.energies(Phi.rmatvec(resid))
+        candidates = np.union1d(_top_groups(proxy, 2 * S), support)
+        cols = columns(candidates)
         coef, _, deficient = Phi.lstsq(cols, y)
         rank_deficient |= deficient
         b_full = np.zeros(Phi.shape[1], dtype=complex)
         b_full[cols] = coef
-        keep = _top_groups(idx.energies(b_full), S)
-        support = sorted(int(g) for g in keep)
+        support = np.sort(_top_groups(part.energies(b_full), S))
+        keep = columns(support)
         x = np.zeros_like(x)
-        for g in support:
-            x[part.groups[g]] = b_full[part.groups[g]]
+        x[keep] = b_full[keep]
         resid = y - Phi @ x
         history.append(float(np.linalg.norm(resid)))
     return RecoveryResult(
         estimates=x[None, :],
-        selected_groups=support,
+        selected_groups=support.tolist(),
         residual_norms=np.array([history[-1]]),
         iterations=it,
         diagnostics={"residual_history": history, "rank_deficient": rank_deficient},
     )
 
 
-def _group_prox(v, idx, thresh):
+def _group_prox(v, part, thresh):
     """Groupwise soft threshold: shrink each group's l2 norm by ``thresh``."""
-    norms = np.sqrt(idx.energies(v))
+    norms = np.sqrt(part.energies(v))
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - thresh / norms[nz])
-    return v * idx.expand(scale)
+    return (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(v.shape)
 
 
-def _fista(Phi, y, lam, idx, lip, x0, max_iter, rel_tol=1e-12):
+def _fista(Phi, y, lam, part, lip, x0, max_iter, rel_tol=1e-12):
     """Accelerated proximal gradient for the penalized group-lasso form.
 
     Carries Phi x across steps, so each step costs one forward and one adjoint
@@ -361,14 +330,14 @@ def _fista(Phi, y, lam, idx, lip, x0, max_iter, rel_tol=1e-12):
     z, pz = x, px
     t = 1.0
     resid = px - y
-    obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(idx.energies(x)).sum()
+    obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x)).sum()
     n_done, converged = 0, False
     for n_done in range(1, max_iter + 1):
         grad = Phi.rmatvec(pz - y)
-        x_new = _group_prox(z - grad / lip, idx, lam / lip)
+        x_new = _group_prox(z - grad / lip, part, lam / lip)
         px_new = Phi @ x_new
         resid = px_new - y
-        obj = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(idx.energies(x_new)).sum()
+        obj = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x_new)).sum()
         t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
         if obj > obj_prev:  # function restart
             z, pz, t_new = x_new, px_new, 1.0
@@ -408,11 +377,9 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    if part.total_length != Phi.shape[1]:
-        raise DomainError("partition does not match the column count")
+    _group_columns(Phi, part)  # validates the partition
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    idx = _GroupIndexer(part)
     y_norm = float(np.linalg.norm(y))
     zero = np.zeros(Phi.shape[1], dtype=complex)
     if y_norm <= eps or y_norm == 0.0:
@@ -424,11 +391,11 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
             diagnostics={"lambda": None, "penalty_solves": 0, "inner_cap_hits": 0},
         )
     lip = Phi.lipschitz()
-    lam_max = float(np.sqrt(idx.energies(Phi.rmatvec(y))).max())
+    lam_max = float(np.sqrt(part.energies(Phi.rmatvec(y))).max())
     solves = []  # (iterations, converged) per FISTA solve
 
     def solve(lam, x0):
-        x, r, n, converged = _fista(Phi, y, lam, idx, lip, x0, max_inner)
+        x, r, n, converged = _fista(Phi, y, lam, part, lip, x0, max_inner)
         solves.append((n, converged))
         return x, r
 
@@ -465,7 +432,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
                     f_hi *= 0.5
                 kept = "hi"
         x, r, lam_lo = x_lo, r_lo, float(lo)
-    norms = np.sqrt(idx.energies(x))
+    norms = np.sqrt(part.energies(x))
     selected = [int(b) for b in np.nonzero(norms > 1e-12 * max(norms.max(), 1e-300))[0]]
     return RecoveryResult(
         estimates=x[None, :],
@@ -487,14 +454,14 @@ def mgcs_stack(ensemble, part):
     system with G-OMP, G-CoSaMP or G-BPDN is the multichannel mode.
     ``Phi_stacked`` is the :class:`BlockDiagonalOperator` over the ensemble's
     per-transmit matrices, which never forms the (n_channels Q) x
-    (n_channels M) matrix; ``np.asarray`` of it gives that dense matrix.
+    (n_channels M) matrix; ``np.asarray`` of it gives that dense matrix.  The
+    solvers take ``part`` itself on ``Phi_stacked`` too, as the estimator
+    does; the stacked partition serves G-RIC certification.
     """
     n_ch = ensemble.n_channels
-    Phi = BlockDiagonalOperator(np.stack(ensemble.matrices), n_ch)
-    if n_ch == 1:
-        return Phi, ensemble.observations[0], part
-    y = ensemble.observations.reshape(-1)
-    return Phi, y, stack_partition(part, ensemble.shape[1], n_ch)
+    if n_ch > 1:
+        part = stack_partition(part, ensemble.shape[1], n_ch)
+    return ensemble.operator(), ensemble.observations.reshape(-1), part
 
 
 def unstack_estimates(x_stacked, M, n_channels):
@@ -519,7 +486,7 @@ def group_ric(Phi, part, S, budget=100_000):
     Phi = np.asarray(Phi, dtype=complex)
     delta = 0.0
     for combo in combinations(range(part.n_groups), S):
-        cols = np.concatenate([part.groups[b] for b in combo])
+        cols = part.columns(combo)
         gram = Phi[:, cols].conj().T @ Phi[:, cols]
         w = np.linalg.eigvalsh(gram)
         delta = max(delta, float(w[-1] - 1.0), float(1.0 - w[0]))

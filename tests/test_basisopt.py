@@ -21,8 +21,9 @@ from mgcs.basisopt import (
 from mgcs.channel import FilterSpec, PathSet, dft_coeffs, spreading_model
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec, dft_block
-from mgcs.partition import group_frobenius_norm, make_block_tiling
+from mgcs.partition import make_block_tiling
 from mgcs.waveform import SystemConfig, cp_ofdm_pulses, cross_ambiguity
+from oracles import group_frobenius_norm
 
 RRC = FilterSpec(kind="rrc")
 

@@ -480,6 +480,22 @@ class TestErrorBound:
         res = error_bound("g-bpdn", 0.0, 1, 0.3, c_g, default_pilot_matrix(2), cfg, q=8)
         assert res.value == pytest.approx(res.detail["C1"] * 0.3)
 
+    @pytest.mark.parametrize("n_ch", [None, 4])
+    def test_leakage_matches_a_group_loop(self, n_ch):
+        # a (D, J) tensor is one channel
+        cfg = cfg_2x2()
+        part = make_block_tiling(cfg.D, cfg.J, 1, 2).to_partition()
+        rng = np.random.default_rng(5)
+        shape = (cfg.D, cfg.J) if n_ch is None else (cfg.D, cfg.J, n_ch)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows = g.reshape(cfg.jd, -1)
+        norms = np.array([np.linalg.norm(rows[grp]) for grp in part.groups])
+        strongest = set(np.argsort(-norms, kind="stable")[:3].tolist())
+        c_g, support = group_leakage(g, part, 3)
+        assert support == strongest
+        rest = [norms[b] for b in range(part.n_groups) if b not in strongest]
+        assert c_g == pytest.approx(sum(rest), rel=1e-12)
+
     def test_inapplicable_flag(self):
         cfg = cfg_2x2()
         res = error_bound("g-bpdn", 0.9, 1, 0.1, 1.0, default_pilot_matrix(2), cfg, q=8)

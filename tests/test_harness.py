@@ -1,9 +1,12 @@
 """Tests for the experiment runner, result emission and basis persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mgcs.errors import ConfigurationError
+import mgcs.harness
+from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec
 from mgcs.harness import (
     ExperimentConfig,
@@ -95,6 +98,44 @@ class TestRunSweep:
                             solvers=("mgcs-somp",))
         )
         assert np.isfinite(table.mean_mse_db).all()
+
+    def test_typed_error_counts_as_a_failed_trial(self, monkeypatch):
+        original = mgcs.harness.run_estimator
+        calls = []
+
+        def fail_first_trial(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 1:
+                raise DomainError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mgcs.harness, "run_estimator", fail_first_trial)
+        table = run_sweep(tiny_experiment(trials=2, solvers=("mgcs-somp",)))
+        assert calls == ["mgcs-somp", "mgcs-somp"]
+        assert table.failures.tolist() == [1]
+        assert np.isfinite(table.mean_mse_db).all()
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("forced")
+
+        monkeypatch.setattr(mgcs.harness, "run_estimator", broken)
+        with pytest.raises(TypeError, match="forced"):
+            run_sweep(tiny_experiment(trials=2, solvers=("mgcs-somp",)))
+
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_seed5.csv"
+GOLDEN_SOLVERS = ("conv-omp", "gcs-omp", "mcs-somp", "mgcs-somp",
+                  "mcs-omp", "mgcs-omp", "mgcs-cosamp", "mgcs-bpdn")
+
+
+def test_sweep_csv_matches_the_golden_file(tmp_path):
+    # the seeded desk sweep over every benchmark estimator, written byte for
+    # byte as the committed file; a refactor that changes a reported digit fails
+    table = run_sweep(desk_experiment(5, points=(10.0, 20.0), trials=4,
+                                      solvers=GOLDEN_SOLVERS))
+    out = emit_results(table, tmp_path / "sweep.csv")
+    assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
 
 
 class TestSnrCalibration:

@@ -11,7 +11,6 @@ from mgcs.errors import ConfigurationError, DomainError
 from mgcs.partition import (
     Partition,
     best_group_approx,
-    group_frobenius_norm,
     group_norm,
     index_map,
     index_map_inverse,
@@ -20,6 +19,7 @@ from mgcs.partition import (
     stack_partition,
     uniform_partition,
 )
+from oracles import group_frobenius_norm
 
 
 def as_sets(part):
@@ -166,6 +166,55 @@ class TestGroupFrobeniusNorm:
         )
 
 
+def unequal_partitions():
+    """Partitions with unequal group sizes: contiguous, and scattered by a
+    random permutation so that groups are non-contiguous and unsorted."""
+    rng = np.random.default_rng(3)
+    sizes = [1, 3, 2, 4, 1]
+    bounds = np.cumsum([0] + sizes)
+    perm = rng.permutation(int(bounds[-1]))
+    contiguous = Partition(11, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
+    scattered = Partition(11, tuple(perm[a:b] for a, b in zip(bounds, bounds[1:])))
+    return [contiguous, scattered]
+
+
+class TestGroupIndex:
+    @pytest.mark.parametrize("p", unequal_partitions())
+    def test_index_reproduces_the_groups(self, p):
+        assert p.sizes.tolist() == [g.size for g in p.groups]
+        for b, g in enumerate(p.groups):
+            start = p.starts[b]
+            np.testing.assert_array_equal(p.perm[start: start + p.sizes[b]], g)
+
+    @pytest.mark.parametrize("shape", [(11,), (3, 11)])
+    @pytest.mark.parametrize("p", unequal_partitions())
+    def test_energies_match_a_group_loop(self, p, shape):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        loop = [np.sum(np.abs(v[..., g]) ** 2) for g in p.groups]
+        np.testing.assert_allclose(p.energies(v), loop, rtol=1e-12)
+        # the channel-stacked vector gives the same joint energies
+        np.testing.assert_allclose(p.energies(v.reshape(-1)), loop, rtol=1e-12)
+
+    def test_energies_reject_a_length_that_is_not_a_multiple(self):
+        with pytest.raises(DomainError):
+            uniform_partition(4, 2).energies(np.ones(6))
+
+    @pytest.mark.parametrize("p", unequal_partitions())
+    def test_expand_matches_a_group_loop(self, p):
+        per_group = np.arange(1.0, p.n_groups + 1)
+        loop = np.zeros(p.total_length)
+        for b, g in enumerate(p.groups):
+            loop[g] = per_group[b]
+        np.testing.assert_array_equal(p.expand(per_group), loop)
+
+    @pytest.mark.parametrize("selected", [[], [3], [4, 0, 2], [1, 3, 0, 4, 2]])
+    @pytest.mark.parametrize("p", unequal_partitions())
+    def test_columns_match_a_group_loop(self, p, selected):
+        loop = [int(j) for b in selected for j in p.groups[b]]
+        assert p.columns(selected).tolist() == loop
+
+
 class TestBestGroupApprox:
     def test_keep_all(self):
         p = uniform_partition(6, 2)
@@ -223,6 +272,16 @@ def test_partition_validation():
         Partition(3, (np.array([0, 1]), np.array([1, 2])))  # overlap
     with pytest.raises(ConfigurationError):
         Partition(2, (np.array([0, 1]), np.array([], dtype=int)))  # empty group
+    with pytest.raises(ConfigurationError):
+        Partition(2, (np.array([0, 0]),))  # repeat inside one group, 1 uncovered
+    with pytest.raises(ConfigurationError):
+        Partition(2, (np.array([-1, 0]), np.array([1])))  # index below 0
+    with pytest.raises(ConfigurationError):
+        Partition(2, (np.array([0, 1]), np.array([2])))  # index M
+    with pytest.raises(ConfigurationError):
+        Partition(2, ())  # zero groups
+    with pytest.raises(ConfigurationError):
+        Partition(0, (np.array([0]),))  # total_length 0
 
 
 def test_tiling_partition_ranks_match_index_map():

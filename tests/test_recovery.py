@@ -547,12 +547,16 @@ class TestMgcsStack:
         for solver, opts in runs:
             on_op = solver(Phi_s, y_s, part_s, **opts)
             on_dense = solver(dense, y_s, part_s, **opts)
-            assert on_op.selected_groups == on_dense.selected_groups
-            assert on_op.iterations == on_dense.iterations
-            for key in ("penalty_solves", "rank_deficient"):
-                assert on_op.diagnostics.get(key) == on_dense.diagnostics.get(key)
+            # the per-channel partition: group b at every channel offset
+            per_channel = solver(Phi_s, y_s, part, **opts)
+            for other in (on_op, per_channel):
+                assert other.selected_groups == on_dense.selected_groups
+                assert other.iterations == on_dense.iterations
+                for key in ("penalty_solves", "rank_deficient"):
+                    assert other.diagnostics.get(key) == on_dense.diagnostics.get(key)
             scale = np.linalg.norm(on_dense.x)
             assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * scale
+            assert np.linalg.norm(per_channel.x - on_op.x) <= 1e-12 * scale
         assert g_cosamp(Phi_s, y_s, part_s, S=2, n_iters=10).diagnostics["rank_deficient"]
         # groups that ignore the channel blocks leave channels without columns
         flat = uniform_partition(dense.shape[1], 2)
@@ -560,6 +564,15 @@ class TestMgcsStack:
         on_dense = g_omp(dense, y_s, flat, max_groups=3)
         assert on_op.selected_groups == on_dense.selected_groups
         assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * np.linalg.norm(on_dense.x)
+
+    @pytest.mark.parametrize("solver,opts", [(g_omp, {}), (g_cosamp, dict(S=1)),
+                                             (g_bpdn, dict(eps=0.1))])
+    def test_partition_of_neither_length_is_rejected(self, solver, opts):
+        rng = np.random.default_rng(41)
+        ens = random_ensemble(rng, 6, 16, 2, 2)
+        Phi_s, y_s, _ = mgcs_stack(ens, uniform_partition(16, 2))
+        with pytest.raises(DomainError):
+            solver(Phi_s, y_s, uniform_partition(32, 2), **opts)
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_joint_gomp_is_dcs_somp_on_desk_trials(self, grouped):
