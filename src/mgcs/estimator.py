@@ -186,22 +186,26 @@ def build_phi(scheme, basis, cfg):
     """Measurement matrices sqrt(JD/Q) * (pilot rows of the basis).
 
     Returns one Q x JD matrix per transmit antenna, built blockwise from the
-    basis without assembling the full unitary matrix.
+    basis without assembling the full unitary matrix: entry (q, m J + a) is
+    conj(V_m[a, lambda_q]) exp(-j 2 pi kappa_q m / D) / sqrt(D), scaled.
     """
     J, D = basis.J, basis.D
     if (J, D) != (cfg.J, cfg.D):
         raise ConfigurationError("basis dimensions do not match the system")
     scale = np.sqrt(cfg.jd / scheme.q)
+    # V_m^H indexed (lambda, m, a); the DFT basis has one block for every m
+    if basis.is_dft:
+        vh = np.conj(dft_block(J)).T[:, None, :]
+    else:
+        vh = np.conj(basis.blocks).transpose(2, 0, 1)
+    m = np.arange(D)
     mats = []
     for s in range(scheme.n_tx):
-        ids = scheme.grid_ids[s]
-        lam, kap = np.divmod(ids, D)
-        Phi = np.empty((scheme.q, cfg.jd), dtype=complex)
-        for m in range(D):
-            vm_h = np.conj(basis.block(m)).T  # (lambda, a)
-            phase = np.exp(-2j * np.pi * kap * m / D) / np.sqrt(D)
-            Phi[:, m * J: (m + 1) * J] = vm_h[lam] * phase[:, None]
-        mats.append(scale * Phi)
+        lam, kap = np.divmod(scheme.grid_ids[s], D)
+        phase = np.exp(-2j * np.pi * kap[:, None] * m / D) / np.sqrt(D)  # (Q, D)
+        Phi = vh[lam] * phase[:, :, None]  # (Q, D, J)
+        Phi *= scale
+        mats.append(Phi.reshape(scheme.q, cfg.jd))
     return mats
 
 

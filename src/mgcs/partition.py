@@ -8,6 +8,7 @@ Every group reduction goes through a partition's flat group index and its
 """
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ class Partition:
     Groups may be non-contiguous (stacked multichannel partitions interleave
     channels), so they are stored as explicit index arrays: views into the
     flat index ``perm``, the groups' members in group order, where group b
-    occupies ``perm[starts[b]:starts[b] + sizes[b]]``.
+    occupies ``perm[starts[b]:starts[b] + sizes[b]]``.  These arrays are
+    read-only, so one partition can be shared by every caller.
     """
 
     total_length: int
@@ -46,6 +48,8 @@ class Partition:
             raise ConfigurationError("groups do not cover {0..M-1}")
         ends = np.cumsum(sizes)
         starts = ends - sizes
+        for a in (perm, starts, sizes):
+            a.flags.writeable = False
         # the groups become views of perm, sliced without np.split's overhead
         groups = tuple(map(perm.__getitem__, map(slice, starts.tolist(), ends.tolist())))
         object.__setattr__(self, "groups", groups)
@@ -119,7 +123,12 @@ class BlockTiling:
         return list(np.stack([m, a - self.J // 2], axis=-1))
 
     def to_partition(self):
-        """1D partition of {0..J*D-1} induced by the rank map."""
+        """1D partition of {0..J*D-1} induced by the rank map, built once per
+        tiling."""
+        return self._partition
+
+    @cached_property
+    def _partition(self):
         # rank m J + (i + J/2) over the rectangle, split into dm x di blocks;
         # within a block the ranks run in increasing (m, i) order
         ranks = np.arange(self.J * self.D).reshape(
@@ -154,8 +163,9 @@ def index_map_inverse(rank, D, J):
     return m, a - J // 2
 
 
+@cache
 def singleton_partition(M):
-    """Partition of {0..M-1} into M singletons."""
+    """Partition of {0..M-1} into M singletons, built once per M."""
     return Partition(M, tuple(np.arange(M)[:, None]))
 
 

@@ -11,6 +11,12 @@ stacked multichannel problem is the operator over the per-transmit matrices,
 so the dense block-diagonal stack is never formed on the solver path.  On the
 operator they also take the per-channel partition of one block's columns: its
 group b is group b at every channel offset.  G-DCS-SOMP is G-OMP in that form.
+
+Every least-squares fit splits into one problem per transmit matrix, whose
+n_rx channels share its columns and are solved as the right-hand sides of one
+factorization (one problem per channel under a partition of all columns).
+G-OMP grows a thin QR of each problem's columns a group at a time; G-CoSaMP,
+whose support changes wholesale, factors each problem from scratch.
 """
 
 import math
@@ -18,6 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from itertools import combinations
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import BudgetExceededError, ConvergenceError, DomainError
 from .partition import stack_partition
@@ -87,19 +96,75 @@ class RecoveryResult:
         return self.estimates[0]
 
 
-def _solve_ls(A, y):
-    """Least squares via thin QR with a minimum-norm fallback on rank loss."""
-    if A.shape[0] < A.shape[1]:
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return coef, True
-    q, r = np.linalg.qr(A)
-    diag = np.abs(np.diag(r))
-    if diag.size and diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return coef, True
-    from scipy.linalg import solve_triangular
+class _GrownQR:
+    """Least squares of the right-hand sides ``Y`` (Q x n) on a growing list
+    of columns of ``A``.
 
-    return solve_triangular(r, q.conj().T @ y), False
+    Keeps a thin QR of the selected columns in buffers of min(Q, ``width``)
+    columns and appends each new set of columns by block Gram-Schmidt with
+    one re-orthogonalization pass ("twice is enough"); appending all columns
+    at once to an empty factor is a plain thin QR.  The residual is
+    Y - Q (Q^H Y); the coefficients take one triangular solve.  Once a
+    diagonal of R is at or below 1e-12 max(max |diag R|, 1), or the columns
+    outnumber the rows, every later fit is the minimum-norm ``lstsq`` on all
+    selected columns and ``deficient`` is set.
+    """
+
+    def __init__(self, A, Y, width):
+        self.A, self.Y = A, Y
+        width = min(A.shape[0], width)
+        self.cols = np.zeros(0, dtype=np.intp)
+        # column-major, so that the leading columns Q[:, :k] are contiguous
+        # and Q^H is a BLAS flag, not a conjugated copy
+        self.Q = np.empty((A.shape[0], width), dtype=complex, order="F")
+        # only the upper triangle is set and read
+        self.R = np.zeros((width, width), dtype=complex)
+        self.QhY = np.empty((width, Y.shape[1]), dtype=complex)
+        self.k = 0  # columns in the factor
+        self.diag = (np.inf, 0.0)  # smallest and largest |diag R|
+        self.coef = None  # minimum-norm coefficients once the rank is lost
+        self.resid = Y.copy()
+
+    @property
+    def deficient(self):
+        return self.coef is not None
+
+    def append(self, new):
+        if new.size == 0:
+            return
+        self.cols = np.concatenate([self.cols, new])
+        k, g = self.k, new.size
+        if not self.deficient and self.cols.size <= self.A.shape[0]:
+            Qk = self.Q[:, :k]
+            W = self.A[:, new]
+            C = zgemm(1.0, Qk, W, trans_a=2)
+            W -= Qk @ C
+            C2 = zgemm(1.0, Qk, W, trans_a=2)
+            W -= Qk @ C2
+            # LAPACK's QR directly: np.linalg.qr costs more than the
+            # factorization of the few new columns
+            qr, tau, _, _ = zgeqrf(W, overwrite_a=True)
+            d = np.abs(qr.diagonal())
+            diag = min(self.diag[0], d.min()), max(self.diag[1], d.max())
+            if diag[0] > 1e-12 * max(diag[1], 1.0):
+                self.diag = diag
+                self.R[:k, k:k + g] = C + C2
+                self.R[k:k + g, k:k + g] = qr[:g]  # below the diagonal: reflectors
+                q_new = self.Q[:, k:k + g]
+                q_new[...] = zungqr(qr, tau, overwrite_a=True)[0]
+                self.QhY[k:k + g] = q_new.conj().T @ self.Y
+                self.k = k + g
+                self.resid = self.Y - self.Q[:, :self.k] @ self.QhY[:self.k]
+                return
+        A = self.A[:, self.cols]
+        self.coef = np.linalg.lstsq(A, self.Y, rcond=None)[0]
+        self.resid = self.Y - A @ self.coef
+
+    def coefficients(self):
+        """Coefficients (columns x n) in the order the columns were appended."""
+        if self.deficient:
+            return self.coef
+        return solve_triangular(self.R[:self.k, :self.k], self.QhY[:self.k])
 
 
 class BlockDiagonalOperator:
@@ -136,28 +201,50 @@ class BlockDiagonalOperator:
         n_tx, q, _ = self.blocks.shape
         return np.matmul(v.conj().reshape(-1, n_tx, 1, q), self.blocks).conj().reshape(-1)
 
-    def lstsq(self, cols, y):
-        """Least squares of ``y`` on the columns ``cols``, one ``_solve_ls``
-        per channel on its share of the columns.  Returns the coefficients in
-        ``cols`` order, the fit Phi[:, cols] @ coef, and whether any channel
-        fell back to minimum norm."""
-        n_tx, q, m = self.blocks.shape
-        if self.n_channels == 1:  # a plain matrix: no column split to pay for
-            A = self.blocks[0][:, cols]
-            coef, deficient = _solve_ls(A, y)
-            return coef, A @ coef, deficient
-        coef = np.empty(len(cols), dtype=complex)
-        fit = np.zeros(self.shape[0], dtype=complex)
-        owner = cols // m
+    def shares(self, part):
+        """The least-squares problems that a group selection under ``part``
+        splits into: one (s, channels, columns) triple per problem, where
+        ``columns(groups)`` gives, in selection order, the columns of
+        ``blocks[s]`` that the groups give each of ``channels``.
+
+        A partition of one block's M columns gives group b at every channel
+        offset, so every channel of transmit antenna s has the same columns:
+        one problem per transmit matrix, with its n_rx channels as
+        right-hand sides.  A partition of all columns gives one problem per
+        channel, on that channel's share of each group.
+        """
+        n_tx, _, m = self.blocks.shape
+        if part.total_length == m:
+            channels = np.arange(self.n_channels).reshape(-1, n_tx).T
+            return [(s, channels[s], part.columns) for s in range(n_tx)]
+        if part.total_length != self.shape[1]:
+            raise DomainError("partition does not match the column count")
+
+        def share(xi):
+            def columns(groups):
+                cols = part.columns(groups)
+                return cols[cols // m == xi] - xi * m
+            return columns
+
+        return [(xi % n_tx, np.array([xi]), share(xi)) for xi in range(self.n_channels)]
+
+    def lstsq(self, part, groups, y):
+        """Least squares of ``y`` on the columns of the selected ``groups`` of
+        ``part``: one thin QR from scratch per problem of :meth:`shares`, so
+        one per transmit matrix with its n_rx channels as right-hand sides
+        under the per-channel partition.  Returns the full-length coefficient
+        vector and whether any problem fell back to minimum norm."""
+        _, q, m = self.blocks.shape
+        Y = y.reshape(self.n_channels, q)
+        x = np.zeros((self.n_channels, m), dtype=complex)
         deficient = False
-        for xi in range(self.n_channels):
-            share = owner == xi
-            A = self.blocks[xi % n_tx][:, cols[share] - xi * m]
-            c, d = _solve_ls(A, y[xi * q: (xi + 1) * q])
-            coef[share] = c
-            fit[xi * q: (xi + 1) * q] = A @ c
-            deficient |= d
-        return coef, fit, deficient
+        for s, channels, columns in self.shares(part):
+            cols = columns(groups)
+            fit = _GrownQR(self.blocks[s], Y[channels].T, cols.size)
+            fit.append(cols)
+            x[np.ix_(channels, cols)] = fit.coefficients().T
+            deficient |= fit.deficient
+        return x.reshape(-1), deficient
 
     def lipschitz(self):
         """||Phi||_2^2: the largest top eigenvalue of the per-transmit Gram
@@ -194,34 +281,32 @@ def _top_groups(energies, count):
     return np.argsort(-energies, kind="stable")[:count]
 
 
-def _group_columns(Phi, part):
-    """The columns of ``Phi`` spanned by selected groups of ``part``, as a
-    function of the groups.  ``part`` covers either all columns or those of
-    one channel block; then group b is group b of every block."""
-    n_cols, length = Phi.shape[1], part.total_length
-    if length not in (n_cols, Phi.blocks.shape[2]):
-        raise DomainError("partition does not match the column count")
-    offsets = np.arange(0, n_cols, length)[:, None]
-    return lambda groups: (offsets + part.columns(groups)).ravel()
-
-
 def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
     """Group orthogonal matching pursuit.
 
     Adds per iteration the group with the largest aggregated correlation
-    energy and re-solves least squares on the selected column union; stops at
+    energy and refits least squares on the selected column union; stops at
     ``max_groups`` selections or when the residual norm drops to
     ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
+    The fit grows one thin QR per problem of
+    :meth:`BlockDiagonalOperator.shares`: under the per-channel partition one
+    per transmit matrix, fitting its n_rx channels at once.
     """
+    return _g_omp(Phi, y, part, max_groups, residual_tol)[0]
+
+
+def _g_omp(Phi, y, part, max_groups, residual_tol):
+    """G-OMP; returns the result and the final (n_channels, Q) residual."""
     Phi = _as_operator(Phi)
-    y = np.asarray(y, dtype=complex)
-    columns = _group_columns(Phi, part)
+    _, q, m = Phi.blocks.shape
+    Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, q)
+    shares = Phi.shares(part)
     cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
-    x = np.zeros(Phi.shape[1], dtype=complex)
-    resid = y.copy()
+    width = cap * int(part.sizes.max())
+    factors = [_GrownQR(Phi.blocks[s], Y[channels].T, width) for s, channels, _ in shares]
+    resid = Y.copy()
     selected = []
     history = [float(np.linalg.norm(resid))]
-    rank_deficient = False
     while len(selected) < cap and history[-1] > residual_tol:
         energies = part.energies(Phi.rmatvec(resid))
         energies[selected] = -1.0
@@ -229,20 +314,22 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
         if energies[b] <= 0:
             break
         selected.append(b)
-        cols = columns(selected)
-        coef, fit, deficient = Phi.lstsq(cols, y)
-        rank_deficient |= deficient
-        x = np.zeros_like(x)
-        x[cols] = coef
-        resid = y - fit
+        for (_, channels, columns), factor in zip(shares, factors):
+            factor.append(columns([b]))
+            resid[channels] = factor.resid.T
         history.append(float(np.linalg.norm(resid)))
-    return RecoveryResult(
-        estimates=x[None, :],
+    x = np.zeros((Phi.n_channels, m), dtype=complex)
+    for (_, channels, _), factor in zip(shares, factors):
+        x[np.ix_(channels, factor.cols)] = factor.coefficients().T
+    result = RecoveryResult(
+        estimates=x.reshape(1, -1),
         selected_groups=selected,
         residual_norms=np.array([history[-1]]),
         iterations=len(selected),
-        diagnostics={"residual_history": history, "rank_deficient": rank_deficient},
+        diagnostics={"residual_history": history,
+                     "rank_deficient": any(f.deficient for f in factors)},
     )
+    return result, resid
 
 
 def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
@@ -250,17 +337,15 @@ def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
 
     G-OMP on the ensemble's block-diagonal operator with the per-channel
     partition: each iteration adds the group maximizing the correlation
-    energy summed over channels and group members, then re-solves least
-    squares per channel on the joint support.  With singleton groups this is
-    DCS-SOMP.  Returns the (n_channels, M) estimates and each channel's
-    residual norm.
+    energy summed over channels and group members, then refits least squares
+    on the joint support, one factorization per transmit matrix for all its
+    channels.  With singleton groups this is DCS-SOMP.  Returns the
+    (n_channels, M) estimates and each channel's residual norm.
     """
-    Phi = ensemble.operator()
-    res = g_omp(Phi, ensemble.observations.reshape(-1), part, max_groups, residual_tol)
-    n_ch = ensemble.n_channels
-    res.estimates = res.estimates.reshape(n_ch, -1)
-    res.residual_norms = np.linalg.norm(
-        ensemble.observations - (Phi @ res.estimates.reshape(-1)).reshape(n_ch, -1), axis=1)
+    res, resid = _g_omp(ensemble.operator(), ensemble.observations, part, max_groups,
+                        residual_tol)
+    res.estimates = res.estimates.reshape(ensemble.n_channels, -1)
+    res.residual_norms = np.linalg.norm(resid, axis=1)
     return res
 
 
@@ -275,7 +360,7 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    columns = _group_columns(Phi, part)
+    Phi.shares(part)  # validates the partition
     if part.sizes.min() != part.sizes.max():
         raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
@@ -291,15 +376,12 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
             break
         proxy = part.energies(Phi.rmatvec(resid))
         candidates = np.union1d(_top_groups(proxy, 2 * S), support)
-        cols = columns(candidates)
-        coef, _, deficient = Phi.lstsq(cols, y)
+        b_full, deficient = Phi.lstsq(part, candidates, y)
         rank_deficient |= deficient
-        b_full = np.zeros(Phi.shape[1], dtype=complex)
-        b_full[cols] = coef
         support = np.sort(_top_groups(part.energies(b_full), S))
-        keep = columns(support)
-        x = np.zeros_like(x)
-        x[keep] = b_full[keep]
+        keep = np.zeros(part.n_groups, dtype=bool)
+        keep[support] = True
+        x = np.where(part.expand(keep), b_full.reshape(-1, part.total_length), 0).reshape(-1)
         resid = y - Phi @ x
         history.append(float(np.linalg.norm(resid)))
     return RecoveryResult(
@@ -377,7 +459,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    _group_columns(Phi, part)  # validates the partition
+    Phi.shares(part)  # validates the partition
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     y_norm = float(np.linalg.norm(y))

@@ -153,15 +153,16 @@ class TestBuildPhi:
     def test_rows_are_scaled_basis_rows(self):
         cfg = cfg_2x2()
         rng = np.random.default_rng(2)
-        basis = BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng))
         scheme = draw_pilots(cfg, 7, q=6)
-        U = basis.assemble()
-        mats = build_phi(scheme, basis, cfg)
         scale = np.sqrt(cfg.jd / scheme.q)
-        for s in range(cfg.n_tx):
-            np.testing.assert_allclose(
-                mats[s], scale * U[scheme.grid_ids[s]], atol=1e-12
-            )
+        for basis in (BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng)),
+                      BasisSpec.dft(cfg.J, cfg.D)):
+            U = basis.assemble()
+            mats = build_phi(scheme, basis, cfg)
+            for s in range(cfg.n_tx):
+                np.testing.assert_allclose(
+                    mats[s], scale * U[scheme.grid_ids[s]], atol=1e-12
+                )
 
     def test_dft_entry_magnitude(self):
         cfg = cfg_2x2()

@@ -296,3 +296,13 @@ def test_singleton_partition():
     p = singleton_partition(4)
     assert p.n_groups == 4
     assert group_norm(np.array([1.0, -2.0, 2.0, 0.0]), p) == pytest.approx(5.0)
+
+
+def test_partitions_are_built_once_and_read_only():
+    tiling = make_block_tiling(D=4, J=4, dm=2, di=2)
+    assert tiling.to_partition() is tiling.to_partition()
+    assert singleton_partition(6) is singleton_partition(6)
+    for part in (tiling.to_partition(), singleton_partition(6), unequal_partitions()[1]):
+        for array in (part.perm, part.starts, part.sizes, part.groups[0]):
+            with pytest.raises(ValueError):
+                array[0] = 1

@@ -11,6 +11,7 @@ from mgcs.errors import BudgetExceededError, DomainError
 from mgcs.estimator import BasisSpec, collect_measurements, draw_pilots
 from mgcs.harness import desk_experiment, desk_geometry, simulate_trial
 from mgcs.partition import (
+    Partition,
     best_group_approx,
     group_norm,
     make_block_tiling,
@@ -18,6 +19,7 @@ from mgcs.partition import (
     uniform_partition,
 )
 from mgcs.recovery import (
+    BlockDiagonalOperator,
     MeasurementEnsemble,
     delta_stacked_equals_max,
     g_bpdn,
@@ -30,6 +32,7 @@ from mgcs.recovery import (
     unstack_estimates,
 )
 from mgcs.waveform import cp_ofdm_pulses
+from oracles import g_omp_from_scratch
 
 
 def partial_dft(q, m, rng):
@@ -170,6 +173,91 @@ class TestGOmp:
         res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=0.0)
         hist = res.diagnostics["residual_history"]
         assert all(b <= a + 1e-10 for a, b in zip(hist, hist[1:]))
+
+
+class TestGrownFactor:
+    """G-OMP grows one thin QR per transmit matrix (per channel under a
+    partition of all columns); the oracle factors every channel's selected
+    columns from scratch at every iteration."""
+
+    def assert_matches_oracle(self, Phi, y, part, **opts):
+        res = g_omp(Phi, y, part, **opts)
+        if isinstance(Phi, np.ndarray):
+            Phi = BlockDiagonalOperator(Phi[None], 1)
+        groups, x, history, rank_lost = g_omp_from_scratch(Phi.blocks, Phi.n_channels, y,
+                                                           part, **opts)
+        assert res.selected_groups == groups
+        assert res.iterations == len(groups) > 1
+        assert res.diagnostics["rank_deficient"] == rank_lost
+        np.testing.assert_allclose(res.diagnostics["residual_history"], history,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(y))
+        assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
+        return res
+
+    # the last case of each test selects a group that makes some fit's
+    # columns outnumber its rows while the residual is still well above
+    # rounding; a further group would be chosen by rounding noise
+    @pytest.mark.parametrize("max_groups", [2, 3])
+    def test_plain_matrix(self, max_groups):
+        rng = np.random.default_rng(50)
+        part = uniform_partition(40, 5)
+        Phi = (rng.normal(size=(12, 40)) + 1j * rng.normal(size=(12, 40))) / np.sqrt(24)
+        y = Phi @ group_sparse_signal(part, (2, 5), rng) + 0.05 * rng.normal(size=12)
+        res = self.assert_matches_oracle(Phi, y, part, max_groups=max_groups)
+        assert res.diagnostics["rank_deficient"] == (max_groups == 3)
+
+    @pytest.mark.parametrize("max_groups", [2, 3])
+    @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
+    def test_operator_per_channel_partition(self, n_tx, n_rx, max_groups):
+        rng = np.random.default_rng(51 + 10 * n_tx + n_rx)
+        part = uniform_partition(24, 3)
+        ens = random_ensemble(rng, 8, 24, n_tx, n_rx, part=part, support=(1, 4, 6),
+                              noise=0.05)
+        res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
+                                         part, max_groups=max_groups)
+        assert res.diagnostics["rank_deficient"] == (max_groups == 3)
+
+    @pytest.mark.parametrize("max_groups", [4, 6])
+    def test_partition_of_all_columns(self, max_groups):
+        # groups of 4 scattered over all channels: channels get unequal
+        # shares, some none, of a group
+        rng = np.random.default_rng(52)
+        ens = random_ensemble(rng, 6, 12, 2, 2, noise=1.0)
+        part = Partition(48, tuple(rng.permutation(48).reshape(-1, 4)))
+        res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
+                                         part, max_groups=max_groups)
+        assert res.diagnostics["rank_deficient"] == (max_groups == 6)
+
+
+class TestGOmpRankLoss:
+    def assert_min_norm_fit(self, Phi, y, part, res):
+        cols = part.columns(res.selected_groups)
+        x = np.zeros(Phi.shape[1], dtype=complex)
+        x[cols] = np.linalg.lstsq(Phi[:, cols], y, rcond=None)[0]
+        assert res.diagnostics["rank_deficient"]
+        assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_duplicated_column(self):
+        # column 1 repeats column 0: the first group loses rank, and the
+        # minimum-norm fit splits the weight evenly between the two
+        rng = np.random.default_rng(53)
+        part = uniform_partition(8, 2)
+        Phi = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+        Phi[:, 1] = Phi[:, 0]
+        y = 3 * Phi[:, 0] + (1 - 1j) * Phi[:, 4]
+        res = g_omp(Phi, y, part, max_groups=2)
+        assert res.selected_groups == [0, 2]
+        self.assert_min_norm_fit(Phi, y, part, res)
+        np.testing.assert_allclose(res.x[[0, 1, 4]], [1.5, 1.5, 1 - 1j], atol=1e-12)
+
+    def test_selection_wider_than_q(self):
+        rng = np.random.default_rng(54)
+        part = uniform_partition(12, 3)
+        Phi = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
+        y = rng.normal(size=4) + 1j * rng.normal(size=4)
+        res = g_omp(Phi, y, part, max_groups=2)
+        assert res.iterations == 2
+        self.assert_min_norm_fit(Phi, y, part, res)
 
 
 class TestGCosamp:
