@@ -45,15 +45,15 @@ class DelayDopplerPrior:
         return 1 + len(self.offsets)
 
 
-def reference_prior(cfg, n_channels=None, nu_offset_hz=1.4):
+def reference_prior(cfg, n_channels=None):
     """Prior mirroring the reference simulation setup: delays uniform over the
     cyclic prefix, Dopplers within 3% of the subcarrier spacing, equal delays
-    and +-nu_offset_hz Doppler offsets across the other component channels."""
+    and +-1.4 Hz Doppler offsets across the other component channels."""
     if n_channels is None:
         n_channels = cfg.n_channels
     tau_max = (cfg.N - cfg.K) * cfg.Ts
     nu_max = 0.03 / (cfg.K * cfg.Ts)
-    offsets = tuple((0.0, 0.0, -nu_offset_hz, nu_offset_hz) for _ in range(n_channels - 1))
+    offsets = tuple((0.0, 0.0, -1.4, 1.4) for _ in range(n_channels - 1))
     return DelayDopplerPrior(tau_max=tau_max, nu_max=nu_max, offsets=offsets)
 
 
@@ -309,7 +309,7 @@ class OptimizeDiagnostics:
 
 
 def optimize_blocks(samples, tiling, pulses, cfg, eps_init=0.1, eps_floor=1e-4,
-                    max_iters=50, smoothing=1e-8, inner_iters=200):
+                    max_iters=50, smoothing=1e-8):
     """Iterative unitary basis optimization.
 
     The objective separates over delay columns of width dm; per column it
@@ -336,8 +336,7 @@ def optimize_blocks(samples, tiling, pulses, cfg, eps_init=0.1, eps_floor=1e-4,
         for _ in range(max_iters):
             if eps < eps_floor:
                 break
-            A = convex_update_step(v_sub, eps, C_sub, di, smoothing=smoothing,
-                                   max_iter=inner_iters)
+            A = convex_update_step(v_sub, eps, C_sub, di, smoothing=smoothing)
             v_try = np.stack([hermitian_unitary_exp(A[m]) @ v_sub[m] for m in range(dm)])
             y_try = _subproblem_objective(v_try, C_sub, di)
             if y_try < y:
@@ -353,9 +352,3 @@ def optimize_blocks(samples, tiling, pulses, cfg, eps_init=0.1, eps_floor=1e-4,
         final_objective=mc_objective(blocks, samples, tiling),
     )
     return BasisSpec.from_blocks(blocks), diags
-
-
-def assemble_2d_basis(blocks):
-    """BasisSpec plus the fully assembled unitary matrix for explicit blocks."""
-    spec = BasisSpec.from_blocks(np.asarray(blocks, dtype=complex))
-    return spec, spec.assemble()

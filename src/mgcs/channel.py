@@ -486,8 +486,8 @@ def dft_coeffs(S_h, pulses, cfg):
 # sparsity budget
 
 
-def effective_support_widths(filters, cfg, energy=0.99):
-    """Delay/Doppler widths capturing the given energy fraction per kernel.
+def effective_support_widths(filters, cfg):
+    """Delay/Doppler widths capturing 99% of each kernel's energy.
 
     Evaluated for a worst-case half-sample offset of the kernel center; the
     Doppler width is capped at J (the full fundamental range).
@@ -496,12 +496,12 @@ def effective_support_widths(filters, cfg, energy=0.99):
     reach = max(4 * filters.span, 64)
     # samples at x = -reach - 0.5 .. reach - 0.5
     e_phi = np.abs(phi_profiles(filters, reach + 0.5, 0.0, 2 * reach + 1)[0]) ** 2
-    dm = _central_width(e_phi, energy)
+    dm = _central_width(e_phi, 0.99)
     # Doppler direction, one full period
     i = np.arange(cfg.l_r)
     e_psi = np.abs(psi_kernel(i - 0.5, cfg.l_r)) ** 2
     e_psi = np.roll(e_psi, cfg.l_r // 2)  # center the peak
-    di = _central_width(e_psi, energy)
+    di = _central_width(e_psi, 0.99)
     return int(dm), int(min(di, cfg.J))
 
 

@@ -201,6 +201,9 @@ def cmd_sweep(args):
         basis=sw.get("basis"),
         filters=filters_from_config(conf),
         residual_scale=conf["estimator"].getfloat("residual_scale"),
+        basis_samples=conf["basisopt"].getint("r"),
+        basis_seed=conf["basisopt"].getint("seed"),
+        basis_max_iters=conf["basisopt"].getint("max_iters"),
     )
     table = run_sweep(config)
     emit_results(table, args.out)

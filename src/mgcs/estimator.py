@@ -7,7 +7,7 @@ variant, the block RMSE, and the estimation-error bound of the recovery
 guarantees.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,15 +105,13 @@ class PilotScheme:
 
     ``grid_ids[s]`` holds the Q flat grid indices (kappa + lambda * D) used by
     transmit antenna s; the sets are pairwise disjoint.  ``p_matrix`` stacks
-    the pilot vectors columnwise.  ``pilot_values`` optionally carries
-    per-position scalar pilots for the SISO variant.
+    the pilot vectors columnwise.
     """
 
     grid_ids: np.ndarray
     p_matrix: np.ndarray
     D: int
     J: int
-    pilot_values: np.ndarray = None
 
     def __post_init__(self):
         ids = np.asarray(self.grid_ids, dtype=np.intp)
@@ -209,7 +207,7 @@ def build_phi(scheme, basis, cfg):
     return mats
 
 
-def collect_measurements(y_grid, scheme, basis, cfg, noise_radius=0.0):
+def collect_measurements(y_grid, scheme, basis, cfg):
     """Stack demodulated pilot symbols into per-channel observations.
 
     y^(theta)_q is the receive-antenna-r demodulated symbol at the q-th pilot
@@ -224,9 +222,7 @@ def collect_measurements(y_grid, scheme, basis, cfg, noise_radius=0.0):
             ls, ks = scheme.positions(s, cfg)
             obs[r * scheme.n_tx + s] = y_grid[ls, ks, r]
     mats = build_phi(scheme, basis, cfg)
-    return MeasurementEnsemble(
-        matrices=tuple(mats), observations=obs, noise_radius=noise_radius
-    )
+    return MeasurementEnsemble(matrices=tuple(mats), observations=obs)
 
 
 @dataclass
@@ -262,12 +258,16 @@ def _run_solver(ensemble, part, solver, joint, opts):
 
     Joint solvers run on the ensemble's block-diagonal operator with the
     per-channel partition; joint G-OMP there is G-DCS-SOMP, so it runs as
-    such.  Per-channel results are merged: selected groups per channel, the
-    summed iteration count and every channel's residual norm.
+    such; G-DCS-SOMP is joint only.  Per-channel solves all take ``opts``
+    (a G-BPDN ``eps`` bounds each channel's residual) and are merged:
+    selected groups per channel, the summed iteration count and every
+    channel's residual norm.
     """
     if joint and solver == "g-omp":
         solver = "g-dcs-somp"
     solve = _solver_function(solver)
+    if solver == "g-dcs-somp" and not joint:
+        raise ConfigurationError("g-dcs-somp is a joint solver; it needs joint=True")
     n_ch = ensemble.n_channels
     if solver == "g-dcs-somp":
         res = solve(ensemble, part, **opts)
@@ -275,8 +275,6 @@ def _run_solver(ensemble, part, solver, joint, opts):
     if joint:
         res = solve(ensemble.operator(), ensemble.observations.reshape(-1), part, **opts)
         return res.estimates.reshape(n_ch, -1), res
-    if solver == "g-bpdn" and "eps" in opts:
-        opts = {**opts, "eps": opts["eps"] / np.sqrt(n_ch)}  # split the radius evenly
     results = [solve(ensemble.matrix_for(xi), ensemble.observations[xi], part, **opts)
                for xi in range(n_ch)]
     estimates = np.array([r.x for r in results])
@@ -348,10 +346,12 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
     sqrt(JD/Q), de-mix the pilot matrix per delay-Doppler position, expand
     through the basis to the subsampled grid, invert to rectangle 2D-DFT
     coefficients, expand to the full grid.  ``tiling=None`` uses singleton
-    groups; ``joint=False`` reconstructs each channel separately (a G-BPDN
-    radius ``eps`` is then split evenly across channels), and the diagnostics
-    then list the selected groups per channel, the summed iteration count and
-    every channel's residual norm.
+    groups.  ``joint=True`` solves all channels as one problem, so
+    ``residual_tol`` or a G-BPDN ``eps`` bounds the residual over all of
+    them; joint G-OMP runs as G-DCS-SOMP.  ``joint=False`` reconstructs each
+    channel separately with the same options, so they bound each channel's
+    residual; the diagnostics then list the selected groups per channel, the
+    summed iteration count and every channel's residual norm.
     """
     part = tiling.to_partition() if tiling is not None else singleton_partition(cfg.jd)
     estimates, res = _run_solver(ensemble, part, solver, joint, solver_opts)
@@ -384,9 +384,10 @@ def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver="g-omp",
     """Single-antenna estimator with per-position pilot values.
 
     Divides each demodulated pilot symbol by its pilot value to form direct
-    noisy coefficient observations, then runs the same reconstruction and
-    expansion pipeline.  With constant pilots this coincides with the
-    multichannel path for one antenna pair.
+    noisy coefficient observations, then runs :func:`estimate_mimo` on that
+    one-channel ensemble with a unit pilot matrix, jointly (so G-OMP runs as
+    G-DCS-SOMP).  With constant pilots this coincides with the multichannel
+    path for one antenna pair.
     """
     if cfg.n_tx != 1 or cfg.n_rx != 1:
         raise DomainError("the scalar-pilot variant is defined for one antenna pair")
@@ -395,25 +396,10 @@ def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver="g-omp",
         raise DomainError("need one pilot value per pilot position")
     if np.any(pilot_values == 0):
         raise DomainError("pilot values must be nonzero")
-    y_grid = np.asarray(y_grid)
-    ls, ks = scheme.positions(0, cfg)
-    y_tilde = y_grid[ls, ks, 0] / pilot_values
-    ensemble = MeasurementEnsemble(matrices=tuple(build_phi(scheme, basis, cfg)),
-                                   observations=y_tilde[None, :])
-    part = tiling.to_partition() if tiling is not None else singleton_partition(cfg.jd)
-    estimates, res = _run_solver(ensemble, part, solver, joint=True, opts=solver_opts)
-    g_tensor = (np.sqrt(cfg.jd / scheme.q) * estimates[0]).reshape(cfg.D, cfg.J, 1)
-    h_full, f_tensor, _ = expand_coeffs(g_tensor, basis, cfg)
-    return ChannelEstimate(
-        h_full=channels_to_grid(h_full, cfg),
-        g_tensor=g_tensor,
-        f_tensor=f_tensor,
-        diagnostics={
-            "solver": solver,
-            "selected_groups": res.selected_groups,
-            "iterations": res.iterations,
-        },
-    )
+    ens = collect_measurements(y_grid, scheme, basis, cfg)
+    ens = replace(ens, observations=ens.observations / pilot_values)
+    return estimate_mimo(ens, replace(scheme, p_matrix=np.eye(1)), basis, cfg,
+                         solver=solver, tiling=tiling, joint=True, **solver_opts)
 
 
 def rmse(estimate, truth):

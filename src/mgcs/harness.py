@@ -46,14 +46,15 @@ SOLVER_STRUCTURES = {
     "mcs": (False, True),
     "mgcs": (True, True),
 }
-SOLVER_ALGOS = ("omp", "somp", "cosamp", "bpdn")
+# algorithm -> solver; joint G-OMP is G-DCS-SOMP, which the estimator decides
+SOLVER_ALGOS = {"omp": "g-omp", "somp": "g-omp", "cosamp": "g-cosamp", "bpdn": "g-bpdn"}
 # the package's typed errors: a trial that raises one counts as a failure, any
 # other exception is a programming error and propagates
 _TRIAL_ERRORS = (ConfigurationError, DomainError, BudgetExceededError, ConvergenceError)
 
 
 def parse_solver(name):
-    """Split a '<structure>-<algorithm>' estimator name."""
+    """Split a '<structure>-<algorithm>' estimator name (somp: joint only)."""
     try:
         structure, algo = name.split("-", 1)
         grouped, joint = SOLVER_STRUCTURES[structure]
@@ -61,6 +62,8 @@ def parse_solver(name):
         raise ConfigurationError(f"unknown estimator variant {name!r}") from None
     if algo not in SOLVER_ALGOS:
         raise ConfigurationError(f"unknown algorithm {algo!r} in {name!r}")
+    if algo == "somp" and not joint:
+        raise ConfigurationError(f"{name!r}: somp needs a joint structure (mcs or mgcs)")
     return grouped, joint, algo
 
 
@@ -85,19 +88,19 @@ def desk_geometry(n_tx, n_rx, fc=5e9, block_duration=0.0):
     )
 
 
-def desk_prior(cfg, n_channels=None, nu_offset_hz=1.4):
+def desk_prior(cfg, n_channels=None):
     """In-rectangle delay-Doppler prior for basis optimization at desk scale."""
-    prior = reference_prior(cfg, n_channels=n_channels, nu_offset_hz=nu_offset_hz)
+    prior = reference_prior(cfg, n_channels=n_channels)
     tau_cap = min(cfg.N - cfg.K, cfg.D - 1) * cfg.Ts
     return replace(prior, tau_max=min(prior.tau_max, tau_cap))
 
 
-def paths_from_prior(prior, n_paths, seed, phase_seed=None):
+def paths_from_prior(prior, n_paths, seed):
     """Multi-scatterer in-prior channel: each path's per-channel delay/Doppler
     tuple is an independent prior draw; gains are unit-magnitude with uniform
     phase."""
     draws = sample_prior(prior, n_paths, seed)
-    rng = np.random.default_rng(seed if phase_seed is None else phase_seed)
+    rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.uniform(size=(n_paths, 1)))
     gains = np.broadcast_to(phases, draws.taus.shape).astype(complex)
     return PathSet(gains=gains.copy(), delays=draws.taus, dopplers=draws.nus)
@@ -244,39 +247,29 @@ def budget_sparsity(tiling, filters, cfg, n_paths, tau_b=0.0, nu_b=0.0):
 
 def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
                   residual_scale=1.0, max_groups=None, cosamp_sparsity=None):
-    """One estimator variant on a demodulated block; returns the estimate."""
+    """One estimator variant on a demodulated block; returns the estimate.
+
+    The noise radius is the demodulated pilot noise norm (variance K
+    sigma_z^2 per sample) over one solve's channels: all when joint, else
+    one.  Greedy solvers stop at ``residual_scale`` times it; G-BPDN takes
+    it as ``eps``.
+    """
     grouped, joint, algo = parse_solver(name)
     ens = collect_measurements(y_grid, scheme, basis, cfg)
-    use_tiling = tiling if grouped else None
     group_size = tiling.block_size if grouped else 1
-    n_ch = cfg.n_channels
-    # demodulated noise has variance K sigma_z^2 per pilot sample
-    noise_total = np.sqrt(n_ch * scheme.q * cfg.K) * sigma_z
-    noise_per_channel = np.sqrt(scheme.q * cfg.K) * sigma_z
+    noise = np.sqrt((cfg.n_channels if joint else 1) * scheme.q * cfg.K) * sigma_z
     if max_groups is None:
         max_groups = max(1, scheme.q // (2 * group_size))
-    opts = {}
-    if algo == "omp":
-        solver = "g-omp"
-        opts = dict(
-            residual_tol=residual_scale * (noise_total if joint else noise_per_channel),
-            max_groups=max_groups,
-        )
-    elif algo == "somp":
-        solver = "g-dcs-somp"
-        opts = dict(residual_tol=residual_scale * noise_total, max_groups=max_groups)
-    elif algo == "cosamp":
-        solver = "g-cosamp"
-        part_groups = (cfg.jd // group_size)
+    if algo == "cosamp":
         S = cosamp_sparsity if cosamp_sparsity is not None else max_groups
-        S = min(S, max_groups, part_groups // 4)
-        opts = dict(S=max(1, S), n_iters=15,
-                    residual_tol=residual_scale * (noise_total if joint else noise_per_channel))
-    else:  # bpdn
-        solver = "g-bpdn"
-        opts = dict(eps=noise_total, tol=1e-3)
-    return estimate_mimo(ens, scheme, basis, cfg, solver=solver, tiling=use_tiling,
-                         joint=joint, **opts)
+        S = min(S, max_groups, cfg.jd // group_size // 4)
+        opts = dict(S=max(1, S), n_iters=15, residual_tol=residual_scale * noise)
+    elif algo == "bpdn":
+        opts = dict(eps=noise, tol=1e-3)
+    else:
+        opts = dict(residual_tol=residual_scale * noise, max_groups=max_groups)
+    return estimate_mimo(ens, scheme, basis, cfg, solver=SOLVER_ALGOS[algo],
+                         tiling=tiling if grouped else None, joint=joint, **opts)
 
 
 def run_sweep(config):
@@ -286,11 +279,14 @@ def run_sweep(config):
     sq_sums = np.zeros((n_pts, n_sol))
     counts = np.zeros((n_pts, n_sol), dtype=int)
     failures = np.zeros(n_pts, dtype=int)
+    bases = {}  # one basis per distinct (system, dm, di)
     for pi, point in enumerate(config.points):
         cfg, dm, di, snr_db = _point_config(config, point)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         tiling = make_block_tiling(cfg.D, cfg.J, dm, di)
-        basis = resolve_basis(config, cfg, pulses)
+        if (cfg, dm, di) not in bases:
+            bases[cfg, dm, di] = resolve_basis(replace(config, dm=dm, di=di), cfg, pulses)
+        basis = bases[cfg, dm, di]
         geometry = config.geometry or desk_geometry(
             cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts
         )
@@ -358,13 +354,3 @@ def emit_results(table, path):
         fh.write(data)
     return path
 
-
-def basis_io(mode, path, basis=None, cfg=None, prior_tag=""):
-    """Save or load a basis file tied to the system fingerprint."""
-    fingerprint = mgio.config_fingerprint(cfg, prior_tag=prior_tag)
-    if mode == "save":
-        mgio.save_basis(path, basis, fingerprint)
-        return path
-    if mode == "load":
-        return mgio.load_basis(path, fingerprint)
-    raise ConfigurationError(f"unknown basis_io mode {mode!r}")

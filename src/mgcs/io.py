@@ -47,10 +47,10 @@ def load_tensor(path):
     return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
 
 
-def config_fingerprint(cfg, pulse_id="cp-ofdm", prior_tag=""):
-    """Hex digest tying a basis file to the system it was optimized for."""
+def config_fingerprint(cfg, prior_tag=""):
+    """Hex digest tying a basis file to the CP-OFDM system it was made for."""
     key = "|".join(
-        str(v) for v in (cfg.K, cfg.N, cfg.L, cfg.D, cfg.J, pulse_id, prior_tag)
+        str(v) for v in (cfg.K, cfg.N, cfg.L, cfg.D, cfg.J, "cp-ofdm", prior_tag)
     )
     return hashlib.sha256(key.encode()).hexdigest()
 

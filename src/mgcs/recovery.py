@@ -42,7 +42,6 @@ class MeasurementEnsemble:
 
     matrices: tuple
     observations: np.ndarray
-    noise_radius: float = 0.0
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
@@ -402,7 +401,7 @@ def _group_prox(v, part, thresh):
     return (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(v.shape)
 
 
-def _fista(Phi, y, lam, part, lip, x0, max_iter, rel_tol=1e-12):
+def _fista(Phi, y, lam, part, lip, x0, max_iter):
     """Accelerated proximal gradient for the penalized group-lasso form.
 
     Carries Phi x across steps, so each step costs one forward and one adjoint
@@ -427,7 +426,7 @@ def _fista(Phi, y, lam, part, lip, x0, max_iter, rel_tol=1e-12):
             beta = (t - 1) / t_new
             z = x_new + beta * (x_new - x)
             pz = px_new + beta * (px_new - px)
-        done = abs(obj_prev - obj) <= rel_tol * max(1.0, abs(obj_prev))
+        done = abs(obj_prev - obj) <= 1e-12 * max(1.0, abs(obj_prev))
         x, px, t, obj_prev = x_new, px_new, t_new, obj
         if done:
             converged = True

@@ -82,10 +82,6 @@ class SystemConfig:
     def n_channels(self):
         return self.n_rx * self.n_tx
 
-    def channel_pairs(self):
-        """Channel index list theta = (r, s), row-major with r outer."""
-        return [(r, s) for r in range(self.n_rx) for s in range(self.n_tx)]
-
 
 def cp_ofdm_pulses(K, N):
     """Rectangular CP-OFDM pulse pair: g = 1 on {0..N-1}, gamma = 1 on {N-K..N-1}."""
@@ -165,7 +161,7 @@ def ambiguity_table(pulses, m_values, xi_values):
     return out
 
 
-def apply_discrete_channel(H, s, noise=None, cfg=None):
+def apply_discrete_channel(H, s, noise=None):
     """Pass the signal through a discrete time-varying channel.
 
     H has shape (L_r, m_len, n_rx, n_tx); s has shape (len_s, n_tx).  Returns

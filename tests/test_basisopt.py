@@ -7,7 +7,6 @@ from mgcs.basisopt import (
     CKernelTable,
     DelayDopplerPrior,
     ObjectiveSamples,
-    assemble_2d_basis,
     attach_kernels,
     build_C_matrix,
     c_kernel,
@@ -496,15 +495,15 @@ class TestAssemble2dBasis:
     def test_dft_blocks_give_2d_dft(self):
         J, D = 4, 3
         blocks = np.broadcast_to(dft_block(J), (D, J, J)).copy()
-        spec, U = assemble_2d_basis(blocks)
+        U = BasisSpec.from_blocks(blocks).assemble()
         U_ref = BasisSpec.dft(J, D).assemble()
         np.testing.assert_allclose(U, U_ref, atol=1e-12)
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
-        _, U = assemble_2d_basis(random_blocks(3, 4, rng))
+        U = BasisSpec.from_blocks(random_blocks(3, 4, rng)).assemble()
         np.testing.assert_allclose(U.conj().T @ U, np.eye(12), atol=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ConfigurationError):
-            assemble_2d_basis(np.ones((2, 3, 3)))
+            BasisSpec.from_blocks(np.ones((2, 3, 3))).assemble()

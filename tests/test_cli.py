@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mgcs.cli
 from mgcs.cli import filters_from_config, load_config, main, system_from_config
 from mgcs.errors import ConfigurationError
 from mgcs.estimator import draw_pilots
@@ -95,6 +96,22 @@ def test_sweep_writes_results(tmp_path):
     lines = open(out).read().strip().split("\n")
     assert lines[0].startswith("axis,solver")
     assert len(lines) == 2
+
+
+def test_sweep_passes_the_basisopt_keys(tmp_path, monkeypatch):
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise ConfigurationError("captured")
+
+    monkeypatch.setattr(mgcs.cli, "run_sweep", capture)
+    rc = main(SMALL + ["--set", "basisopt.r=7", "--set", "basisopt.max_iters=3",
+                       "--set", "basisopt.seed=5",
+                       "sweep", "--seed", "11", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    (config,) = configs
+    assert (config.basis_samples, config.basis_max_iters, config.basis_seed) == (7, 3, 5)
 
 
 def test_optimize_basis_and_reuse(tmp_path, capsys):

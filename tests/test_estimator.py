@@ -311,6 +311,25 @@ class TestEstimateMimo:
         assert np.all(diag["residual_norms"] <= 1e-9)
         assert rmse(est.h_full, truth) <= 1e-6 * np.linalg.norm(truth)
 
+    def test_per_channel_bpdn_radius_bounds_each_channel(self):
+        # joint=False hands eps to every channel's solve unchanged
+        cfg = cfg_2x2()
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        rng = np.random.default_rng(21)
+        scheme = draw_pilots(cfg, 22, q=12)
+        basis = BasisSpec.dft(cfg.J, cfg.D)
+        noise = 0.05 * (rng.standard_normal((cfg.l_r, cfg.n_rx))
+                        + 1j * rng.standard_normal((cfg.l_r, cfg.n_rx)))
+        y_grid, _ = run_full_chain(on_grid_paths(cfg, m0=2, rng=rng), scheme, cfg, pulses,
+                                   rng, noise=noise)
+        ens = collect_measurements(y_grid, scheme, basis, cfg)
+        eps, tol = 0.3 * np.linalg.norm(ens.observations, axis=1).min(), 1e-3
+        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", joint=False,
+                            eps=eps, tol=tol)
+        norms = est.diagnostics["residual_norms"]
+        assert norms.shape == (cfg.n_channels,)
+        assert np.all((eps * (1 - tol) <= norms) & (norms <= eps))
+
 
 class TestSolverDispatch:
     def make_2x2(self):
@@ -356,6 +375,11 @@ class TestSolverDispatch:
         cfg, scheme, basis, ens = self.make_2x2()
         with pytest.raises(ConfigurationError, match="unknown solver"):
             estimate_mimo(ens, scheme, basis, cfg, solver="g-lasso", joint=joint)
+
+    def test_dcs_somp_is_joint_only(self):
+        cfg, scheme, basis, ens = self.make_2x2()
+        with pytest.raises(ConfigurationError, match="joint"):
+            estimate_mimo(ens, scheme, basis, cfg, solver="g-dcs-somp", joint=False)
 
     def test_unknown_solver_rejected_by_siso(self):
         cfg = cfg_2x2(n_tx=1, n_rx=1)

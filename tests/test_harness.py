@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import mgcs.harness
+from mgcs import io as mgio
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec
 from mgcs.harness import (
     ExperimentConfig,
     ResultTable,
-    basis_io,
     desk_experiment,
     desk_geometry,
     desk_prior,
@@ -51,7 +51,8 @@ class TestParseSolver:
     def test_known_names(self, name, expect):
         assert parse_solver(name) == expect
 
-    @pytest.mark.parametrize("name", ["xx-omp", "mgcssomp", "mgcs-xxx"])
+    @pytest.mark.parametrize("name", ["xx-omp", "mgcssomp", "mgcs-xxx",
+                                      "conv-somp", "gcs-somp"])
     def test_unknown_names(self, name):
         with pytest.raises(ConfigurationError):
             parse_solver(name)
@@ -99,6 +100,23 @@ class TestRunSweep:
         )
         assert np.isfinite(table.mean_mse_db).all()
 
+    @pytest.mark.parametrize("axis,points,expect", [
+        ("blocksize", ("1x2", "2x4", "1x2"), [(1, 2), (2, 4)]),
+        ("snr", (0.0, 10.0, 20.0), [(1, 4)]),
+    ])
+    def test_basis_optimized_once_per_tiling(self, monkeypatch, axis, points, expect):
+        # each point's basis is optimized for its own tiling, once per tiling
+        tilings = []
+
+        def recording(samples, tiling, pulses, cfg, **kwargs):
+            tilings.append((tiling.dm, tiling.di))
+            return BasisSpec.dft(cfg.J, cfg.D), None
+
+        monkeypatch.setattr(mgcs.harness, "optimize_blocks", recording)
+        run_sweep(tiny_experiment(axis=axis, points=points, trials=0, basis="optimize",
+                                  basis_samples=2, di=4))
+        assert tilings == expect
+
     def test_typed_error_counts_as_a_failed_trial(self, monkeypatch):
         original = mgcs.harness.run_estimator
         calls = []
@@ -124,18 +142,24 @@ class TestRunSweep:
             run_sweep(tiny_experiment(trials=2, solvers=("mgcs-somp",)))
 
 
-GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep_seed5.csv"
-GOLDEN_SOLVERS = ("conv-omp", "gcs-omp", "mcs-somp", "mgcs-somp",
-                  "mcs-omp", "mgcs-omp", "mgcs-cosamp", "mgcs-bpdn")
+# committed sweep file -> its estimators: the benchmark's eight, then the rest
+GOLDEN_SWEEPS = {
+    "sweep_seed5.csv": ("conv-omp", "gcs-omp", "mcs-somp", "mgcs-somp",
+                        "mcs-omp", "mgcs-omp", "mgcs-cosamp", "mgcs-bpdn"),
+    "sweep_seed5_rest.csv": ("conv-cosamp", "gcs-cosamp", "mcs-cosamp",
+                             "conv-bpdn", "gcs-bpdn", "mcs-bpdn"),
+}
 
 
 def test_sweep_csv_matches_the_golden_file(tmp_path):
-    # the seeded desk sweep over every benchmark estimator, written byte for
-    # byte as the committed file; a refactor that changes a reported digit fails
-    table = run_sweep(desk_experiment(5, points=(10.0, 20.0), trials=4,
-                                      solvers=GOLDEN_SOLVERS))
-    out = emit_results(table, tmp_path / "sweep.csv")
-    assert out.read_bytes() == GOLDEN_SWEEP.read_bytes()
+    # the seeded desk sweep over every estimator name, written byte for byte
+    # as the committed files; a refactor that changes a reported digit fails
+    for filename, solvers in GOLDEN_SWEEPS.items():
+        table = run_sweep(desk_experiment(5, points=(10.0, 20.0), trials=4,
+                                          solvers=solvers))
+        out = emit_results(table, tmp_path / filename)
+        golden = Path(__file__).parent / "data" / filename
+        assert out.read_bytes() == golden.read_bytes(), filename
 
 
 class TestSnrCalibration:
@@ -195,25 +219,25 @@ class TestBasisIo:
         )
         basis = BasisSpec.from_blocks(blocks)
         p = tmp_path / "basis.bin"
-        basis_io("save", p, basis=basis, cfg=cfg)
-        loaded = basis_io("load", p, cfg=cfg)
+        mgio.save_basis(p, basis, mgio.config_fingerprint(cfg))
+        loaded = mgio.load_basis(p, mgio.config_fingerprint(cfg))
         np.testing.assert_array_equal(loaded.blocks, basis.blocks)
 
     def test_wrong_system_rejected(self, tmp_path):
         cfg = tiny_system()
         other = SystemConfig(K=16, N=20, L=8, D=8, J=4, n_tx=2, n_rx=2)
         p = tmp_path / "basis.bin"
-        basis_io("save", p, basis=BasisSpec.dft(cfg.J, cfg.D), cfg=cfg)
+        mgio.save_basis(p, BasisSpec.dft(cfg.J, cfg.D), mgio.config_fingerprint(cfg))
         with pytest.raises(ConfigurationError):
-            basis_io("load", p, cfg=other)
+            mgio.load_basis(p, mgio.config_fingerprint(other))
 
     def test_dft_tag_header_only(self, tmp_path):
         cfg = tiny_system()
         p = tmp_path / "basis.bin"
-        basis_io("save", p, basis=BasisSpec.dft(cfg.J, cfg.D), cfg=cfg)
+        mgio.save_basis(p, BasisSpec.dft(cfg.J, cfg.D), mgio.config_fingerprint(cfg))
         # header + fingerprint, no block payload
         assert p.stat().st_size < 200
-        loaded = basis_io("load", p, cfg=cfg)
+        loaded = mgio.load_basis(p, mgio.config_fingerprint(cfg))
         assert loaded.is_dft
 
 
