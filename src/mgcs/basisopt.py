@@ -308,14 +308,14 @@ class OptimizeDiagnostics:
     final_objective: float
 
 
-def optimize_blocks(samples, tiling, pulses, cfg, eps_init=0.1, eps_floor=1e-4,
-                    max_iters=50, smoothing=1e-8):
+def optimize_blocks(samples, tiling, pulses, cfg, max_iters=50):
     """Iterative unitary basis optimization.
 
     The objective separates over delay columns of width dm; per column it
     alternates a convexified Hermitian-update solve with an exact
     matrix-exponential retraction, accepting an update only if the true
-    objective strictly decreases and halving the update box otherwise.  Blocks
+    objective strictly decreases and halving the update box otherwise.  The
+    box starts at 0.1 and a column stops once it falls below 1e-4.  Blocks
     start from the DFT basis.  Returns (BasisSpec, diagnostics).
     """
     if samples.C is None:
@@ -330,13 +330,13 @@ def optimize_blocks(samples, tiling, pulses, cfg, eps_init=0.1, eps_floor=1e-4,
         sel = slice(bp * dm, (bp + 1) * dm)
         v_sub = blocks[sel].copy()
         C_sub = Cm[:, sel]
-        eps = eps_init
+        eps = 0.1
         y = _subproblem_objective(v_sub, C_sub, di)
         history = [y]
         for _ in range(max_iters):
-            if eps < eps_floor:
+            if eps < 1e-4:
                 break
-            A = convex_update_step(v_sub, eps, C_sub, di, smoothing=smoothing)
+            A = convex_update_step(v_sub, eps, C_sub, di)
             v_try = np.stack([hermitian_unitary_exp(A[m]) @ v_sub[m] for m in range(dm)])
             y_try = _subproblem_objective(v_try, C_sub, di)
             if y_try < y:

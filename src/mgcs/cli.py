@@ -13,19 +13,21 @@ import argparse
 import configparser
 import json
 import sys
+from functools import reduce
 import numpy as np
 
 from . import io as mgio
-from .basisopt import attach_kernels, optimize_blocks, sample_prior
 from .channel import FilterSpec
-from .errors import ConfigurationError
-from .estimator import BasisSpec, draw_pilots, normalized_mse, rmse
+from .errors import PACKAGE_ERRORS, ConfigurationError
+from .estimator import assemble_frame, build_phi, draw_pilots, normalized_mse, rmse
 from .harness import (
     ExperimentConfig,
-    desk_geometry,
-    desk_prior,
+    desk_experiment,
     emit_results,
+    optimize_basis,
     parse_solver,
+    point_geometry,
+    resolve_basis,
     run_estimator,
     run_sweep,
     simulate_channel,
@@ -34,33 +36,64 @@ from .partition import make_block_tiling
 from .recovery import group_ric
 from .waveform import SystemConfig, cp_ofdm_pulses, effective_coeffs
 
-DEFAULT_CONFIG = {
-    "system": {
-        "k": "64", "n": "80", "l": "16", "d": "16", "j": "16",
-        "n_tx": "2", "n_rx": "2", "f0": "40e9", "ts": "2e-7",
-    },
-    "tiling": {"dm": "1", "di": "4"},
-    "pilots": {"q": "48"},
-    "channel": {"filter": "rrc", "rolloff": "0.25", "oversampling": "16", "span": "16"},
-    "estimator": {"solver": "mgcs-somp", "snr_db": "20.0", "residual_scale": "1.0"},
-    "sweep": {
-        "axis": "snr",
-        "points": "0,10,20,30",
-        "solvers": "conv-omp,gcs-omp,mcs-somp,mgcs-somp",
-        "trials": "50",
-        "basis": "dft",
-    },
-    "basisopt": {"r": "256", "eps_init": "0.1", "eps_floor": "1e-4", "max_iters": "30",
-                 "seed": "12345"},
+
+def _csv(text):
+    return tuple(v.strip() for v in text.split(","))
+
+
+# The configuration schema: INI section.key -> (ExperimentConfig field, parser).
+# "system.*" and "filters.*" are fields of its SystemConfig and FilterSpec.
+# Defaults are desk_experiment's; estimator.solver, the estimate subcommand's
+# estimator, is the one key the experiment does not hold.
+KEYS = {
+    "system.k": ("system.K", int),
+    "system.n": ("system.N", int),
+    "system.l": ("system.L", int),
+    "system.d": ("system.D", int),
+    "system.j": ("system.J", int),
+    "system.n_tx": ("system.n_tx", int),
+    "system.n_rx": ("system.n_rx", int),
+    "system.f0": ("system.f0", float),
+    "system.ts": ("system.Ts", float),
+    "tiling.dm": ("dm", int),
+    "tiling.di": ("di", int),
+    "pilots.q": ("q", int),
+    "channel.filter": ("filters.kind", str),
+    "channel.rolloff": ("filters.rolloff", float),
+    "channel.oversampling": ("filters.oversampling", int),
+    "channel.span": ("filters.span", int),
+    "estimator.solver": (None, str),
+    "estimator.snr_db": ("snr_db", float),
+    "estimator.residual_scale": ("residual_scale", float),
+    "sweep.axis": ("axis", str),
+    "sweep.points": ("points", _csv),  # numbers unless the axis is blocksize
+    "sweep.solvers": ("solvers", _csv),
+    "sweep.trials": ("trials", int),
+    "sweep.basis": ("basis", str),
+    "basisopt.r": ("basis_samples", int),
+    "basisopt.seed": ("basis_seed", int),
+    "basisopt.max_iters": ("basis_max_iters", int),
 }
+ESTIMATE_SOLVER = "mgcs-somp"
 
 
 def load_config(path=None, overrides=()):
+    """desk_experiment's values, then the INI file, then ``section.key=value``
+    overrides; a key outside :data:`KEYS` is a ConfigurationError."""
+    desk, defaults = desk_experiment(0), {}
+    for key, (field, _) in KEYS.items():
+        section, option = key.split(".")
+        value = reduce(getattr, field.split("."), desk) if field else ESTIMATE_SOLVER
+        defaults.setdefault(section, {})[option] = (
+            ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
     parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULT_CONFIG)
+    parser.read_dict(defaults)
     if path:
         with open(path) as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ConfigurationError(f"{path}: {exc}") from None
     for item in overrides:
         try:
             key, value = item.split("=", 1)
@@ -70,42 +103,46 @@ def load_config(path=None, overrides=()):
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, option, value)
+    for section in parser.sections():
+        for option in parser[section]:
+            if f"{section}.{option}" not in KEYS:
+                raise ConfigurationError(f"unknown key {section}.{option}")
     return parser
 
 
-def system_from_config(conf):
-    s = conf["system"]
-    return SystemConfig(
-        K=s.getint("k"), N=s.getint("n"), L=s.getint("l"), D=s.getint("d"),
-        J=s.getint("j"), n_tx=s.getint("n_tx"), n_rx=s.getint("n_rx"),
-        f0=s.getfloat("f0"), Ts=s.getfloat("ts"),
-    )
+def experiment_from_config(conf, seed):
+    """The ExperimentConfig that a loaded configuration describes, with master
+    seed ``seed``."""
+    values = {"": {}, "system": {}, "filters": {}}
+    for key, (field, parse) in KEYS.items():
+        if field is None:
+            continue
+        try:
+            value = parse(conf.get(*key.split(".")))
+            if field == "points" and conf.get("sweep", "axis") != "blocksize":
+                value = tuple(float(p) for p in value)
+        except ValueError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+        head, _, name = field.rpartition(".")
+        values[head][name] = value
+    return ExperimentConfig(system=SystemConfig(**values["system"]),
+                            filters=FilterSpec(**values["filters"]),
+                            master_seed=seed, **values[""])
 
 
-def filters_from_config(conf):
-    c = conf["channel"]
-    return FilterSpec(
-        kind=c.get("filter"), rolloff=c.getfloat("rolloff"),
-        oversampling=c.getint("oversampling"), span=c.getint("span"),
-    )
-
-
-def _basis_for(conf, cfg, path_or_tag):
-    if path_or_tag == "dft":
-        return BasisSpec.dft(cfg.J, cfg.D)
-    return mgio.load_basis(path_or_tag, mgio.config_fingerprint(cfg))
+def _experiment(args, seed):
+    """The loaded configuration and the experiment it describes."""
+    conf = load_config(getattr(args, "config", None), getattr(args, "set", ()))
+    return conf, experiment_from_config(conf, seed)
 
 
 def cmd_simulate(args):
-    conf = load_config(args.config, args.set or ())
-    cfg = system_from_config(conf)
-    filters = filters_from_config(conf)
+    _, config = _experiment(args, args.seed)
+    cfg = config.system
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-    geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0,
-                             block_duration=cfg.l_r * cfg.Ts)
     # the same first two seed children as harness.simulate_trial
     s_geo, s_gain = np.random.SeedSequence(args.seed).spawn(2)
-    H = simulate_channel(cfg, filters, geometry, s_geo, s_gain)
+    H = simulate_channel(cfg, config.filters, point_geometry(config, cfg), s_geo, s_gain)
     truth = effective_coeffs(H, pulses, cfg)
     mgio.save_tensor(args.out, truth)
     meta = {
@@ -119,38 +156,32 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
-    conf = load_config(args.config, args.set or ())
-    cfg = system_from_config(conf)
+    conf, config = _experiment(args, args.seed)
+    cfg = config.system
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     truth = mgio.load_tensor(args.tensor)
     if truth.shape != (cfg.L, cfg.K, cfg.n_rx, cfg.n_tx):
         raise ConfigurationError(
             f"tensor shape {truth.shape} does not match the configured system"
         )
-    est_conf = conf["estimator"]
-    solver = est_conf.get("solver")
+    solver = conf.get("estimator", "solver")
     parse_solver(solver)
-    snr_db = est_conf.getfloat("snr_db")
-    tiling = make_block_tiling(cfg.D, cfg.J, conf["tiling"].getint("dm"),
-                               conf["tiling"].getint("di"))
-    basis = _basis_for(conf, cfg, conf["sweep"].get("basis"))
-    ss = np.random.SeedSequence(args.seed)
-    s_pilot, s_data, s_noise = ss.spawn(3)
-    scheme = draw_pilots(cfg, s_pilot, q=conf["pilots"].getint("q"))
+    tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+    basis = resolve_basis(config, cfg, pulses)
+    s_pilot, s_data, s_noise = np.random.SeedSequence(args.seed).spawn(3)
+    scheme = draw_pilots(cfg, s_pilot, q=config.q)
     # diagonal system model on the provided coefficient grid
-    from .estimator import assemble_frame
-
     a = assemble_frame(scheme, cfg, np.random.default_rng(s_data))
     y_clean = np.einsum("lkrs,lks->lkr", truth, a)
     p_sig = float(np.mean(np.abs(y_clean) ** 2)) / cfg.K  # per received sample
-    sigma2 = p_sig / 10 ** (snr_db / 10)
+    sigma2 = p_sig / 10 ** (config.snr_db / 10)
     rng_noise = np.random.default_rng(s_noise)
     z = np.sqrt(cfg.K * sigma2 / 2) * (
         rng_noise.standard_normal(y_clean.shape) + 1j * rng_noise.standard_normal(y_clean.shape)
     )
     y_grid = y_clean + z
     est = run_estimator(solver, y_grid, scheme, basis, cfg, tiling, np.sqrt(sigma2),
-                        residual_scale=est_conf.getfloat("residual_scale"))
+                        residual_scale=config.residual_scale)
     mgio.save_tensor(args.out, est.h_full)
     print(f"solver {solver}: rmse {rmse(est.h_full, truth):.6g}, "
           f"normalized mse {normalized_mse(est.h_full, truth):.6g} "
@@ -158,53 +189,16 @@ def cmd_estimate(args):
 
 
 def cmd_optimize_basis(args):
-    conf = load_config(args.config, args.set or ())
-    cfg = system_from_config(conf)
-    filters = filters_from_config(conf)
-    pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-    bo = conf["basisopt"]
-    tiling = make_block_tiling(cfg.D, cfg.J, conf["tiling"].getint("dm"),
-                               conf["tiling"].getint("di"))
-    prior = desk_prior(cfg)
-    samples = attach_kernels(
-        sample_prior(prior, bo.getint("r"), bo.getint("seed")), pulses, cfg, filters
-    )
-    basis, diags = optimize_blocks(
-        samples, tiling, pulses, cfg,
-        eps_init=bo.getfloat("eps_init"), eps_floor=bo.getfloat("eps_floor"),
-        max_iters=bo.getint("max_iters"),
-    )
+    _, config = _experiment(args, 0)  # the master seed draws nothing here
+    cfg = config.system
+    basis, diags = optimize_basis(config, cfg, cp_ofdm_pulses(cfg.K, cfg.N))
     mgio.save_basis(args.out, basis, mgio.config_fingerprint(cfg))
     print(f"objective {diags.initial_objective:.6g} -> {diags.final_objective:.6g}; "
           f"basis written to {args.out}")
 
 
 def cmd_sweep(args):
-    conf = load_config(args.config, args.set or ())
-    cfg = system_from_config(conf)
-    sw = conf["sweep"]
-    points = tuple(
-        p if sw.get("axis") == "blocksize" else float(p)
-        for p in sw.get("points").split(",")
-    )
-    config = ExperimentConfig(
-        system=cfg,
-        q=conf["pilots"].getint("q"),
-        master_seed=args.seed,
-        dm=conf["tiling"].getint("dm"),
-        di=conf["tiling"].getint("di"),
-        axis=sw.get("axis"),
-        points=points,
-        solvers=tuple(s.strip() for s in sw.get("solvers").split(",")),
-        trials=sw.getint("trials"),
-        snr_db=conf["estimator"].getfloat("snr_db"),
-        basis=sw.get("basis"),
-        filters=filters_from_config(conf),
-        residual_scale=conf["estimator"].getfloat("residual_scale"),
-        basis_samples=conf["basisopt"].getint("r"),
-        basis_seed=conf["basisopt"].getint("seed"),
-        basis_max_iters=conf["basisopt"].getint("max_iters"),
-    )
+    _, config = _experiment(args, args.seed)
     table = run_sweep(config)
     emit_results(table, args.out)
     print(f"wrote {len(table.points) * len(table.solvers)} cells to {args.out}")
@@ -214,17 +208,12 @@ def cmd_sweep(args):
 
 
 def cmd_certify_ric(args):
-    conf = load_config(args.config, args.set or ())
-    cfg = system_from_config(conf)
-    basis = _basis_for(conf, cfg, conf["sweep"].get("basis"))
-    scheme = draw_pilots(cfg, args.seed, q=conf["pilots"].getint("q"))
-    from .estimator import build_phi
-
-    tiling = make_block_tiling(cfg.D, cfg.J, conf["tiling"].getint("dm"),
-                               conf["tiling"].getint("di"))
-    part = tiling.to_partition()
-    mats = build_phi(scheme, basis, cfg)
-    for s, Phi in enumerate(mats):
+    _, config = _experiment(args, args.seed)
+    cfg = config.system
+    basis = resolve_basis(config, cfg, cp_ofdm_pulses(cfg.K, cfg.N))
+    scheme = draw_pilots(cfg, args.seed, q=config.q)
+    part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+    for s, Phi in enumerate(build_phi(scheme, basis, cfg)):
         delta = group_ric(Phi, part, args.order)
         print(f"transmit set {s}: delta_{args.order}|P = {delta:.6g}")
 
@@ -273,11 +262,9 @@ def main(argv=None):
     p.set_defaults(func=cmd_certify_ric)
 
     args = parser.parse_args(argv)
-    args.config = getattr(args, "config", None)
-    args.set = getattr(args, "set", None)
     try:
         args.func(args)
-    except ConfigurationError as exc:
+    except (OSError, *PACKAGE_ERRORS) as exc:  # user input: a path or a value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

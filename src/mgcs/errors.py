@@ -19,3 +19,7 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+# every typed error of the package; any other exception is a programming error
+PACKAGE_ERRORS = (ConfigurationError, DomainError, BudgetExceededError, ConvergenceError)

@@ -21,7 +21,7 @@ from .channel import (
     path_params,
     sample_geometry,
 )
-from .errors import BudgetExceededError, ConfigurationError, ConvergenceError, DomainError
+from .errors import PACKAGE_ERRORS, ConfigurationError
 from .estimator import (
     BasisSpec,
     assemble_frame,
@@ -48,9 +48,6 @@ SOLVER_STRUCTURES = {
 }
 # algorithm -> solver; joint G-OMP is G-DCS-SOMP, which the estimator decides
 SOLVER_ALGOS = {"omp": "g-omp", "somp": "g-omp", "cosamp": "g-cosamp", "bpdn": "g-bpdn"}
-# the package's typed errors: a trial that raises one counts as a failure, any
-# other exception is a programming error and propagates
-_TRIAL_ERRORS = (ConfigurationError, DomainError, BudgetExceededError, ConvergenceError)
 
 
 def parse_solver(name):
@@ -108,7 +105,8 @@ def paths_from_prior(prior, n_paths, seed):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep description: system, pilots, axis, estimators, trials, seed."""
+    """Experiment description, for a sweep and every CLI subcommand: system,
+    pilots, axis, estimators, trials, seed, basis."""
 
     system: SystemConfig
     q: int
@@ -179,22 +177,33 @@ def _point_config(config, point):
     return cfg, dm, di, snr_db
 
 
+def optimize_basis(config, cfg, pulses):
+    """Criterion-9 basis for the configured tiling: ``basis_samples`` draws of
+    the desk prior seeded by ``basis_seed``, ``basis_max_iters`` outer
+    iterations.  Returns (BasisSpec, OptimizeDiagnostics)."""
+    samples = attach_kernels(
+        sample_prior(desk_prior(cfg), config.basis_samples, config.basis_seed),
+        pulses, cfg, config.filters,
+    )
+    tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+    return optimize_blocks(samples, tiling, pulses, cfg, max_iters=config.basis_max_iters)
+
+
 def resolve_basis(config, cfg, pulses):
-    """Basis per the configured source: DFT, a saved file, or optimize now."""
+    """Basis per the configured source: DFT, optimize now, or a saved file."""
     if config.basis == "dft":
         return BasisSpec.dft(cfg.J, cfg.D)
-    tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
     if config.basis == "optimize":
-        prior = desk_prior(cfg)
-        samples = attach_kernels(
-            sample_prior(prior, config.basis_samples, config.basis_seed),
-            pulses, cfg, config.filters,
-        )
-        basis, _ = optimize_blocks(
-            samples, tiling, pulses, cfg, max_iters=config.basis_max_iters
-        )
-        return basis
+        return optimize_basis(config, cfg, pulses)[0]
     return mgio.load_basis(config.basis, mgio.config_fingerprint(cfg))
+
+
+def point_geometry(config, cfg):
+    """The configured geometry, else the desk one over cfg's block, with cfg's
+    antenna counts."""
+    geometry = config.geometry or desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0,
+                                                block_duration=cfg.l_r * cfg.Ts)
+    return replace(geometry, n_tx=cfg.n_tx, n_rx=cfg.n_rx)
 
 
 def simulate_channel(cfg, filters, geometry, s_geo, s_gain):
@@ -287,10 +296,7 @@ def run_sweep(config):
         if (cfg, dm, di) not in bases:
             bases[cfg, dm, di] = resolve_basis(replace(config, dm=dm, di=di), cfg, pulses)
         basis = bases[cfg, dm, di]
-        geometry = config.geometry or desk_geometry(
-            cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts
-        )
-        geometry = replace(geometry, n_tx=cfg.n_tx, n_rx=cfg.n_rx)
+        geometry = point_geometry(config, cfg)
         pilot_seed = np.random.SeedSequence([config.master_seed, 7919])
         scheme = draw_pilots(cfg, pilot_seed, q=config.q)
         # nominal-geometry sparsity budget for the CoSaMP default
@@ -315,7 +321,7 @@ def run_sweep(config):
                     sums[pi, si] += nmse
                     sq_sums[pi, si] += nmse**2
                     counts[pi, si] += 1
-            except _TRIAL_ERRORS:
+            except PACKAGE_ERRORS:  # a failed trial; other errors propagate
                 failures[pi] += 1
     mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     var = np.where(
