@@ -13,7 +13,7 @@ import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError
-from .waveform import ambiguity_table
+from .waveform import FactoredIR, ambiguity_table
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +369,6 @@ def cross_channel_bounds(geo):
 # spreading functions and coefficient tensors
 
 
-def channel_index(cfg, r, s):
-    """Flat channel index of the pair theta = (r, s)."""
-    return r * cfg.n_tx + s
-
-
 def leakage_kernel(paths, p, chan, m, i, filters, cfg):
     """Shifted leakage kernel of path ``p`` on channel ``chan`` at (m, i)."""
     tau = paths.delays[p, chan]
@@ -387,29 +382,30 @@ def discrete_ir(paths, filters, cfg, m_len=None):
     """Discrete time-varying impulse response of the specular model.
 
     H[n, m] = sum_p eta_p phi^(nu_p)(m - tau_p/Ts) exp(j 2 pi nu_p Ts n) per
-    channel; returns an (L_r, m_len, n_rx, n_tx) array.  A path whose delay
-    falls outside the delay axis raises a warning but is kept: only the part
-    of its kernel past the last delay tap is dropped.
+    channel, returned factored as a :class:`~mgcs.waveform.FactoredIR`: the
+    gains, normalized Dopplers and delay profiles of all n_ch P channel-major
+    paths, the profiles from one :func:`phi_profiles` call.  No caller builds
+    the dense (L_r, m_len, n_rx, n_tx) array (``np.asarray`` does, for tests).
+    A path whose delay falls outside the delay axis raises a warning but is
+    kept: only the part of its kernel past the last delay tap is dropped.
     """
     if m_len is None:
         m_len = cfg.K
-    n = np.arange(cfg.l_r)
-    H = np.zeros((cfg.l_r, m_len, cfg.n_rx, cfg.n_tx), dtype=complex)
+    if paths.n_channels != cfg.n_channels:
+        raise DomainError(
+            f"path set has {paths.n_channels} channels, the system {cfg.n_channels}")
     max_x = paths.delays.max() / cfg.Ts
     if max_x > m_len - 1:
         warnings.warn(
             f"path delay {max_x:.2f} samples exceeds the delay axis ({m_len - 1}); "
             "its kernel past the axis is dropped"
         )
-    for r in range(cfg.n_rx):
-        for s in range(cfg.n_tx):
-            xi = channel_index(cfg, r, s)
-            profiles = paths.gains[:, xi, None] * phi_profiles(
-                filters, paths.delays[:, xi] / cfg.Ts, paths.dopplers[:, xi] * cfg.Ts, m_len
-            )  # (P, m_len)
-            phases = np.exp(2j * np.pi * np.outer(n, paths.dopplers[:, xi]) * cfg.Ts)
-            H[:, :, r, s] = phases @ profiles
-    return H
+    nu_ts = paths.dopplers.T * cfg.Ts  # (n_ch, P), channel-major
+    profiles = phi_profiles(filters, (paths.delays.T / cfg.Ts).ravel(), nu_ts.ravel(), m_len)
+    return FactoredIR(
+        gains=paths.gains.T, nu_ts=nu_ts, profiles=profiles.reshape(nu_ts.shape + (m_len,)),
+        l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
+    )
 
 
 def spreading_model(paths, cfg, filters, m_len=None):

@@ -86,7 +86,7 @@ def load_config(path=None, overrides=()):
         value = reduce(getattr, field.split("."), desk) if field else ESTIMATE_SOLVER
         defaults.setdefault(section, {})[option] = (
             ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: no %
     parser.read_dict(defaults)
     if path:
         with open(path) as fh:

@@ -134,6 +134,20 @@ class ExperimentConfig:
             parse_solver(name)
         if self.axis not in ("snr", "antennas", "blocksize"):
             raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
+        if self.axis == "blocksize":
+            for point in self.points:
+                make_block_tiling(self.system.D, self.system.J, *_block_shape(point))
+
+
+def _block_shape(point):
+    """(dm, di) of a blocksize sweep point ``AxB`` with positive A and B."""
+    try:
+        dm, di = (int(v) for v in str(point).lower().split("x"))
+    except ValueError:
+        raise ConfigurationError(f"blocksize point {point!r} is not AxB") from None
+    if dm < 1 or di < 1:
+        raise ConfigurationError(f"blocksize point {point!r} needs positive sides")
+    return dm, di
 
 
 def desk_experiment(master_seed, **overrides):
@@ -173,7 +187,7 @@ def _point_config(config, point):
         n = int(point)
         cfg = replace(cfg, n_tx=n, n_rx=n)
     elif config.axis == "blocksize":
-        dm, di = (int(v) for v in str(point).lower().split("x"))
+        dm, di = _block_shape(point)
     return cfg, dm, di, snr_db
 
 
@@ -211,7 +225,8 @@ def simulate_channel(cfg, filters, geometry, s_geo, s_gain):
 
     ``s_geo`` seeds the geometry and ``s_gain`` the unit-magnitude scatterer
     gains; delays are re-referenced to the earliest arrival.  Returns the
-    (L_r, K, n_rx, n_tx) array from :func:`discrete_ir`.
+    factored (L_r, K, n_rx, n_tx) impulse response from :func:`discrete_ir`,
+    the input of ``apply_discrete_channel`` and ``effective_coeffs``.
     """
     geo = sample_geometry(s_geo, geometry)
     rng_gain = np.random.default_rng(s_gain)

@@ -1,9 +1,10 @@
 """Pulse-shaping multicarrier modem in discrete time.
 
 Covers the modulator/demodulator pair, CP-OFDM pulse construction, the
-cross-ambiguity function of the pulse pair, application of a discrete
-time-varying channel, and the per-symbol channel coefficient matrices of the
-diagonal (ISI/ICI-free) system model.
+cross-ambiguity function of the pulse pair, the factored discrete
+time-varying channel of a sum of specular paths and its application, and the
+per-symbol channel coefficient matrices of the diagonal (ISI/ICI-free) system
+model.
 """
 
 from dataclasses import dataclass
@@ -114,27 +115,34 @@ def modulate(symbols, pulses, cfg):
     return s
 
 
+def _folded_dft(x, K):
+    """K-point DFT over the last axis after folding it modulo K.
+
+    out[..., k] = sum_n x[..., n] exp(-j 2 pi k n / K); the axis is zero-padded
+    to a multiple of K and summed over its K-sample segments first.
+    """
+    pad = -x.shape[-1] % K
+    if pad:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,), dtype=x.dtype)], axis=-1)
+    return np.fft.fft(x.reshape(x.shape[:-1] + (-1, K)).sum(axis=-2), axis=-1)
+
+
 def demodulate(r, pulses, cfg):
     """Project the received signal onto the receive pulse grid.
 
-    y_{l,k} = sum_n r[n] conj(gamma[n - l N]) exp(-j 2 pi (k/K) (n - l N)).
-    Returns an (L, K, n_rx) array.
+    y_{l,k} = sum_n r[n] conj(gamma[n - l N]) exp(-j 2 pi (k/K) (n - l N)):
+    one strided (L, n_rx, L_gamma + 1) window of r times conj(gamma), folded
+    modulo K and transformed for all symbols at once.  Returns an
+    (L, K, n_rx) array.
     """
     r = np.asarray(r, dtype=complex)
     if r.ndim == 1:
         r = r[:, None]
     if r.shape[0] < cfg.l_r:
         raise DomainError(f"received signal must cover {cfg.l_r} samples")
-    lg1 = pulses.l_gamma + 1
-    npr = np.arange(lg1)
-    folded_bins = npr % cfg.K
-    y = np.zeros((cfg.L, cfg.K, r.shape[1]), dtype=complex)
-    for l in range(cfg.L):
-        w = r[l * cfg.N: l * cfg.N + lg1] * np.conj(pulses.gamma)[:, None]
-        wf = np.zeros((cfg.K, r.shape[1]), dtype=complex)
-        np.add.at(wf, folded_bins, w)
-        y[l] = np.fft.fft(wf, axis=0)
-    return y
+    windows = np.lib.stride_tricks.sliding_window_view(
+        r[: cfg.l_r], pulses.l_gamma + 1, axis=0)[:: cfg.N]  # (L, n_rx, L_gamma + 1)
+    return np.moveaxis(_folded_dft(windows * np.conj(pulses.gamma), cfg.K), -1, 1)
 
 
 def cross_ambiguity(pulses, m, xi):
@@ -161,63 +169,108 @@ def ambiguity_table(pulses, m_values, xi_values):
     return out
 
 
-def apply_discrete_channel(H, s, noise=None):
-    """Pass the signal through a discrete time-varying channel.
+@dataclass(frozen=True)
+class FactoredIR:
+    """Discrete time-varying impulse response of a sum of specular paths.
 
-    H has shape (L_r, m_len, n_rx, n_tx); s has shape (len_s, n_tx).  Returns
-    r[n] = sum_m H[n, m] s[n-m] + z[n] on {0..L_r-1}, with s treated as zero
-    outside its support.
+    H[n, m, r, s] = sum_p gains[xi, p] exp(j 2 pi nu_ts[xi, p] n)
+    profiles[xi, p, m] on n in {0..l_r-1}, m in {0..m_len-1}, for channel
+    xi = r n_tx + s; ``nu_ts`` holds the Dopplers normalized by the sample
+    rate.  Each channel has rank at most P, so the channel is applied and
+    reduced on these factors; ``np.asarray`` builds the dense
+    (l_r, m_len, n_rx, n_tx) array, for tests and oracles.
     """
-    H = np.asarray(H)
+
+    gains: np.ndarray  # (n_ch, P)
+    nu_ts: np.ndarray  # (n_ch, P)
+    profiles: np.ndarray  # (n_ch, P, m_len)
+    l_r: int
+    n_rx: int
+    n_tx: int
+
+    @property
+    def m_len(self):
+        return self.profiles.shape[2]
+
+    def phases(self, n):
+        """Doppler phases exp(j 2 pi nu_ts n) at sample indices n: (len(n), n_ch, P)."""
+        return np.exp(2j * np.pi * np.multiply.outer(n, self.nu_ts))
+
+    def __array__(self, dtype=None, copy=None):
+        per_channel = np.moveaxis(self.phases(np.arange(self.l_r)), 0, 1) @ (
+            self.gains[..., None] * self.profiles)  # (n_ch, l_r, m_len)
+        H = np.moveaxis(per_channel, 0, -1).reshape(self.l_r, self.m_len, self.n_rx, self.n_tx)
+        return H if dtype is None else H.astype(dtype)
+
+
+# window elements multiplied at once in apply_discrete_channel; bounds the copy
+_WINDOW_BLOCK = 1 << 18
+
+
+def apply_discrete_channel(H, s, noise=None):
+    """Pass the signal through a factored time-varying channel.
+
+    H is a :class:`FactoredIR`; s has shape (len_s, n_tx).  Returns
+    r[n] = sum_m H[n, m] s[n-m] + z[n] on {0..L_r-1}, with s treated as zero
+    outside its support: per transmit antenna, the (L_r, m_len) Toeplitz
+    window of s times that antenna's delay profiles, weighted by each path's
+    gain and Doppler phase and summed into its receive antenna.
+    """
     s = np.asarray(s, dtype=complex)
     if s.ndim == 1:
         s = s[:, None]
-    l_r, m_len = H.shape[0], H.shape[1]
-    r = np.zeros((l_r, H.shape[2]), dtype=complex)
-    for m in range(m_len):
-        hi = min(l_r, len(s) + m)
-        if hi <= m:
-            continue
-        # r[n] += H[n, m] @ s[n - m] for n in [m, hi)
-        r[m:hi] += np.einsum("nrt,nt->nr", H[m:hi, m], s[: hi - m])
+    l_r, m_len, n_rx = H.l_r, H.m_len, H.n_rx
+    # window row n holds s[n - m_len + 1 .. n], so it meets the reversed profiles
+    padded = np.zeros((H.n_tx, m_len - 1 + l_r), dtype=complex)
+    n_s = min(len(s), l_r)
+    padded[:, m_len - 1: m_len - 1 + n_s] = s[:n_s].T
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m_len, axis=1)
+    taps = H.profiles[..., ::-1].reshape(n_rx, H.n_tx, -1, m_len)
+    weights = (H.gains * H.phases(np.arange(l_r))).reshape(l_r, n_rx, H.n_tx, -1)
+    r = np.zeros((l_r, n_rx), dtype=complex)
+    rows = max(1, _WINDOW_BLOCK // m_len)
+    for t in range(H.n_tx):
+        taps_t = taps[:, t].reshape(-1, m_len).T  # (m_len, n_rx P)
+        for lo in range(0, l_r, rows):
+            n = slice(lo, lo + rows)
+            conv = (np.ascontiguousarray(windows[t, n]) @ taps_t).reshape(-1, n_rx, taps.shape[2])
+            r[n] += np.einsum("nrp,nrp->nr", conv, weights[n, :, t])
     if noise is not None:
         r = r + np.asarray(noise, dtype=complex)
     return r
 
 
 def identity_channel(cfg):
-    """H[n, m] = delta[m] I, the ISI-free unit channel."""
-    H = np.zeros((cfg.l_r, 1, cfg.n_rx, cfg.n_tx), dtype=complex)
-    H[:, 0] = np.eye(cfg.n_rx, cfg.n_tx)
-    return H
+    """H[n, m] = delta[m] I, the ISI-free unit channel: one static path per
+    channel at delay 0 with a Kronecker profile, gain 1 on the diagonal."""
+    n_ch = cfg.n_channels
+    return FactoredIR(
+        gains=np.eye(cfg.n_rx, cfg.n_tx, dtype=complex).reshape(n_ch, 1),
+        nu_ts=np.zeros((n_ch, 1)),
+        profiles=np.ones((n_ch, 1, 1), dtype=complex),
+        l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
+    )
 
 
 def effective_coeffs(H, pulses, cfg):
     """Per-symbol channel coefficient matrices of the diagonal model.
 
     H_{l,k} = sum_n sum_m H[n, m] g_{l,k}[n - m] conj(gamma_{l,k}[n]); an
-    identity channel yields conj(A(0,0)) * I for every (l, k).  Returns an
-    (L, K, n_rx, n_tx) array.
+    identity channel yields conj(A(0,0)) * I for every (l, k).  H is a
+    :class:`FactoredIR`.  With the weights w[n', m] = g[n' - m] conj(gamma[n'])
+    each path contributes eta_p exp(j 2 pi nu_p Ts l N) times the K-point DFT
+    over m (folded modulo K) of phi_p(m) sum_{n'} exp(j 2 pi nu_p Ts n') w[n', m].
+    Returns an (L, K, n_rx, n_tx) array.
     """
-    H = np.asarray(H)
-    l_r, m_len = H.shape[0], H.shape[1]
-    if l_r < cfg.l_r:
+    if H.l_r < cfg.l_r:
         raise DomainError("impulse response shorter than the receive window")
     lg1 = pulses.l_gamma + 1
-    npr = np.arange(lg1)
-    # weights w[n', m] = g[n' - m] conj(gamma[n']); modulation phases reduce to
-    # exp(-j 2 pi k m / K), so H_{l,k} is the K-point DFT over m of
-    # W_l[m] = sum_{n'} H[lN + n', m] w[n', m].
-    w = np.zeros((lg1, m_len), dtype=complex)
-    for m in range(m_len):
-        idx = npr - m
-        valid = (idx >= 0) & (idx < len(pulses.g))
-        w[valid, m] = pulses.g[idx[valid]]
+    idx = np.arange(lg1)[:, None] - np.arange(H.m_len)[None, :]
+    valid = (idx >= 0) & (idx < len(pulses.g))
+    w = np.where(valid, pulses.g[np.clip(idx, 0, len(pulses.g) - 1)], 0)
     w *= np.conj(pulses.gamma)[:, None]
-    out = np.empty((cfg.L, cfg.K, H.shape[2], H.shape[3]), dtype=complex)
-    for l in range(cfg.L):
-        Wl = np.einsum("nmrt,nm->mrt", H[l * cfg.N: l * cfg.N + lg1], w)
-        Wk = np.zeros((cfg.K,) + Wl.shape[1:], dtype=complex)
-        np.add.at(Wk, np.arange(m_len) % cfg.K, Wl)
-        out[l] = np.fft.fft(Wk, axis=0)
-    return out
+    within = H.phases(np.arange(lg1)).reshape(lg1, -1).T @ w  # (n_ch P, m_len)
+    spectra = _folded_dft(H.gains[..., None] * H.profiles * within.reshape(H.profiles.shape), cfg.K)
+    symbols = np.moveaxis(H.phases(np.arange(cfg.L) * cfg.N), 0, 1)  # (n_ch, L, P)
+    out = symbols @ spectra  # (n_ch, L, K)
+    return np.moveaxis(out, 0, -1).reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)

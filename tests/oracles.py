@@ -83,3 +83,33 @@ def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_to
         resid = y - fit
         history.append(float(np.linalg.norm(resid)))
     return selected, x, history, rank_lost
+
+
+def dense_apply_channel(H, s, noise=None):
+    """r[n] = sum_m H[n, m] s[n - m] + z[n] on a dense (L_r, m_len, n_rx, n_tx)
+    impulse response, one delay tap at a time."""
+    s = np.asarray(s, dtype=complex)
+    l_r, m_len = H.shape[0], H.shape[1]
+    r = np.zeros((l_r, H.shape[2]), dtype=complex)
+    for m in range(m_len):
+        hi = min(l_r, len(s) + m)
+        if hi > m:
+            r[m:hi] += np.einsum("nrt,nt->nr", H[m:hi, m], s[: hi - m])
+    return r if noise is None else r + noise
+
+
+def dense_effective_coeffs(H, pulses, cfg):
+    """H_{l,k}: the K-point DFT over m, folded modulo K, of
+    W_l[m] = sum_n' H[lN + n', m] g[n' - m] conj(gamma[n']), per symbol."""
+    lg1, m_len = pulses.l_gamma + 1, H.shape[1]
+    w = np.zeros((lg1, m_len), dtype=complex)
+    for m in range(m_len):
+        for n in range(m, min(lg1, m + len(pulses.g))):
+            w[n, m] = pulses.g[n - m] * np.conj(pulses.gamma[n])
+    out = np.empty((cfg.L, cfg.K, H.shape[2], H.shape[3]), dtype=complex)
+    for l in range(cfg.L):
+        W = np.einsum("nmrt,nm->mrt", H[l * cfg.N: l * cfg.N + lg1], w)
+        Wk = np.zeros((cfg.K,) + W.shape[1:], dtype=complex)
+        np.add.at(Wk, np.arange(m_len) % cfg.K, W)
+        out[l] = np.fft.fft(Wk, axis=0)
+    return out

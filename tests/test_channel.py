@@ -30,6 +30,7 @@ from mgcs.channel import (
     sparsity_budget,
     spreading_model,
 )
+from mgcs.errors import DomainError
 from mgcs.partition import make_block_tiling
 from mgcs.waveform import SystemConfig, cp_ofdm_pulses, effective_coeffs
 
@@ -170,7 +171,7 @@ class TestPhiProfiles:
             delays=rng.uniform(0, 5, size=(P, n_ch)) * cfg.Ts,
             dopplers=rng.uniform(-2, 2, size=(P, n_ch)) / (cfg.Ts * cfg.l_r),
         )
-        H = discrete_ir(paths, f, cfg)
+        H = np.asarray(discrete_ir(paths, f, cfg))
         n, m = np.arange(cfg.l_r), np.arange(cfg.K)
         for r in range(cfg.n_rx):
             for s in range(cfg.n_tx):
@@ -327,7 +328,7 @@ class TestSpreadingModel:
         nus = rng.uniform(-1, 1, size=3) / (cfg.Ts * cfg.l_r)  # off-grid Doppler
         gains = rng.normal(size=3) + 1j * rng.normal(size=3)
         paths = PathSet(gains=gains[:, None], delays=taus[:, None], dopplers=nus[:, None])
-        H = discrete_ir(paths, filters, cfg)
+        H = np.asarray(discrete_ir(paths, filters, cfg))
         S_def = np.fft.fft(H[:, :, 0, 0], axis=0).T / cfg.l_r  # (m, i)
         S_mod = spreading_model(paths, cfg, filters)[0]
         np.testing.assert_allclose(S_mod, S_def, atol=1e-8 * np.abs(S_def).max())
@@ -351,7 +352,7 @@ class TestDiscreteIr:
     def test_static_on_grid_path(self):
         cfg = tiny_cfg()
         paths = single_path(2 * cfg.Ts, 0.0, gain=1.5)
-        H = discrete_ir(paths, KRON, cfg)
+        H = np.asarray(discrete_ir(paths, KRON, cfg))
         np.testing.assert_allclose(H[:, 2, 0, 0], 1.5)
         H_other = np.delete(H[:, :, 0, 0], 2, axis=1)
         np.testing.assert_allclose(H_other, 0.0, atol=1e-12)
@@ -359,8 +360,12 @@ class TestDiscreteIr:
     def test_time_invariance_at_zero_doppler(self):
         cfg = tiny_cfg()
         paths = single_path(1 * cfg.Ts, 0.0)
-        H = discrete_ir(paths, KRON, cfg)
+        H = np.asarray(discrete_ir(paths, KRON, cfg))
         np.testing.assert_allclose(H, np.broadcast_to(H[0], H.shape), atol=1e-12)
+
+    def test_path_channels_must_match_the_system(self):
+        with pytest.raises(DomainError):
+            discrete_ir(single_path(1 * tiny_cfg().Ts, 0.0), KRON, tiny_cfg(n_tx=2))
 
     def test_delay_clipping_warns(self):
         cfg = tiny_cfg()

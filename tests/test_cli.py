@@ -248,6 +248,32 @@ def test_bad_input_paths_exit_2_without_traceback(kind, args, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("point", ["3", "3x2", "1x3", "0x2", "ax2"])
+def test_bad_blocksize_point_exits_2_without_traceback(point, tmp_path, capsys):
+    overrides = ("sweep.axis=blocksize", f"sweep.points={point}")
+    with pytest.raises(ConfigurationError, match="blocksize point|must divide"):
+        experiment_from_config(load_config(None, (*SMALL[1::2], *overrides)), 1)
+    rc = main(SMALL + ["--set", overrides[0], "--set", overrides[1],
+                       "sweep", "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_percent_in_a_value_is_taken_literally(tmp_path, capsys):
+    conf = load_config(None, ("sweep.basis=50%.bin",))
+    assert experiment_from_config(conf, 1).basis == "50%.bin"
+    assert main(SMALL + ["simulate", "--seed", "3", "--out", str(tmp_path / "chan.bin")]) == 0
+    capsys.readouterr()
+    rc = main(SMALL + ["--set", f"sweep.basis={tmp_path / '50%.bin'}", "estimate",
+                       "--tensor", str(tmp_path / "chan.bin"), "--seed", "1",
+                       "--out", str(tmp_path / "e.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "50%.bin" in err and err.count("\n") == 1
+
+
 def test_programming_errors_still_propagate(tmp_path, monkeypatch):
     def broken(config):
         raise KeyError("bug")

@@ -21,7 +21,8 @@ from mgcs.harness import (
     run_sweep,
     simulate_trial,
 )
-from mgcs.waveform import SystemConfig, cp_ofdm_pulses
+from mgcs.channel import FilterSpec
+from mgcs.waveform import FactoredIR, SystemConfig, cp_ofdm_pulses, identity_channel
 from mgcs.estimator import draw_pilots
 
 
@@ -263,3 +264,20 @@ class TestPriorPaths:
 def test_desk_experiment_defaults_fit_grid():
     config = desk_experiment(master_seed=1)
     assert config.system.n_tx * config.q <= config.system.jd
+
+
+def test_simulate_trial_never_builds_the_dense_channel(monkeypatch):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("dense impulse response built")
+
+    monkeypatch.setattr(FactoredIR, "__array__", refuse)
+    cfg = tiny_system()
+    with pytest.raises(AssertionError, match="dense"):
+        np.asarray(identity_channel(cfg))
+    geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
+    y_grid, truth, sigma_z, _ = simulate_trial(
+        cfg, draw_pilots(cfg, 1, q=16), cp_ofdm_pulses(cfg.K, cfg.N),
+        FilterSpec(kind="rrc"), geometry, 20.0, 3)
+    assert y_grid.shape == (cfg.L, cfg.K, cfg.n_rx)
+    assert truth.shape == (cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)
+    assert np.isfinite(truth).all() and sigma_z > 0

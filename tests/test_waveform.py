@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mgcs.waveform
+from mgcs.channel import FilterSpec, PathSet, discrete_ir
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.waveform import (
     PulsePair,
@@ -16,12 +18,21 @@ from mgcs.waveform import (
     identity_channel,
     modulate,
 )
+from oracles import dense_apply_channel, dense_effective_coeffs
 
 
 def small_cfg(**kw):
     defaults = dict(K=8, N=10, L=4, D=4, J=2, n_tx=1, n_rx=1)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+def static_channel(cfg, delays, gains, m_len):
+    """Zero-Doppler single-channel Kronecker channel: gains[p] at delay bin delays[p]."""
+    gains = np.asarray(gains, dtype=complex)[:, None]
+    paths = PathSet(gains=gains, delays=np.asarray(delays, dtype=float)[:, None] * cfg.Ts,
+                    dopplers=np.zeros(gains.shape))
+    return discrete_ir(paths, FilterSpec(kind="kronecker"), cfg, m_len=m_len)
 
 
 def modulate_direct(symbols, pulses, cfg):
@@ -204,8 +215,7 @@ class TestApplyDiscreteChannel:
     def test_pure_delay(self):
         cfg = small_cfg()
         m0 = 2
-        H = np.zeros((cfg.l_r, 4, 1, 1), dtype=complex)
-        H[:, m0, 0, 0] = 1.0
+        H = static_channel(cfg, [m0], [1.0], m_len=4)
         rng = np.random.default_rng(5)
         s = rng.normal(size=(cfg.l_r, 1)) + 0j
         r = apply_discrete_channel(H, s)
@@ -233,8 +243,7 @@ class TestEffectiveCoeffs:
         cfg = small_cfg()
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         m0 = 2  # within the CP
-        H = np.zeros((cfg.l_r, 4, 1, 1), dtype=complex)
-        H[:, m0, 0, 0] = 1.0
+        H = static_channel(cfg, [m0], [1.0], m_len=4)
         Hlk = effective_coeffs(H, pulses, cfg)[:, :, 0, 0]
         k = np.arange(cfg.K)
         expect = cfg.K * np.exp(-2j * np.pi * k * m0 / cfg.K)
@@ -245,9 +254,9 @@ class TestEffectiveCoeffs:
         cfg = small_cfg(K=4, N=6, L=2, D=2, J=2)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         rng = np.random.default_rng(6)
-        H = np.zeros((cfg.l_r, 3, 1, 1), dtype=complex)
-        H[:, :, 0, 0] = rng.normal(size=3)  # random LTI taps
+        H = static_channel(cfg, [0, 1, 2], rng.normal(size=3), m_len=3)  # random LTI taps
         got = effective_coeffs(H, pulses, cfg)[:, :, 0, 0]
+        H = np.asarray(H)
         # literal double sum
         expect = np.zeros((cfg.L, cfg.K), dtype=complex)
         for l in range(cfg.L):
@@ -271,8 +280,64 @@ class TestEffectiveCoeffs:
     def test_zero_channel(self):
         cfg = small_cfg()
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        H = np.zeros((cfg.l_r, 2, 1, 1), dtype=complex)
+        H = static_channel(cfg, [0, 1], [0.0, 0.0], m_len=2)
         assert np.all(effective_coeffs(H, pulses, cfg) == 0)
+
+
+class TestFactoredChannel:
+    """The factored channel against the dense formulas on ``np.asarray(H)``."""
+
+    @staticmethod
+    def random_channel(kind, n_tx, n_rx, m_len, seed):
+        cfg = small_cfg(K=16, N=20, L=4, D=4, J=2, n_tx=n_tx, n_rx=n_rx)
+        rng = np.random.default_rng(seed)
+        P, n_ch = 3, cfg.n_channels
+        offsets = rng.uniform(0, m_len - 2, size=(P, n_ch))
+        if kind == "kronecker":
+            offsets = np.floor(offsets)
+        paths = PathSet(
+            gains=rng.normal(size=(P, n_ch)) + 1j * rng.normal(size=(P, n_ch)),
+            delays=offsets * cfg.Ts,
+            dopplers=rng.uniform(-3, 3, size=(P, n_ch)) / (cfg.Ts * cfg.l_r),
+        )
+        return cfg, discrete_ir(paths, FilterSpec(kind=kind, span=8), cfg, m_len=m_len), rng
+
+    @pytest.mark.parametrize("kind", ["rrc", "kronecker"])
+    @pytest.mark.parametrize("n_tx,n_rx", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("m_len", [11, 27])  # below K and past it (folded)
+    def test_matches_dense_oracle(self, kind, n_tx, n_rx, m_len):
+        cfg, H, rng = self.random_channel(kind, n_tx, n_rx, m_len, seed=10 * n_tx + n_rx)
+        dense = np.asarray(H)
+        assert dense.shape == (cfg.l_r, m_len, n_rx, n_tx)
+        for len_s in (cfg.l_r - 7, cfg.l_r + 9):
+            s = rng.normal(size=(len_s, n_tx)) + 1j * rng.normal(size=(len_s, n_tx))
+            z = rng.normal(size=(cfg.l_r, n_rx)) + 1j * rng.normal(size=(cfg.l_r, n_rx))
+            for noise in (None, z):
+                expect = dense_apply_channel(dense, s, noise)
+                got = apply_discrete_channel(H, s, noise=noise)
+                assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        expect = dense_effective_coeffs(dense, pulses, cfg)
+        got = effective_coeffs(H, pulses, cfg)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_window_blocks_agree(self, monkeypatch):
+        cfg, H, rng = self.random_channel("rrc", 2, 2, 27, seed=4)
+        s = rng.normal(size=(cfg.l_r, 2)) + 1j * rng.normal(size=(cfg.l_r, 2))
+        whole = apply_discrete_channel(H, s)
+        monkeypatch.setattr(mgcs.waveform, "_WINDOW_BLOCK", 5 * 27)  # 5 rows per block
+        np.testing.assert_allclose(apply_discrete_channel(H, s), whole, rtol=0, atol=1e-13)
+
+    def test_identity_channel_is_dense_identity(self):
+        cfg = small_cfg(n_tx=2, n_rx=3)
+        H = np.asarray(identity_channel(cfg))
+        assert H.shape == (cfg.l_r, 1, 3, 2)
+        np.testing.assert_array_equal(H, np.broadcast_to(np.eye(3, 2), H.shape))
+
+    def test_short_impulse_response_rejected(self):
+        cfg = small_cfg()
+        with pytest.raises(DomainError):
+            effective_coeffs(identity_channel(small_cfg(L=2)), cp_ofdm_pulses(cfg.K, cfg.N), cfg)
 
 
 def test_lti_roundtrip_diagonal_model():
@@ -282,9 +347,7 @@ def test_lti_roundtrip_diagonal_model():
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     rng = np.random.default_rng(7)
     taps = rng.normal(size=2) + 1j * rng.normal(size=2)  # delays 0, 1 <= CP = 2
-    H = np.zeros((cfg.l_r, 2, 1, 1), dtype=complex)
-    H[:, 0, 0, 0] = taps[0]
-    H[:, 1, 0, 0] = taps[1]
+    H = static_channel(cfg, [0, 1], taps, m_len=2)
     a = rng.normal(size=(cfg.L, cfg.K, 1)) + 1j * rng.normal(size=(cfg.L, cfg.K, 1))
     r = apply_discrete_channel(H, modulate(a, pulses, cfg))
     y = demodulate(r, pulses, cfg)
