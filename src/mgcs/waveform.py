@@ -7,6 +7,7 @@ per-symbol channel coefficient matrices of the diagonal (ISI/ICI-free) system
 model.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,12 +193,25 @@ class FactoredIR:
     def m_len(self):
         return self.profiles.shape[2]
 
-    def phases(self, n):
-        """Doppler phases exp(j 2 pi nu_ts n) at sample indices n: (len(n), n_ch, P)."""
-        return np.exp(2j * np.pi * np.multiply.outer(n, self.nu_ts))
+    def phases(self, count, step=1):
+        """Doppler phases exp(j 2 pi nu_ts n) at the sample indices
+        n = 0, step, ..., (count - 1) step: (count, n_ch, P).
+
+        A long range is split as n = (a b + c) step with b about sqrt(count),
+        and the phases are the outer products of a coarse table over a and a
+        fine table over c: about 2 sqrt(count) exps per path instead of count.
+        """
+        b = math.isqrt(max(count - 1, 0)) + 1
+        if count <= 4 * b:
+            return np.exp(2j * np.pi * np.multiply.outer(np.arange(count) * step, self.nu_ts))
+        n_coarse = -(-count // b)
+        coarse = np.exp(2j * np.pi * np.multiply.outer(np.arange(n_coarse) * (b * step), self.nu_ts))
+        fine = np.exp(2j * np.pi * np.multiply.outer(np.arange(b) * step, self.nu_ts))
+        table = coarse[:, None] * fine[None, :]  # (n_coarse, b, n_ch, P)
+        return table.reshape((n_coarse * b,) + self.nu_ts.shape)[:count]
 
     def __array__(self, dtype=None, copy=None):
-        per_channel = np.moveaxis(self.phases(np.arange(self.l_r)), 0, 1) @ (
+        per_channel = np.moveaxis(self.phases(self.l_r), 0, 1) @ (
             self.gains[..., None] * self.profiles)  # (n_ch, l_r, m_len)
         H = np.moveaxis(per_channel, 0, -1).reshape(self.l_r, self.m_len, self.n_rx, self.n_tx)
         return H if dtype is None else H.astype(dtype)
@@ -226,7 +240,7 @@ def apply_discrete_channel(H, s, noise=None):
     padded[:, m_len - 1: m_len - 1 + n_s] = s[:n_s].T
     windows = np.lib.stride_tricks.sliding_window_view(padded, m_len, axis=1)
     taps = H.profiles[..., ::-1].reshape(n_rx, H.n_tx, -1, m_len)
-    weights = (H.gains * H.phases(np.arange(l_r))).reshape(l_r, n_rx, H.n_tx, -1)
+    weights = (H.gains * H.phases(l_r)).reshape(l_r, n_rx, H.n_tx, -1)
     r = np.zeros((l_r, n_rx), dtype=complex)
     rows = max(1, _WINDOW_BLOCK // m_len)
     for t in range(H.n_tx):
@@ -269,8 +283,8 @@ def effective_coeffs(H, pulses, cfg):
     valid = (idx >= 0) & (idx < len(pulses.g))
     w = np.where(valid, pulses.g[np.clip(idx, 0, len(pulses.g) - 1)], 0)
     w *= np.conj(pulses.gamma)[:, None]
-    within = H.phases(np.arange(lg1)).reshape(lg1, -1).T @ w  # (n_ch P, m_len)
+    within = H.phases(lg1).reshape(lg1, -1).T @ w  # (n_ch P, m_len)
     spectra = _folded_dft(H.gains[..., None] * H.profiles * within.reshape(H.profiles.shape), cfg.K)
-    symbols = np.moveaxis(H.phases(np.arange(cfg.L) * cfg.N), 0, 1)  # (n_ch, L, P)
+    symbols = np.moveaxis(H.phases(cfg.L, cfg.N), 0, 1)  # (n_ch, L, P)
     out = symbols @ spectra  # (n_ch, L, K)
     return np.moveaxis(out, 0, -1).reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)

@@ -3,7 +3,9 @@
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 
+from mgcs.channel import psi_kernel
 from mgcs.errors import DomainError
+from mgcs.waveform import cross_ambiguity
 
 
 def group_frobenius_norm(tensor, tiling):
@@ -113,3 +115,89 @@ def dense_effective_coeffs(H, pulses, cfg):
         np.add.at(Wk, np.arange(m_len) % cfg.K, W)
         out[l] = np.fft.fft(Wk, axis=0)
     return out
+
+
+def c_kernel(nu, m, lam, pulses, cfg):
+    """Scalar Doppler kernel value C^(nu)[m, lambda] by direct double summation."""
+    total = 0.0 + 0.0j
+    l_r = cfg.l_r
+    for i in range(-cfg.J // 2, cfg.J // 2):
+        for q in range(cfg.N):
+            n = i + q * cfg.L
+            psi_nu = np.exp(1j * np.pi * (nu * cfg.Ts - n / l_r) * (l_r - 1)) * psi_kernel(
+                np.array([n - nu * cfg.Ts * l_r]), l_r
+            )[0]
+            total += (
+                psi_nu
+                * np.conj(cross_ambiguity(pulses, m, n / l_r))
+                * np.exp(2j * np.pi * lam * i / cfg.J)
+            )
+    return total
+
+
+def explicit_convex_subproblem(v_sub, eps_bound, C_sub, di, smoothing):
+    """The convexified basis-update subproblem on the explicit coefficients
+    W_m = (I + jA_m) V_m C_m, flattened to (J, R * Xi).  Returns
+    clip(A), the projection onto the Hermitian box; objective(A) ->
+    (smoothed objective, W, block energies e); and gradient(W, e), the
+    Hermitian gradient."""
+    dm, J = v_sub.shape[0], v_sub.shape[1]
+    R, xi = C_sub.shape[0], C_sub.shape[3]
+    M = [v_sub[m] @ np.moveaxis(C_sub[:, m], 0, 1).reshape(J, R * xi) for m in range(dm)]
+    cap = eps_bound * (1 - 1e-9)
+
+    def clip(A):
+        mag = np.abs(A)
+        over = mag > cap
+        A = np.where(over, A * (cap / np.where(over, mag, 1.0)), A)
+        return 0.5 * (A + np.conj(A.transpose(0, 2, 1)))
+
+    def objective(A):
+        W = [M[m] + 1j * (A[m] @ M[m]) for m in range(dm)]
+        e = np.zeros((R, J))
+        for m in range(dm):
+            e += (np.abs(W[m]) ** 2).reshape(J, R, xi).sum(axis=2).T
+        e = e.reshape(R, J // di, di).sum(axis=2)
+        return float(np.sqrt(e + smoothing).sum()), W, e
+
+    def gradient(W, e):
+        w = 1.0 / np.sqrt(e + smoothing)
+        w_flat = np.repeat(np.repeat(w, di, axis=1).T[:, :, None], xi, axis=2).reshape(J, R * xi)
+        out = np.empty((dm, J, J), dtype=complex)
+        for m in range(dm):
+            gam = 1j * (M[m] @ (np.conj(W[m]) * w_flat).T)
+            out[m] = 0.5 * (gam + gam.conj().T)
+        return out
+
+    return clip, objective, gradient
+
+
+def projected_gradient_convex_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200):
+    """The convexified basis-update subproblem solved by plain projected
+    gradient on the explicit coefficients: at most ``max_iter`` steps, each
+    accepted only if it strictly lowers the smoothed objective, with the step
+    grown by 1.5 after a success and halved after a failure.  Returns the
+    Hermitian updates A (dm, J, J)."""
+    clip, objective, gradient = explicit_convex_subproblem(
+        v_sub, eps_bound, C_sub, di, smoothing)
+    A = np.zeros(v_sub.shape, dtype=complex)
+    f, W, e = objective(A)
+    step = eps_bound
+    for _ in range(max_iter):
+        g = gradient(W, e)
+        g_max = np.abs(g).max()
+        if g_max < 1e-15:
+            break
+        improved = False
+        while step * g_max > 1e-12 * eps_bound:
+            A_try = clip(A - step * g)
+            f_try, W_try, e_try = objective(A_try)
+            if f_try < f - 1e-15 * max(1.0, abs(f)):
+                A, f, W, e = A_try, f_try, W_try, e_try
+                step *= 1.5
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return A

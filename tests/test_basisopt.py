@@ -9,7 +9,6 @@ from mgcs.basisopt import (
     ObjectiveSamples,
     attach_kernels,
     build_C_matrix,
-    c_kernel,
     convex_update_step,
     hermitian_unitary_exp,
     mc_objective,
@@ -20,9 +19,15 @@ from mgcs.basisopt import (
 from mgcs.channel import FilterSpec, PathSet, dft_coeffs, spreading_model
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec, dft_block
+from mgcs.harness import desk_experiment, desk_prior
 from mgcs.partition import make_block_tiling
 from mgcs.waveform import SystemConfig, cp_ofdm_pulses, cross_ambiguity
-from oracles import group_frobenius_norm
+from oracles import (
+    c_kernel,
+    explicit_convex_subproblem,
+    group_frobenius_norm,
+    projected_gradient_convex_step,
+)
 
 RRC = FilterSpec(kind="rrc")
 
@@ -154,6 +159,25 @@ class TestBuildCMatrix:
         near = build_C_matrix([1 * cfg.Ts], [0.0], pulses, cfg, RRC)
         far = build_C_matrix([60 * cfg.Ts], [0.0], pulses, cfg, RRC)
         assert np.abs(far).max() < 1e-3 * np.abs(near).max()
+
+    def test_attach_kernels_matches_per_doppler_c_matrix(self):
+        # the batched kernel product of attach_kernels against one c_matrix
+        # per Doppler value
+        from mgcs.channel import phi_profiles
+
+        cfg = small_cfg()
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        R = 6
+        samples = attach_kernels(
+            sample_prior(reference_prior(cfg), R, 4), pulses, cfg, RRC)
+        table = CKernelTable(pulses, cfg)
+        for rho in range(R):
+            taus, nus = samples.taus[rho], samples.nus[rho]
+            phi = phi_profiles(RRC, taus / cfg.Ts, nus * cfg.Ts, cfg.D)
+            for xi, nu in enumerate(nus):
+                expect = (np.sqrt(cfg.D) * phi[xi][:, None] * table.c_matrix(nu)).reshape(-1)
+                np.testing.assert_allclose(
+                    samples.C[rho, :, xi], expect, rtol=0, atol=1e-13 * np.abs(expect).max())
 
     @pytest.mark.parametrize("kind", ["dft", "blocks"])
     def test_kernel_factorization_vs_projection_oracle(self, kind):
@@ -299,58 +323,45 @@ class TestHermitianExp:
             hermitian_unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def direct_convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=200):
-    """Reference: the projected-gradient loop on the explicit coefficients
-    W_m = (I + jA_m) V_m C_m, flattened to (J, R * Xi)."""
-    dm, J = v_sub.shape[0], v_sub.shape[1]
-    R, xi = C_sub.shape[0], C_sub.shape[3]
-    M = [v_sub[m] @ np.moveaxis(C_sub[:, m], 0, 1).reshape(J, R * xi) for m in range(dm)]
-    cap = eps_bound * (1 - 1e-9)
-
-    def clip(A):
-        mag = np.abs(A)
-        over = mag > cap
-        A = np.where(over, A * (cap / np.where(over, mag, 1.0)), A)
-        return 0.5 * (A + np.conj(A.transpose(0, 2, 1)))
-
-    def objective(A):
-        W = [M[m] + 1j * (A[m] @ M[m]) for m in range(dm)]
-        e = np.zeros((R, J))
-        for m in range(dm):
-            e += (np.abs(W[m]) ** 2).reshape(J, R, xi).sum(axis=2).T
-        e = e.reshape(R, J // di, di).sum(axis=2)
-        return float(np.sqrt(e + smoothing).sum()), W, e
-
-    def gradient(W, e):
-        w = 1.0 / np.sqrt(e + smoothing)
-        w_flat = np.repeat(np.repeat(w, di, axis=1).T[:, :, None], xi, axis=2).reshape(J, R * xi)
-        out = np.empty((dm, J, J), dtype=complex)
-        for m in range(dm):
-            gam = 1j * (M[m] @ (np.conj(W[m]) * w_flat).T)
-            out[m] = 0.5 * (gam + gam.conj().T)
-        return out
-
-    A = np.zeros((dm, J, J), dtype=complex)
+def direct_convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54):
+    """Reference: the accelerated projected-gradient iteration on the explicit
+    coefficients W_m = (I + jA_m) V_m C_m."""
+    clip, objective, gradient = explicit_convex_subproblem(
+        v_sub, eps_bound, C_sub, di, smoothing)
+    A = np.zeros(v_sub.shape, dtype=complex)
     f, W, e = objective(A)
-    step = eps_bound
+    best_f, best_A = f, A
+    Y, f_y, W_y, e_y = A, f, W, e
+    t, step = 1.0, eps_bound
     for _ in range(max_iter):
-        g = gradient(W, e)
+        g = gradient(W_y, e_y)
         g_max = np.abs(g).max()
         if g_max < 1e-15:
             break
-        improved = False
+        # backtrack until the quadratic model at Y bounds f at the new point
+        fits = False
         while step * g_max > 1e-12 * eps_bound:
-            A_try = clip(A - step * g)
-            f_try, W_try, e_try = objective(A_try)
-            if f_try < f - 1e-15 * max(1.0, abs(f)):
-                A, f, W, e = A_try, f_try, W_try, e_try
-                step *= 1.5
-                improved = True
+            A_new = clip(Y - step * g)
+            f_new, W_new, e_new = objective(A_new)
+            d = A_new - Y
+            model = f_y + np.sum(g.real * d.real + g.imag * d.imag)
+            if f_new <= model + np.sum(np.abs(d) ** 2) / (2 * step):
+                fits = True
                 break
             step *= 0.5
-        if not improved:
+        if not fits:
             break
-    return A
+        if f_new < best_f:
+            best_f, best_A = f_new, A_new
+        t_new = (1 + np.sqrt(1 + 4 * t * t)) / 2
+        if f_new >= f:
+            Y, f_y, W_y, e_y, t_new = A_new, f_new, W_new, e_new, 1.0
+        else:
+            Y = A_new + (t - 1) / t_new * (A_new - A)
+            f_y, W_y, e_y = objective(Y)
+        A, f, t = A_new, f_new, t_new
+        step *= 1.5
+    return best_A
 
 
 class TestConvexUpdate:
@@ -404,6 +415,33 @@ class TestConvexUpdate:
         assert np.isfinite(A).all()
         ref = direct_convex_update_step(v_sub, eps, C_sub, di=2)
         assert np.abs(A - ref).max() <= 1e-9 * eps
+
+    def test_not_worse_than_projected_gradient_on_desk_subproblems(self):
+        # first basis updates (DFT blocks) of the desk system over a grid of
+        # tilings and boxes: the summed linearized objective of the
+        # accelerated step is no higher than that of 200 projected-gradient
+        # steps
+        from mgcs.basisopt import _subproblem_objective
+
+        cfg = desk_experiment(0).system
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        R = 64
+        samples = attach_kernels(sample_prior(desk_prior(cfg), R, 21), pulses, cfg, RRC)
+        Cm = samples.C.reshape(R, cfg.D, cfg.J, -1)
+        eye = np.eye(cfg.J)
+        totals = np.zeros(2)
+        for dm in (1, 2):
+            v_sub = np.broadcast_to(dft_block(cfg.J), (dm, cfg.J, cfg.J)).copy()
+            for di in (2, 4):
+                for eps in (0.1, 0.025, 0.003):
+                    for column in (0, 3, 6):
+                        C_sub = Cm[:, column * dm:(column + 1) * dm]
+                        for k, step in enumerate((convex_update_step,
+                                                  projected_gradient_convex_step)):
+                            A = step(v_sub, eps, C_sub, di)
+                            lin = (eye + 1j * A) @ v_sub
+                            totals[k] += _subproblem_objective(lin, C_sub, di)
+        assert totals[0] <= totals[1]
 
     def test_matches_grid_search_oracle_tiny(self):
         # J = 2, one sample, one delay column: exhaustive search over the free

@@ -328,6 +328,19 @@ class TestFactoredChannel:
         monkeypatch.setattr(mgcs.waveform, "_WINDOW_BLOCK", 5 * 27)  # 5 rows per block
         np.testing.assert_allclose(apply_discrete_channel(H, s), whole, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("count,step", [(0, 1), (1, 1), (16, 80), (36, 1), (37, 1),
+                                            (80, 1), (1280, 1), (999, 3)])
+    def test_phases_match_direct_exp(self, count, step):
+        # short ranges take one exp per index, long ones the coarse x fine tables
+        _, H, _ = self.random_channel("rrc", 2, 2, 11, seed=6)
+        arg = 2 * np.pi * np.multiply.outer(np.arange(count) * step, H.nu_ts)
+        expect = np.exp(1j * arg)
+        got = H.phases(count, step)
+        assert got.shape == expect.shape
+        # both round the phase argument: a few ulps of its largest magnitude
+        tol = 8 * np.finfo(float).eps * (1 + np.abs(arg).max(initial=0))
+        np.testing.assert_allclose(got, expect, rtol=0, atol=tol)
+
     def test_identity_channel_is_dense_identity(self):
         cfg = small_cfg(n_tx=2, n_rx=3)
         H = np.asarray(identity_channel(cfg))
