@@ -116,18 +116,20 @@ def phi_kernel(filters, x, nu_ts=0.0):
     return phi_profiles(filters, -x, nu_ts, 1)[:, 0]
 
 
-def psi_kernel(x, l_r):
+def psi_kernel(x, l_r, sin_pi_x=None):
     """Doppler leakage kernel sin(pi x) / (L_r sin(pi x / L_r)).
 
     Continuous Dirichlet-type kernel; equals 1 at x = 0 and vanishes at every
-    other integer that is not a multiple of L_r.
+    other integer that is not a multiple of L_r.  ``sin_pi_x`` is sin(pi x)
+    when the caller has it in closed form.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q = np.round(x / l_r)
     at_mult = np.abs(x - q * l_r) < 1e-9
     out = np.empty_like(x)
     xr = x[~at_mult]
-    out[~at_mult] = np.sin(np.pi * xr) / (l_r * np.sin(np.pi * xr / l_r))
+    num = np.sin(np.pi * xr) if sin_pi_x is None else sin_pi_x[~at_mult]
+    out[~at_mult] = num / (l_r * np.sin(np.pi * xr / l_r))
     out[at_mult] = np.where((q[at_mult] * (l_r - 1)) % 2 == 0, 1.0, -1.0)
     return out
 
@@ -369,15 +371,6 @@ def cross_channel_bounds(geo):
 # spreading functions and coefficient tensors
 
 
-def leakage_kernel(paths, p, chan, m, i, filters, cfg):
-    """Shifted leakage kernel of path ``p`` on channel ``chan`` at (m, i)."""
-    tau = paths.delays[p, chan]
-    nu = paths.dopplers[p, chan]
-    phi = phi_kernel(filters, np.array([m - tau / cfg.Ts]), nu * cfg.Ts)[0]
-    psi = psi_kernel(np.array([i - nu * cfg.Ts * cfg.l_r]), cfg.l_r)[0]
-    return complex(phi * psi)
-
-
 def discrete_ir(paths, filters, cfg, m_len=None):
     """Discrete time-varying impulse response of the specular model.
 
@@ -450,11 +443,6 @@ class CoefficientTensor:
             raise DomainError("F-to-G conversion is only defined for the DFT basis")
         jd = self.values.shape[0] * self.values.shape[1]
         return np.sqrt(jd) * self.values
-
-    def as_matrix(self):
-        """(J*D, n_channels) matrix with rows ordered by the 2D->1D rank map."""
-        d, j, xi = self.values.shape
-        return self.values.reshape(d * j, xi)
 
 
 def dft_coeffs(S_h, pulses, cfg):

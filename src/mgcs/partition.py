@@ -22,8 +22,9 @@ class Partition:
     Groups may be non-contiguous (stacked multichannel partitions interleave
     channels), so they are stored as explicit index arrays: views into the
     flat index ``perm``, the groups' members in group order, where group b
-    occupies ``perm[starts[b]:starts[b] + sizes[b]]``.  These arrays are
-    read-only, so one partition can be shared by every caller.
+    occupies ``perm[starts[b]:starts[b] + sizes[b]]``; ``group_of[j]`` is the
+    group of column j.  These arrays are read-only, so one partition can be
+    shared by every caller.
     """
 
     total_length: int
@@ -31,6 +32,7 @@ class Partition:
     perm: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    group_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = self.total_length
@@ -48,7 +50,9 @@ class Partition:
             raise ConfigurationError("groups do not cover {0..M-1}")
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        for a in (perm, starts, sizes):
+        group_of = np.empty(M, dtype=np.intp)
+        group_of[perm] = np.repeat(np.arange(sizes.size), sizes)
+        for a in (perm, starts, sizes, group_of):
             a.flags.writeable = False
         # the groups become views of perm, sliced without np.split's overhead
         groups = tuple(map(perm.__getitem__, map(slice, starts.tolist(), ends.tolist())))
@@ -56,6 +60,7 @@ class Partition:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "group_of", group_of)
 
     @property
     def n_groups(self):
@@ -77,10 +82,7 @@ class Partition:
 
     def expand(self, per_group):
         """Length-M vector holding ``per_group[b]`` at every member of group b."""
-        per_group = np.asarray(per_group)
-        out = np.empty(self.total_length, dtype=per_group.dtype)
-        out[self.perm] = np.repeat(per_group, self.sizes)
-        return out
+        return np.asarray(per_group)[self.group_of]
 
     def columns(self, selected):
         """Members of the ``selected`` groups, concatenated in selection order."""

@@ -314,7 +314,7 @@ def _g_omp(Phi, y, part, max_groups, residual_tol):
             break
         selected.append(b)
         for (_, channels, columns), factor in zip(shares, factors):
-            factor.append(columns([b]))
+            factor.append(part.groups[b] if part.total_length == m else columns([b]))
             resid[channels] = factor.resid.T
         history.append(float(np.linalg.norm(resid)))
     x = np.zeros((Phi.n_channels, m), dtype=complex)
@@ -355,7 +355,11 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     aggregated proxy energy, merge with the current support, least-squares on
     the merged column union, and prune to the S groups of largest solution
     norm.  The output is always group-S-sparse.  ``Phi`` is a matrix or a
-    :class:`BlockDiagonalOperator`.
+    :class:`BlockDiagonalOperator`.  The loop stops after ``n_iters`` fits,
+    at residual norm ``residual_tol``, or when the merged candidate set equals
+    the previous one: every later fit would repeat it exactly, so the output
+    is that of all ``n_iters``.  ``iterations`` counts the fits that ran;
+    ``diagnostics["fixed_point"]`` says whether the repeat ended the loop.
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
@@ -368,13 +372,17 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     support = np.zeros(0, dtype=np.intp)
     resid = y.copy()
     history = [float(np.linalg.norm(resid))]
-    rank_deficient = False
-    it = 0
-    for it in range(1, n_iters + 1):
+    rank_deficient = fixed_point = False
+    candidates = support  # empty, so unlike any merged set
+    for _ in range(n_iters):
         if history[-1] <= residual_tol:
             break
         proxy = part.energies(Phi.rmatvec(resid))
-        candidates = np.union1d(_top_groups(proxy, 2 * S), support)
+        merged = np.union1d(_top_groups(proxy, 2 * S), support)
+        if np.array_equal(merged, candidates):
+            fixed_point = True
+            break
+        candidates = merged
         b_full, deficient = Phi.lstsq(part, candidates, y)
         rank_deficient |= deficient
         support = np.sort(_top_groups(part.energies(b_full), S))
@@ -387,26 +395,21 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
         estimates=x[None, :],
         selected_groups=support.tolist(),
         residual_norms=np.array([history[-1]]),
-        iterations=it,
-        diagnostics={"residual_history": history, "rank_deficient": rank_deficient},
+        iterations=len(history) - 1,
+        diagnostics={"residual_history": history, "rank_deficient": rank_deficient,
+                     "fixed_point": fixed_point},
     )
-
-
-def _group_prox(v, part, thresh):
-    """Groupwise soft threshold: shrink each group's l2 norm by ``thresh``."""
-    norms = np.sqrt(part.energies(v))
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(0.0, 1.0 - thresh / norms[nz])
-    return (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(v.shape)
 
 
 def _fista(Phi, y, lam, part, lip, x0, max_iter):
     """Accelerated proximal gradient for the penalized group-lasso form.
 
-    Carries Phi x across steps, so each step costs one forward and one adjoint
-    product.  Returns (x, ||Phi x - y||, iterations, converged).
+    Carries Phi x across steps, so each step costs one adjoint product, one
+    group-norm pass and one forward product: the shrunk norms
+    max(||v_b|| - lam / lip, 0) of the gradient step v are the new iterate's
+    group norms.  Returns (x, ||Phi x - y||, iterations, converged).
     """
+    thresh = max(lam / lip, np.finfo(float).tiny)  # > 0: a zero group scales by 0
     x, px = x0, Phi @ x0
     z, pz = x, px
     t = 1.0
@@ -414,11 +417,13 @@ def _fista(Phi, y, lam, part, lip, x0, max_iter):
     obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x)).sum()
     n_done, converged = 0, False
     for n_done in range(1, max_iter + 1):
-        grad = Phi.rmatvec(pz - y)
-        x_new = _group_prox(z - grad / lip, part, lam / lip)
+        v = z - Phi.rmatvec(pz - y) / lip
+        norms = np.sqrt(part.energies(v))
+        scale = np.maximum(1.0 - thresh / np.maximum(norms, thresh), 0.0)
+        x_new = (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(-1)
         px_new = Phi @ x_new
         resid = px_new - y
-        obj = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x_new)).sum()
+        obj = 0.5 * np.vdot(resid, resid).real + lam * np.maximum(norms - thresh, 0).sum()
         t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
         if obj > obj_prev:  # function restart
             z, pz, t_new = x_new, px_new, 1.0

@@ -1,10 +1,13 @@
 """Independent reference computations shared by the tests."""
 
+import math
+
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 
-from mgcs.channel import psi_kernel
+from mgcs.channel import phi_kernel, psi_kernel
 from mgcs.errors import DomainError
+from mgcs.recovery import RecoveryResult, _as_operator, _top_groups
 from mgcs.waveform import cross_ambiguity
 
 
@@ -85,6 +88,96 @@ def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_to
         resid = y - fit
         history.append(float(np.linalg.norm(resid)))
     return selected, x, history, rank_lost
+
+
+def g_cosamp_all_iterations(Phi, y, part, S, n_iters=30, residual_tol=0.0):
+    """Group CoSaMP that runs every one of its ``n_iters`` iterations unless
+    the residual reaches ``residual_tol``, also after the merged candidate set
+    has stopped changing: the reference for the solver's fixed-point stop.
+    ``iterations`` is the index of the last iteration entered."""
+    Phi = _as_operator(Phi)
+    y = np.asarray(y, dtype=complex)
+    x = np.zeros(Phi.shape[1], dtype=complex)
+    support = np.zeros(0, dtype=np.intp)
+    resid = y.copy()
+    history = [float(np.linalg.norm(resid))]
+    rank_deficient = False
+    it = 0
+    for it in range(1, n_iters + 1):
+        if history[-1] <= residual_tol:
+            break
+        proxy = part.energies(Phi.rmatvec(resid))
+        candidates = np.union1d(_top_groups(proxy, 2 * S), support)
+        b_full, deficient = Phi.lstsq(part, candidates, y)
+        rank_deficient |= deficient
+        support = np.sort(_top_groups(part.energies(b_full), S))
+        keep = np.zeros(part.n_groups, dtype=bool)
+        keep[support] = True
+        x = np.where(part.expand(keep), b_full.reshape(-1, part.total_length), 0).reshape(-1)
+        resid = y - Phi @ x
+        history.append(float(np.linalg.norm(resid)))
+    return RecoveryResult(
+        estimates=x[None, :],
+        selected_groups=support.tolist(),
+        residual_norms=np.array([history[-1]]),
+        iterations=it,
+        diagnostics={"residual_history": history, "rank_deficient": rank_deficient},
+    )
+
+
+def group_prox_by_scatter(v, part, thresh):
+    """Groupwise soft threshold: shrink each group's l2 norm by ``thresh``,
+    the per-group factors spread over the columns by repeat and scatter."""
+    norms = np.sqrt(part.energies(v))
+    scale = np.zeros_like(norms)
+    nz = norms > 0
+    scale[nz] = np.maximum(0.0, 1.0 - thresh / norms[nz])
+    per_column = np.empty(part.total_length)
+    per_column[part.perm] = np.repeat(scale, part.sizes)
+    return (v.reshape(-1, part.total_length) * per_column).reshape(v.shape)
+
+
+def fista_two_norm_passes(Phi, y, lam, part, lip, x0, max_iter):
+    """Accelerated proximal gradient for the penalized group-lasso form that
+    computes the group norms twice per step, once for the shrink and once
+    more for the penalty of the shrunk iterate: the reference for the
+    solver's one-pass step.  Same signature and returns as
+    ``recovery._fista``."""
+    x, px = x0, Phi @ x0
+    z, pz = x, px
+    t = 1.0
+    resid = px - y
+    obj_prev = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x)).sum()
+    n_done, converged = 0, False
+    for n_done in range(1, max_iter + 1):
+        grad = Phi.rmatvec(pz - y)
+        x_new = group_prox_by_scatter(z - grad / lip, part, lam / lip)
+        px_new = Phi @ x_new
+        resid = px_new - y
+        obj = 0.5 * np.vdot(resid, resid).real + lam * np.sqrt(part.energies(x_new)).sum()
+        t_new = 0.5 * (1 + math.sqrt(1 + 4 * t * t))
+        if obj > obj_prev:  # function restart
+            z, pz, t_new = x_new, px_new, 1.0
+        else:
+            beta = (t - 1) / t_new
+            z = x_new + beta * (x_new - x)
+            pz = px_new + beta * (px_new - px)
+        done = abs(obj_prev - obj) <= 1e-12 * max(1.0, abs(obj_prev))
+        x, px, t, obj_prev = x_new, px_new, t_new, obj
+        if done:
+            converged = True
+            break
+    return x, float(np.linalg.norm(px - y)), n_done, converged
+
+
+def leakage_kernel(paths, p, chan, m, i, filters, cfg):
+    """Shifted leakage kernel of path ``p`` on channel ``chan`` at (m, i):
+    phi^(nu)(m - tau/Ts) psi(i - nu Ts L_r), one scalar per call."""
+    tau = paths.delays[p, chan]
+    nu = paths.dopplers[p, chan]
+    phi = phi_kernel(filters, np.array([m - tau / cfg.Ts]), nu * cfg.Ts)[0]
+    psi = psi_kernel(np.array([i - nu * cfg.Ts * cfg.l_r]), cfg.l_r)[0]
+    return complex(phi * psi)
 
 
 def dense_apply_channel(H, s, noise=None):

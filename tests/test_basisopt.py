@@ -16,7 +16,7 @@ from mgcs.basisopt import (
     reference_prior,
     sample_prior,
 )
-from mgcs.channel import FilterSpec, PathSet, dft_coeffs, spreading_model
+from mgcs.channel import FilterSpec, PathSet, dft_coeffs, psi_kernel, spreading_model
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec, dft_block
 from mgcs.harness import desk_experiment, desk_prior
@@ -133,6 +133,22 @@ class TestCKernel:
                     * np.exp(2j * np.pi * lam * i0 / cfg.J)
                 )
                 assert cm[m, lam] == pytest.approx(expect, abs=1e-10)
+
+    def test_psi_matches_the_direct_formula(self):
+        # Dopplers on and off the grid: a = nu Ts L_r in {0, 1, -3} puts
+        # n - a at multiples of L_r, where the kernel's special case applies
+        cfg = desk_experiment(0).system
+        table = CKernelTable(cp_ofdm_pulses(cfg.K, cfg.N), cfg)
+        a = np.concatenate([[0.0, 1.0, -3.0, 0.37], np.random.default_rng(2).uniform(-2, 2, 40)])
+        nus = a / (cfg.Ts * cfg.l_r)
+        nu_ts = nus[:, None, None] * cfg.Ts
+        n = table.freq
+        x = n - nu_ts * cfg.l_r
+        arg = np.pi * (nu_ts - n / cfg.l_r) * (cfg.l_r - 1)
+        direct = np.exp(1j * arg) * psi_kernel(x.ravel(), cfg.l_r).reshape(x.shape)
+        # both round the phase argument: a few ulp of the largest
+        tol = 8 * np.spacing(np.abs(arg).max())
+        np.testing.assert_allclose(table.psi(nus), direct, rtol=0, atol=tol)
 
     def test_conjugate_symmetry_full_doppler_window(self):
         # with J = L the window is a complete period and mirroring the Doppler
@@ -399,6 +415,30 @@ class TestConvexUpdate:
         lin = np.stack([(np.eye(cfg.J) + 1j * A[0]) @ v_sub[0]])
         base = _subproblem_objective(v_sub, C_sub, di=2)
         assert _subproblem_objective(lin, C_sub, di=2) <= base + 1e-10
+
+    def test_never_above_the_zero_update_on_desk_programs(self):
+        # the best iterate starts at A = 0 and is replaced only by a lower
+        # smoothed objective: first (DFT) and later (random unitary) blocks,
+        # boxes from large to small
+        cfg = desk_experiment(0).system
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        R = 32
+        samples = attach_kernels(sample_prior(desk_prior(cfg), R, 22), pulses, cfg, RRC)
+        Cm = samples.C.reshape(R, cfg.D, cfg.J, -1)
+        rng = np.random.default_rng(23)
+        for dm in (1, 2):
+            starts = (np.broadcast_to(dft_block(cfg.J), (dm, cfg.J, cfg.J)).copy(),
+                      random_blocks(dm, cfg.J, rng))
+            for v_sub in starts:
+                for di in (2, 4):
+                    for eps in (0.5, 0.1, 0.003):
+                        for column in (0, 5):
+                            C_sub = Cm[:, column * dm:(column + 1) * dm]
+                            A = convex_update_step(v_sub, eps, C_sub, di)
+                            _, objective, _ = explicit_convex_subproblem(
+                                v_sub, eps, C_sub, di, 1e-8)
+                            f0 = objective(np.zeros_like(A))[0]
+                            assert objective(A)[0] <= f0 * (1 + 1e-12)
 
     @pytest.mark.parametrize("dm,column,scale", [(1, 0, 1.0), (2, 1, 1.0), (1, 2, 1e4)])
     def test_matches_direct_coefficient_loop(self, dm, column, scale):

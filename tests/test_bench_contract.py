@@ -13,7 +13,8 @@ import pytest
 
 import mgcs.estimator
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
-from mgcs.partition import make_block_tiling
+from mgcs.partition import make_block_tiling, uniform_partition
+from mgcs.recovery import g_cosamp
 from mgcs.waveform import cp_ofdm_pulses
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -63,3 +64,18 @@ def test_feasibility_check_sees_every_joint_bpdn_estimate(monkeypatch):
                   cfg, tiling, sigma_z)
     assert len(feasibility.records) == 1
     assert feasibility.violations() == []
+
+
+def test_cosamp_span_counts_read_the_result():
+    # the recovery.g_cosamp span reads the fit count and the rank-loss flag
+    count = next(c for _, attr, _, c in load_bench_module("spans").WRAP_POINTS
+                 if attr == "g_cosamp")
+    rng = np.random.default_rng(2)
+    Phi = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+    y = rng.normal(size=8) + 1j * rng.normal(size=8)
+    args = (Phi, y, uniform_partition(16, 2))
+    res = g_cosamp(*args, S=1, n_iters=15)
+    counts = count(args, res)
+    assert counts["recovery.g_cosamp.iters"] == res.iterations
+    assert 1 <= res.iterations <= 15
+    assert counts["recovery.rank_deficient"] == int(res.diagnostics["rank_deficient"])

@@ -20,7 +20,6 @@ from mgcs.channel import (
     dft_coeffs,
     discrete_ir,
     effective_support_widths,
-    leakage_kernel,
     path_params,
     _rrc_impulse,
     phi_kernel,
@@ -33,6 +32,7 @@ from mgcs.channel import (
 from mgcs.errors import DomainError
 from mgcs.partition import make_block_tiling
 from mgcs.waveform import SystemConfig, cp_ofdm_pulses, effective_coeffs
+from oracles import leakage_kernel
 
 KRON = FilterSpec(kind="kronecker")
 

@@ -208,6 +208,17 @@ class TestGroupIndex:
             loop[g] = per_group[b]
         np.testing.assert_array_equal(p.expand(per_group), loop)
 
+    def test_expand_matches_repeat_and_scatter_on_a_stacked_partition(self):
+        # 2 x 2 blocks of a 4 x 8 rectangle over three channels: every group
+        # is non-contiguous
+        p = stack_partition(make_block_tiling(4, 8, 2, 2).to_partition(), 32, 3)
+        per_group = np.random.default_rng(5).normal(size=p.n_groups)
+        scatter = np.empty(p.total_length)
+        scatter[p.perm] = np.repeat(per_group, p.sizes)
+        np.testing.assert_array_equal(p.expand(per_group), scatter)
+        for b, g in enumerate(p.groups):
+            assert (p.group_of[g] == b).all()
+
     @pytest.mark.parametrize("selected", [[], [3], [4, 0, 2], [1, 3, 0, 4, 2]])
     @pytest.mark.parametrize("p", unequal_partitions())
     def test_columns_match_a_group_loop(self, p, selected):

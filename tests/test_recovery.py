@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import mgcs.estimator
+import mgcs.recovery
 from mgcs.channel import FilterSpec
 from mgcs.errors import BudgetExceededError, DomainError
 from mgcs.estimator import BasisSpec, collect_measurements, draw_pilots
-from mgcs.harness import desk_experiment, desk_geometry, simulate_trial
+from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
 from mgcs.partition import (
     Partition,
     best_group_approx,
@@ -32,7 +34,7 @@ from mgcs.recovery import (
     unstack_estimates,
 )
 from mgcs.waveform import cp_ofdm_pulses
-from oracles import g_omp_from_scratch
+from oracles import fista_two_norm_passes, g_cosamp_all_iterations, g_omp_from_scratch
 
 
 def partial_dft(q, m, rng):
@@ -317,6 +319,55 @@ class TestGCosamp:
             bound = 2.0**-n * np.linalg.norm(x) + 20 * (1 + 1 / math.sqrt(S)) * tail + 20 * eps
             assert np.linalg.norm(res.x - x) <= bound
 
+    def test_fixed_point_ends_the_loop_early(self):
+        # a noisy instance whose merged candidate set repeats: fewer fits than
+        # n_iters, and every later residual of the full run equals the last
+        rng = np.random.default_rng(7)
+        part = uniform_partition(32, 2)
+        Phi = (rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))) / np.sqrt(32)
+        y = (Phi @ group_sparse_signal(part, [2, 9], rng)
+             + 0.05 * (rng.normal(size=16) + 1j * rng.normal(size=16)))
+        res = g_cosamp(Phi, y, part, S=2, n_iters=15)
+        ref = g_cosamp_all_iterations(Phi, y, part, S=2, n_iters=15)
+        assert res.diagnostics["fixed_point"]
+        assert res.iterations < 15
+        history = res.diagnostics["residual_history"]
+        assert len(history) == res.iterations + 1
+        assert ref.diagnostics["residual_history"][:len(history)] == history
+        assert set(ref.diagnostics["residual_history"][len(history):]) == {history[-1]}
+        np.testing.assert_array_equal(res.x, ref.x)
+        # one iteration cannot see a repeat
+        once = g_cosamp(Phi, y, part, S=2, n_iters=1)
+        assert (once.iterations, once.diagnostics["fixed_point"]) == (1, False)
+
+    def test_fixed_point_stop_matches_the_full_run_on_desk_trials(self, monkeypatch):
+        # every solver call of the four CoSaMP estimators on seeded desk
+        # trials: the estimate, support and final residual of the run without
+        # the stop, bit for bit
+        calls = []
+
+        def both(*args, **kwargs):
+            res = g_cosamp(*args, **kwargs)
+            calls.append((res, g_cosamp_all_iterations(*args, **kwargs), kwargs["n_iters"]))
+            return res
+
+        monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
+        for t in range(3):
+            config, scheme, y_grid, sigma_z = desk_grid(11, t)
+            cfg = config.system
+            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+            for name in ("conv-cosamp", "gcs-cosamp", "mcs-cosamp", "mgcs-cosamp"):
+                run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                              sigma_z)
+        assert len(calls) == 3 * (2 * cfg.n_channels + 2)
+        for res, ref, n_iters in calls:
+            np.testing.assert_array_equal(res.estimates, ref.estimates)
+            assert res.selected_groups == ref.selected_groups
+            np.testing.assert_array_equal(res.residual_norms, ref.residual_norms)
+            assert res.diagnostics["rank_deficient"] == ref.diagnostics["rank_deficient"]
+            assert res.iterations <= min(ref.iterations, n_iters)
+        assert any(res.diagnostics["fixed_point"] for res, _, _ in calls)
+
 
 class TestGBpdn:
     def test_large_eps_returns_zero(self):
@@ -453,6 +504,48 @@ class TestGBpdn:
         assert res.diagnostics["inner_cap_hits"] == 0
         assert res.diagnostics["penalty_solves"] <= 10
         assert eps * (1 - 1e-3) <= res.residual_norms[0] <= eps
+
+    @pytest.mark.parametrize("seed,zero_group,warm", [(0, False, False), (1, True, False),
+                                                      (2, False, True)])
+    def test_fista_step_matches_the_two_pass_oracle(self, seed, zero_group, warm):
+        # unequal groups, optionally one whose columns are zero (its norm
+        # vanishes at every step) or a warm start; several penalties
+        rng = np.random.default_rng(seed)
+        sizes = [1, 3, 2, 4, 2, 3, 1, 4]
+        part = Partition(20, tuple(np.split(rng.permutation(20), np.cumsum(sizes)[:-1])))
+        A = (rng.normal(size=(12, 20)) + 1j * rng.normal(size=(12, 20))) / np.sqrt(12)
+        if zero_group:
+            A[:, part.groups[1]] = 0
+        Phi = BlockDiagonalOperator(A[None], 1)
+        y = rng.normal(size=12) + 1j * rng.normal(size=12)
+        lip = Phi.lipschitz()
+        lam_max = float(np.sqrt(part.energies(Phi.rmatvec(y))).max())
+        x0 = (0.1 * Phi.rmatvec(y)) if warm else np.zeros(20, dtype=complex)
+        for lam in (0.0, 1e-6 * lam_max, 0.05 * lam_max, 0.4 * lam_max, 2 * lam_max):
+            x, r, n, converged = mgcs.recovery._fista(Phi, y, lam, part, lip, x0, 4000)
+            x_ref, r_ref, n_ref, conv_ref = fista_two_norm_passes(Phi, y, lam, part, lip, x0, 4000)
+            assert (n, converged) == (n_ref, conv_ref)
+            assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+            assert r == pytest.approx(r_ref, rel=1e-13)
+            if zero_group:
+                assert not x[part.groups[1]].any()
+
+    def test_desk_joint_counts_match_the_two_pass_oracle(self, monkeypatch):
+        # the joint G-BPDN of seeded desk trials: the same FISTA iteration
+        # and penalty-solve counts as with the two-pass step
+        for t in range(2):
+            cfg, config, scheme, ens, sigma_z = desk_trial(11, t)
+            part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+            Phi, y, _ = mgcs_stack(ens, part)
+            eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
+            res = g_bpdn(Phi, y, part, eps=eps, tol=1e-3)
+            with monkeypatch.context() as patch:
+                patch.setattr(mgcs.recovery, "_fista", fista_two_norm_passes)
+                ref = g_bpdn(Phi, y, part, eps=eps, tol=1e-3)
+            assert res.iterations == ref.iterations
+            for key in ("penalty_solves", "inner_cap_hits", "lambda"):
+                assert res.diagnostics[key] == ref.diagnostics[key]
+            assert np.linalg.norm(res.x - ref.x) <= 1e-13 * np.linalg.norm(ref.x)
 
 
 class TestGDcsSomp:
@@ -713,8 +806,8 @@ def dense_stack(ensemble):
     return Phi
 
 
-def desk_trial(seed, t):
-    """Pilot measurements of seeded desk 2x2 trial t at 20 dB."""
+def desk_grid(seed, t):
+    """Demodulated grid of seeded desk 2x2 trial t at 20 dB."""
     config = desk_experiment(seed)
     cfg = config.system
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
@@ -722,6 +815,13 @@ def desk_trial(seed, t):
     geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
     y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, FilterSpec(kind="rrc"),
                                            geometry, 20.0, [seed, 0, t])
+    return config, scheme, y_grid, sigma_z
+
+
+def desk_trial(seed, t):
+    """Pilot measurements of seeded desk 2x2 trial t at 20 dB."""
+    config, scheme, y_grid, sigma_z = desk_grid(seed, t)
+    cfg = config.system
     ens = collect_measurements(y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
     return cfg, config, scheme, ens, sigma_z
 
