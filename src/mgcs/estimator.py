@@ -183,9 +183,10 @@ def assemble_frame(scheme, cfg, rng=None):
 def build_phi(scheme, basis, cfg):
     """Measurement matrices sqrt(JD/Q) * (pilot rows of the basis).
 
-    Returns one Q x JD matrix per transmit antenna, built blockwise from the
-    basis without assembling the full unitary matrix: entry (q, m J + a) is
-    conj(V_m[a, lambda_q]) exp(-j 2 pi kappa_q m / D) / sqrt(D), scaled.
+    Returns the (n_tx, Q, JD) stack of per-transmit matrices, built blockwise
+    from the basis without assembling the full unitary matrix: entry
+    (q, m J + a) of matrix s is conj(V_m[a, lambda_q])
+    exp(-j 2 pi kappa_q m / D) / sqrt(D), scaled.
     """
     J, D = basis.J, basis.D
     if (J, D) != (cfg.J, cfg.D):
@@ -196,15 +197,11 @@ def build_phi(scheme, basis, cfg):
         vh = np.conj(dft_block(J)).T[:, None, :]
     else:
         vh = np.conj(basis.blocks).transpose(2, 0, 1)
-    m = np.arange(D)
-    mats = []
-    for s in range(scheme.n_tx):
-        lam, kap = np.divmod(scheme.grid_ids[s], D)
-        phase = np.exp(-2j * np.pi * kap[:, None] * m / D) / np.sqrt(D)  # (Q, D)
-        Phi = vh[lam] * phase[:, :, None]  # (Q, D, J)
-        Phi *= scale
-        mats.append(Phi.reshape(scheme.q, cfg.jd))
-    return mats
+    lam, kap = np.divmod(scheme.grid_ids, D)  # (n_tx, Q)
+    phase = np.exp(-2j * np.pi * kap[..., None] * np.arange(D) / D) / np.sqrt(D)
+    Phi = vh[lam] * phase[..., None]  # (n_tx, Q, D, J)
+    Phi *= scale
+    return Phi.reshape(scheme.n_tx, scheme.q, cfg.jd)
 
 
 def collect_measurements(y_grid, scheme, basis, cfg):
@@ -222,7 +219,7 @@ def collect_measurements(y_grid, scheme, basis, cfg):
             ls, ks = scheme.positions(s, cfg)
             obs[r * scheme.n_tx + s] = y_grid[ls, ks, r]
     mats = build_phi(scheme, basis, cfg)
-    return MeasurementEnsemble(matrices=tuple(mats), observations=obs)
+    return MeasurementEnsemble(matrices=mats, observations=obs)
 
 
 @dataclass
@@ -258,9 +255,10 @@ def _run_solver(ensemble, part, solver, joint, opts):
 
     Joint solvers run on the ensemble's block-diagonal operator with the
     per-channel partition; joint G-OMP there is G-DCS-SOMP, so it runs as
-    such; G-DCS-SOMP is joint only.  Per-channel solves all take ``opts``
-    (a G-BPDN ``eps`` bounds each channel's residual) and are merged:
-    selected groups per channel, the summed iteration count and every
+    such; G-DCS-SOMP is joint only.  Per-channel G-OMP is one call on that
+    operator with ``joint=False``; per-channel G-CoSaMP and G-BPDN solves all
+    take ``opts`` (a G-BPDN ``eps`` bounds each channel's residual) and are
+    merged: selected groups per channel, the summed iteration count and every
     channel's residual norm.
     """
     if joint and solver == "g-omp":
@@ -271,6 +269,9 @@ def _run_solver(ensemble, part, solver, joint, opts):
     n_ch = ensemble.n_channels
     if solver == "g-dcs-somp":
         res = solve(ensemble, part, **opts)
+        return res.estimates, res
+    if solver == "g-omp":
+        res = solve(ensemble.operator(), ensemble.observations, part, joint=False, **opts)
         return res.estimates, res
     if joint:
         res = solve(ensemble.operator(), ensemble.observations.reshape(-1), part, **opts)

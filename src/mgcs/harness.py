@@ -6,7 +6,8 @@ sweep point.  All randomness derives from a master seed, so two runs of the
 same configuration produce identical result files.
 """
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,7 +172,8 @@ class ResultTable:
     mean_mse_db: np.ndarray  # (n_points, n_solvers)
     stderr_db: np.ndarray
     trials: int
-    failures: np.ndarray  # failed trials per point
+    failures: np.ndarray  # failed trials per point, left out of every mean
+    failure_kinds: Counter = field(default_factory=Counter)  # (point, stage, error)
 
     def cell(self, point, solver):
         return self.mean_mse_db[self.points.index(point), self.solvers.index(solver)]
@@ -297,12 +299,13 @@ def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
 
 
 def run_sweep(config):
-    """Execute the configured sweep; deterministic for a fixed master seed."""
+    """Execute the configured sweep; deterministic for a fixed master seed.
+    A trial enters the means only when every estimator succeeds on it."""
     n_pts, n_sol = len(config.points), len(config.solvers)
     sums = np.zeros((n_pts, n_sol))
     sq_sums = np.zeros((n_pts, n_sol))
-    counts = np.zeros((n_pts, n_sol), dtype=int)
-    failures = np.zeros(n_pts, dtype=int)
+    counts = np.zeros((n_pts, 1), dtype=int)  # trials in the means, per point
+    failures, kinds = np.zeros(n_pts, dtype=int), Counter()
     bases = {}  # one basis per distinct (system, dm, di)
     for pi, point in enumerate(config.points):
         cfg, dm, di, snr_db = _point_config(config, point)
@@ -325,19 +328,28 @@ def run_sweep(config):
                 y_grid, truth, sigma_z, _ = simulate_trial(
                     cfg, scheme, pulses, config.filters, geometry, snr_db, seed
                 )
-                for si, name in enumerate(config.solvers):
+            except PACKAGE_ERRORS as exc:  # a failed trial; other errors propagate
+                kinds[point, "simulate", type(exc).__name__] += 1
+                failures[pi] += 1
+                continue
+            nmse, failed = np.zeros(n_sol), kinds.total()
+            for si, name in enumerate(config.solvers):
+                try:
                     est = run_estimator(
                         name, y_grid, scheme, basis, cfg, tiling, sigma_z,
                         residual_scale=config.residual_scale,
                         max_groups=config.max_groups,
                         cosamp_sparsity=s_joint,
                     )
-                    nmse = normalized_mse(est.h_full, truth)
-                    sums[pi, si] += nmse
-                    sq_sums[pi, si] += nmse**2
-                    counts[pi, si] += 1
-            except PACKAGE_ERRORS:  # a failed trial; other errors propagate
+                    nmse[si] = normalized_mse(est.h_full, truth)
+                except PACKAGE_ERRORS as exc:
+                    kinds[point, name, type(exc).__name__] += 1
+            if kinds.total() > failed:
                 failures[pi] += 1
+                continue
+            sums[pi] += nmse
+            sq_sums[pi] += nmse**2
+            counts[pi] += 1
     mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     var = np.where(
         counts > 1,
@@ -356,6 +368,7 @@ def run_sweep(config):
         stderr_db=stderr_db,
         trials=config.trials,
         failures=failures,
+        failure_kinds=kinds,
     )
 
 

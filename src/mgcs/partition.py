@@ -70,15 +70,17 @@ class Partition:
         """Entries of ``x`` indexed by group ``b``."""
         return np.asarray(x)[..., self.groups[b]]
 
-    def energies(self, v):
+    def energies(self, v, rows=False):
         """Per-group energy over the last axis of length M.  The rows of ``v``,
         or of a channel-stacked vector of length n_channels M, are summed
-        first, so the result is each group's joint energy across them."""
+        first, unless ``rows``, so that each group's energy is joint across them."""
         v = np.asarray(v)
         if v.size % self.total_length:
             raise DomainError("vector length does not match partition")
-        per_entry = (np.abs(v.reshape(-1, self.total_length)) ** 2).sum(axis=0)
-        return np.add.reduceat(per_entry[self.perm], self.starts)
+        per_entry = np.abs(v.reshape(-1, self.total_length)) ** 2
+        if rows:
+            return np.add.reduceat(per_entry.take(self.perm, axis=1), self.starts, axis=1)
+        return np.add.reduceat(per_entry.sum(axis=0)[self.perm], self.starts)
 
     def expand(self, per_group):
         """Length-M vector holding ``per_group[b]`` at every member of group b."""

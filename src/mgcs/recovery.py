@@ -13,10 +13,10 @@ operator they also take the per-channel partition of one block's columns: its
 group b is group b at every channel offset.  G-DCS-SOMP is G-OMP in that form.
 
 Every least-squares fit splits into one problem per transmit matrix, whose
-n_rx channels share its columns and are solved as the right-hand sides of one
-factorization (one problem per channel under a partition of all columns).
-G-OMP grows a thin QR of each problem's columns a group at a time; G-CoSaMP,
-whose support changes wholesale, factors each problem from scratch.
+n_rx channels share its columns (one per channel under a partition of all
+columns or per-channel selection); all problems of a fit share one stacked
+thin QR.  G-OMP grows it a group at a time in batched products; G-CoSaMP,
+whose support changes wholesale, factors it from scratch.
 """
 
 import math
@@ -24,9 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from itertools import combinations
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import zgemm
-from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import BudgetExceededError, ConvergenceError, DomainError
 from .partition import stack_partition
@@ -36,26 +33,28 @@ from .partition import stack_partition
 class MeasurementEnsemble:
     """Per-transmit measurement matrices and per-channel observations.
 
-    ``matrices[s]`` is the Q x M matrix seen by every channel (r, s);
-    ``observations`` has shape (n_channels, Q) in row-major (r, s) order.
+    ``matrices[s]`` is the Q x M matrix seen by every channel (r, s), a view
+    of the (n_tx, Q, M) ``blocks`` that the operator wraps; ``observations``
+    has shape (n_channels, Q) in row-major (r, s) order.
     """
 
     matrices: tuple
     observations: np.ndarray
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
+        if len({np.shape(m) for m in self.matrices}) != 1:
+            raise DomainError("all measurement matrices must share dimensions")
+        blocks = np.asarray(self.matrices, dtype=complex)
         obs = np.asarray(self.observations, dtype=complex)
         if obs.ndim == 1:
             obs = obs[None, :]
-        shapes = {m.shape for m in mats}
-        if len(shapes) != 1:
-            raise DomainError("all measurement matrices must share dimensions")
-        if obs.shape[1] != mats[0].shape[0]:
+        if obs.shape[1] != blocks.shape[1]:
             raise DomainError("observation length does not match Q")
-        if obs.shape[0] % len(mats) != 0:
+        if obs.shape[0] % len(blocks) != 0:
             raise DomainError("channel count must be a multiple of the transmit count")
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "matrices", tuple(blocks))
         object.__setattr__(self, "observations", obs)
 
     @property
@@ -68,7 +67,7 @@ class MeasurementEnsemble:
 
     @property
     def shape(self):
-        return self.matrices[0].shape
+        return self.blocks.shape[1:]
 
     def matrix_for(self, chan):
         """Matrix of channel index chan = r * n_tx + s."""
@@ -76,7 +75,7 @@ class MeasurementEnsemble:
 
     def operator(self):
         """The :class:`BlockDiagonalOperator` of all channels."""
-        return BlockDiagonalOperator(np.stack(self.matrices), self.n_channels)
+        return BlockDiagonalOperator(self.blocks, self.n_channels)
 
 
 @dataclass
@@ -96,74 +95,107 @@ class RecoveryResult:
 
 
 class _GrownQR:
-    """Least squares of the right-hand sides ``Y`` (Q x n) on a growing list
-    of columns of ``A``.
+    """Least squares of the channels' observations ``Y`` (n_channels x Q) on
+    growing column lists, as P problems: with ``per_transmit`` one per
+    transmit matrix s, its channels (r, s) the right-hand sides, else one per
+    channel xi, on ``blocks[xi % n_tx]``.  One stacked thin QR holds each
+    problem's Q, Q^H, R (unit diagonal past its columns, so one batched solve
+    serves all) and Q^H Y.  Each append is block Gram-Schmidt with one
+    re-orthogonalization pass in batched products, then the QR of the new
+    (P, Q, g) columns, for one column a norm and a divide.  A problem whose R
+    gets a diagonal at or below 1e-12 max(max |diag R|, 1), or more columns
+    than rows, takes the minimum-norm ``lstsq`` from then on (``lost``)."""
 
-    Keeps a thin QR of the selected columns in buffers of min(Q, ``width``)
-    columns and appends each new set of columns by block Gram-Schmidt with
-    one re-orthogonalization pass ("twice is enough"); appending all columns
-    at once to an empty factor is a plain thin QR.  The residual is
-    Y - Q (Q^H Y); the coefficients take one triangular solve.  Once a
-    diagonal of R is at or below 1e-12 max(max |diag R|, 1), or the columns
-    outnumber the rows, every later fit is the minimum-norm ``lstsq`` on all
-    selected columns and ``deficient`` is set.
-    """
+    def __init__(self, blocks, Y, width, per_transmit):
+        n_tx, q, m = blocks.shape
+        self.blocks, self.per_transmit = blocks, per_transmit
+        self.mats = np.arange(n_tx if per_transmit else len(Y)) % n_tx
+        self.residual = Y.copy()  # (n_channels, Q)
+        self.Y, self.resid = self._problems(Y), self._problems(self.residual)
+        n, w = len(self.mats), min(q, width)
+        self.Q, self.Qh = np.zeros((n, q, w), complex), np.zeros((n, w, q), complex)
+        self.R = np.tile(np.eye(w, dtype=complex), (n, 1, 1))
+        self.QhY = np.zeros((n, w, self.Y.shape[2]), dtype=complex)
+        self.cols = np.full((n, width), m)  # past a problem's columns: M, a dummy
+        self.n = np.zeros(n, dtype=np.intp)
+        self.lo, self.hi = [np.inf] * n, [0.0] * n  # extreme |diag R|, as floats
+        self.lost = {}  # problem -> minimum-norm coefficients, once rank is lost
 
-    def __init__(self, A, Y, width):
-        self.A, self.Y = A, Y
-        width = min(A.shape[0], width)
-        self.cols = np.zeros(0, dtype=np.intp)
-        # column-major, so that the leading columns Q[:, :k] are contiguous
-        # and Q^H is a BLAS flag, not a conjugated copy
-        self.Q = np.empty((A.shape[0], width), dtype=complex, order="F")
-        # only the upper triangle is set and read
-        self.R = np.zeros((width, width), dtype=complex)
-        self.QhY = np.empty((width, Y.shape[1]), dtype=complex)
-        self.k = 0  # columns in the factor
-        self.diag = (np.inf, 0.0)  # smallest and largest |diag R|
-        self.coef = None  # minimum-norm coefficients once the rank is lost
-        self.resid = Y.copy()
+    def _problems(self, a):
+        """The (P, length, r) problem view of a channel-major array."""
+        if self.per_transmit:
+            return a.reshape(-1, len(self.mats), a.shape[1]).transpose(1, 2, 0)
+        return a[:, :, None]
 
-    @property
-    def deficient(self):
-        return self.coef is not None
-
-    def append(self, new):
-        if new.size == 0:
+    def append(self, idx, cols):
+        """Append the columns ``cols[i]`` (one row serves all) to problem
+        ``idx[i]``: together if the problems hold equally many columns and
+        ``cols`` is an array, one by one from a list of column sets."""
+        if isinstance(cols, list):
+            for i, c in enumerate(cols):
+                self.append(idx[i:i + 1], c[None])
             return
-        self.cols = np.concatenate([self.cols, new])
-        k, g = self.k, new.size
-        if not self.deficient and self.cols.size <= self.A.shape[0]:
-            Qk = self.Q[:, :k]
-            W = self.A[:, new]
-            C = zgemm(1.0, Qk, W, trans_a=2)
-            W -= Qk @ C
-            C2 = zgemm(1.0, Qk, W, trans_a=2)
-            W -= Qk @ C2
-            # LAPACK's QR directly: np.linalg.qr costs more than the
-            # factorization of the few new columns
-            qr, tau, _, _ = zgeqrf(W, overwrite_a=True)
-            d = np.abs(qr.diagonal())
-            diag = min(self.diag[0], d.min()), max(self.diag[1], d.max())
-            if diag[0] > 1e-12 * max(diag[1], 1.0):
-                self.diag = diag
-                self.R[:k, k:k + g] = C + C2
-                self.R[k:k + g, k:k + g] = qr[:g]  # below the diagonal: reflectors
-                q_new = self.Q[:, k:k + g]
-                q_new[...] = zungqr(qr, tau, overwrite_a=True)[0]
-                self.QhY[k:k + g] = q_new.conj().T @ self.Y
-                self.k = k + g
-                self.resid = self.Y - self.Q[:, :self.k] @ self.QhY[:self.k]
-                return
-        A = self.A[:, self.cols]
-        self.coef = np.linalg.lstsq(A, self.Y, rcond=None)[0]
-        self.resid = self.Y - A @ self.coef
+        n0 = self.n[idx[0]]
+        n1 = n0 + cols.shape[1]
+        self.cols[idx, n0:n1], self.n[idx] = cols, n1
+        lost = [p for p in idx.tolist() if n1 > self.Y.shape[1] or p in self.lost]
+        if len(lost) < idx.size:
+            lost += self._extend(np.setdiff1d(idx, lost) if lost else idx, n0, n1)
+        for p in lost:
+            A = self.blocks[self.mats[p]][:, self.cols[p, :n1]]
+            self.lost[p] = np.linalg.lstsq(A, self.Y[p], rcond=None)[0]
+            self.resid[p] = self.Y[p] - A @ self.lost[p]
 
-    def coefficients(self):
-        """Coefficients (columns x n) in the order the columns were appended."""
-        if self.deficient:
-            return self.coef
-        return solve_triangular(self.R[:self.k, :self.k], self.QhY[:self.k])
+    def append_joint(self, cols):
+        """Append one joint selection: one block's columns to every
+        per-transmit problem, else stacked columns, each channel its share."""
+        if self.per_transmit:
+            return self.append(self.mats, cols[None, :])
+        m = self.blocks.shape[2]
+        reached = np.unique(cols // m)  # channels' shares may differ in size
+        self.append(reached, [cols[cols // m == xi] - xi * m for xi in reached])
+
+    def _extend(self, idx, n0, n1):
+        """Extend the factors of problems ``idx``; returns those that lost rank."""
+        sel = slice(None) if idx.size == len(self.mats) else idx  # a slice copies nothing
+        Qk, Qh = self.Q[sel, :, :n0], self.Qh[sel, :n0]
+        W = self.blocks[self.mats[sel, None], :, self.cols[sel, n0:n1]].transpose(0, 2, 1)
+        C = Qh @ W
+        W = W - Qk @ C
+        C2 = Qh @ W
+        W -= Qk @ C2
+        if n1 - n0 == 1:
+            r = np.sqrt((W.conj().transpose(0, 2, 1) @ W).real)
+        else:
+            W, r = np.linalg.qr(W)
+        ok = []
+        for p, d in zip(idx.tolist(), np.abs(np.diagonal(r, axis1=1, axis2=2)).tolist()):
+            lo, hi = min(self.lo[p], *d), max(self.hi[p], *d)
+            ok.append(lo > 1e-12 * max(hi, 1.0))
+            if ok[-1]:
+                self.lo[p], self.hi[p] = lo, hi
+        if not all(ok):
+            sel, W, r, C, C2 = (a[np.array(ok)] for a in (idx, W, r, C, C2))
+        if n1 - n0 == 1:
+            W /= r
+        Wh = W.conj().transpose(0, 2, 1)
+        self.R[sel, :n0, n0:n1], self.R[sel, n0:n1, n0:n1] = C + C2, r
+        self.Q[sel, :, n0:n1], self.Qh[sel, n0:n1] = W, Wh
+        qhy = self.QhY[sel, n0:n1] = Wh @ self.Y[sel]
+        self.resid[sel] -= W @ qhy
+        return idx[np.logical_not(ok)].tolist()
+
+    def estimates(self):
+        """The (n_channels, M) coefficients, zero off each problem's columns."""
+        m = self.blocks.shape[2]
+        x = np.zeros((len(self.residual), m + 1), dtype=complex)  # column M: the dummy
+        xp = self._problems(x)
+        k = max((c for p, c in enumerate(self.n.tolist()) if p not in self.lost), default=0)
+        xp[np.arange(len(xp))[:, None], self.cols[:, :k]] = np.linalg.solve(
+            self.R[:, :k, :k], self.QhY[:, :k])
+        for p, coef in self.lost.items():  # past its columns: the dummy
+            xp[p, self.cols[p, :self.n[p]]] = coef
+        return x[:, :m]
 
 
 class BlockDiagonalOperator:
@@ -200,50 +232,23 @@ class BlockDiagonalOperator:
         n_tx, q, _ = self.blocks.shape
         return np.matmul(v.conj().reshape(-1, n_tx, 1, q), self.blocks).conj().reshape(-1)
 
-    def shares(self, part):
-        """The least-squares problems that a group selection under ``part``
-        splits into: one (s, channels, columns) triple per problem, where
-        ``columns(groups)`` gives, in selection order, the columns of
-        ``blocks[s]`` that the groups give each of ``channels``.
-
-        A partition of one block's M columns gives group b at every channel
-        offset, so every channel of transmit antenna s has the same columns:
-        one problem per transmit matrix, with its n_rx channels as
-        right-hand sides.  A partition of all columns gives one problem per
-        channel, on that channel's share of each group.
-        """
-        n_tx, _, m = self.blocks.shape
-        if part.total_length == m:
-            channels = np.arange(self.n_channels).reshape(-1, n_tx).T
-            return [(s, channels[s], part.columns) for s in range(n_tx)]
+    def per_block(self, part):
+        """Whether ``part`` covers one block's columns, not all; else ``DomainError``."""
+        if part.total_length == self.blocks.shape[2]:
+            return True
         if part.total_length != self.shape[1]:
             raise DomainError("partition does not match the column count")
-
-        def share(xi):
-            def columns(groups):
-                cols = part.columns(groups)
-                return cols[cols // m == xi] - xi * m
-            return columns
-
-        return [(xi % n_tx, np.array([xi]), share(xi)) for xi in range(self.n_channels)]
+        return False
 
     def lstsq(self, part, groups, y):
         """Least squares of ``y`` on the columns of the selected ``groups`` of
-        ``part``: one thin QR from scratch per problem of :meth:`shares`, so
-        one per transmit matrix with its n_rx channels as right-hand sides
-        under the per-channel partition.  Returns the full-length coefficient
-        vector and whether any problem fell back to minimum norm."""
-        _, q, m = self.blocks.shape
-        Y = y.reshape(self.n_channels, q)
-        x = np.zeros((self.n_channels, m), dtype=complex)
-        deficient = False
-        for s, channels, columns in self.shares(part):
-            cols = columns(groups)
-            fit = _GrownQR(self.blocks[s], Y[channels].T, cols.size)
-            fit.append(cols)
-            x[np.ix_(channels, cols)] = fit.coefficients().T
-            deficient |= fit.deficient
-        return x.reshape(-1), deficient
+        ``part``, factored from scratch: the full-length coefficient vector
+        and whether any problem fell back to minimum norm."""
+        cols = part.columns(groups)
+        fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size,
+                       self.per_block(part))
+        fit.append_joint(cols)
+        return fit.estimates().reshape(-1), bool(fit.lost)
 
     def lipschitz(self):
         """||Phi||_2^2: the largest top eigenvalue of the per-transmit Gram
@@ -280,55 +285,68 @@ def _top_groups(energies, count):
     return np.argsort(-energies, kind="stable")[:count]
 
 
-def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0):
+def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
     """Group orthogonal matching pursuit.
 
     Adds per iteration the group with the largest aggregated correlation
     energy and refits least squares on the selected column union; stops at
     ``max_groups`` selections or when the residual norm drops to
     ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
-    The fit grows one thin QR per problem of
-    :meth:`BlockDiagonalOperator.shares`: under the per-channel partition one
-    per transmit matrix, fitting its n_rx channels at once.
+    ``joint=False`` (per-channel partition) runs every channel's own G-OMP in
+    this one call, each selecting from the one product Phi^H r and stopping on
+    its own; the result lists groups, estimates and residual norms per channel.
     """
-    return _g_omp(Phi, y, part, max_groups, residual_tol)[0]
+    res = _g_omp(Phi, y, part, max_groups, residual_tol, joint)
+    if joint:
+        res.estimates = res.estimates.reshape(1, -1)
+        res.residual_norms = np.array(res.diagnostics["residual_history"][-1:])
+    return res
 
 
-def _g_omp(Phi, y, part, max_groups, residual_tol):
-    """G-OMP; returns the result and the final (n_channels, Q) residual."""
+def _g_omp(Phi, y, part, max_groups, residual_tol, joint):
+    """G-OMP with (n_channels, M) estimates and per-channel residual norms."""
     Phi = _as_operator(Phi)
-    _, q, m = Phi.blocks.shape
-    Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, q)
-    shares = Phi.shares(part)
+    per_block = Phi.per_block(part)
+    if not (joint or per_block):
+        raise DomainError("per-channel G-OMP needs a partition of one block's columns")
+    Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, -1)
     cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
-    width = cap * int(part.sizes.max())
-    factors = [_GrownQR(Phi.blocks[s], Y[channels].T, width) for s, channels, _ in shares]
-    resid = Y.copy()
-    selected = []
-    history = [float(np.linalg.norm(resid))]
-    while len(selected) < cap and history[-1] > residual_tol:
-        energies = part.energies(Phi.rmatvec(resid))
-        energies[selected] = -1.0
-        b = int(np.argmax(energies))
-        if energies[b] <= 0:
+    fit = _GrownQR(Phi.blocks, Y, cap * int(part.sizes.max()), joint and per_block)
+    n_sel = 1 if joint else Phi.n_channels  # selections per iteration
+    table = part.perm.reshape(part.n_groups, -1) if np.ptp(part.sizes) == 0 else None
+    selected = [[] for _ in range(n_sel)]
+    taken = np.zeros((n_sel, part.n_groups), dtype=bool)
+    live = np.arange(n_sel)  # the selections that go on, each with as many groups
+    norms = np.linalg.norm(Y.reshape(n_sel, -1), axis=1)
+    history = [math.hypot(*norms)]
+    for _ in range(cap):
+        live = live[norms[live] > residual_tol]
+        if not live.size:
             break
-        selected.append(b)
-        for (_, channels, columns), factor in zip(shares, factors):
-            factor.append(part.groups[b] if part.total_length == m else columns([b]))
-            resid[channels] = factor.resid.T
-        history.append(float(np.linalg.norm(resid)))
-    x = np.zeros((Phi.n_channels, m), dtype=complex)
-    for (_, channels, _), factor in zip(shares, factors):
-        x[np.ix_(channels, factor.cols)] = factor.coefficients().T
-    result = RecoveryResult(
-        estimates=x.reshape(1, -1),
-        selected_groups=selected,
-        residual_norms=np.array([history[-1]]),
-        iterations=len(selected),
-        diagnostics={"residual_history": history,
-                     "rank_deficient": any(f.deficient for f in factors)},
+        rows = slice(None) if live.size == n_sel else live
+        energies = part.energies(Phi.rmatvec(fit.residual), rows=not joint).reshape(n_sel, -1)[rows]
+        energies[taken[rows]] = -1.0
+        on = energies.max(axis=1) > 0
+        live, b = live[on], energies.argmax(axis=1)[on]
+        if not live.size:
+            break
+        taken[live, b] = True
+        for c, g in zip(live.tolist(), b.tolist()):
+            selected[c].append(g)
+        if joint:
+            fit.append_joint(part.groups[b[0]])
+        else:  # groups of one size are rows of a table
+            fit.append(live, [part.groups[g] for g in b] if table is None else table[b])
+        r = fit.residual
+        norms = np.sqrt((r.conj() * r).real.reshape(n_sel, -1).sum(axis=1))
+        history.append(math.hypot(*norms))
+    return RecoveryResult(
+        estimates=fit.estimates(),
+        selected_groups=selected[0] if joint else selected,
+        residual_norms=np.linalg.norm(fit.residual, axis=1),
+        iterations=sum(map(len, selected)),
+        diagnostics={"residual_history": history, "rank_deficient": bool(fit.lost)},
     )
-    return result, resid
 
 
 def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
@@ -337,15 +355,11 @@ def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
     G-OMP on the ensemble's block-diagonal operator with the per-channel
     partition: each iteration adds the group maximizing the correlation
     energy summed over channels and group members, then refits least squares
-    on the joint support, one factorization per transmit matrix for all its
+    on the joint support, one problem per transmit matrix for all its
     channels.  With singleton groups this is DCS-SOMP.  Returns the
     (n_channels, M) estimates and each channel's residual norm.
     """
-    res, resid = _g_omp(ensemble.operator(), ensemble.observations, part, max_groups,
-                        residual_tol)
-    res.estimates = res.estimates.reshape(ensemble.n_channels, -1)
-    res.residual_norms = np.linalg.norm(resid, axis=1)
-    return res
+    return _g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol, True)
 
 
 def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
@@ -363,7 +377,7 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    Phi.shares(part)  # validates the partition
+    Phi.per_block(part)  # validates the partition
     if part.sizes.min() != part.sizes.max():
         raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
@@ -463,7 +477,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     """
     Phi = _as_operator(Phi)
     y = np.asarray(y, dtype=complex)
-    Phi.shares(part)  # validates the partition
+    Phi.per_block(part)  # validates the partition
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     y_norm = float(np.linalg.norm(y))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from mgcs.channel import phi_kernel, psi_kernel
 from mgcs.errors import DomainError
@@ -88,6 +90,118 @@ def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_to
         resid = y - fit
         history.append(float(np.linalg.norm(resid)))
     return selected, x, history, rank_lost
+
+
+class GrownQRPerProblem:
+    """Least squares of the right-hand sides ``Y`` (Q x n) on a growing list
+    of columns of one matrix ``A``: a thin QR in its own buffers, grown by
+    block Gram-Schmidt with one re-orthogonalization pass and LAPACK's QR of
+    the new columns, and the minimum-norm ``lstsq`` on all selected columns
+    once a diagonal of R is at or below 1e-12 max(max |diag R|, 1) or the
+    columns outnumber the rows.  The reference for the stacked factor."""
+
+    def __init__(self, A, Y, width):
+        self.A, self.Y = A, Y
+        width = min(A.shape[0], width)
+        self.cols = np.zeros(0, dtype=np.intp)
+        self.Q = np.empty((A.shape[0], width), dtype=complex, order="F")
+        self.R = np.zeros((width, width), dtype=complex)
+        self.QhY = np.empty((width, Y.shape[1]), dtype=complex)
+        self.k = 0
+        self.diag = (np.inf, 0.0)
+        self.coef = None
+        self.resid = Y.copy()
+
+    @property
+    def deficient(self):
+        return self.coef is not None
+
+    def append(self, new):
+        if new.size == 0:
+            return
+        self.cols = np.concatenate([self.cols, new])
+        k, g = self.k, new.size
+        if not self.deficient and self.cols.size <= self.A.shape[0]:
+            Qk = self.Q[:, :k]
+            W = self.A[:, new]
+            C = zgemm(1.0, Qk, W, trans_a=2)
+            W -= Qk @ C
+            C2 = zgemm(1.0, Qk, W, trans_a=2)
+            W -= Qk @ C2
+            qr, tau, _, _ = zgeqrf(W, overwrite_a=True)
+            d = np.abs(qr.diagonal())
+            diag = min(self.diag[0], d.min()), max(self.diag[1], d.max())
+            if diag[0] > 1e-12 * max(diag[1], 1.0):
+                self.diag = diag
+                self.R[:k, k:k + g] = C + C2
+                self.R[k:k + g, k:k + g] = qr[:g]
+                q_new = self.Q[:, k:k + g]
+                q_new[...] = zungqr(qr, tau, overwrite_a=True)[0]
+                self.QhY[k:k + g] = q_new.conj().T @ self.Y
+                self.k = k + g
+                self.resid = self.Y - self.Q[:, :self.k] @ self.QhY[:self.k]
+                return
+        A = self.A[:, self.cols]
+        self.coef = np.linalg.lstsq(A, self.Y, rcond=None)[0]
+        self.resid = self.Y - A @ self.coef
+
+    def coefficients(self):
+        if self.deficient:
+            return self.coef
+        return solve_triangular(self.R[:self.k, :self.k], self.QhY[:self.k])
+
+
+def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
+    """Joint G-OMP with one :class:`GrownQRPerProblem` per least-squares
+    problem, appended one after the other: per transmit matrix with its
+    channels as right-hand sides under a partition of one block's columns,
+    else per channel on its share of each group.  Returns the result with the
+    stacked (1, n_channels M) estimate, as ``g_omp`` with ``joint=True``, and
+    the final (n_channels, Q) residual."""
+    Phi = _as_operator(Phi)
+    n_tx, q, m = Phi.blocks.shape
+    n_ch = Phi.n_channels
+    Y = np.asarray(y, dtype=complex).reshape(n_ch, q)
+    if part.total_length == m:
+        chans = np.arange(n_ch).reshape(-1, n_tx).T
+        shares = [(s, chans[s], part.columns) for s in range(n_tx)]
+    else:
+        def share(xi):
+            def columns(groups):
+                cols = part.columns(groups)
+                return cols[cols // m == xi] - xi * m
+            return columns
+        shares = [(xi % n_tx, np.array([xi]), share(xi)) for xi in range(n_ch)]
+    cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
+    width = cap * int(part.sizes.max())
+    factors = [GrownQRPerProblem(Phi.blocks[s], Y[channels].T, width)
+               for s, channels, _ in shares]
+    resid = Y.copy()
+    selected = []
+    history = [float(np.linalg.norm(resid))]
+    while len(selected) < cap and history[-1] > residual_tol:
+        energies = part.energies(Phi.rmatvec(resid))
+        energies[selected] = -1.0
+        b = int(np.argmax(energies))
+        if energies[b] <= 0:
+            break
+        selected.append(b)
+        for (_, channels, columns), factor in zip(shares, factors):
+            factor.append(columns([b]))
+            resid[channels] = factor.resid.T
+        history.append(float(np.linalg.norm(resid)))
+    x = np.zeros((n_ch, m), dtype=complex)
+    for (_, channels, _), factor in zip(shares, factors):
+        x[np.ix_(channels, factor.cols)] = factor.coefficients().T
+    result = RecoveryResult(
+        estimates=x.reshape(1, -1),
+        selected_groups=selected,
+        residual_norms=np.array([history[-1]]),
+        iterations=len(selected),
+        diagnostics={"residual_history": history,
+                     "rank_deficient": any(f.deficient for f in factors)},
+    )
+    return result, resid
 
 
 def g_cosamp_all_iterations(Phi, y, part, S, n_iters=30, residual_tol=0.0):

@@ -14,7 +14,7 @@ import pytest
 import mgcs.estimator
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
 from mgcs.partition import make_block_tiling, uniform_partition
-from mgcs.recovery import g_cosamp
+from mgcs.recovery import MeasurementEnsemble, g_cosamp, g_omp
 from mgcs.waveform import cp_ofdm_pulses
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -78,4 +78,22 @@ def test_cosamp_span_counts_read_the_result():
     counts = count(args, res)
     assert counts["recovery.g_cosamp.iters"] == res.iterations
     assert 1 <= res.iterations <= 15
+    assert counts["recovery.rank_deficient"] == int(res.diagnostics["rank_deficient"])
+
+
+def test_omp_span_counts_read_a_per_channel_result():
+    # per-channel G-OMP is one g_omp call per estimate: the recovery.g_omp
+    # span reads one selection list per channel and the call's rank-loss flag
+    count = next(c for _, attr, _, c in load_bench_module("spans").WRAP_POINTS
+                 if attr == "g_omp")
+    rng = np.random.default_rng(3)
+    mats = tuple(rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16)) for _ in range(2))
+    ens = MeasurementEnsemble(matrices=mats,
+                              observations=rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8)))
+    args = (ens.operator(), ens.observations, uniform_partition(16, 2))
+    res = g_omp(*args, max_groups=3, joint=False)
+    counts = count(args, res)
+    assert counts["recovery.g_omp.groups"] == len(res.selected_groups) == ens.n_channels
+    assert [len(g) for g in res.selected_groups] == [3] * ens.n_channels
+    assert counts["recovery.ls_calls"] == 1
     assert counts["recovery.rank_deficient"] == int(res.diagnostics["rank_deficient"])

@@ -23,7 +23,7 @@ from mgcs.harness import (
 )
 from mgcs.channel import FilterSpec
 from mgcs.waveform import FactoredIR, SystemConfig, cp_ofdm_pulses, identity_channel
-from mgcs.estimator import draw_pilots
+from mgcs.estimator import draw_pilots, normalized_mse
 
 
 def tiny_system():
@@ -132,7 +132,39 @@ class TestRunSweep:
         table = run_sweep(tiny_experiment(trials=2, solvers=("mgcs-somp",)))
         assert calls == ["mgcs-somp", "mgcs-somp"]
         assert table.failures.tolist() == [1]
+        assert table.failure_kinds == {(20.0, "mgcs-somp", "DomainError"): 1}
         assert np.isfinite(table.mean_mse_db).all()
+
+        # the second estimator fails on trial 1 of 3: the first one still
+        # runs there, but its mean leaves that trial out as well
+        calls.clear()
+        nmse = []
+
+        def fail_on_trial_1(name, *args, **kwargs):
+            calls.append(name)
+            if len(calls) == 4:
+                raise DomainError("forced")
+            return original(name, *args, **kwargs)
+
+        def record(*args):
+            nmse.append(normalized_mse(*args))
+            return nmse[-1]
+
+        monkeypatch.setattr(mgcs.harness, "run_estimator", fail_on_trial_1)
+        monkeypatch.setattr(mgcs.harness, "normalized_mse", record)
+        table = run_sweep(tiny_experiment(trials=3, solvers=("conv-omp", "mcs-somp")))
+        assert calls == ["conv-omp", "mcs-somp"] * 3
+        assert table.failures.tolist() == [1]
+        assert table.failure_kinds == {(20.0, "mcs-somp", "DomainError"): 1}
+        # recorded in call order: the failed call has no NMSE
+        assert len(nmse) == 5
+        conv, mcs = [nmse[0], nmse[2], nmse[3]], [nmse[1], nmse[4]]
+        assert table.cell(20.0, "conv-omp") == pytest.approx(
+            10 * np.log10((conv[0] + conv[2]) / 2), rel=1e-12)
+        assert table.cell(20.0, "mcs-somp") == pytest.approx(
+            10 * np.log10(sum(mcs) / 2), rel=1e-12)
+        assert table.cell(20.0, "conv-omp") != pytest.approx(
+            10 * np.log10(sum(conv) / 3), rel=1e-6)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

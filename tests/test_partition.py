@@ -196,6 +196,16 @@ class TestGroupIndex:
         # the channel-stacked vector gives the same joint energies
         np.testing.assert_allclose(p.energies(v.reshape(-1)), loop, rtol=1e-12)
 
+    @pytest.mark.parametrize("p", unequal_partitions())
+    def test_row_energies_are_each_rows_own(self, p):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+        rows = p.energies(v, rows=True)
+        assert rows.shape == (3, p.n_groups)
+        for row, vec in zip(rows, v):
+            np.testing.assert_array_equal(row, p.energies(vec))
+        np.testing.assert_array_equal(p.energies(v.reshape(-1), rows=True), rows)
+
     def test_energies_reject_a_length_that_is_not_a_multiple(self):
         with pytest.raises(DomainError):
             uniform_partition(4, 2).energies(np.ones(6))

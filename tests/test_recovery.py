@@ -34,7 +34,12 @@ from mgcs.recovery import (
     unstack_estimates,
 )
 from mgcs.waveform import cp_ofdm_pulses
-from oracles import fista_two_norm_passes, g_cosamp_all_iterations, g_omp_from_scratch
+from oracles import (
+    fista_two_norm_passes,
+    g_cosamp_all_iterations,
+    g_omp_from_scratch,
+    g_omp_per_problem,
+)
 
 
 def partial_dft(q, m, rng):
@@ -229,6 +234,172 @@ class TestGrownFactor:
         res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
                                          part, max_groups=max_groups)
         assert res.diagnostics["rank_deficient"] == (max_groups == 6)
+
+
+class TestStackedFactor:
+    """Every least-squares problem of a G-OMP call shares one stacked thin
+    QR; the oracle grows one factor per problem, appended one after the
+    other, and runs per-channel G-OMP as one call per channel."""
+
+    @staticmethod
+    def desk_calls(t):
+        # the four default estimators' solver calls on bench seed 1, trial t
+        cfg, config, scheme, ens, sigma_z = desk_trial(1, t)
+        grouped = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+        for name, part, joint in (("conv-omp", singleton_partition(cfg.jd), False),
+                                  ("gcs-omp", grouped, False),
+                                  ("mcs-somp", singleton_partition(cfg.jd), True),
+                                  ("mgcs-somp", grouped, True)):
+            n_ch = cfg.n_channels if joint else 1
+            opts = dict(max_groups=scheme.q // (2 * int(part.sizes[0])),
+                        residual_tol=float(np.sqrt(n_ch * scheme.q * cfg.K) * sigma_z))
+            yield name, ens, part, joint, opts
+
+    # trials 8, 12, 42, 49 and 53 each have a gcs-omp channel that loses rank
+    @pytest.mark.parametrize("t", [0, 1, 2, 8, 12, 42, 49, 53])
+    def test_desk_estimators_match_the_per_problem_oracle(self, t):
+        for name, ens, part, joint, opts in self.desk_calls(t):
+            x, res = mgcs.estimator._run_solver(ens, part, "g-omp", joint, opts)
+            if joint:
+                ref, resid = g_omp_per_problem(ens.operator(), ens.observations, part, **opts)
+                refs = [ref]
+                x_ref = ref.estimates.reshape(ens.n_channels, -1)
+                norms = np.linalg.norm(resid, axis=1)
+                assert res.selected_groups == ref.selected_groups, name
+            else:
+                refs = [g_omp_per_problem(ens.matrix_for(xi), ens.observations[xi], part,
+                                          **opts)[0] for xi in range(ens.n_channels)]
+                x_ref = np.array([r.x for r in refs])
+                norms = np.concatenate([r.residual_norms for r in refs])
+                assert res.selected_groups == [r.selected_groups for r in refs], name
+            assert res.iterations == sum(r.iterations for r in refs), name
+            flags = [r.diagnostics["rank_deficient"] for r in refs]
+            assert res.diagnostics["rank_deficient"] == any(flags), name
+            if name == "gcs-omp" and t in (8, 12, 42, 49, 53):
+                assert any(flags)
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref), name
+            np.testing.assert_allclose(res.residual_norms, norms, rtol=1e-12)
+
+    @staticmethod
+    def assert_one_call_is_per_channel_calls(ens, part, **opts):
+        res = g_omp(ens.operator(), ens.observations, part, joint=False, **opts)
+        singles = [g_omp(ens.matrix_for(xi), ens.observations[xi], part, **opts)
+                   for xi in range(ens.n_channels)]
+        assert res.selected_groups == [r.selected_groups for r in singles]
+        assert res.iterations == sum(r.iterations for r in singles)
+        assert res.diagnostics["rank_deficient"] == any(
+            r.diagnostics["rank_deficient"] for r in singles)
+        x = np.array([r.x for r in singles])
+        assert res.estimates.shape == x.shape
+        assert np.linalg.norm(res.estimates - x) <= 1e-12 * np.linalg.norm(x)
+        np.testing.assert_allclose(res.residual_norms,
+                                   [r.residual_norms[0] for r in singles], rtol=1e-12)
+        return res
+
+    @pytest.mark.parametrize("max_groups", [2, 3])
+    @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
+    def test_one_call_equals_single_matrix_calls(self, n_tx, n_rx, max_groups):
+        # structural identity: per-channel G-OMP in one call is n_ch separate
+        # single-matrix calls; at three groups of 3 some fits outnumber 8 rows
+        rng = np.random.default_rng(60 + 10 * n_tx + n_rx)
+        part = uniform_partition(24, 3)
+        ens = random_ensemble(rng, 8, 24, n_tx, n_rx, part=part, support=(1, 4, 6),
+                              noise=0.05)
+        res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=max_groups)
+        assert res.diagnostics["rank_deficient"] == (max_groups == 3)
+
+    def test_unequal_groups_in_one_call(self):
+        # channels that select groups of different sizes are extended in
+        # separate batches, as are channels that then hold unequal counts
+        rng = np.random.default_rng(61)
+        bounds = [0, 1, 3, 6, 7, 9, 12, 13, 16]
+        part = Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
+        ens = random_ensemble(rng, 10, 16, 2, 2, noise=1.0)
+        res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=4)
+        sizes = {tuple(int(part.sizes[b]) for b in g) for g in res.selected_groups}
+        assert len(sizes) > 1
+
+    def test_channels_stop_on_their_own(self):
+        # channel 0 reaches the tolerance after one group, channel 1 runs to
+        # the cap, channel 2 sees zero correlation from the start (its
+        # observation lives on rows where its block is zero) and channel 3
+        # reaches the tolerance after two groups
+        rng = np.random.default_rng(62)
+        part = uniform_partition(12, 2)
+        mats = [(rng.normal(size=(10, 12)) + 1j * rng.normal(size=(10, 12))) / np.sqrt(20)
+                for _ in range(2)]
+        mats[0][8:] = 0
+        obs = np.zeros((4, 10), dtype=complex)
+        obs[0] = mats[0] @ group_sparse_signal(part, (2,), rng)
+        obs[1] = rng.normal(size=10) + 1j * rng.normal(size=10)
+        obs[2, 9] = 1.0
+        obs[3] = mats[1] @ group_sparse_signal(part, (0, 4), rng)
+        ens = MeasurementEnsemble(matrices=tuple(mats), observations=obs)
+        opts = dict(max_groups=3, residual_tol=1e-9)
+        res = self.assert_one_call_is_per_channel_calls(ens, part, **opts)
+        assert [len(g) for g in res.selected_groups] == [1, 3, 0, 2]
+        assert res.selected_groups[0] == [2] and sorted(res.selected_groups[3]) == [0, 4]
+        norms = res.residual_norms
+        assert norms[0] <= 1e-9 and norms[3] <= 1e-9 and norms[1] > 1e-9
+        assert norms[2] == 1.0
+        for xi in range(ens.n_channels):
+            ref = g_omp_per_problem(ens.matrix_for(xi), obs[xi], part, **opts)[0]
+            assert res.selected_groups[xi] == ref.selected_groups
+            assert np.linalg.norm(res.estimates[xi] - ref.x) <= 1e-12 * max(
+                np.linalg.norm(ref.x), 1e-300)
+
+    @staticmethod
+    def nearly_dependent(rng, q, m, eps):
+        # columns 2.. lie within eps of the span of columns 0 and 1
+        base = rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))
+        mix = rng.normal(size=(2, m - 2)) + 1j * rng.normal(size=(2, m - 2))
+        noise = rng.normal(size=(q, m - 2)) + 1j * rng.normal(size=(q, m - 2))
+        return np.hstack([base, base @ mix + eps * noise])
+
+    def test_reorthogonalization_keeps_ill_conditioned_fits_accurate(self):
+        # channel 0's matrix has condition about 1e6, channel 1's is random:
+        # with every column selected each fit is the full least squares, which
+        # a single Gram-Schmidt pass would miss by about 1e-3
+        rng = np.random.default_rng(70)
+        mats = (self.nearly_dependent(rng, 12, 6, 1e-6),
+                rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
+        obs = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+        ens = MeasurementEnsemble(matrices=mats, observations=obs)
+        res = g_omp(ens.operator(), obs, singleton_partition(6), joint=False)
+        assert not res.diagnostics["rank_deficient"]
+        for xi in range(2):
+            ref = np.linalg.lstsq(mats[xi], obs[xi], rcond=None)[0]
+            assert np.linalg.norm(res.estimates[xi] - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("eps,lost", [(1e-10, False), (1e-15, True)])
+    def test_rank_rule_threshold(self, eps, lost):
+        # a diagonal of R near eps |column| against the 1e-12 relative rule;
+        # past it, the minimum-norm fit on the columns in selection order
+        rng = np.random.default_rng(71)
+        A = self.nearly_dependent(rng, 12, 3, eps)
+        y = rng.normal(size=12) + 1j * rng.normal(size=12)
+        res = g_omp(A, y, singleton_partition(3))
+        assert res.iterations == 3 and res.diagnostics["rank_deficient"] == lost
+        if lost:
+            ref = np.zeros(3, dtype=complex)
+            ref[res.selected_groups] = np.linalg.lstsq(A[:, res.selected_groups], y,
+                                                       rcond=None)[0]
+            assert np.linalg.norm(res.x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_per_channel_mode_needs_a_one_block_partition(self):
+        rng = np.random.default_rng(63)
+        ens = random_ensemble(rng, 6, 8, 2, 2)
+        with pytest.raises(DomainError):
+            g_omp(ens.operator(), ens.observations, uniform_partition(32, 2), joint=False)
+
+    def test_ensemble_stores_its_matrices_once(self):
+        rng = np.random.default_rng(64)
+        ens = random_ensemble(rng, 6, 8, 2, 2)
+        assert ens.blocks.shape == (2, 6, 8)
+        for s, mat in enumerate(ens.matrices):
+            assert np.shares_memory(mat, ens.blocks)
+            np.testing.assert_array_equal(mat, ens.blocks[s])
+        assert ens.operator().blocks is ens.blocks
 
 
 class TestGOmpRankLoss:
