@@ -169,25 +169,32 @@ def _blocks_of(basis_or_blocks, J, D):
     return blocks
 
 
-def _block_energies(blocks, C, dm, di):
-    """Joint energies of the coefficient tensors V_m C_m: (R, D/dm, J/di) sums
-    of |.|^2 over each dm x di block and all channels.  blocks: (D, J, J),
-    C: (R, D, J, Xi)."""
+def _block_energies(blocks, C, di):
+    """Joint energies of one delay column's coefficient tensors V_m C_m:
+    (R, J/di) sums of |.|^2 over each dm x di block and all channels.
+    blocks: (dm, J, J), C: (R, dm, J, Xi)."""
     W = blocks @ C
-    R, D, J, _ = W.shape
+    R, dm, J, _ = W.shape
     parts = W.view(float)  # Re, Im side by side; squared in place to keep no copy
     e = np.square(parts, out=parts).sum(axis=3)
-    return e.reshape(R, D // dm, dm, J // di, di).sum(axis=(2, 4))
+    return e.reshape(R, dm, J // di, di).sum(axis=(1, 3))
 
 
 def mc_objective(basis_or_blocks, samples, tiling):
     """Monte-Carlo joint-group-sparsity objective: the summed block-Frobenius
-    norm of the coefficient tensors over all prior samples."""
+    norm of the coefficient tensors over all prior samples.  The energies are
+    filled one delay column (dm delays) at a time, so only that column's
+    coefficients are ever held."""
     if samples.C is None:
         raise DomainError("samples carry no kernel matrices; attach them first")
     blocks = _blocks_of(basis_or_blocks, tiling.J, tiling.D)
-    C = samples.C.reshape(samples.n_samples, tiling.D, tiling.J, samples.n_channels)
-    return float(np.sqrt(_block_energies(blocks, C, tiling.dm, tiling.di)).sum())
+    dm, R = tiling.dm, samples.n_samples
+    C = samples.C.reshape(R, tiling.D, tiling.J, samples.n_channels)
+    e = np.empty((R, tiling.D // dm, tiling.J // tiling.di))
+    for g in range(tiling.D // dm):
+        d = slice(g * dm, (g + 1) * dm)
+        e[:, g] = _block_energies(blocks[d], C[:, d], tiling.di)
+    return float(np.sqrt(e).sum())
 
 
 def hermitian_unitary_exp(A):
@@ -203,7 +210,7 @@ def hermitian_unitary_exp(A):
 def _subproblem_objective(v_sub, C_sub, di, smoothing=0.0):
     """Objective restricted to one delay column: sum over samples and Doppler
     blocks of the joint Frobenius norms.  C_sub: (R, dm, J, Xi)."""
-    e = _block_energies(v_sub, C_sub, v_sub.shape[0], di)
+    e = _block_energies(v_sub, C_sub, di)
     return float(np.sqrt(e + smoothing).sum())
 
 

@@ -10,10 +10,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError
 from .waveform import FactoredIR, ambiguity_table
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ class Partition:
     channels), so they are stored as explicit index arrays: views into the
     flat index ``perm``, the groups' members in group order, where group b
     occupies ``perm[starts[b]:starts[b] + sizes[b]]``; ``group_of[j]`` is the
-    group of column j.  These arrays are read-only, so one partition can be
-    shared by every caller.
+    group of column j, and ``identity`` says whether the groups are the
+    singletons {0}, {1}, ... in order.  These arrays are read-only, so one
+    partition can be shared by every caller.
     """
 
     total_length: int
@@ -33,6 +34,7 @@ class Partition:
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     group_of: np.ndarray = field(init=False, repr=False, compare=False)
+    identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = self.total_length
@@ -61,6 +63,8 @@ class Partition:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "group_of", group_of)
+        object.__setattr__(self, "identity",
+                           sizes.size == M and bool((perm == np.arange(M)).all()))
 
     @property
     def n_groups(self):
@@ -78,9 +82,11 @@ class Partition:
         if v.size % self.total_length:
             raise DomainError("vector length does not match partition")
         per_entry = np.abs(v.reshape(-1, self.total_length)) ** 2
-        if rows:
-            return np.add.reduceat(per_entry.take(self.perm, axis=1), self.starts, axis=1)
-        return np.add.reduceat(per_entry.sum(axis=0)[self.perm], self.starts)
+        if not rows:
+            per_entry = per_entry.sum(axis=0)
+        if self.identity:  # singletons in order: each group's energy is its entry's
+            return per_entry
+        return np.add.reduceat(per_entry.take(self.perm, axis=-1), self.starts, axis=-1)
 
     def expand(self, per_group):
         """Length-M vector holding ``per_group[b]`` at every member of group b."""

@@ -252,16 +252,8 @@ class BlockDiagonalOperator:
 
     def lipschitz(self):
         """||Phi||_2^2: the largest top eigenvalue of the per-transmit Gram
-        matrices, each the smaller Gram formed by a Hermitian rank-k update on
-        the transposed view (conj(A A^H) when Q <= M, else conj(A^H A)), upper
-        triangle only, with no copy of the block."""
-        from scipy.linalg.blas import zherk
-
-        _, q, m = self.blocks.shape
-        return max(
-            float(np.linalg.eigvalsh(zherk(1.0, A.T, trans=2 if q <= m else 0), UPLO="U")[-1])
-            for A in self.blocks
-        )
+        matrices, each the smaller one (see :func:`_small_gram`)."""
+        return max(float(np.linalg.eigvalsh(_small_gram(A))[-1]) for A in self.blocks)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -271,6 +263,24 @@ class BlockDiagonalOperator:
         for xi in range(self.n_channels):
             dense[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = self.blocks[xi % n_tx]
         return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+# block elements conjugated at once in _small_gram; bounds the copy
+_GRAM_BLOCK = 1 << 18
+
+
+def _small_gram(A):
+    """A A^H when A has no more rows than columns, else conj(A^H A) (the
+    Gram of A^T, with the same eigenvalues), accumulated over column chunks
+    of at most ``_GRAM_BLOCK`` elements, so the block is never copied whole."""
+    B = A if A.shape[0] <= A.shape[1] else A.T
+    n, k = B.shape
+    step = max(1, _GRAM_BLOCK // n)
+    gram = np.zeros((n, n), dtype=complex)
+    for lo in range(0, k, step):
+        chunk = B[:, lo:lo + step]
+        gram += chunk @ chunk.conj().T
+    return gram
 
 
 def _as_operator(Phi):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zgemm, zherk
 from scipy.linalg.lapack import zgeqrf, zungqr
 
 from mgcs.channel import phi_kernel, psi_kernel
@@ -282,6 +282,18 @@ def fista_two_norm_passes(Phi, y, lam, part, lip, x0, max_iter):
             converged = True
             break
     return x, float(np.linalg.norm(px - y)), n_done, converged
+
+
+def lipschitz_by_zherk(blocks):
+    """||Phi||_2^2 of the operator over ``blocks`` (n_tx, Q, M): the largest
+    top eigenvalue of the per-block smaller Gram matrices, each formed by a
+    BLAS Hermitian rank-k update on the transposed view (conj(A A^H) when
+    Q <= M, else conj(A^H A)), upper triangle only, with no copy of the block."""
+    _, q, m = blocks.shape
+    return max(
+        float(np.linalg.eigvalsh(zherk(1.0, A.T, trans=2 if q <= m else 0), UPLO="U")[-1])
+        for A in blocks
+    )
 
 
 def leakage_kernel(paths, p, chan, m, i, filters, cfg):

@@ -1,5 +1,7 @@
 """Tests for the prior sampling, kernel matrices and basis optimization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,22 @@ class TestMcObjective:
             for r in range(samples.n_samples)
         )
         assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_never_holds_the_whole_coefficient_tensor(self):
+        # desk system, R=256: the (R, D, J, n_channels) coefficients V C are
+        # 4 MB; one delay column's are 256 kB
+        config = desk_experiment(0)
+        cfg = config.system
+        samples, _ = self.setup_samples(cfg, R=256)
+        tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+        basis = BasisSpec.dft(cfg.J, cfg.D)
+        tracemalloc.start()
+        try:
+            mc_objective(basis, samples, tiling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_dft_blocks_on_grid_sample_matches_f_norm(self):
         # single on-grid sample: the objective equals sqrt(JD) ||F||_{F|P} of

@@ -206,6 +206,22 @@ class TestGroupIndex:
             np.testing.assert_array_equal(row, p.energies(vec))
         np.testing.assert_array_equal(p.energies(v.reshape(-1), rows=True), rows)
 
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_singleton_energies_are_the_entries_exactly(self, rows):
+        # in order, the energies skip the gather and the group sums; out of
+        # order they take them; either way they are the entries' |.|^2, bit for bit
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=(4, 11)) + 1j * rng.normal(size=(4, 11))
+        per_entry = np.abs(v) ** 2 if rows else (np.abs(v) ** 2).sum(axis=0)
+        ordered = singleton_partition(11)
+        shuffled = Partition(11, tuple(rng.permutation(11)[:, None]))
+        assert ordered.identity and uniform_partition(11, 1).identity
+        assert not shuffled.identity
+        assert not any(p.identity for p in unequal_partitions())
+        np.testing.assert_array_equal(ordered.energies(v, rows=rows), per_entry)
+        np.testing.assert_array_equal(shuffled.energies(v, rows=rows),
+                                      per_entry[..., shuffled.perm])
+
     def test_energies_reject_a_length_that_is_not_a_multiple(self):
         with pytest.raises(DomainError):
             uniform_partition(4, 2).energies(np.ones(6))

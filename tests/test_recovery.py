@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import mgcs.estimator
 import mgcs.recovery
 from mgcs.channel import FilterSpec
 from mgcs.errors import BudgetExceededError, DomainError
-from mgcs.estimator import BasisSpec, collect_measurements, draw_pilots
+from mgcs.estimator import BasisSpec, build_phi, collect_measurements, draw_pilots
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
 from mgcs.partition import (
     Partition,
@@ -39,6 +40,7 @@ from oracles import (
     g_cosamp_all_iterations,
     g_omp_from_scratch,
     g_omp_per_problem,
+    lipschitz_by_zherk,
 )
 
 
@@ -717,6 +719,47 @@ class TestGBpdn:
             for key in ("penalty_solves", "inner_cap_hits", "lambda"):
                 assert res.diagnostics[key] == ref.diagnostics[key]
             assert np.linalg.norm(res.x - ref.x) <= 1e-13 * np.linalg.norm(ref.x)
+
+
+class TestLipschitz:
+    @staticmethod
+    def desk_blocks(seed):
+        config = desk_experiment(seed)
+        cfg = config.system
+        scheme = draw_pilots(cfg, np.random.SeedSequence([seed, 7919]), q=config.q)
+        return build_phi(scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2718])
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_matches_the_zherk_gram(self, seed, tall, monkeypatch):
+        # desk blocks (Q = 48 < M = 256) and their transposes (Q > M), in one
+        # chunk and in chunks of 3 columns or rows with a partial last chunk
+        blocks = self.desk_blocks(seed)
+        if tall:
+            blocks = blocks.transpose(0, 2, 1).copy()
+        Phi = BlockDiagonalOperator(blocks, 2 * blocks.shape[0])
+        expect = lipschitz_by_zherk(blocks)
+        assert Phi.lipschitz() == pytest.approx(expect, rel=1e-14)
+        monkeypatch.setattr(mgcs.recovery, "_GRAM_BLOCK", 3 * min(blocks.shape[1:]))
+        assert Phi.lipschitz() == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_never_copies_the_whole_block(self, tall, monkeypatch):
+        # a 4 MB block in chunks of 2^14 elements (256 kB): the traced peak
+        # stays far below one copy of the block
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(64, 4096)) + 1j * rng.normal(size=(64, 4096))
+        blocks = (A.T if tall else A)[None]
+        Phi = BlockDiagonalOperator(blocks, 1)
+        monkeypatch.setattr(mgcs.recovery, "_GRAM_BLOCK", 1 << 14)
+        tracemalloc.start()
+        try:
+            lip = Phi.lipschitz()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
+        assert lip == pytest.approx(lipschitz_by_zherk(blocks), rel=1e-14)
 
 
 class TestGDcsSomp:
