@@ -14,7 +14,7 @@ import numpy as np
 from .channel import phi_kernel  # noqa: F401 (an attribute the bench tracer wraps)
 from .channel import phi_profiles, psi_kernel
 from .errors import ConfigurationError, DomainError
-from .estimator import BasisSpec, dft_block
+from .estimator import BasisSpec, dft_block, first_non_unitary
 from .waveform import ambiguity_table
 
 
@@ -126,16 +126,11 @@ class CKernelTable:
         X = self.amb_conj @ self.psi(nus).transpose(1, 2, 0)  # (J, D, len(nus))
         return (self.cfg.J * self.signs[:, None, None]) * np.fft.ifft(X, axis=0)
 
-    def c_matrix(self, nu):
-        """(D, J) matrix of C^(nu)[m, lambda]."""
-        X = (self.amb_conj * self.psi([nu])[0][:, None, :]).sum(axis=2)  # (J, D)
-        return (self.signs[:, None] * self.cfg.J * np.fft.ifft(X, axis=0)).T
-
 
 def build_C_matrix(taus, nus, pulses, cfg, filters, table=None):
-    """Kernel matrix of one prior sample: column xi stacks the per-delay
-    blocks sqrt(D) phi^(nu)(m - tau/Ts) C^(nu)[m, :].  All channels share
-    one ``phi_profiles`` call and one batched kernel product."""
+    """Kernel matrices of delay/Doppler pairs: column xi stacks the per-delay
+    blocks sqrt(D) phi^(nu)(m - tau/Ts) C^(nu)[m, :] of pair xi.  All pairs
+    share one ``phi_profiles`` call and one batched kernel product."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     if table is None:
@@ -145,14 +140,20 @@ def build_C_matrix(taus, nus, pulses, cfg, filters, table=None):
     return C.transpose(1, 0, 2).reshape(cfg.jd, len(taus))
 
 
+# samples per build_C_matrix call: 4 gives the same bits as one call per
+# sample in about half the time; larger blocks cost peak memory for little
+_SAMPLE_BLOCK = 4
+
+
 def attach_kernels(samples, pulses, cfg, filters):
-    """Precompute the kernel matrix of every sample."""
+    """Kernel matrices of all samples, ``_SAMPLE_BLOCK`` samples per call."""
     table = CKernelTable(pulses, cfg)
     C = np.empty((samples.n_samples, cfg.jd, samples.n_channels), dtype=complex)
-    for rho in range(samples.n_samples):
-        C[rho] = build_C_matrix(
-            samples.taus[rho], samples.nus[rho], pulses, cfg, filters, table=table
-        )
+    for lo in range(0, samples.n_samples, _SAMPLE_BLOCK):
+        rho = slice(lo, lo + _SAMPLE_BLOCK)
+        block = build_C_matrix(samples.taus[rho].ravel(), samples.nus[rho].ravel(),
+                               pulses, cfg, filters, table=table)
+        C[rho] = block.reshape(cfg.jd, -1, samples.n_channels).transpose(1, 0, 2)
     return replace(samples, C=C)
 
 
@@ -162,39 +163,37 @@ def _blocks_of(basis_or_blocks, J, D):
             return np.broadcast_to(dft_block(J), (D, J, J)).copy()
         return basis_or_blocks.blocks
     blocks = np.asarray(basis_or_blocks, dtype=complex)
-    gram = blocks.conj().transpose(0, 2, 1) @ blocks
-    off = np.abs(gram - np.eye(blocks.shape[1])).max(axis=(1, 2))
-    if (off > 1e-10).any():
-        raise DomainError(f"basis block {int(np.argmax(off > 1e-10))} is not unitary")
+    bad = first_non_unitary(blocks)
+    if bad is not None:
+        raise DomainError(f"basis block {bad} is not unitary")
     return blocks
 
 
 def _block_energies(blocks, C, di):
     """Joint energies of one delay column's coefficient tensors V_m C_m:
     (R, J/di) sums of |.|^2 over each dm x di block and all channels.
-    blocks: (dm, J, J), C: (R, dm, J, Xi)."""
+    blocks: (dm, J, J), C: (R, dm, J, Xi).  The squared Re and Im parts are
+    summed per block by one product with a 0/1 block-indicator matrix."""
     W = blocks @ C
-    R, dm, J, _ = W.shape
+    R, dm, J, xi = W.shape
     parts = W.view(float)  # Re, Im side by side; squared in place to keep no copy
-    e = np.square(parts, out=parts).sum(axis=3)
-    return e.reshape(R, dm, J // di, di).sum(axis=(1, 3))
+    np.square(parts, out=parts)
+    doppler_block = np.repeat(np.arange(J) // di, 2 * xi)  # of each (lambda, part)
+    indicator = np.tile(doppler_block, dm)[:, None] == np.arange(J // di)
+    return parts.reshape(R, -1) @ indicator.astype(float)
 
 
 def mc_objective(basis_or_blocks, samples, tiling):
     """Monte-Carlo joint-group-sparsity objective: the summed block-Frobenius
-    norm of the coefficient tensors over all prior samples.  The energies are
-    filled one delay column (dm delays) at a time, so only that column's
-    coefficients are ever held."""
+    norm of the coefficient tensors over all prior samples, summed one delay
+    column (dm delays) at a time, so only that column's coefficients are
+    ever held."""
     if samples.C is None:
         raise DomainError("samples carry no kernel matrices; attach them first")
     blocks = _blocks_of(basis_or_blocks, tiling.J, tiling.D)
-    dm, R = tiling.dm, samples.n_samples
-    C = samples.C.reshape(R, tiling.D, tiling.J, samples.n_channels)
-    e = np.empty((R, tiling.D // dm, tiling.J // tiling.di))
-    for g in range(tiling.D // dm):
-        d = slice(g * dm, (g + 1) * dm)
-        e[:, g] = _block_energies(blocks[d], C[:, d], tiling.di)
-    return float(np.sqrt(e).sum())
+    C = samples.C.reshape(samples.n_samples, tiling.D, tiling.J, samples.n_channels)
+    return sum(_subproblem_objective(blocks[m:m + tiling.dm], C[:, m:m + tiling.dm], tiling.di)
+               for m in range(0, tiling.D, tiling.dm))
 
 
 def hermitian_unitary_exp(A):
@@ -210,8 +209,7 @@ def hermitian_unitary_exp(A):
 def _subproblem_objective(v_sub, C_sub, di, smoothing=0.0):
     """Objective restricted to one delay column: sum over samples and Doppler
     blocks of the joint Frobenius norms.  C_sub: (R, dm, J, Xi)."""
-    e = _block_energies(v_sub, C_sub, di)
-    return float(np.sqrt(e + smoothing).sum())
+    return float(np.sqrt(_block_energies(v_sub, C_sub, di) + smoothing).sum())
 
 
 def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54):
@@ -241,52 +239,54 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54)
     and Im of the upper triangle) Q.  The gradient needs only the weighted
     Grams H_k = sum_rho w[rho, k] G_rho, one more real product.  A block
     energy that rounds below zero (an almost empty block) is clamped to zero.
+    Packing and unpacking are each one ``take`` on the float view.
     """
     if eps_bound <= 0:
         raise DomainError("eps_bound must be positive")
     dm, J = v_sub.shape[0], v_sub.shape[1]
     R, nb = C_sub.shape[0], J // di
-    iu = np.triu_indices(J, 1)
-    n_up, diag = iu[0].size, np.arange(J)
-
-    def features(H):  # (..., J, J) Hermitian -> (..., J^2): diag, Re, Im of upper
-        upper = H[..., iu[0], iu[1]]
-        return np.concatenate([H[..., diag, diag].real, upper.real, upper.imag], axis=-1)
+    # float-view positions (Re, Im interleaved) of the features
+    upper = 2 * np.flatnonzero(np.triu(np.ones((J, J)), 1))
+    pack = np.concatenate([2 * (J + 1) * np.arange(J), upper, upper + 1])
+    weights = np.repeat([1.0, 2.0, -2.0], [J, upper.size, upper.size])
+    # and back: each float of a Hermitian matrix is the feature of its own or
+    # its mirrored entry over the weight, Im negated below the diagonal
+    feature = np.zeros((J, J, 2), dtype=int)
+    feature.flat[pack] = np.arange(J * J)
+    unpack = np.maximum(feature, feature.transpose(1, 0, 2)).ravel()
+    row, col = np.indices((J, J))
+    scale = np.stack([np.ones((J, J)), np.sign(col - row)], axis=-1).ravel() / weights[unpack]
 
     M = v_sub @ C_sub  # (R, dm, J, Xi)
     gram = M @ np.conj(M.transpose(0, 1, 3, 2))
-    weights = np.concatenate([np.ones(J), np.full(n_up, 2.0), np.full(n_up, -2.0)])
     # the features of a sample's dm Grams side by side: (R, dm * J^2)
-    F = (features(gram) * weights).reshape(R, dm * J * J)
+    F = (gram.view(float).reshape(R, dm, 2 * J * J).take(pack, axis=2) * weights).reshape(R, -1)
+    Ft = np.ascontiguousarray(F.T)
     eye = np.eye(J)
     cap = eps_bound * (1 - 1e-9)
 
     def clip(A):
+        # Y - step * g is exactly Hermitian, and the scaling keeps conjugate pairs
         mag = np.abs(A)
         over = mag > cap
-        A = np.where(over, A * (cap / np.where(over, mag, 1.0)), A)
-        return 0.5 * (A + np.conj(A.transpose(0, 2, 1)))
+        return np.where(over, A * (cap / np.where(over, mag, 1.0)), A)
 
     def objective(A):
         B = eye + 1j * A
-        rows = B.reshape(dm, nb, di, J)
-        Q = rows.transpose(0, 1, 3, 2) @ np.conj(rows)  # (dm, nb, J, J)
-        K = features(Q).transpose(1, 0, 2).reshape(nb, dm * J * J)
-        e = np.maximum(F @ K.T, 0.0)  # (R, nb)
+        rows = B.reshape(dm, nb, di, J).transpose(1, 0, 2, 3)  # (nb, dm, di, J)
+        Q = rows.transpose(0, 1, 3, 2) @ np.conj(rows)  # (nb, dm, J, J)
+        K = Q.view(float).reshape(nb, dm, 2 * J * J).take(pack, axis=2)
+        e = np.maximum(F @ K.reshape(nb, dm * J * J).T, 0.0)  # (R, nb)
         return float(np.sqrt(e + smoothing).sum()), B, e
 
     def gradient(B, e):
         # differential Re tr(dA Gamma) with Gamma[:, c] = j H_k conj(B[c, :]),
         # k = c // di, H_k = sum_rho w[rho, k] G_rho, w = 1/sqrt(E + mu)
         w = 1.0 / np.sqrt(e + smoothing)
-        P = (w.T @ F).reshape(nb, dm, J * J).transpose(1, 0, 2)
-        H = np.empty((dm, nb, J, J), dtype=complex)
-        upper = 0.5 * (P[..., J:J + n_up] - 1j * P[..., J + n_up:])
-        H[..., iu[0], iu[1]] = upper
-        H[..., iu[1], iu[0]] = np.conj(upper)
-        H[..., diag, diag] = P[..., :J]
-        rows = np.conj(B).reshape(dm, nb, di, J).transpose(0, 1, 3, 2)
-        gam = 1j * (H @ rows).transpose(0, 2, 1, 3).reshape(dm, J, J)
+        P = (Ft @ w).T.reshape(nb, dm, J * J)
+        H = (P.take(unpack, axis=2) * scale).view(complex).reshape(nb, dm, J, J)
+        rows = np.conj(B).reshape(dm, nb, di, J).transpose(1, 0, 3, 2)  # (nb, dm, J, di)
+        gam = 1j * (H @ rows).transpose(1, 2, 0, 3).reshape(dm, J, J)
         return 0.5 * (gam + np.conj(gam.transpose(0, 2, 1)))
 
     A = np.zeros((dm, J, J), dtype=complex)
@@ -370,9 +370,7 @@ def optimize_blocks(samples, tiling, pulses, cfg, max_iters=50):
                 eps *= 0.5
         blocks[sel] = v_sub
         histories.append(history)
-    diags = OptimizeDiagnostics(
-        objective_history=histories,
-        initial_objective=mc_objective(BasisSpec.dft(J, D), samples, tiling),
-        final_objective=mc_objective(blocks, samples, tiling),
-    )
-    return BasisSpec.from_blocks(blocks), diags
+    # summed over the columns, the first and last values are mc_objective of
+    # the DFT and of the returned blocks
+    first, last = (sum(h[k] for h in histories) for k in (0, -1))
+    return BasisSpec.from_blocks(blocks), OptimizeDiagnostics(histories, first, last)

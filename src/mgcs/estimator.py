@@ -45,10 +45,9 @@ class BasisSpec:
             blocks = np.asarray(self.blocks, dtype=complex)
             if blocks.shape != (self.D, self.J, self.J):
                 raise ConfigurationError("blocks must have shape (D, J, J)")
-            eye = np.eye(self.J)
-            for m in range(self.D):
-                if np.abs(blocks[m].conj().T @ blocks[m] - eye).max() > 1e-10:
-                    raise ConfigurationError(f"basis block {m} is not unitary")
+            bad = first_non_unitary(blocks)
+            if bad is not None:
+                raise ConfigurationError(f"basis block {bad} is not unitary")
             object.__setattr__(self, "blocks", blocks)
 
     @classmethod
@@ -90,6 +89,13 @@ class BasisSpec:
         if np.abs(U.conj().T @ U - np.eye(J * D)).max() > 1e-10:
             raise ConfigurationError("assembled basis is not unitary")
         return U
+
+
+def first_non_unitary(blocks):
+    """Index of the first (J, J) block with V^H V off I by over 1e-10, or None."""
+    gram = np.conj(blocks.transpose(0, 2, 1)) @ blocks
+    bad = np.abs(gram - np.eye(blocks.shape[-1])).max(axis=(1, 2)) > 1e-10
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def dft_block(J):
@@ -295,21 +301,17 @@ def expand_coeffs(g_tensor, basis, cfg):
     Under the DFT basis the subsampled detour reduces to F = G / sqrt(JD).
     """
     g_tensor = np.asarray(g_tensor, dtype=complex)
-    D, J, n_ch = g_tensor.shape
+    D, J, _ = g_tensor.shape
     if basis.is_dft:
         f_tensor = g_tensor / np.sqrt(J * D)
         h_sub = None
     else:
-        f_tensor = np.empty_like(g_tensor)
-        h_sub = np.empty((J, D, n_ch), dtype=complex)
-        for xi in range(n_ch):
-            T = np.stack([np.conj(basis.block(m)).T @ g_tensor[m, :, xi] for m in range(D)])
-            # (m, lambda) -> subsampled grid (lambda, kappa)
-            hs = np.fft.fft(T, axis=0).T / np.sqrt(D)
-            h_sub[:, :, xi] = hs
-            # invert the subsampled 2D DFT back to the rectangle
-            F = np.fft.fft(np.fft.ifft(hs, axis=1), axis=0) / J  # (i mod J, m)
-            f_tensor[:, :, xi] = np.fft.fftshift(F, axes=0).T
+        # V_m^H g_m of every delay and channel, then (m, lambda) -> grid (lambda, kappa)
+        T = np.conj(basis.blocks.transpose(0, 2, 1)) @ g_tensor
+        h_sub = np.fft.fft(T, axis=0).transpose(1, 0, 2) / np.sqrt(D)
+        # invert the subsampled 2D DFT back to the rectangle
+        F = np.fft.fft(np.fft.ifft(h_sub, axis=1), axis=0) / J  # (i mod J, m, xi)
+        f_tensor = np.fft.fftshift(F, axes=0).transpose(1, 0, 2)
     h_full = expand_rectangle_to_grid(f_tensor, cfg)
     return h_full, f_tensor, h_sub
 

@@ -354,6 +354,31 @@ def c_kernel(nu, m, lam, pulses, cfg):
     return total
 
 
+def c_matrix(table, nu):
+    """(D, J) matrix of C^(nu)[m, lambda] from a ``CKernelTable``, one
+    Doppler at a time: the elementwise product with the psi row summed over
+    q, then the inverse DFT over the Doppler rows."""
+    X = (table.amb_conj * table.psi([nu])[0][:, None, :]).sum(axis=2)  # (J, D)
+    return (table.signs[:, None] * table.cfg.J * np.fft.ifft(X, axis=0)).T
+
+
+def expand_coeffs_loop(g_tensor, basis, D, J):
+    """Per-channel route of the non-DFT expansion: per delay m the
+    matrix-vector product V_m^H g_m, the DFT over m to the subsampled grid,
+    and the inverse subsampled 2D DFT back to the rectangle.  Returns
+    (f_tensor, h_sub)."""
+    n_ch = g_tensor.shape[2]
+    f_tensor = np.empty_like(g_tensor)
+    h_sub = np.empty((J, D, n_ch), dtype=complex)
+    for xi in range(n_ch):
+        T = np.stack([np.conj(basis.block(m)).T @ g_tensor[m, :, xi] for m in range(D)])
+        hs = np.fft.fft(T, axis=0).T / np.sqrt(D)
+        h_sub[:, :, xi] = hs
+        F = np.fft.fft(np.fft.ifft(hs, axis=1), axis=0) / J  # (i mod J, m)
+        f_tensor[:, :, xi] = np.fft.fftshift(F, axes=0).T
+    return f_tensor, h_sub
+
+
 def explicit_convex_subproblem(v_sub, eps_bound, C_sub, di, smoothing):
     """The convexified basis-update subproblem on the explicit coefficients
     W_m = (I + jA_m) V_m C_m, flattened to (J, R * Xi).  Returns

@@ -34,6 +34,7 @@ from mgcs.waveform import (
     effective_coeffs,
     modulate,
 )
+from oracles import expand_coeffs_loop
 
 KRON = FilterSpec(kind="kronecker")
 
@@ -109,6 +110,13 @@ class TestBasis:
     def test_non_unitary_block_rejected(self):
         blocks = np.ones((2, 2, 2), dtype=complex)
         with pytest.raises(ConfigurationError):
+            BasisSpec.from_blocks(blocks)
+
+    def test_names_the_first_non_unitary_block(self):
+        blocks = random_unitary_blocks(5, 4, np.random.default_rng(2))
+        blocks[2, 1, 3] += 1e-8
+        blocks[4] *= 2
+        with pytest.raises(ConfigurationError, match=r"^basis block 2 is not unitary$"):
             BasisSpec.from_blocks(blocks)
 
 
@@ -548,6 +556,19 @@ class TestNormChain:
             assert np.linalg.norm(h1[:, :, xi] - h2[:, :, xi]) == pytest.approx(
                 ratio * np.linalg.norm(g1[:, :, xi] - g2[:, :, xi]), rel=1e-10
             )
+
+    @pytest.mark.parametrize("n_ch", [1, 4])
+    def test_batched_expansion_matches_the_per_channel_loop(self, n_ch):
+        rng = np.random.default_rng(41)
+        cfg = cfg_2x2()
+        basis = BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng))
+        shape = (cfg.D, cfg.J, n_ch)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        _, f_tensor, h_sub = expand_coeffs(g, basis, cfg)
+        f_ref, h_ref = expand_coeffs_loop(g, basis, cfg.D, cfg.J)
+        for got, ref in ((f_tensor, f_ref), (h_sub, h_ref)):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_subsampled_energy_identity(self):
         rng = np.random.default_rng(40)
