@@ -206,10 +206,10 @@ def hermitian_unitary_exp(A):
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
-def _subproblem_objective(v_sub, C_sub, di, smoothing=0.0):
+def _subproblem_objective(v_sub, C_sub, di):
     """Objective restricted to one delay column: sum over samples and Doppler
     blocks of the joint Frobenius norms.  C_sub: (R, dm, J, Xi)."""
-    return float(np.sqrt(_block_energies(v_sub, C_sub, di) + smoothing).sum())
+    return float(np.sqrt(_block_energies(v_sub, C_sub, di)).sum())
 
 
 def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54):

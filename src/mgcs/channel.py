@@ -42,6 +42,10 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in ("kronecker", "rrc"):
             raise DomainError(f"unknown filter kind {self.kind!r}")
+        if not 0 < self.rolloff <= 1:
+            raise DomainError(f"rolloff must lie in (0, 1], got {self.rolloff}")
+        if self.oversampling < 1:
+            raise DomainError("oversampling must be at least 1")
 
 
 def _rrc_impulse(u, beta):
@@ -283,13 +287,10 @@ class PathSet:
     def n_channels(self):
         return self.gains.shape[1]
 
-    def shifted(self, tau0=None):
-        """Delays re-referenced to a timing origin (receiver synchronization).
-
-        Defaults to the earliest arrival across paths and channels.
-        """
-        if tau0 is None:
-            tau0 = float(self.delays.min())
+    def shifted(self):
+        """Delays re-referenced to the earliest arrival across paths and
+        channels (receiver synchronization)."""
+        tau0 = float(self.delays.min())
         return PathSet(gains=self.gains, delays=self.delays - tau0, dopplers=self.dopplers)
 
 

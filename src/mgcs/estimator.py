@@ -156,10 +156,10 @@ def default_pilot_matrix(n_tx):
     return np.sqrt(n_tx) * np.exp(1j * np.pi / 4) * np.eye(n_tx)
 
 
-def draw_pilots(cfg, seed, p_matrix=None, q=None):
-    """Draw disjoint uniform-random pilot sets on the subsampled grid."""
-    if q is None:
-        raise ConfigurationError("pilot count q is required")
+def draw_pilots(cfg, seed, q, p_matrix=None):
+    """Draw disjoint uniform-random sets of ``q`` pilots on the subsampled grid."""
+    if q < 1:
+        raise ConfigurationError(f"pilot count q must be at least 1, got {q}")
     if cfg.n_tx * q > cfg.jd:
         raise ConfigurationError(
             f"{cfg.n_tx} x {q} pilots exceed the {cfg.jd} grid points"
@@ -238,23 +238,6 @@ class ChannelEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-# solver name -> recovery function, looked up among this module's attributes
-# at call time so that a replaced attribute takes effect on every path
-_SOLVER_FUNCTIONS = {
-    "g-omp": "g_omp",
-    "g-cosamp": "g_cosamp",
-    "g-bpdn": "g_bpdn",
-    "g-dcs-somp": "g_dcs_somp",
-}
-
-
-def _solver_function(solver):
-    try:
-        return globals()[_SOLVER_FUNCTIONS[solver]]
-    except KeyError:
-        raise ConfigurationError(f"unknown solver {solver!r}") from None
-
-
 def _run_solver(ensemble, part, solver, joint, opts):
     """Dispatch to the configured reconstruction algorithm; returns the
     per-channel estimates (n_channels, M) and the solver result.
@@ -265,20 +248,24 @@ def _run_solver(ensemble, part, solver, joint, opts):
     operator with ``joint=False``; per-channel G-CoSaMP and G-BPDN solves all
     take ``opts`` (a G-BPDN ``eps`` bounds each channel's residual) and are
     merged: selected groups per channel, the summed iteration count and every
-    channel's residual norm.
+    channel's residual norm.  Each solver is called by its name in this
+    module, looked up at call time, so a replaced attribute takes effect.
     """
-    if joint and solver == "g-omp":
-        solver = "g-dcs-somp"
-    solve = _solver_function(solver)
-    if solver == "g-dcs-somp" and not joint:
-        raise ConfigurationError("g-dcs-somp is a joint solver; it needs joint=True")
-    n_ch = ensemble.n_channels
-    if solver == "g-dcs-somp":
-        res = solve(ensemble, part, **opts)
+    if solver == "g-dcs-somp" or (joint and solver == "g-omp"):
+        if not joint:
+            raise ConfigurationError("g-dcs-somp is a joint solver; it needs joint=True")
+        res = g_dcs_somp(ensemble, part, **opts)
         return res.estimates, res
     if solver == "g-omp":
-        res = solve(ensemble.operator(), ensemble.observations, part, joint=False, **opts)
+        res = g_omp(ensemble.operator(), ensemble.observations, part, joint=False, **opts)
         return res.estimates, res
+    if solver == "g-cosamp":
+        solve = g_cosamp
+    elif solver == "g-bpdn":
+        solve = g_bpdn
+    else:
+        raise ConfigurationError(f"unknown solver {solver!r}")
+    n_ch = ensemble.n_channels
     if joint:
         res = solve(ensemble.operator(), ensemble.observations.reshape(-1), part, **opts)
         return res.estimates.reshape(n_ch, -1), res

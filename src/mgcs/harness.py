@@ -131,6 +131,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.master_seed is None:
             raise ConfigurationError("a master seed is required")
+        if self.trials < 0:
+            raise ConfigurationError(f"trials must be nonnegative, got {self.trials}")
         for name in self.solvers:
             parse_solver(name)
         if self.axis not in ("snr", "antennas", "blocksize"):

@@ -114,6 +114,8 @@ class BlockTiling:
     def __post_init__(self):
         if self.J % 2 != 0:
             raise ConfigurationError("J must be even")
+        if self.dm < 1 or self.di < 1:
+            raise ConfigurationError("dm and di must be at least 1")
         if self.D % self.dm != 0:
             raise ConfigurationError("dm must divide D")
         if (self.J // 2) % self.di != 0:

@@ -8,15 +8,18 @@ problem, and brute-force certification of group restricted isometry constants.
 G-OMP, G-CoSaMP and G-BPDN act on their measurement matrix only through a
 :class:`BlockDiagonalOperator`: a plain matrix is its one-block case, and the
 stacked multichannel problem is the operator over the per-transmit matrices,
-so the dense block-diagonal stack is never formed on the solver path.  On the
-operator they also take the per-channel partition of one block's columns: its
-group b is group b at every channel offset.  G-DCS-SOMP is G-OMP in that form.
+so the dense block-diagonal stack is never formed on the solver path.  Their
+partition always covers one block's columns, so on the multichannel operator
+it is the per-channel partition: its group b is group b at every channel
+offset.  G-DCS-SOMP is G-OMP in that form.  :func:`mgcs_stack` gives the same
+problem as a dense one-block matrix with the stacked partition, the
+reference that the structural identities are checked against.
 
 Every least-squares fit splits into one problem per transmit matrix, whose
-n_rx channels share its columns (one per channel under a partition of all
-columns or per-channel selection); all problems of a fit share one stacked
-thin QR.  G-OMP grows it a group at a time in batched products; G-CoSaMP,
-whose support changes wholesale, factors it from scratch.
+n_rx channels share its columns (one per channel under per-channel
+selection); all problems of a fit share one stacked thin QR.  G-OMP grows it
+a group at a time in batched products; G-CoSaMP, whose support changes
+wholesale, factors it from scratch.
 """
 
 import math
@@ -129,12 +132,7 @@ class _GrownQR:
 
     def append(self, idx, cols):
         """Append the columns ``cols[i]`` (one row serves all) to problem
-        ``idx[i]``: together if the problems hold equally many columns and
-        ``cols`` is an array, one by one from a list of column sets."""
-        if isinstance(cols, list):
-            for i, c in enumerate(cols):
-                self.append(idx[i:i + 1], c[None])
-            return
+        ``idx[i]``; the problems hold equally many columns."""
         n0 = self.n[idx[0]]
         n1 = n0 + cols.shape[1]
         self.cols[idx, n0:n1], self.n[idx] = cols, n1
@@ -145,15 +143,6 @@ class _GrownQR:
             A = self.blocks[self.mats[p]][:, self.cols[p, :n1]]
             self.lost[p] = np.linalg.lstsq(A, self.Y[p], rcond=None)[0]
             self.resid[p] = self.Y[p] - A @ self.lost[p]
-
-    def append_joint(self, cols):
-        """Append one joint selection: one block's columns to every
-        per-transmit problem, else stacked columns, each channel its share."""
-        if self.per_transmit:
-            return self.append(self.mats, cols[None, :])
-        m = self.blocks.shape[2]
-        reached = np.unique(cols // m)  # channels' shares may differ in size
-        self.append(reached, [cols[cols // m == xi] - xi * m for xi in reached])
 
     def _extend(self, idx, n0, n1):
         """Extend the factors of problems ``idx``; returns those that lost rank."""
@@ -232,22 +221,14 @@ class BlockDiagonalOperator:
         n_tx, q, _ = self.blocks.shape
         return np.matmul(v.conj().reshape(-1, n_tx, 1, q), self.blocks).conj().reshape(-1)
 
-    def per_block(self, part):
-        """Whether ``part`` covers one block's columns, not all; else ``DomainError``."""
-        if part.total_length == self.blocks.shape[2]:
-            return True
-        if part.total_length != self.shape[1]:
-            raise DomainError("partition does not match the column count")
-        return False
-
     def lstsq(self, part, groups, y):
         """Least squares of ``y`` on the columns of the selected ``groups`` of
-        ``part``, factored from scratch: the full-length coefficient vector
-        and whether any problem fell back to minimum norm."""
+        the per-channel partition ``part``, factored from scratch: the
+        full-length coefficient vector and whether any problem fell back to
+        minimum norm."""
         cols = part.columns(groups)
-        fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size,
-                       self.per_block(part))
-        fit.append_joint(cols)
+        fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size, True)
+        fit.append(fit.mats, cols[None])
         return fit.estimates().reshape(-1), bool(fit.lost)
 
     def lipschitz(self):
@@ -283,12 +264,14 @@ def _small_gram(A):
     return gram
 
 
-def _as_operator(Phi):
+def _as_operator(Phi, part):
     """``Phi`` itself if it is an operator, else the one-block operator of the
-    matrix."""
-    if isinstance(Phi, BlockDiagonalOperator):
-        return Phi
-    return BlockDiagonalOperator(np.asarray(Phi, dtype=complex)[None], 1)
+    matrix; ``DomainError`` unless ``part`` covers one block's columns."""
+    if not isinstance(Phi, BlockDiagonalOperator):
+        Phi = BlockDiagonalOperator(np.asarray(Phi, dtype=complex)[None], 1)
+    if part.total_length != Phi.blocks.shape[2]:
+        raise DomainError("partition does not match one block's column count")
+    return Phi
 
 
 def _top_groups(energies, count):
@@ -302,9 +285,10 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
     energy and refits least squares on the selected column union; stops at
     ``max_groups`` selections or when the residual norm drops to
     ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
-    ``joint=False`` (per-channel partition) runs every channel's own G-OMP in
-    this one call, each selecting from the one product Phi^H r and stopping on
-    its own; the result lists groups, estimates and residual norms per channel.
+    ``joint=False`` runs every channel's own G-OMP in this one call, each
+    selecting from the one product Phi^H r and stopping on its own; its groups
+    must be of equal size.  The result then lists groups, estimates and
+    residual norms per channel.
     """
     res = _g_omp(Phi, y, part, max_groups, residual_tol, joint)
     if joint:
@@ -315,15 +299,13 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
 
 def _g_omp(Phi, y, part, max_groups, residual_tol, joint):
     """G-OMP with (n_channels, M) estimates and per-channel residual norms."""
-    Phi = _as_operator(Phi)
-    per_block = Phi.per_block(part)
-    if not (joint or per_block):
-        raise DomainError("per-channel G-OMP needs a partition of one block's columns")
+    Phi = _as_operator(Phi, part)
+    if not joint and np.ptp(part.sizes):
+        raise DomainError("per-channel G-OMP requires groups of equal size")
     Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, -1)
     cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
-    fit = _GrownQR(Phi.blocks, Y, cap * int(part.sizes.max()), joint and per_block)
+    fit = _GrownQR(Phi.blocks, Y, cap * int(part.sizes.max()), joint)
     n_sel = 1 if joint else Phi.n_channels  # selections per iteration
-    table = part.perm.reshape(part.n_groups, -1) if np.ptp(part.sizes) == 0 else None
     selected = [[] for _ in range(n_sel)]
     taken = np.zeros((n_sel, part.n_groups), dtype=bool)
     live = np.arange(n_sel)  # the selections that go on, each with as many groups
@@ -344,9 +326,9 @@ def _g_omp(Phi, y, part, max_groups, residual_tol, joint):
         for c, g in zip(live.tolist(), b.tolist()):
             selected[c].append(g)
         if joint:
-            fit.append_joint(part.groups[b[0]])
+            fit.append(fit.mats, part.groups[b[0]][None])
         else:  # groups of one size are rows of a table
-            fit.append(live, [part.groups[g] for g in b] if table is None else table[b])
+            fit.append(live, part.perm.reshape(part.n_groups, -1)[b])
         r = fit.residual
         norms = np.sqrt((r.conj() * r).real.reshape(n_sel, -1).sum(axis=1))
         history.append(math.hypot(*norms))
@@ -385,9 +367,8 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     is that of all ``n_iters``.  ``iterations`` counts the fits that ran;
     ``diagnostics["fixed_point"]`` says whether the repeat ended the loop.
     """
-    Phi = _as_operator(Phi)
+    Phi = _as_operator(Phi, part)
     y = np.asarray(y, dtype=complex)
-    Phi.per_block(part)  # validates the partition
     if part.sizes.min() != part.sizes.max():
         raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
@@ -463,7 +444,13 @@ def _fista(Phi, y, lam, part, lip, x0, max_iter):
     return x, float(np.linalg.norm(px - y)), n_done, converged
 
 
-def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
+# FISTA iterations per penalty solve, and penalties tried after the probe,
+# in g_bpdn
+_MAX_INNER = 4000
+_MAX_BISECT = 60
+
+
+def g_bpdn(Phi, y, part, eps, tol=1e-4):
     """Group basis pursuit denoising: minimize the group norm subject to
     ||Phi x - y||_2 <= eps.
 
@@ -473,7 +460,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     vanishing-penalty feasibility probe and by lam_max, where x = 0 and
     r = ||y|| are known without a solve, and is found by regula falsi with
     the Illinois modification, aimed at eps (1 - tol/2) and falling back to
-    bisection when a step lands at a bracket end.  At most ``max_bisect``
+    bisection when a step lands at a bracket end.  At most ``_MAX_BISECT``
     penalties follow the probe, each solved by FISTA warm-started from the
     feasible end; the feasible-side iterate, with residual in
     [eps (1 - tol), eps] once the search succeeds, is returned.  eps = 0 is
@@ -481,13 +468,12 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
 
     ``iterations`` is the total FISTA iteration count; the diagnostics give
     the penalty, the number of FISTA solves (``penalty_solves``) and how many
-    of them stopped at ``max_inner`` unconverged (``inner_cap_hits``).
+    of them stopped at ``_MAX_INNER`` unconverged (``inner_cap_hits``).
     ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`; the Lipschitz
     constant is the largest over its blocks.
     """
-    Phi = _as_operator(Phi)
+    Phi = _as_operator(Phi, part)
     y = np.asarray(y, dtype=complex)
-    Phi.per_block(part)  # validates the partition
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     y_norm = float(np.linalg.norm(y))
@@ -505,7 +491,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
     solves = []  # (iterations, converged) per FISTA solve
 
     def solve(lam, x0):
-        x, r, n, converged = _fista(Phi, y, lam, part, lip, x0, max_inner)
+        x, r, n, converged = _fista(Phi, y, lam, part, lip, x0, _MAX_INNER)
         solves.append((n, converged))
         return x, r
 
@@ -523,7 +509,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
         target = eps * (1 - tol / 2)
         f_lo, f_hi = r_lo - target, y_norm - target
         kept = None  # bracket end that the previous step kept
-        for _ in range(max_bisect):
+        for _ in range(_MAX_BISECT):
             if r_lo >= eps * (1 - tol):
                 break
             lam = lo - f_lo * (hi - lo) / (f_hi - f_lo)
@@ -558,28 +544,24 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
 
 
 def mgcs_stack(ensemble, part):
-    """Stack a multichannel ensemble into one block-diagonal group problem.
+    """The paper's stacked multichannel problem in dense form.
 
-    Returns (Phi_stacked, y_stacked, stacked_partition); solving the stacked
-    system with G-OMP, G-CoSaMP or G-BPDN is the multichannel mode.
-    ``Phi_stacked`` is the :class:`BlockDiagonalOperator` over the ensemble's
-    per-transmit matrices, which never forms the (n_channels Q) x
-    (n_channels M) matrix; ``np.asarray`` of it gives that dense matrix.  The
-    solvers take ``part`` itself on ``Phi_stacked`` too, as the estimator
-    does; the stacked partition serves G-RIC certification.
+    Returns (Phi_stacked, y_stacked, stacked_partition): the dense
+    (n_channels Q) x (n_channels M) block-diagonal matrix, the stacked
+    observations and the stacked partition, whose group b is group b of every
+    channel.  The solvers take it as a one-block problem; it is the reference
+    for the ensemble's operator with the per-channel partition ``part``,
+    which solves the same problem without forming the matrix.
     """
-    n_ch = ensemble.n_channels
-    if n_ch > 1:
-        part = stack_partition(part, ensemble.shape[1], n_ch)
-    return ensemble.operator(), ensemble.observations.reshape(-1), part
+    return (np.asarray(ensemble.operator()), ensemble.observations.reshape(-1),
+            stack_partition(part, ensemble.shape[1], ensemble.n_channels))
 
 
-def unstack_estimates(x_stacked, M, n_channels):
-    """Split a stacked solution back into per-channel estimates."""
-    return np.asarray(x_stacked).reshape(n_channels, M)
+# supports group_ric enumerates at most
+_RIC_BUDGET = 100_000
 
 
-def group_ric(Phi, part, S, budget=100_000):
+def group_ric(Phi, part, S):
     """Brute-force group restricted isometry constant of order S.
 
     Enumerates every S-group column support and takes the worst Gram
@@ -589,9 +571,9 @@ def group_ric(Phi, part, S, budget=100_000):
     if S < 0 or S > part.n_groups:
         raise DomainError(f"S={S} outside 0..{part.n_groups}")
     n_supports = math.comb(part.n_groups, S)
-    if n_supports > budget:
+    if n_supports > _RIC_BUDGET:
         raise BudgetExceededError(
-            f"{n_supports} supports exceed the enumeration budget {budget}"
+            f"{n_supports} supports exceed the enumeration budget {_RIC_BUDGET}"
         )
     Phi = np.asarray(Phi, dtype=complex)
     delta = 0.0
@@ -603,13 +585,13 @@ def group_ric(Phi, part, S, budget=100_000):
     return delta
 
 
-def delta_stacked_equals_max(ensemble, part, S, budget=100_000):
+def delta_stacked_equals_max(ensemble, part, S):
     """G-RIC of the stacked matrix and of each channel matrix, computed
     independently; the two sides agree by the block-diagonal structure."""
     Phi, _, part_stacked = mgcs_stack(ensemble, part)
-    delta_stacked = group_ric(Phi, part_stacked, S, budget=budget)
+    delta_stacked = group_ric(Phi, part_stacked, S)
     per_channel = [
-        group_ric(ensemble.matrix_for(xi), part, S, budget=budget)
+        group_ric(ensemble.matrix_for(xi), part, S)
         for xi in range(ensemble.n_channels)
     ]
     return delta_stacked, per_channel

@@ -53,6 +53,9 @@ class SystemConfig:
     l_gamma: int = None
 
     def __post_init__(self):
+        for name in ("K", "N", "L", "D", "J", "n_tx", "n_rx"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if self.N < self.K:
             raise ConfigurationError("symbol duration N must be >= K")
         if self.L % 2 or self.J % 2:
@@ -221,11 +224,11 @@ class FactoredIR:
 _WINDOW_BLOCK = 1 << 18
 
 
-def apply_discrete_channel(H, s, noise=None):
+def apply_discrete_channel(H, s):
     """Pass the signal through a factored time-varying channel.
 
     H is a :class:`FactoredIR`; s has shape (len_s, n_tx).  Returns
-    r[n] = sum_m H[n, m] s[n-m] + z[n] on {0..L_r-1}, with s treated as zero
+    r[n] = sum_m H[n, m] s[n-m] on {0..L_r-1}, with s treated as zero
     outside its support: per transmit antenna, the (L_r, m_len) Toeplitz
     window of s times that antenna's delay profiles, weighted by each path's
     gain and Doppler phase and summed into its receive antenna.
@@ -249,8 +252,6 @@ def apply_discrete_channel(H, s, noise=None):
             n = slice(lo, lo + rows)
             conv = (np.ascontiguousarray(windows[t, n]) @ taps_t).reshape(-1, n_rx, taps.shape[2])
             r[n] += np.einsum("nrp,nrp->nr", conv, weights[n, :, t])
-    if noise is not None:
-        r = r + np.asarray(noise, dtype=complex)
     return r
 
 

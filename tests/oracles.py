@@ -52,8 +52,8 @@ def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_to
     ``blocks`` (n_tx, Q, M) measures channel xi = r n_tx + s with
     ``blocks[s]``, and ``y`` stacks the channels' observations.  ``part``
     covers one block's M columns, so group b is group b at every channel
-    offset, or all n_channels M columns.  Returns (selected groups, stacked
-    estimate, residual history, rank lost).
+    offset.  Returns (selected groups, stacked estimate, residual history,
+    rank lost).
     """
     blocks = np.asarray(blocks, dtype=complex)
     n_tx, q, m = blocks.shape
@@ -153,25 +153,16 @@ class GrownQRPerProblem:
 
 def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
     """Joint G-OMP with one :class:`GrownQRPerProblem` per least-squares
-    problem, appended one after the other: per transmit matrix with its
-    channels as right-hand sides under a partition of one block's columns,
-    else per channel on its share of each group.  Returns the result with the
-    stacked (1, n_channels M) estimate, as ``g_omp`` with ``joint=True``, and
-    the final (n_channels, Q) residual."""
-    Phi = _as_operator(Phi)
+    problem, appended one after the other: per transmit matrix, with its
+    channels as right-hand sides.  Returns the result with the stacked
+    (1, n_channels M) estimate, as ``g_omp`` with ``joint=True``, and the
+    final (n_channels, Q) residual."""
+    Phi = _as_operator(Phi, part)
     n_tx, q, m = Phi.blocks.shape
     n_ch = Phi.n_channels
     Y = np.asarray(y, dtype=complex).reshape(n_ch, q)
-    if part.total_length == m:
-        chans = np.arange(n_ch).reshape(-1, n_tx).T
-        shares = [(s, chans[s], part.columns) for s in range(n_tx)]
-    else:
-        def share(xi):
-            def columns(groups):
-                cols = part.columns(groups)
-                return cols[cols // m == xi] - xi * m
-            return columns
-        shares = [(xi % n_tx, np.array([xi]), share(xi)) for xi in range(n_ch)]
+    chans = np.arange(n_ch).reshape(-1, n_tx).T
+    shares = [(s, chans[s], part.columns) for s in range(n_tx)]
     cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
     width = cap * int(part.sizes.max())
     factors = [GrownQRPerProblem(Phi.blocks[s], Y[channels].T, width)
@@ -209,7 +200,7 @@ def g_cosamp_all_iterations(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     the residual reaches ``residual_tol``, also after the merged candidate set
     has stopped changing: the reference for the solver's fixed-point stop.
     ``iterations`` is the index of the last iteration entered."""
-    Phi = _as_operator(Phi)
+    Phi = _as_operator(Phi, part)
     y = np.asarray(y, dtype=complex)
     x = np.zeros(Phi.shape[1], dtype=complex)
     support = np.zeros(0, dtype=np.intp)
@@ -306,8 +297,8 @@ def leakage_kernel(paths, p, chan, m, i, filters, cfg):
     return complex(phi * psi)
 
 
-def dense_apply_channel(H, s, noise=None):
-    """r[n] = sum_m H[n, m] s[n - m] + z[n] on a dense (L_r, m_len, n_rx, n_tx)
+def dense_apply_channel(H, s):
+    """r[n] = sum_m H[n, m] s[n - m] on a dense (L_r, m_len, n_rx, n_tx)
     impulse response, one delay tap at a time."""
     s = np.asarray(s, dtype=complex)
     l_r, m_len = H.shape[0], H.shape[1]
@@ -316,7 +307,7 @@ def dense_apply_channel(H, s, noise=None):
         hi = min(l_r, len(s) + m)
         if hi > m:
             r[m:hi] += np.einsum("nrt,nt->nr", H[m:hi, m], s[: hi - m])
-    return r if noise is None else r + noise
+    return r
 
 
 def dense_effective_coeffs(H, pulses, cfg):

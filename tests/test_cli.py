@@ -261,6 +261,20 @@ def test_bad_blocksize_point_exits_2_without_traceback(point, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("value", [
+    "pilots.q=0", "pilots.q=-3", "system.n_tx=0", "system.n_rx=0", "system.d=0",
+    "system.j=0", "tiling.dm=0", "tiling.di=0", "channel.rolloff=0",
+    "channel.oversampling=0", "sweep.trials=-1",
+])
+def test_out_of_range_value_exits_2_without_traceback(value, tmp_path, capsys):
+    rc = main(["--set", "sweep.trials=1", "--set", "sweep.points=20", "--set", value,
+               "sweep", "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_percent_in_a_value_is_taken_literally(tmp_path, capsys):
     conf = load_config(None, ("sweep.basis=50%.bin",))
     assert experiment_from_config(conf, 1).basis == "50%.bin"

@@ -69,7 +69,9 @@ def run_full_chain(paths, scheme, cfg, pulses, rng, noise=None):
     a = assemble_frame(scheme, cfg, rng)
     s = modulate(a, pulses, cfg)
     H = discrete_ir(paths, KRON, cfg)
-    r = apply_discrete_channel(H, s, noise=noise)
+    r = apply_discrete_channel(H, s)
+    if noise is not None:
+        r = r + noise
     y_grid = demodulate(r, pulses, cfg)
     return y_grid, effective_coeffs(H, pulses, cfg)
 

@@ -32,7 +32,6 @@ from mgcs.recovery import (
     group_ric,
     mgcs_stack,
     sample_count_bound,
-    unstack_estimates,
 )
 from mgcs.waveform import cp_ofdm_pulses
 from oracles import (
@@ -185,9 +184,8 @@ class TestGOmp:
 
 
 class TestGrownFactor:
-    """G-OMP grows one thin QR per transmit matrix (per channel under a
-    partition of all columns); the oracle factors every channel's selected
-    columns from scratch at every iteration."""
+    """G-OMP grows one thin QR per transmit matrix; the oracle factors every
+    channel's selected columns from scratch at every iteration."""
 
     def assert_matches_oracle(self, Phi, y, part, **opts):
         res = g_omp(Phi, y, part, **opts)
@@ -225,17 +223,6 @@ class TestGrownFactor:
         res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
                                          part, max_groups=max_groups)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
-
-    @pytest.mark.parametrize("max_groups", [4, 6])
-    def test_partition_of_all_columns(self, max_groups):
-        # groups of 4 scattered over all channels: channels get unequal
-        # shares, some none, of a group
-        rng = np.random.default_rng(52)
-        ens = random_ensemble(rng, 6, 12, 2, 2, noise=1.0)
-        part = Partition(48, tuple(rng.permutation(48).reshape(-1, 4)))
-        res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
-                                         part, max_groups=max_groups)
-        assert res.diagnostics["rank_deficient"] == (max_groups == 6)
 
 
 class TestStackedFactor:
@@ -310,16 +297,16 @@ class TestStackedFactor:
         res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=max_groups)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
 
-    def test_unequal_groups_in_one_call(self):
-        # channels that select groups of different sizes are extended in
-        # separate batches, as are channels that then hold unequal counts
+    def test_unequal_groups_are_rejected(self):
+        # per-channel selections grow in one batch only with groups of one size;
+        # joint G-OMP takes the same partition
         rng = np.random.default_rng(61)
         bounds = [0, 1, 3, 6, 7, 9, 12, 13, 16]
         part = Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
         ens = random_ensemble(rng, 10, 16, 2, 2, noise=1.0)
-        res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=4)
-        sizes = {tuple(int(part.sizes[b]) for b in g) for g in res.selected_groups}
-        assert len(sizes) > 1
+        with pytest.raises(DomainError, match="equal size"):
+            g_omp(ens.operator(), ens.observations, part, max_groups=4, joint=False)
+        assert g_omp(ens.operator(), ens.observations, part, max_groups=4).iterations == 4
 
     def test_channels_stop_on_their_own(self):
         # channel 0 reaches the tolerance after one group, channel 1 runs to
@@ -658,8 +645,9 @@ class TestGBpdn:
         assert group_norm(res.x, part) == pytest.approx(group_norm(x_ref, part), rel=1e-3)
 
     def test_desk_joint_instance_solves_few_penalties(self):
-        # seeded desk 2x2 trial on the 192 x 1024 stacked matrix: a handful
-        # of penalty solves, none of them stopped unconverged at max_inner
+        # seeded desk 2x2 trial on the operator with the per-channel partition
+        # and on the 192 x 1024 dense stack: a handful of penalty solves, none
+        # of them stopped unconverged at the FISTA cap, the same on both
         config = desk_experiment(3)
         cfg = config.system
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
@@ -670,13 +658,15 @@ class TestGBpdn:
                                                geometry, 20.0, [3, 0, 0])
         ens = collect_measurements(y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
         part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
-        Phi, y, part_s = mgcs_stack(ens, part)
-        assert Phi.shape == (192, 1024)
+        dense, y, part_s = mgcs_stack(ens, part)
+        assert dense.shape == (192, 1024)
         eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
-        res = g_bpdn(Phi, y, part_s, eps=eps, tol=1e-3)
-        assert res.diagnostics["inner_cap_hits"] == 0
-        assert res.diagnostics["penalty_solves"] <= 10
+        res = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
+        ref = g_bpdn(dense, y, part_s, eps=eps, tol=1e-3)
+        assert res.diagnostics["inner_cap_hits"] == ref.diagnostics["inner_cap_hits"] == 0
+        assert res.diagnostics["penalty_solves"] == ref.diagnostics["penalty_solves"] <= 10
         assert eps * (1 - 1e-3) <= res.residual_norms[0] <= eps
+        assert np.linalg.norm(res.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x)
 
     @pytest.mark.parametrize("seed,zero_group,warm", [(0, False, False), (1, True, False),
                                                       (2, False, True)])
@@ -709,7 +699,7 @@ class TestGBpdn:
         for t in range(2):
             cfg, config, scheme, ens, sigma_z = desk_trial(11, t)
             part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
-            Phi, y, _ = mgcs_stack(ens, part)
+            Phi, y = ens.operator(), ens.observations.reshape(-1)
             eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
             res = g_bpdn(Phi, y, part, eps=eps, tol=1e-3)
             with monkeypatch.context() as patch:
@@ -831,6 +821,10 @@ class TestGDcsSomp:
 
 
 class TestMgcsStack:
+    """``mgcs_stack`` is the paper's stacked problem as a dense one-block
+    matrix with the stacked partition: the reference for the ensemble's
+    block-diagonal operator with the per-channel partition."""
+
     def test_single_channel_passthrough(self):
         rng = np.random.default_rng(14)
         Phi = partial_dft(4, 8, rng)
@@ -840,7 +834,8 @@ class TestMgcsStack:
         Phi_s, y_s, part_s = mgcs_stack(ens, part)
         np.testing.assert_array_equal(Phi_s, Phi)
         np.testing.assert_array_equal(y_s, y)
-        assert part_s is part
+        np.testing.assert_array_equal(part_s.perm, part.perm)
+        np.testing.assert_array_equal(part_s.sizes, part.sizes)
 
     def test_stacked_shapes(self):
         rng = np.random.default_rng(15)
@@ -894,45 +889,42 @@ class TestMgcsStack:
                     best, best_res = set(combo), total
             assert set(res.selected_groups) == best == set(support)
 
-    def test_unstack(self):
-        x = np.arange(12)
-        np.testing.assert_array_equal(unstack_estimates(x, 4, 3), x.reshape(3, 4))
-
     @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
     def test_dense_view_is_the_block_diagonal_matrix(self, n_tx, n_rx):
         rng = np.random.default_rng(17 + 10 * n_tx + n_rx)
         ens = random_ensemble(rng, 5, 8, n_tx, n_rx)
-        Phi_s, _, _ = mgcs_stack(ens, singleton_partition(8))
-        dense = np.asarray(Phi_s)
-        assert Phi_s.shape == dense.shape == (5 * n_tx * n_rx, 8 * n_tx * n_rx)
+        op = ens.operator()
+        dense = np.asarray(op)
+        assert op.shape == dense.shape == (5 * n_tx * n_rx, 8 * n_tx * n_rx)
         assert dense.dtype == complex
         np.testing.assert_array_equal(dense, dense_stack(ens))
+        np.testing.assert_array_equal(mgcs_stack(ens, singleton_partition(8))[0], dense)
 
     @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (2, 3), (3, 1)])
     def test_products_match_the_dense_matrix(self, n_tx, n_rx):
         rng = np.random.default_rng(27 + 10 * n_tx + n_rx)
         ens = random_ensemble(rng, 5, 8, n_tx, n_rx)
-        Phi_s, _, _ = mgcs_stack(ens, singleton_partition(8))
+        op = ens.operator()
         dense = dense_stack(ens)
         x = rng.normal(size=dense.shape[1]) + 1j * rng.normal(size=dense.shape[1])
         v = rng.normal(size=dense.shape[0]) + 1j * rng.normal(size=dense.shape[0])
         fwd, adj = dense @ x, dense.conj().T @ v
-        assert np.linalg.norm(Phi_s @ x - fwd) <= 1e-13 * np.linalg.norm(fwd)
-        assert np.linalg.norm(Phi_s.rmatvec(v) - adj) <= 1e-13 * np.linalg.norm(adj)
+        assert np.linalg.norm(op @ x - fwd) <= 1e-13 * np.linalg.norm(fwd)
+        assert np.linalg.norm(op.rmatvec(v) - adj) <= 1e-13 * np.linalg.norm(adj)
         lip = np.linalg.norm(dense, 2) ** 2
-        assert Phi_s.lipschitz() == pytest.approx(lip, rel=1e-12)
+        assert op.lipschitz() == pytest.approx(lip, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_solvers_match_on_the_dense_matrix(self, seed):
-        # each solver on the operator and on its dense matrix: same selection,
-        # iteration counts and rank-deficiency flag; the CoSaMP merged support
-        # (up to 12 columns per channel on 6 rows) is rank deficient
+        # each solver on the operator with the per-channel partition and on
+        # the dense stacked triple: same selection, iteration counts and
+        # rank-deficiency flag; the CoSaMP merged support (up to 12 columns
+        # per channel on 6 rows) is rank deficient
         rng = np.random.default_rng(40 + seed)
         q, m = 6, 16
         part = uniform_partition(m, 2)
         ens = random_ensemble(rng, q, m, 2, 2, part=part, support=(1, 5), noise=0.05)
-        Phi_s, y_s, part_s = mgcs_stack(ens, part)
-        dense = np.asarray(Phi_s)
+        dense, y_s, part_s = mgcs_stack(ens, part)
         eps = 0.05 * np.sqrt(2 * y_s.size)
         runs = [
             (g_omp, dict(max_groups=3)),
@@ -940,38 +932,38 @@ class TestMgcsStack:
             (g_bpdn, dict(eps=eps, tol=1e-3)),
         ]
         for solver, opts in runs:
-            on_op = solver(Phi_s, y_s, part_s, **opts)
+            on_op = solver(ens.operator(), y_s, part, **opts)
             on_dense = solver(dense, y_s, part_s, **opts)
-            # the per-channel partition: group b at every channel offset
-            per_channel = solver(Phi_s, y_s, part, **opts)
-            for other in (on_op, per_channel):
-                assert other.selected_groups == on_dense.selected_groups
-                assert other.iterations == on_dense.iterations
-                for key in ("penalty_solves", "rank_deficient"):
-                    assert other.diagnostics.get(key) == on_dense.diagnostics.get(key)
-            scale = np.linalg.norm(on_dense.x)
-            assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * scale
-            assert np.linalg.norm(per_channel.x - on_op.x) <= 1e-12 * scale
-        assert g_cosamp(Phi_s, y_s, part_s, S=2, n_iters=10).diagnostics["rank_deficient"]
-        # groups that ignore the channel blocks leave channels without columns
-        flat = uniform_partition(dense.shape[1], 2)
-        on_op = g_omp(Phi_s, y_s, flat, max_groups=3)
-        on_dense = g_omp(dense, y_s, flat, max_groups=3)
-        assert on_op.selected_groups == on_dense.selected_groups
-        assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * np.linalg.norm(on_dense.x)
+            assert on_op.selected_groups == on_dense.selected_groups
+            assert on_op.iterations == on_dense.iterations
+            for key in ("penalty_solves", "rank_deficient"):
+                assert on_op.diagnostics.get(key) == on_dense.diagnostics.get(key)
+            assert np.linalg.norm(on_op.x - on_dense.x) <= 1e-10 * np.linalg.norm(on_dense.x)
+        assert g_cosamp(ens.operator(), y_s, part, S=2, n_iters=10).diagnostics["rank_deficient"]
 
     @pytest.mark.parametrize("solver,opts", [(g_omp, {}), (g_cosamp, dict(S=1)),
                                              (g_bpdn, dict(eps=0.1))])
     def test_partition_of_neither_length_is_rejected(self, solver, opts):
         rng = np.random.default_rng(41)
         ens = random_ensemble(rng, 6, 16, 2, 2)
-        Phi_s, y_s, _ = mgcs_stack(ens, uniform_partition(16, 2))
         with pytest.raises(DomainError):
-            solver(Phi_s, y_s, uniform_partition(32, 2), **opts)
+            solver(ens.operator(), ens.observations.reshape(-1), uniform_partition(32, 2),
+                   **opts)
+
+    @pytest.mark.parametrize("solver,opts", [(g_omp, {}), (g_omp, dict(joint=False)),
+                                             (g_cosamp, dict(S=1)), (g_bpdn, dict(eps=0.1))])
+    def test_partition_of_all_columns_is_rejected(self, solver, opts):
+        # the operator takes only the per-channel partition; the stacked one
+        # belongs to the dense matrix of mgcs_stack
+        rng = np.random.default_rng(42)
+        ens = random_ensemble(rng, 6, 16, 2, 2)
+        _, y_s, part_s = mgcs_stack(ens, uniform_partition(16, 2))
+        with pytest.raises(DomainError, match="one block"):
+            solver(ens.operator(), y_s, part_s, **opts)
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_joint_gomp_is_dcs_somp_on_desk_trials(self, grouped):
-        # joint G-OMP on the block-diagonal stack and G-DCS-SOMP are one
+        # joint G-OMP on the dense block-diagonal stack and G-DCS-SOMP are one
         # algorithm: same groups in the same order, same estimates
         for t in range(3):
             cfg, config, scheme, ens, sigma_z = desk_trial(11, t)
@@ -986,7 +978,7 @@ class TestMgcsStack:
             somp = g_dcs_somp(ens, part, **opts)
             assert joint.selected_groups == somp.selected_groups
             assert len(somp.selected_groups) > 1
-            x_joint = unstack_estimates(joint.x, cfg.jd, cfg.n_channels)
+            x_joint = joint.x.reshape(cfg.n_channels, cfg.jd)
             assert (np.linalg.norm(x_joint - somp.estimates)
                     <= 1e-12 * np.linalg.norm(somp.estimates))
 
