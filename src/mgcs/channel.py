@@ -44,8 +44,8 @@ class FilterSpec:
             raise DomainError(f"unknown filter kind {self.kind!r}")
         if not 0 < self.rolloff <= 1:
             raise DomainError(f"rolloff must lie in (0, 1], got {self.rolloff}")
-        if self.oversampling < 1:
-            raise DomainError("oversampling must be at least 1")
+        if self.oversampling < 1 or self.span < 1:
+            raise DomainError("oversampling and span must be at least 1")
 
 
 def _rrc_impulse(u, beta):

@@ -56,6 +56,8 @@ class SystemConfig:
         for name in ("K", "N", "L", "D", "J", "n_tx", "n_rx"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
+        if not self.Ts > 0:
+            raise ConfigurationError("sample period Ts must be positive")
         if self.N < self.K:
             raise ConfigurationError("symbol duration N must be >= K")
         if self.L % 2 or self.J % 2:

@@ -246,8 +246,8 @@ def fista_two_norm_passes(Phi, y, lam, part, lip, x0, max_iter):
     """Accelerated proximal gradient for the penalized group-lasso form that
     computes the group norms twice per step, once for the shrink and once
     more for the penalty of the shrunk iterate: the reference for the
-    solver's one-pass step.  Same signature and returns as
-    ``recovery._fista``."""
+    solver's one-pass step in the penalty-search G-BPDN.  Returns
+    (x, ||Phi x - y||, iterations, converged)."""
     x, px = x0, Phi @ x0
     z, pz = x, px
     t = 1.0
@@ -273,6 +273,49 @@ def fista_two_norm_passes(Phi, y, lam, part, lip, x0, max_iter):
             converged = True
             break
     return x, float(np.linalg.norm(px - y)), n_done, converged
+
+
+def penalty_search_g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisect=60):
+    """G-BPDN through the group-lasso form, as the solver computed it before
+    its ADMM: the residual of the penalized minimizer increases with the
+    penalty, so the penalty with residual eps is a root of r(lam) - eps,
+    bracketed by a vanishing-penalty probe and lam_max and found by regula
+    falsi with the Illinois modification, aimed at eps (1 - tol/2).  Each
+    penalty is solved by FISTA to a 1e-12 relative objective change,
+    warm-started from the feasible end, whose iterate is returned with its
+    penalty."""
+    Phi = _as_operator(Phi, part)
+    y = np.asarray(y, dtype=complex)
+    lip = lipschitz_by_zherk(Phi.blocks)
+    lam_max = float(np.sqrt(part.energies(Phi.rmatvec(y))).max())
+
+    def solve(lam, x0):
+        return fista_two_norm_passes(Phi, y, lam, part, lip, x0, max_inner)[:2]
+
+    lo, hi = lam_max * 1e-12, lam_max
+    x_lo, r_lo = solve(lo, np.zeros(Phi.shape[1], dtype=complex))
+    target = eps * (1 - tol / 2)
+    f_lo, f_hi = r_lo - target, float(np.linalg.norm(y)) - target
+    kept = None  # bracket end that the previous step kept
+    for _ in range(max_bisect):
+        if r_lo >= eps * (1 - tol):
+            break
+        lam = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        margin = 1e-6 * (hi - lo)
+        if not lo + margin < lam < hi - margin:
+            lam = 0.5 * (lo + hi)
+        x_new, r_new = solve(lam, x_lo)
+        if r_new > eps:
+            hi, f_hi = lam, r_new - target
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, x_lo, r_lo, f_lo = lam, x_new, r_new, r_new - target
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+    return x_lo, lo
 
 
 def lipschitz_by_zherk(blocks):

@@ -264,7 +264,7 @@ def test_bad_blocksize_point_exits_2_without_traceback(point, tmp_path, capsys):
 @pytest.mark.parametrize("value", [
     "pilots.q=0", "pilots.q=-3", "system.n_tx=0", "system.n_rx=0", "system.d=0",
     "system.j=0", "tiling.dm=0", "tiling.di=0", "channel.rolloff=0",
-    "channel.oversampling=0", "sweep.trials=-1",
+    "channel.oversampling=0", "channel.span=-2", "system.ts=0", "sweep.trials=-1",
 ])
 def test_out_of_range_value_exits_2_without_traceback(value, tmp_path, capsys):
     rc = main(["--set", "sweep.trials=1", "--set", "sweep.points=20", "--set", value,

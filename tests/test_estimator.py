@@ -24,6 +24,7 @@ from mgcs.estimator import (
     subsample_grid,
     error_bound,
 )
+from mgcs.harness import desk_experiment
 from mgcs.partition import make_block_tiling, uniform_partition
 from mgcs.recovery import g_omp
 from mgcs.waveform import (
@@ -173,6 +174,23 @@ class TestBuildPhi:
                 np.testing.assert_allclose(
                     mats[s], scale * U[scheme.grid_ids[s]], atol=1e-12
                 )
+
+    @pytest.mark.parametrize("desk", [True, False])
+    @pytest.mark.parametrize("dft", [True, False])
+    def test_every_block_is_a_tight_frame(self, desk, dft):
+        # distinct pilot rows of a unitary matrix scaled by sqrt(JD/Q): every
+        # block has A A^H = (JD/Q) I, at desk (J = D = 16, Q = 48) and on a
+        # non-square grid (J = 4, D = 8, Q = 12), for the DFT and a random
+        # per-delay unitary basis; G-BPDN's projection rests on it
+        cfg, q = (desk_experiment(1).system, 48) if desk else (cfg_2x2(), 12)
+        rng = np.random.default_rng(3)
+        basis = (BasisSpec.dft(cfg.J, cfg.D) if dft
+                 else BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng)))
+        scheme = draw_pilots(cfg, np.random.SeedSequence([1, 7919]), q=q)
+        mats = build_phi(scheme, basis, cfg)
+        assert mats.shape == (cfg.n_tx, q, cfg.jd)
+        for A in mats:
+            np.testing.assert_allclose(A @ A.conj().T, cfg.jd / q * np.eye(q), rtol=0, atol=1e-12)
 
     def test_dft_entry_magnitude(self):
         cfg = cfg_2x2()
