@@ -19,7 +19,10 @@ Every least-squares fit splits into one problem per transmit matrix, whose
 n_rx channels share its columns (one per channel under per-channel
 selection); all problems of a fit share one stacked thin QR.  G-OMP grows it
 a group at a time in batched products; G-CoSaMP, whose support changes
-wholesale, factors it from scratch.
+wholesale, factors it from scratch.  A fit with more columns than rows takes
+the minimum-norm solution from one stacked QR of A^H, and ``lstsq`` only for
+a problem whose rows are dependent; ``rank_deficient`` then means a
+minimum-norm fit.
 """
 
 import math
@@ -97,6 +100,10 @@ class RecoveryResult:
         return self.estimates[0]
 
 
+# a diagonal of R at or below this times max(max |diag R|, 1) loses rank
+_RANK_TOL = 1e-12
+
+
 class _GrownQR:
     """Least squares of the channels' observations ``Y`` (n_channels x Q) on
     growing column lists, as P problems: with ``per_transmit`` one per
@@ -106,8 +113,10 @@ class _GrownQR:
     serves all) and Q^H Y.  Each append is block Gram-Schmidt with one
     re-orthogonalization pass in batched products, then the QR of the new
     (P, Q, g) columns, for one column a norm and a divide.  A problem whose R
-    gets a diagonal at or below 1e-12 max(max |diag R|, 1), or more columns
-    than rows, takes the minimum-norm ``lstsq`` from then on (``lost``)."""
+    gets a diagonal at or below ``_RANK_TOL`` max(max |diag R|, 1) takes the
+    minimum-norm ``lstsq`` from then on (``lost``).  Problems with more
+    columns than rows are minimum-norm fits too (``lost``): one stacked QR of
+    their A^H serves all whose R passes the same rule, ``lstsq`` the rest."""
 
     def __init__(self, blocks, Y, width, per_transmit):
         n_tx, q, m = blocks.shape
@@ -122,7 +131,7 @@ class _GrownQR:
         self.cols = np.full((n, width), m)  # past a problem's columns: M, a dummy
         self.n = np.zeros(n, dtype=np.intp)
         self.lo, self.hi = [np.inf] * n, [0.0] * n  # extreme |diag R|, as floats
-        self.lost = {}  # problem -> minimum-norm coefficients, once rank is lost
+        self.lost = {}  # problem -> minimum-norm coefficients, once wide or rank-lost
 
     def _problems(self, a):
         """The (P, length, r) problem view of a channel-major array."""
@@ -136,9 +145,12 @@ class _GrownQR:
         n0 = self.n[idx[0]]
         n1 = n0 + cols.shape[1]
         self.cols[idx, n0:n1], self.n[idx] = cols, n1
-        lost = [p for p in idx.tolist() if n1 > self.Y.shape[1] or p in self.lost]
-        if len(lost) < idx.size:
-            lost += self._extend(np.setdiff1d(idx, lost) if lost else idx, n0, n1)
+        if n1 > self.Y.shape[1]:
+            lost = self._wide(idx, n1)
+        else:
+            lost = [p for p in idx.tolist() if p in self.lost]
+            if len(lost) < idx.size:
+                lost += self._extend(np.setdiff1d(idx, lost) if lost else idx, n0, n1)
         for p in lost:
             A = self.blocks[self.mats[p]][:, self.cols[p, :n1]]
             self.lost[p] = np.linalg.lstsq(A, self.Y[p], rcond=None)[0]
@@ -160,7 +172,7 @@ class _GrownQR:
         ok = []
         for p, d in zip(idx.tolist(), np.abs(np.diagonal(r, axis1=1, axis2=2)).tolist()):
             lo, hi = min(self.lo[p], *d), max(self.hi[p], *d)
-            ok.append(lo > 1e-12 * max(hi, 1.0))
+            ok.append(lo > _RANK_TOL * max(hi, 1.0))
             if ok[-1]:
                 self.lo[p], self.hi[p] = lo, hi
         if not all(ok):
@@ -174,14 +186,34 @@ class _GrownQR:
         self.resid[sel] -= W @ qhy
         return idx[np.logical_not(ok)].tolist()
 
+    def _wide(self, idx, n1):
+        """Minimum-norm fits of problems ``idx``, wider than tall, from one
+        stacked QR of A^H: x = Q R^-H y where R has the full row rank of A;
+        returns the problems whose R fails the rank rule."""
+        Ah = self.blocks[self.mats[idx, None], :, self.cols[idx, :n1]]  # A^T, (P, n1, Q)
+        np.conjugate(Ah, out=Ah)  # in place: a second copy raises the peak memory
+        Qa, r = np.linalg.qr(Ah)
+        d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        ok = d.min(axis=1) > _RANK_TOL * np.maximum(d.max(axis=1), 1.0)
+        failed = idx[np.logical_not(ok)].tolist()
+        if failed:
+            idx, Ah, Qa, r = idx[ok], Ah[ok], Qa[ok], r[ok]
+        Y = self.Y[idx]
+        coef = Qa @ np.linalg.solve(r.conj().transpose(0, 2, 1), Y)
+        self.lost.update(zip(idx.tolist(), coef))
+        # A x = (x^H A^H)^H
+        self.resid[idx] = Y - (coef.conj().transpose(0, 2, 1) @ Ah).conj().transpose(0, 2, 1)
+        return failed
+
     def estimates(self):
         """The (n_channels, M) coefficients, zero off each problem's columns."""
         m = self.blocks.shape[2]
         x = np.zeros((len(self.residual), m + 1), dtype=complex)  # column M: the dummy
         xp = self._problems(x)
         k = max((c for p, c in enumerate(self.n.tolist()) if p not in self.lost), default=0)
-        xp[np.arange(len(xp))[:, None], self.cols[:, :k]] = np.linalg.solve(
-            self.R[:, :k, :k], self.QhY[:, :k])
+        if k:  # else every problem holds a minimum-norm fit
+            xp[np.arange(len(xp))[:, None], self.cols[:, :k]] = np.linalg.solve(
+                self.R[:, :k, :k], self.QhY[:, :k])
         for p, coef in self.lost.items():  # past its columns: the dummy
             xp[p, self.cols[p, :self.n[p]]] = coef
         return x[:, :m]
@@ -224,8 +256,8 @@ class BlockDiagonalOperator:
     def lstsq(self, part, groups, y):
         """Least squares of ``y`` on the columns of the selected ``groups`` of
         the per-channel partition ``part``, factored from scratch: the
-        full-length coefficient vector and whether any problem fell back to
-        minimum norm."""
+        full-length coefficient vector and whether any problem is a
+        minimum-norm fit (wider than tall, or rank lost)."""
         cols = part.columns(groups)
         fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size, True)
         fit.append(fit.mats, cols[None])

@@ -230,6 +230,22 @@ def g_cosamp_all_iterations(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     )
 
 
+def lstsq_per_problem(op, part, groups, y):
+    """``BlockDiagonalOperator.lstsq`` with each transmit matrix's problem
+    solved on its own by :func:`_solve_ls_from_scratch`: the reference for
+    the stacked factor's tall and wide fits."""
+    cols = part.columns(groups)
+    n_tx, q, m = op.blocks.shape
+    Y = np.asarray(y).reshape(-1, n_tx, q)
+    x = np.zeros((len(Y), n_tx, m), dtype=complex)
+    rank_lost = False
+    for s in range(n_tx):
+        coef, lost = _solve_ls_from_scratch(op.blocks[s][:, cols], Y[:, s].T)
+        x[:, s, cols] = coef.T
+        rank_lost |= lost
+    return x.reshape(-1), rank_lost
+
+
 def group_prox_by_scatter(v, part, thresh):
     """Groupwise soft threshold: shrink each group's l2 norm by ``thresh``,
     the per-group factors spread over the columns by repeat and scatter."""

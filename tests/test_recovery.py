@@ -39,6 +39,7 @@ from oracles import (
     g_omp_from_scratch,
     g_omp_per_problem,
     lipschitz_by_zherk,
+    lstsq_per_problem,
     penalty_search_g_bpdn,
 )
 
@@ -422,6 +423,70 @@ class TestGOmpRankLoss:
         self.assert_min_norm_fit(Phi, y, part, res)
 
 
+class TestWideFits:
+    """Fits with more columns than rows: one stacked QR of A^H for the
+    problems of full row rank, numpy's ``lstsq`` for the others."""
+
+    @staticmethod
+    def fit(blocks, n_rx, groups, monkeypatch, rng):
+        """``BlockDiagonalOperator.lstsq`` on 4-column groups, the
+        per-transmit ``lstsq`` references and the number of ``lstsq`` calls
+        the fit made."""
+        n_tx, q, m = blocks.shape
+        part = uniform_partition(m, 4)
+        y = rng.normal(size=(n_rx, n_tx, q)) + 1j * rng.normal(size=(n_rx, n_tx, q))
+        lstsq, calls = np.linalg.lstsq, []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+            x, lost = BlockDiagonalOperator(blocks, n_rx * n_tx).lstsq(part, np.array(groups),
+                                                                      y.reshape(-1))
+        cols = part.columns(np.array(groups))
+        x = x.reshape(n_rx, n_tx, m)
+        assert lost and not np.any(np.delete(x, cols, axis=2))
+        refs = [np.linalg.lstsq(blocks[s][:, cols], y[:, s].T, rcond=None)[0] for s in range(n_tx)]
+        return [x[:, s, cols].T for s in range(n_tx)], refs, len(calls)
+
+    @pytest.mark.parametrize("seed,n_tx,n_rx,groups", [
+        (80, 1, 1, [0, 1, 3]), (81, 2, 2, [0, 2, 3, 5]), (82, 2, 1, [1, 2, 4, 5]),
+        (83, 3, 2, [0, 1, 2, 3, 4, 5])])
+    def test_full_row_rank_matches_lstsq(self, seed, n_tx, n_rx, groups, monkeypatch):
+        rng = np.random.default_rng(seed)
+        blocks = rng.normal(size=(n_tx, 10, 24)) + 1j * rng.normal(size=(n_tx, 10, 24))
+        got, refs, n_calls = self.fit(blocks, n_rx, groups, monkeypatch, rng)
+        assert n_calls == 0
+        for x, ref in zip(got, refs):
+            assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_nearly_equal_rows_keep_the_qr_accurate(self, monkeypatch):
+        # two rows 1e-3 apart: condition about 1e4 keeps the row rank; the QR
+        # misses lstsq by 1e-12 here, a solve through A A^H, which squares
+        # the condition, by 2e-11
+        rng = np.random.default_rng(86)
+        blocks = rng.normal(size=(1, 10, 24)) + 1j * rng.normal(size=(1, 10, 24))
+        blocks[0, 7] = blocks[0, 2] + 1e-3 * rng.normal(size=24)
+        (x,), (ref,), n_calls = self.fit(blocks, 2, [0, 2, 4], monkeypatch, rng)
+        assert n_calls == 0
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_equal_rows_fall_back_to_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(84)
+        blocks = rng.normal(size=(1, 10, 24)) + 1j * rng.normal(size=(1, 10, 24))
+        blocks[0, 7] = blocks[0, 2]
+        (x,), (ref,), n_calls = self.fit(blocks, 2, [0, 2, 4], monkeypatch, rng)
+        assert n_calls == 1
+        np.testing.assert_array_equal(x, ref)
+
+    def test_one_append_mixes_both_kinds(self, monkeypatch):
+        # transmit 1's matrix has two equal rows, transmit 0's has full rank
+        rng = np.random.default_rng(85)
+        blocks = rng.normal(size=(2, 10, 24)) + 1j * rng.normal(size=(2, 10, 24))
+        blocks[1, 9] = blocks[1, 0]
+        got, refs, n_calls = self.fit(blocks, 2, [1, 3, 5], monkeypatch, rng)
+        assert n_calls == 1
+        assert np.linalg.norm(got[0] - refs[0]) <= 1e-11 * np.linalg.norm(refs[0])
+        np.testing.assert_array_equal(got[1], refs[1])
+
+
 class TestGCosamp:
     def test_zero_observation(self):
         rng = np.random.default_rng(3)
@@ -512,13 +577,7 @@ class TestGCosamp:
             return res
 
         monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
-        for t in range(3):
-            config, scheme, y_grid, sigma_z = desk_grid(11, t)
-            cfg = config.system
-            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
-            for name in ("conv-cosamp", "gcs-cosamp", "mcs-cosamp", "mgcs-cosamp"):
-                run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                              sigma_z)
+        cfg = run_cosamp_estimators_on_desk_trials()
         assert len(calls) == 3 * (2 * cfg.n_channels + 2)
         for res, ref, n_iters in calls:
             np.testing.assert_array_equal(res.estimates, ref.estimates)
@@ -527,6 +586,31 @@ class TestGCosamp:
             assert res.diagnostics["rank_deficient"] == ref.diagnostics["rank_deficient"]
             assert res.iterations <= min(ref.iterations, n_iters)
         assert any(res.diagnostics["fixed_point"] for res, _, _ in calls)
+
+    def test_fits_match_the_per_problem_reference_on_desk_trials(self, monkeypatch):
+        # every solver call of the four CoSaMP estimators on seeded desk
+        # trials, against the same loop with every transmit matrix's fit
+        # solved on its own: a thin QR, or lstsq when wide or rank-lost
+        calls = []
+
+        def both(*args, **kwargs):
+            res = g_cosamp(*args, **kwargs)
+            with monkeypatch.context() as mp:
+                mp.setattr(BlockDiagonalOperator, "lstsq", lstsq_per_problem)
+                calls.append((res, g_cosamp(*args, **kwargs)))
+            return res
+
+        monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
+        cfg = run_cosamp_estimators_on_desk_trials()
+        assert len(calls) == 3 * (2 * cfg.n_channels + 2)
+        for res, ref in calls:
+            assert res.selected_groups == ref.selected_groups
+            assert res.iterations == ref.iterations
+            for key in ("fixed_point", "rank_deficient"):
+                assert res.diagnostics[key] == ref.diagnostics[key]
+            assert (np.linalg.norm(res.estimates - ref.estimates)
+                    <= 1e-12 * np.linalg.norm(ref.estimates))
+        assert any(res.diagnostics["rank_deficient"] for res, _ in calls)
 
 
 class TestGBpdn:
@@ -568,6 +652,26 @@ class TestGBpdn:
         assert problem.status in ("optimal", "optimal_inaccurate")
         oracle = group_norm(np.asarray(xv.value), part)
         assert group_norm(res.x, part) <= oracle * (1 + 2e-3)
+
+    def test_objective_against_the_weak_duality_bound(self):
+        # the instance above: for any u, every feasible x has group norm
+        # >= Re<Phi^H u, x> >= Re<u, y> - eps ||u|| when max_b ||(Phi^H u)_b||
+        # <= 1, so u = r / max_b ||(Phi^H r)_b|| with r = y - Phi x bounds the
+        # optimum from below
+        rng = np.random.default_rng(8)
+        Phi = partial_dft(12, 24, rng)
+        part = uniform_partition(24, 3)
+        x_true = group_sparse_signal(part, [2, 6], rng)
+        z = 0.05 * (rng.normal(size=12) + 1j * rng.normal(size=12))
+        y = Phi @ x_true + z
+        eps = float(np.linalg.norm(z)) * 1.1
+        x = g_bpdn(Phi, y, part, eps=eps, tol=1e-4).x
+        r = y - Phi @ x
+        corr = Phi.conj().T @ r
+        dual = ((np.vdot(r, y).real - eps * np.linalg.norm(r))
+                / max(np.linalg.norm(corr[g]) for g in part.groups))
+        assert np.linalg.norm(r) <= eps
+        assert dual <= group_norm(x, part) <= dual * (1 + 2e-3)
 
     def test_certified_instance_error_bound(self):
         # noisy group-sparse instance with brute-forced delta_{2S|P} <= sqrt(2)-1
@@ -1081,6 +1185,19 @@ def desk_grid(seed, t):
     y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, FilterSpec(kind="rrc"),
                                            geometry, 20.0, [seed, 0, t])
     return config, scheme, y_grid, sigma_z
+
+
+def run_cosamp_estimators_on_desk_trials():
+    """The four CoSaMP estimators on seeded desk trials 0-2 of seed 11,
+    2 n_channels + 2 solver calls per trial; returns the system config."""
+    for t in range(3):
+        config, scheme, y_grid, sigma_z = desk_grid(11, t)
+        cfg = config.system
+        tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+        for name in ("conv-cosamp", "gcs-cosamp", "mcs-cosamp", "mgcs-cosamp"):
+            run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                          sigma_z)
+    return cfg
 
 
 def desk_trial(seed, t):
