@@ -46,15 +46,14 @@ class DelayDopplerPrior:
         return 1 + len(self.offsets)
 
 
-def reference_prior(cfg, n_channels=None):
-    """Prior mirroring the reference simulation setup: delays uniform over the
-    cyclic prefix, Dopplers within 3% of the subcarrier spacing, equal delays
-    and +-1.4 Hz Doppler offsets across the other component channels."""
-    if n_channels is None:
-        n_channels = cfg.n_channels
+def reference_prior(cfg):
+    """Prior mirroring the reference simulation setup over cfg's n_channels
+    component channels: delays uniform over the cyclic prefix, Dopplers within
+    3% of the subcarrier spacing, equal delays and +-1.4 Hz Doppler offsets
+    across the other component channels."""
     tau_max = (cfg.N - cfg.K) * cfg.Ts
     nu_max = 0.03 / (cfg.K * cfg.Ts)
-    offsets = tuple((0.0, 0.0, -1.4, 1.4) for _ in range(n_channels - 1))
+    offsets = tuple((0.0, 0.0, -1.4, 1.4) for _ in range(cfg.n_channels - 1))
     return DelayDopplerPrior(tau_max=tau_max, nu_max=nu_max, offsets=offsets)
 
 
@@ -212,23 +211,29 @@ def _subproblem_objective(v_sub, C_sub, di):
     return float(np.sqrt(_block_energies(v_sub, C_sub, di)).sum())
 
 
-def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54):
+# convex_update_step's smoothing of each block norm, sqrt(E + _SMOOTHING), and
+# the gradients it takes at most, a safety bound on its FISTA loop
+_SMOOTHING = 1e-8
+_MAX_GRADIENTS = 54
+
+
+def convex_update_step(v_sub, eps_bound, C_sub, di):
     """Approximately solve the convexified subproblem: Hermitian updates A_m
     with entrywise magnitude below ``eps_bound`` minimizing the linearized
     objective at (I + jA_m) V_m.
 
     Accelerated projected gradient (FISTA) on the smoothed objective, at
-    most ``max_iter`` gradients: each takes the gradient at the extrapolated
-    point Y, projects Y - step * gradient onto the box, and halves the step
-    until the quadratic model of f at Y bounds f at the projected point; the
-    step then grows by 1.5 for the next iteration.  When f does not decrease
-    the momentum restarts (t = 1, Y at the new iterate).  The iterates need
-    not decrease, so the best one, no worse than A = 0, is returned; it is
-    exactly Hermitian and inside the box.  A cap of 54 gradients is the
-    smallest with which the criterion-9 optimization (R=256, 30 outer
-    iterations) ends below the objective that 200 plain projected-gradient
-    steps reach, by more than rounding-level perturbations of the kernels
-    move it.
+    most ``_MAX_GRADIENTS`` gradients: each takes the gradient at the
+    extrapolated point Y, projects Y - step * gradient onto the box, and
+    halves the step until the quadratic model of f at Y bounds f at the
+    projected point; the step then grows by 1.5 for the next iteration.  When
+    f does not decrease the momentum restarts (t = 1, Y at the new iterate).
+    The iterates need not decrease, so the best one, no worse than A = 0, is
+    returned; it is exactly Hermitian and inside the box.  A cap of 54
+    gradients is the smallest with which the criterion-9 optimization (R=256,
+    30 outer iterations) ends below the objective that 200 plain
+    projected-gradient steps reach, by more than rounding-level perturbations
+    of the kernels move it.
 
     The loop never forms the coefficients W_m = B_m M_m, with B_m = I + jA_m
     and M_m = V_m C_m.  Each sample's Gram matrix G = M_m M_m^H is packed once
@@ -277,12 +282,12 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54)
         Q = rows.transpose(0, 1, 3, 2) @ np.conj(rows)  # (nb, dm, J, J)
         K = Q.view(float).reshape(nb, dm, 2 * J * J).take(pack, axis=2)
         e = np.maximum(F @ K.reshape(nb, dm * J * J).T, 0.0)  # (R, nb)
-        return float(np.sqrt(e + smoothing).sum()), B, e
+        return float(np.sqrt(e + _SMOOTHING).sum()), B, e
 
     def gradient(B, e):
         # differential Re tr(dA Gamma) with Gamma[:, c] = j H_k conj(B[c, :]),
         # k = c // di, H_k = sum_rho w[rho, k] G_rho, w = 1/sqrt(E + mu)
-        w = 1.0 / np.sqrt(e + smoothing)
+        w = 1.0 / np.sqrt(e + _SMOOTHING)
         P = (Ft @ w).T.reshape(nb, dm, J * J)
         H = (P.take(unpack, axis=2) * scale).view(complex).reshape(nb, dm, J, J)
         rows = np.conj(B).reshape(dm, nb, di, J).transpose(1, 0, 3, 2)  # (nb, dm, J, di)
@@ -294,7 +299,7 @@ def convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_iter=54)
     best_f, best_A = f, A
     Y, f_y, B_y, e_y = A, f, B, e
     t, step = 1.0, eps_bound
-    for _ in range(max_iter):
+    for _ in range(_MAX_GRADIENTS):
         g = gradient(B_y, e_y)
         g_max = np.abs(g).max()
         if g_max < 1e-15:

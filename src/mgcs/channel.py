@@ -193,15 +193,15 @@ def _array_positions(center, n, spacing):
     return pos
 
 
-def sample_geometry(seed, params=None):
-    """Draw a deterministic scatterer geometry for the given seed.
+def sample_geometry(seed, p):
+    """Draw a deterministic scatterer geometry of the scenario ``p``
+    (:class:`GeometryParams`) for the given seed.
 
     Far clusters are placed uniformly in a rectangle centered on the link,
     near clusters within a circle around the receiver; each cluster shares a
     speed, heading and acceleration drawn uniformly from the configured
     ranges, as does the receiver (the transmitter is static).
     """
-    p = params or GeometryParams()
     rng = np.random.default_rng(seed)
     spacing = p.antenna_spacing
     if spacing is None:
@@ -303,13 +303,14 @@ def _leg_vectors(antennas, scatterers):
     return diff, dist
 
 
-def path_params(geo, gains, decay=True, carrier_phase=True):
+def path_params(geo, gains):
     """Delays, Dopplers and complex gains of every scatterer path per channel.
 
     tau = (w_T + w_R)/c; the transmit-side Doppler uses the carrier, the
     receive side the transmit-side shifted carrier f1 = fc + nu_T.  ``gains``
-    holds one complex base gain per scatterer; by default the per-channel gain
-    applies a two-leg distance decay and the carrier phase exp(-j2 pi fc tau).
+    holds one complex base gain per scatterer; the per-channel gain applies a
+    two-leg distance decay, relative to the geometric mean of the first
+    channel's leg products, and the carrier phase exp(-j2 pi fc tau).
     """
     gains = np.asarray(gains, dtype=complex)
     wt_vec, wt = _leg_vectors(geo.tx_pos, geo.scat_pos)  # (P, n_tx, 2)
@@ -323,19 +324,15 @@ def path_params(geo, gains, decay=True, carrier_phase=True):
     delays = np.empty((P, n_rx * n_tx))
     dopplers = np.empty((P, n_rx * n_tx))
     amp = np.empty((P, n_rx * n_tx), dtype=complex)
-    ref = np.exp(np.mean(np.log(wt[:, 0] * wr[:, 0]))) if decay else 1.0
+    ref = np.exp(np.mean(np.log(wt[:, 0] * wr[:, 0])))
     for r in range(n_rx):
         for s in range(n_tx):
             xi = r * n_tx + s
             delays[:, xi] = (wt[:, s] + wr[:, r]) / SPEED_OF_LIGHT
             f1 = fc + nu_t[:, s]
             dopplers[:, xi] = nu_t[:, s] + (f1 / SPEED_OF_LIGHT) * proj_r[:, r]
-            a = gains.copy()
-            if decay:
-                a = a * ref / (wt[:, s] * wr[:, r])
-            if carrier_phase:
-                a = a * np.exp(-2j * np.pi * fc * delays[:, xi])
-            amp[:, xi] = a
+            a = gains * ref / (wt[:, s] * wr[:, r])
+            amp[:, xi] = a * np.exp(-2j * np.pi * fc * delays[:, xi])
     return PathSet(gains=amp, delays=delays, dopplers=dopplers)
 
 
@@ -429,20 +426,14 @@ def spreading_model(paths, cfg, filters, m_len=None):
 class CoefficientTensor:
     """Delay-Doppler expansion coefficients on the fundamental rectangle.
 
-    ``values`` has shape (D, J, n_channels) with Doppler axis index i + J/2.
-    ``holds`` says whether the entries are 2D-DFT coefficients ("F") or
-    general basis coefficients ("G"); under the DFT basis G = sqrt(J D) F.
+    ``values`` has shape (D, J, n_channels) with Doppler axis index i + J/2
+    and holds the 2D-DFT coefficients F; :meth:`as_g` gives the DFT-basis
+    coefficients G = sqrt(J D) F.
     """
 
     values: np.ndarray
-    basis: str = "dft"
-    holds: str = "F"
 
     def as_g(self):
-        if self.holds == "G":
-            return self.values
-        if self.basis != "dft":
-            raise DomainError("F-to-G conversion is only defined for the DFT basis")
         jd = self.values.shape[0] * self.values.shape[1]
         return np.sqrt(jd) * self.values
 
@@ -452,7 +443,7 @@ def dft_coeffs(S_h, pulses, cfg):
 
     F_{m,i} = sum_{q=0}^{N-1} S_h[m, i + q L] conj(A(m, (i + q L)/L_r)) for
     m in {0..D-1}, i in {-J/2..J/2-1}; negative Doppler indices wrap modulo
-    L_r.  Returns a :class:`CoefficientTensor` holding F under the DFT tag.
+    L_r.  Returns a :class:`CoefficientTensor` holding F.
     """
     S_h = np.asarray(S_h)
     l_r = cfg.l_r
@@ -465,7 +456,7 @@ def dft_coeffs(S_h, pulses, cfg):
     for xi in range(S_h.shape[0]):
         prod = S_h[xi][: cfg.D, idx] * np.conj(amb)  # (D, J*N)
         F[:, :, xi] = prod.reshape(cfg.D, cfg.J, cfg.N).sum(axis=2)
-    return CoefficientTensor(values=F, basis="dft", holds="F")
+    return CoefficientTensor(values=F)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def cmd_simulate(args):
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     # the same first two seed children as harness.simulate_trial
     s_geo, s_gain = np.random.SeedSequence(args.seed).spawn(2)
-    H = simulate_channel(cfg, config.filters, point_geometry(config, cfg), s_geo, s_gain)
+    H = simulate_channel(cfg, config.filters, point_geometry(cfg), s_geo, s_gain)
     truth = effective_coeffs(H, pulses, cfg)
     mgio.save_tensor(args.out, truth)
     meta = {

@@ -173,13 +173,11 @@ def draw_pilots(cfg, seed, q, p_matrix=None):
     )
 
 
-def assemble_frame(scheme, cfg, rng=None):
+def assemble_frame(scheme, cfg, rng):
     """Transmit symbol grid: pilot vectors at pilot positions, unit-power QPSK
-    data elsewhere (zeros when no generator is given)."""
-    a = np.zeros((cfg.L, cfg.K, cfg.n_tx), dtype=complex)
-    if rng is not None:
-        qpsk = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=a.shape)))
-        a[:] = qpsk
+    data drawn from ``rng`` elsewhere."""
+    symbols = rng.integers(0, 4, size=(cfg.L, cfg.K, cfg.n_tx))
+    a = np.exp(1j * (np.pi / 4 + np.pi / 2 * symbols))
     for s in range(scheme.n_tx):
         ls, ks = scheme.positions(s, cfg)
         a[ls, ks, :] = scheme.p_matrix[:, s]

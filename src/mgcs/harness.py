@@ -19,8 +19,10 @@ from .channel import (
     PathSet,
     cross_channel_bounds,
     discrete_ir,
+    effective_support_widths,
     path_params,
     sample_geometry,
+    sparsity_budget,
 )
 from .errors import PACKAGE_ERRORS, ConfigurationError
 from .estimator import (
@@ -65,9 +67,10 @@ def parse_solver(name):
     return grouped, joint, algo
 
 
-def desk_geometry(n_tx, n_rx, fc=5e9, block_duration=0.0):
+def desk_geometry(n_tx, n_rx, fc, block_duration):
     """Scaled-down scatterer scenario whose delay spread fits a small delay
-    rectangle at 5 MHz bandwidth."""
+    rectangle at 5 MHz bandwidth, on carrier ``fc`` over a block of
+    ``block_duration`` seconds."""
     return GeometryParams(
         n_tx=n_tx,
         n_rx=n_rx,
@@ -86,9 +89,11 @@ def desk_geometry(n_tx, n_rx, fc=5e9, block_duration=0.0):
     )
 
 
-def desk_prior(cfg, n_channels=None):
-    """In-rectangle delay-Doppler prior for basis optimization at desk scale."""
-    prior = reference_prior(cfg, n_channels=n_channels)
+def desk_prior(cfg):
+    """In-rectangle delay-Doppler prior for basis optimization at desk scale:
+    :func:`~mgcs.basisopt.reference_prior` over cfg's channels, its delays
+    capped inside the delay rectangle and the cyclic prefix."""
+    prior = reference_prior(cfg)
     tau_cap = min(cfg.N - cfg.K, cfg.D - 1) * cfg.Ts
     return replace(prior, tau_max=min(prior.tau_max, tau_cap))
 
@@ -121,7 +126,6 @@ class ExperimentConfig:
     snr_db: float = 20.0  # used when the axis is not SNR
     basis: str = "dft"  # "dft" | "optimize" | basis file path
     filters: FilterSpec = FilterSpec(kind="rrc")
-    geometry: GeometryParams = None
     residual_scale: float = 1.0
     max_groups: int = None
     basis_samples: int = 256
@@ -216,12 +220,9 @@ def resolve_basis(config, cfg, pulses):
     return mgio.load_basis(config.basis, mgio.config_fingerprint(cfg))
 
 
-def point_geometry(config, cfg):
-    """The configured geometry, else the desk one over cfg's block, with cfg's
-    antenna counts."""
-    geometry = config.geometry or desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0,
-                                                block_duration=cfg.l_r * cfg.Ts)
-    return replace(geometry, n_tx=cfg.n_tx, n_rx=cfg.n_rx)
+def point_geometry(cfg):
+    """The desk geometry over cfg's block, carrier and antenna counts."""
+    return desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
 
 
 def simulate_channel(cfg, filters, geometry, s_geo, s_gain):
@@ -263,11 +264,10 @@ def simulate_trial(cfg, scheme, pulses, filters, geometry, snr_db, seed):
     return y_grid, truth, float(np.sqrt(sigma2)), measured_snr_db
 
 
-def budget_sparsity(tiling, filters, cfg, n_paths, tau_b=0.0, nu_b=0.0):
+def budget_sparsity(tiling, filters, cfg, n_paths, tau_b, nu_b):
     """Default group-sparsity order for G-CoSaMP: the joint sparsity budget
-    P * N of the kernel support widths and cross-channel bounds."""
-    from .channel import effective_support_widths, sparsity_budget
-
+    P * N of the kernel support widths and the cross-channel bounds
+    (tau_b, nu_b)."""
     dm_eff, di_eff = effective_support_widths(filters, cfg)
     _, _, _, s_joint = sparsity_budget(dm_eff, di_eff, tau_b, nu_b, tiling, n_paths, cfg)
     return s_joint
@@ -316,7 +316,7 @@ def run_sweep(config):
         if (cfg, dm, di) not in bases:
             bases[cfg, dm, di] = resolve_basis(replace(config, dm=dm, di=di), cfg, pulses)
         basis = bases[cfg, dm, di]
-        geometry = point_geometry(config, cfg)
+        geometry = point_geometry(cfg)
         pilot_seed = np.random.SeedSequence([config.master_seed, 7919])
         scheme = draw_pilots(cfg, pilot_seed, q=config.q)
         # nominal-geometry sparsity budget for the CoSaMP default

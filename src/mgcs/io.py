@@ -8,6 +8,7 @@ loaded against a matching system; round-trips are bit-exact.
 
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -21,11 +22,12 @@ VERSION = 1
 
 
 def _read(fh, size, error):
-    """The next ``size`` bytes; ``error`` when the file ends before them."""
-    data = fh.read(size)
-    if len(data) != size:
+    """The next ``size`` bytes; ``error`` when the file ends before them,
+    checked before reading, so a header that claims more bytes than the file
+    holds never sizes a read."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise error(f"{fh.name}: truncated file")
-    return data
+    return fh.read(size)
 
 
 def _read_values(fh, shape, error):

@@ -618,13 +618,13 @@ def delta_stacked_equals_max(ensemble, part, S):
     return delta_stacked, per_channel
 
 
-def sample_count_bound(S_prime, M, gamma, eta, mu_u, C=1.0):
+def sample_count_bound(S_prime, M, gamma, eta, mu_u):
     """Measurement-count bound for random row subsampling of a unitary matrix.
 
     ceil(C mu^2 S' max{log^3(S') log(M), log(1/eta)} / gamma^2), natural logs.
-    The constant C is not pinned down by theory; the default 1 is heuristic.
+    The constant C is not pinned down by theory; C = 1 here is heuristic.
     """
     if not (0 < gamma < 1 and 0 < eta < 1):
         raise DomainError("gamma and eta must lie in (0, 1)")
     term = max(math.log(S_prime) ** 3 * math.log(M), math.log(1.0 / eta))
-    return int(math.ceil(C * mu_u**2 * S_prime * term / gamma**2))
+    return int(math.ceil(mu_u**2 * S_prime * term / gamma**2))

@@ -58,6 +58,8 @@ class SystemConfig:
                 raise ConfigurationError(f"{name} must be at least 1")
         if not self.Ts > 0:
             raise ConfigurationError("sample period Ts must be positive")
+        if not self.f0 > 0:
+            raise ConfigurationError("carrier frequency f0 must be positive")
         if self.N < self.K:
             raise ConfigurationError("symbol duration N must be >= K")
         if self.L % 2 or self.J % 2:

@@ -125,7 +125,7 @@ def test_criterion_3_kernel_identity():
     t0 = time.time()
     cfg = SystemConfig(K=8, N=10, L=8, D=4, J=4, n_tx=2, n_rx=1, Ts=2e-7)
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-    prior = desk_prior(cfg, n_channels=2)
+    prior = desk_prior(cfg)
     rng = np.random.default_rng(3)
     m = np.arange(cfg.D)
     i = np.arange(-cfg.J // 2, cfg.J // 2)

@@ -224,7 +224,7 @@ class TestBuildCMatrix:
             basis = BasisSpec.dft(cfg.J, cfg.D)
         else:
             basis = BasisSpec.from_blocks(random_blocks(cfg.D, cfg.J, rng))
-        prior = reference_prior(cfg, n_channels=2)
+        prior = reference_prior(cfg)
         for trial in range(5):
             tau0 = rng.uniform(0, (cfg.D - 1) * cfg.Ts)
             nu0 = rng.uniform(-prior.nu_max, prior.nu_max)
@@ -244,7 +244,7 @@ class TestBuildCMatrix:
 class TestMcObjective:
     def setup_samples(self, cfg, R=8, seed=0):
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        prior = reference_prior(cfg)
         samples = sample_prior(prior, R, seed)
         return attach_kernels(samples, pulses, cfg, RRC), pulses
 
@@ -450,7 +450,7 @@ def direct_convex_update_step(v_sub, eps_bound, C_sub, di, smoothing=1e-8, max_i
 class TestConvexUpdate:
     def make_subproblem(self, cfg, rng, R=4):
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        prior = reference_prior(cfg)
         samples = attach_kernels(sample_prior(prior, R, 5), pulses, cfg, RRC)
         C_sub = samples.C.reshape(R, cfg.D, cfg.J, -1)[:, :1]  # first delay column
         v_sub = np.broadcast_to(dft_block(cfg.J), (1, cfg.J, cfg.J)).copy()
@@ -511,7 +511,7 @@ class TestConvexUpdate:
     def test_matches_direct_coefficient_loop(self, dm, column, scale):
         cfg = small_cfg()
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        prior = reference_prior(cfg)
         R = 16
         samples = attach_kernels(sample_prior(prior, R, 8), pulses, cfg, RRC)
         Cm = samples.C.reshape(R, cfg.D, cfg.J, -1)
@@ -558,7 +558,7 @@ class TestConvexUpdate:
         cfg = small_cfg(K=4, N=6, L=2, D=2, J=2, n_tx=1)
         rng = np.random.default_rng(6)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        prior = reference_prior(cfg, n_channels=1)
+        prior = reference_prior(cfg)
         samples = attach_kernels(sample_prior(prior, 1, 7), pulses, cfg, RRC)
         C_sub = samples.C.reshape(1, cfg.D, cfg.J, 1)[:, :1]
         v_sub = np.broadcast_to(dft_block(2), (1, 2, 2)).copy()
@@ -583,7 +583,7 @@ class TestConvexUpdate:
 class TestOptimizeBlocks:
     def opt_inputs(self, cfg, R=24, seed=9):
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        prior = reference_prior(cfg)
         samples = attach_kernels(sample_prior(prior, R, seed), pulses, cfg, RRC)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         return samples, tiling, pulses
@@ -641,7 +641,7 @@ class TestOptimizeBlocks:
         cfg = small_cfg()
         samples, tiling, pulses = self.opt_inputs(cfg, R=32, seed=10)
         basis, _ = optimize_blocks(samples, tiling, pulses, cfg, max_iters=12)
-        prior = reference_prior(cfg, n_channels=cfg.n_channels)
+        prior = reference_prior(cfg)
         fresh = attach_kernels(sample_prior(prior, 32, 11), pulses, cfg, RRC)
         assert mc_objective(basis, fresh, tiling) < mc_objective(
             BasisSpec.dft(cfg.J, cfg.D), fresh, tiling

@@ -66,6 +66,19 @@ def test_feasibility_check_sees_every_joint_bpdn_estimate(monkeypatch):
     assert feasibility.violations() == []
 
 
+def test_basis_opt_setup_and_in_prior_channel():
+    # the basis-opt workload's own calls: desk_prior(cfg) in setup, then
+    # paths_from_prior, discrete_ir and the 3-argument assemble_frame
+    workload = load_bench_module("workloads").BasisOptWorkload()
+    p = workload.setup(3)
+    cfg = p.cfg
+    assert p.prior.n_channels == cfg.n_channels
+    y_grid, truth, sigma2 = workload._in_prior_channel(p, 3, 0, 0)
+    assert y_grid.shape == (cfg.L, cfg.K, cfg.n_rx)
+    assert truth.shape == (cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)
+    assert np.isfinite(y_grid).all() and sigma2 > 0
+
+
 def test_cosamp_span_counts_read_the_result():
     # the recovery.g_cosamp span reads the fit count and the rank-loss flag
     count = next(c for _, attr, _, c in load_bench_module("spans").WRAP_POINTS

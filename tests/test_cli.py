@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -224,14 +226,34 @@ def test_optimize_basis_writes_the_sweep_basis(tmp_path):
     assert load_basis(out, config_fingerprint(cfg)).blocks.tobytes() == basis.blocks.tobytes()
 
 
-def _not_a_tensor(tmp_path):
-    (tmp_path / "junk.bin").write_bytes(b"junk")
+def _written(tmp_path, data):
+    (tmp_path / "junk.bin").write_bytes(data)
     return str(tmp_path / "junk.bin")
+
+
+def _tensor_header(dim):
+    # a one-dimensional tensor of ``dim`` values (16 dim bytes), without them
+    return b"MGCT" + struct.pack("<IIQ", 1, 1, dim)
+
+
+def _basis_header(side):
+    # a non-DFT basis of D = J = side (16 side^3 bytes) with SMALL's
+    # fingerprint, without its blocks
+    fp = config_fingerprint(experiment_from_config(load_config(None, SMALL[1::2]), 1).system)
+    return (b"MGBS" + struct.pack("<IBIII", 1, 1, side, side, 1)
+            + struct.pack("<I", len(fp)) + fp.encode())
 
 
 @pytest.mark.parametrize("kind,args", [
     ("missing tensor", lambda d: ["estimate", "--tensor", str(d / "nothere.bin")]),
-    ("not a tensor", lambda d: ["estimate", "--tensor", _not_a_tensor(d)]),
+    ("not a tensor", lambda d: ["estimate", "--tensor", _written(d, b"junk")]),
+    ("tensor of 2^58 values", lambda d: ["estimate", "--tensor",
+                                         _written(d, _tensor_header(2**58))]),
+    ("tensor of 2^62 values", lambda d: ["estimate", "--tensor",
+                                         _written(d, _tensor_header(2**62))]),
+    ("basis of 2^16 delays", lambda d: [
+        "--set", f"sweep.basis={_written(d, _basis_header(2**16))}",
+        "estimate", "--tensor", str(d / "chan.bin")]),
     ("missing config", lambda d: ["--config", str(d / "nothere.ini"), "estimate",
                                   "--tensor", str(d / "chan.bin")]),
     ("missing basis", lambda d: ["--set", f"sweep.basis={d / 'nothere.basis'}",
@@ -265,6 +287,7 @@ def test_bad_blocksize_point_exits_2_without_traceback(point, tmp_path, capsys):
     "pilots.q=0", "pilots.q=-3", "system.n_tx=0", "system.n_rx=0", "system.d=0",
     "system.j=0", "tiling.dm=0", "tiling.di=0", "channel.rolloff=0",
     "channel.oversampling=0", "channel.span=-2", "system.ts=0", "sweep.trials=-1",
+    "system.f0=0", "system.f0=-5e9",
 ])
 def test_out_of_range_value_exits_2_without_traceback(value, tmp_path, capsys):
     rc = main(["--set", "sweep.trials=1", "--set", "sweep.points=20", "--set", value,

@@ -1290,7 +1290,7 @@ class TestDeltaStackedEqualsMax:
 
 class TestSampleCountBound:
     def test_s_prime_one_branch(self):
-        got = sample_count_bound(1, 64, 0.5, 0.1, 1.0, C=1.0)
+        got = sample_count_bound(1, 64, 0.5, 0.1, 1.0)
         assert got == math.ceil(math.log(10.0) / 0.25)
 
     def test_dft_coherence_is_one(self):
@@ -1301,7 +1301,7 @@ class TestSampleCountBound:
 
     def test_worked_example(self):
         expect = math.ceil(4 * max(math.log(4) ** 3 * math.log(64), math.log(10.0)) / 0.25)
-        assert sample_count_bound(4, 64, 0.5, 0.1, 1.0, C=1.0) == expect
+        assert sample_count_bound(4, 64, 0.5, 0.1, 1.0) == expect
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
