@@ -126,14 +126,13 @@ class CKernelTable:
         return (self.cfg.J * self.signs[:, None, None]) * np.fft.ifft(X, axis=0)
 
 
-def build_C_matrix(taus, nus, pulses, cfg, filters, table=None):
+def build_C_matrix(taus, nus, cfg, filters, table):
     """Kernel matrices of delay/Doppler pairs: column xi stacks the per-delay
-    blocks sqrt(D) phi^(nu)(m - tau/Ts) C^(nu)[m, :] of pair xi.  All pairs
-    share one ``phi_profiles`` call and one batched kernel product."""
+    blocks sqrt(D) phi^(nu)(m - tau/Ts) C^(nu)[m, :] of pair xi, with C from
+    the :class:`CKernelTable` ``table`` of cfg.  All pairs share one
+    ``phi_profiles`` call and one batched kernel product."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
-    if table is None:
-        table = CKernelTable(pulses, cfg)
     phi = phi_profiles(filters, taus / cfg.Ts, nus * cfg.Ts, cfg.D)  # (n_ch, D)
     C = table.c_matrices(nus) * (np.sqrt(cfg.D) * phi.T)  # (J, D, n_ch)
     return C.transpose(1, 0, 2).reshape(cfg.jd, len(taus))
@@ -151,7 +150,7 @@ def attach_kernels(samples, pulses, cfg, filters):
     for lo in range(0, samples.n_samples, _SAMPLE_BLOCK):
         rho = slice(lo, lo + _SAMPLE_BLOCK)
         block = build_C_matrix(samples.taus[rho].ravel(), samples.nus[rho].ravel(),
-                               pulses, cfg, filters, table=table)
+                               cfg, filters, table)
         C[rho] = block.reshape(cfg.jd, -1, samples.n_channels).transpose(1, 0, 2)
     return replace(samples, C=C)
 
@@ -335,7 +334,7 @@ class OptimizeDiagnostics:
     final_objective: float
 
 
-def optimize_blocks(samples, tiling, pulses, cfg, max_iters=50):
+def optimize_blocks(samples, tiling, pulses, cfg, max_iters):
     """Iterative unitary basis optimization.
 
     The objective separates over delay columns of width dm; per column it

@@ -1,7 +1,7 @@
 """Group-sparse, jointly sparse and jointly group-sparse recovery.
 
-Greedy solvers (G-OMP, G-CoSaMP, G-DCS-SOMP), G-BPDN by ADMM with an exact
-projection onto the noise ball, the multichannel stacking that
+Greedy solvers (G-OMP, G-CoSaMP, G-DCS-SOMP), G-BPDN by over-relaxed ADMM
+with an exact projection onto the noise ball, the multichannel stacking that
 turns simultaneous group-sparse problems into one block-diagonal group-sparse
 problem, and brute-force certification of group restricted isometry constants.
 
@@ -23,6 +23,11 @@ wholesale, factors it from scratch.  A fit with more columns than rows takes
 the minimum-norm solution from one stacked QR of A^H, and ``lstsq`` only for
 a problem whose rows are dependent; ``rank_deficient`` then means a
 minimum-norm fit.
+
+G-BPDN forms each block's Gram matrix A A^H once.  When all of them equal
+one c I to rounding (a tight frame, as every ``build_phi`` block is), its
+projection onto the noise ball is closed-form; any other operator projects
+through the eigendecomposition of each Gram matrix and a Newton solve.
 """
 
 import math
@@ -116,18 +121,18 @@ class _GrownQR:
     gets a diagonal at or below ``_RANK_TOL`` max(max |diag R|, 1) takes the
     minimum-norm ``lstsq`` from then on (``lost``).  Problems with more
     columns than rows are minimum-norm fits too (``lost``): one stacked QR of
-    their A^H serves all whose R passes the same rule, ``lstsq`` the rest."""
+    their A^H serves all whose R passes the same rule, ``lstsq`` the rest.
+    The thin-QR buffers are allocated by the first append that is not wide,
+    so a fit whose appends are all wide never holds them."""
 
     def __init__(self, blocks, Y, width, per_transmit):
-        n_tx, q, m = blocks.shape
+        n_tx, _, m = blocks.shape
         self.blocks, self.per_transmit = blocks, per_transmit
         self.mats = np.arange(n_tx if per_transmit else len(Y)) % n_tx
         self.residual = Y.copy()  # (n_channels, Q)
         self.Y, self.resid = self._problems(Y), self._problems(self.residual)
-        n, w = len(self.mats), min(q, width)
-        self.Q, self.Qh = np.zeros((n, q, w), complex), np.zeros((n, w, q), complex)
-        self.R = np.tile(np.eye(w, dtype=complex), (n, 1, 1))
-        self.QhY = np.zeros((n, w, self.Y.shape[2]), dtype=complex)
+        n = len(self.mats)
+        self.Q = self.Qh = self.R = self.QhY = None  # see _extend
         self.cols = np.full((n, width), m)  # past a problem's columns: M, a dummy
         self.n = np.zeros(n, dtype=np.intp)
         self.lo, self.hi = [np.inf] * n, [0.0] * n  # extreme |diag R|, as floats
@@ -158,6 +163,12 @@ class _GrownQR:
 
     def _extend(self, idx, n0, n1):
         """Extend the factors of problems ``idx``; returns those that lost rank."""
+        if self.R is None:
+            (n, width), q = self.cols.shape, self.Y.shape[1]
+            w = min(q, width)
+            self.Q, self.Qh = np.zeros((n, q, w), complex), np.zeros((n, w, q), complex)
+            self.R = np.tile(np.eye(w, dtype=complex), (n, 1, 1))
+            self.QhY = np.zeros((n, w, self.Y.shape[2]), dtype=complex)
         sel = slice(None) if idx.size == len(self.mats) else idx  # a slice copies nothing
         Qk, Qh = self.Q[sel, :, :n0], self.Qh[sel, :n0]
         W = self.blocks[self.mats[sel, None], :, self.cols[sel, n0:n1]].transpose(0, 2, 1)
@@ -226,7 +237,7 @@ class BlockDiagonalOperator:
     by ``blocks[s]``, and the operator maps the stacked vector of
     ``n_channels`` length-M coefficient vectors to the stacked vector of
     their length-Q measurements.  Products, least squares and the Gram
-    eigendecomposition work block by block; ``np.asarray(op)`` gives the dense
+    matrices work block by block; ``np.asarray(op)`` gives the dense
     (n_channels Q) x (n_channels M) matrix.
     """
 
@@ -263,10 +274,14 @@ class BlockDiagonalOperator:
         fit.append(fit.mats, cols[None])
         return fit.estimates().reshape(-1), bool(fit.lost)
 
+    def gram(self):
+        """The (n_tx, Q, Q) Gram matrices A A^H of the blocks (see :func:`_gram`)."""
+        return np.array([_gram(A) for A in self.blocks])
+
     def gram_eigh(self):
         """Eigenvalues (n_tx, Q), ascending, and eigenvectors (n_tx, Q, Q) of
-        every block's Gram matrix A A^H (see :func:`_gram`)."""
-        return np.linalg.eigh(np.array([_gram(A) for A in self.blocks]))
+        every block's Gram matrix."""
+        return np.linalg.eigh(self.gram())
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -438,11 +453,69 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
 
 # ADMM iterations g_bpdn runs at most; its shrink threshold as a fraction of
 # max_b ||(Phi^H y)_b|| / ||Phi||^2; the primal and dual residuals, relative
-# to ||z||, at which it stops; Newton steps per projection at most
+# to ||z||, at which it stops; its over-relaxation factor (on desk trials 1.8
+# took more iterations at 10 dB); Newton steps per projection at most; the
+# deviation max |A A^H - c I|, relative to c, up to which the blocks are one
+# tight frame
 _MAX_ITER = 2000
 _THRESHOLD = 0.3
 _STOP = 1e-5
+_RELAX = 1.6
 _MAX_NEWTON = 100
+_TIGHT = 1e-10
+
+
+def _ball_projection(Phi, y, r, eps):
+    """The projection onto {x : ||Phi x - y|| <= r}, as project(v, Phi v) ->
+    (x, Phi x), and ||Phi||^2; see :func:`g_bpdn`."""
+    G = Phi.gram()
+    n_tx, q, _ = G.shape
+    c = float(np.trace(G, axis1=1, axis2=2).real.sum()) / (n_tx * q)
+    if c > 0 and np.abs(G - c * np.eye(q)).max() <= _TIGHT * c:
+
+        def project(v, pv):
+            a = pv - y
+            n = float(np.linalg.norm(a))
+            if n <= r:
+                return v, pv
+            return v - ((1 - r / n) / c) * Phi.rmatvec(a), y + (r / n) * a
+
+        return project, c
+    g, U = np.linalg.eigh(G)
+    g = g[:, None, :]  # broadcasts over (n_rx, n_tx, 1, Q) rows
+    null = g <= 1e-12 * g.max()
+    inv = np.divide(1.0, g, out=np.zeros_like(g), where=~null)
+    Uc, Ut = U.conj(), U.transpose(0, 2, 1)
+
+    def coords(a):  # U^H a per channel, as rows
+        return a.reshape(-1, n_tx, 1, q) @ Uc
+
+    def back(c):  # U c
+        return (c @ Ut).reshape(-1)
+
+    c_y = coords(y)
+    if eps > 0 and np.linalg.norm(c_y * null) >= r:
+        raise ConvergenceError(f"y lies farther than {r:.3e} from the range of Phi",
+                               best=Phi.rmatvec(back(c_y * inv)))
+
+    def project(v, pv):
+        c = coords(pv - y)
+        if eps == 0:
+            return v - Phi.rmatvec(back(c * inv)), y + back(c * null)
+        e = (c.conj() * c).real
+        mu, d = 0.0, 1.0
+        for _ in range(_MAX_NEWTON):
+            ed = e * d * d
+            n2 = float(ed.sum())
+            if n2 <= r * r * (1 + 1e-12):
+                break
+            n = math.sqrt(n2)
+            mu += (1 / r - 1 / n) * n2 * n / float((ed * g * d).sum())
+            d = 1.0 / (1.0 + mu * g)
+        w = back(c * d)
+        return v - mu * Phi.rmatvec(w), y + w
+
+    return project, float(g.max())
 
 
 def g_bpdn(Phi, y, part, eps, tol=1e-4):
@@ -451,20 +524,33 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4):
 
     Scaled-form ADMM on min sum_b ||z_b|| s.t. x = z, ||Phi x - y|| <= r,
     r = eps (1 - tol/2), as in C-SALSA (Afonso, Bioucas-Dias & Figueiredo,
-    IEEE TIP 20(3), 2011).  The z-step is the group shrink by
-    tau = ``_THRESHOLD`` max_b ||(Phi^H y)_b|| / ||Phi||^2; the x-step is the
-    exact projection of v = z - u onto the ball.  With Phi Phi^H =
-    U diag(g) U^H (one eigh per transmit block) and a = Phi v - y, it has the
+    IEEE TIP 20(3), 2011), over-relaxed (Eckstein & Bertsekas, Math.
+    Programming 55, 1992; Boyd et al., Found. Trends Mach. Learn. 3(1),
+    2011, sec. 3.4.3): the x-step is the exact projection x of v = z - u
+    onto the ball, and x^ = ``_RELAX`` x + (1 - ``_RELAX``) z takes its place
+    in the z-step and the dual update.  The z-step is the group shrink of
+    x^ + u by tau = ``_THRESHOLD`` max_b ||(Phi^H y)_b|| / ||Phi||^2.
+
+    The projection takes one of two paths, chosen from the blocks' Gram
+    matrices A A^H, formed once.  When all of them equal one c I to within
+    ``_TIGHT`` c (a tight frame: every ``build_phi`` block is sqrt(JD/Q)
+    times pilot rows of a unitary basis), it is closed-form: with
+    a = Phi v - y, x = v if ||a|| <= r, else
+    x = v - (1 - r/||a||)/c Phi^H a, and Phi x = y + (r/||a||) a.  Any other
+    operator (blocks of different scales, non-tight or tall blocks) takes
+    U diag(g) U^H = A A^H per block from ``eigh``; the projection has the
     residual w = U diag(1 / (1 + mu g)) U^H a and is x = v - mu Phi^H w, with
     mu >= 0 such that ||w|| = r: Newton's method on the concave, increasing
-    1/||w(mu)|| - 1/r rises from mu = 0 to it, in one step on a tight frame
-    (every ``build_phi`` block).  If the part of y on the eigenvalues 0, outside
-    the range of Phi, has norm r or more, ``ConvergenceError`` carries the
-    least-squares fit.
+    1/||w(mu)|| - 1/r rises from mu = 0 to it.  If the part of y on the
+    eigenvalues 0, outside the range of Phi, has norm r or more,
+    ``ConvergenceError`` carries the least-squares fit.
 
-    The loop stops when ||Phi z - y|| <= eps and ||x - z|| and the step of z
-    are at most ``_STOP`` ||z||; ``_MAX_ITER`` iterations raise
-    ``ConvergenceError`` carrying z.  A residual below eps (1 - tol) is then
+    The loop stops when ||Phi z - y|| <= eps and the primal residual
+    ||x - z|| and the step of z are at most ``_STOP`` ||z||; ``_MAX_ITER``
+    iterations raise ``ConvergenceError`` carrying z.  The primal residual is
+    that of x, not of x^, as in Boyd et al.: near the solution ||x^ - z|| is
+    ``_RELAX`` times it, and at eps = 1e-5 ||y|| a stop on it took 3017
+    iterations, against 77.  A residual below eps (1 - tol) is then
     lifted to r by scaling z by the alpha in (0, 1) that does so: the same
     support with a smaller group norm.  (At eps = 1e-5 ||y|| the loop alone
     took over 80000 iterations to land in that band, against 50.)  eps = 0
@@ -489,55 +575,22 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4):
             iterations=0,
             diagnostics={"lambda": None},
         )
-    n_tx, q, _ = Phi.blocks.shape
-    g, U = Phi.gram_eigh()
-    g = g[:, None, :]  # broadcasts over (n_rx, n_tx, 1, Q) rows
-    null = g <= 1e-12 * g.max()
-    inv = np.divide(1.0, g, out=np.zeros_like(g), where=~null)
-    Uc, Ut = U.conj(), U.transpose(0, 2, 1)
-
-    def coords(a):  # U^H a per channel, as rows
-        return a.reshape(-1, n_tx, 1, q) @ Uc
-
-    def back(c):  # U c
-        return (c @ Ut).reshape(-1)
-
     r = eps * (1 - tol / 2)
-    c_y = coords(y)
-    if eps > 0 and np.linalg.norm(c_y * null) >= r:
-        raise ConvergenceError(f"y lies farther than {r:.3e} from the range of Phi",
-                               best=Phi.rmatvec(back(c_y * inv)))
-
-    def project(v, pv):
-        """The projection x of v onto the ball and Phi x, given Phi v."""
-        c = coords(pv - y)
-        if eps == 0:
-            return v - Phi.rmatvec(back(c * inv)), y + back(c * null)
-        e = (c.conj() * c).real
-        mu, d = 0.0, 1.0
-        for _ in range(_MAX_NEWTON):
-            ed = e * d * d
-            n2 = float(ed.sum())
-            if n2 <= r * r * (1 + 1e-12):
-                break
-            n = math.sqrt(n2)
-            mu += (1 / r - 1 / n) * n2 * n / float((ed * g * d).sum())
-            d = 1.0 / (1.0 + mu * g)
-        w = back(c * d)
-        return v - mu * Phi.rmatvec(w), y + w
-
-    tau = max(_THRESHOLD * float(np.sqrt(part.energies(Phi.rmatvec(y))).max()) / g.max(),
+    project, norm2 = _ball_projection(Phi, y, r, eps)
+    tau = max(_THRESHOLD * float(np.sqrt(part.energies(Phi.rmatvec(y))).max()) / norm2,
               np.finfo(float).tiny)  # > 0: a zero group scales by 0
     z = u = np.zeros(Phi.shape[1], dtype=complex)
     pz = pu = np.zeros_like(y)
     for n_iter in range(1, _MAX_ITER + 1):
         x, px = project(z - u, pz - pu)
-        v = x + u
+        # the relaxed iterate x^ and Phi x^, without another product
+        xr, pxr = _RELAX * x + (1 - _RELAX) * z, _RELAX * px + (1 - _RELAX) * pz
+        v = xr + u
         norms = np.sqrt(part.energies(v))
         scale = np.maximum(1.0 - tau / np.maximum(norms, tau), 0.0)
         z_new = (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(-1)
         z_prev, z, pz = z, z_new, Phi @ z_new
-        u, pu = v - z, pu + px - pz
+        u, pu = v - z, pu + pxr - pz
         out, p_out = (z, pz) if eps > 0 else (x, px)
         resid = np.linalg.norm(p_out - y)
         if eps == 0 or resid <= eps:

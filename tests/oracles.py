@@ -334,6 +334,76 @@ def penalty_search_g_bpdn(Phi, y, part, eps, tol=1e-4, max_inner=4000, max_bisec
     return x_lo, lo
 
 
+def plain_admm_g_bpdn(Phi, y, part, eps, tol=1e-4, max_iter=2000):
+    """G-BPDN by plain scaled-form ADMM (no over-relaxation), as the solver
+    computed it before: every projection onto the noise ball goes through
+    each block's Gram eigendecomposition, with mu from Newton's method on
+    1/||w(mu)|| - 1/r, and the stop and the lift onto the radius are the
+    solver's.  Returns (x, selected groups, residual norm, iterations)."""
+    Phi = _as_operator(Phi, part)
+    y = np.asarray(y, dtype=complex)
+    n_tx, q, _ = Phi.blocks.shape
+    g, U = Phi.gram_eigh()
+    g = g[:, None, :]
+    null = g <= 1e-12 * g.max()
+    inv = np.divide(1.0, g, out=np.zeros_like(g), where=~null)
+    Uc, Ut = U.conj(), U.transpose(0, 2, 1)
+
+    def coords(a):
+        return a.reshape(-1, n_tx, 1, q) @ Uc
+
+    def back(c):
+        return (c @ Ut).reshape(-1)
+
+    r = eps * (1 - tol / 2)
+
+    def project(v, pv):
+        c = coords(pv - y)
+        if eps == 0:
+            return v - Phi.rmatvec(back(c * inv)), y + back(c * null)
+        e = (c.conj() * c).real
+        mu, d = 0.0, 1.0
+        for _ in range(100):
+            ed = e * d * d
+            n2 = float(ed.sum())
+            if n2 <= r * r * (1 + 1e-12):
+                break
+            n = math.sqrt(n2)
+            mu += (1 / r - 1 / n) * n2 * n / float((ed * g * d).sum())
+            d = 1.0 / (1.0 + mu * g)
+        w = back(c * d)
+        return v - mu * Phi.rmatvec(w), y + w
+
+    tau = 0.3 * float(np.sqrt(part.energies(Phi.rmatvec(y))).max()) / g.max()
+    z = u = np.zeros(Phi.shape[1], dtype=complex)
+    pz = pu = np.zeros_like(y)
+    for n_iter in range(1, max_iter + 1):
+        x, px = project(z - u, pz - pu)
+        v = x + u
+        norms = np.sqrt(part.energies(v))
+        scale = np.maximum(1.0 - tau / np.maximum(norms, tau), 0.0)
+        z_new = (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(-1)
+        z_prev, z, pz = z, z_new, Phi @ z_new
+        u, pu = v - z, pu + px - pz
+        out, p_out = (z, pz) if eps > 0 else (x, px)
+        resid = np.linalg.norm(p_out - y)
+        if eps == 0 or resid <= eps:
+            limit = 1e-5 * np.linalg.norm(z)
+            if np.linalg.norm(x - z) <= limit and np.linalg.norm(z - z_prev) <= limit:
+                break
+    else:
+        raise DomainError(f"plain ADMM did not converge in {max_iter} iterations")
+    if eps > 0 and resid < eps * (1 - tol):
+        y2 = float(np.linalg.norm(y)) ** 2
+        a, b, c = np.vdot(pz, pz).real, np.vdot(pz, y).real, y2 - r * r
+        alpha = c / (b + math.sqrt(b * b - a * c))
+        out, p_out = alpha * z, alpha * pz
+        resid = np.linalg.norm(p_out - y)
+    norms = np.sqrt(part.energies(out))
+    selected = [int(b) for b in np.nonzero(norms > 1e-12 * max(norms.max(), 1e-300))[0]]
+    return out, selected, float(resid), n_iter
+
+
 def lipschitz_by_zherk(blocks):
     """||Phi||_2^2 of the operator over ``blocks`` (n_tx, Q, M): the largest
     top eigenvalue of the per-block smaller Gram matrices, each formed by a

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from mgcs.basisopt import (
+    CKernelTable,
     attach_kernels,
     build_C_matrix,
     mc_objective,
@@ -125,6 +126,7 @@ def test_criterion_3_kernel_identity():
     t0 = time.time()
     cfg = SystemConfig(K=8, N=10, L=8, D=4, J=4, n_tx=2, n_rx=1, Ts=2e-7)
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+    table = CKernelTable(pulses, cfg)
     prior = desk_prior(cfg)
     rng = np.random.default_rng(3)
     m = np.arange(cfg.D)
@@ -145,7 +147,7 @@ def test_criterion_3_kernel_identity():
                         delays=taus[None, :], dopplers=nus[None, :])
         F = dft_coeffs(spreading_model(paths, cfg, RRC), pulses, cfg).values
         h_sub = np.einsum("lkmi,mix->lkx", phase, F)
-        C = build_C_matrix(taus, nus, pulses, cfg, RRC)
+        C = build_C_matrix(taus, nus, cfg, RRC, table)
         for kind in ("dft", "blocks"):
             basis = (BasisSpec.dft(cfg.J, cfg.D) if kind == "dft"
                      else BasisSpec.from_blocks(random_blocks(cfg.D, cfg.J, rng)))

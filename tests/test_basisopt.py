@@ -170,14 +170,14 @@ class TestBuildCMatrix:
     def test_single_channel_single_column(self):
         cfg = small_cfg(n_tx=1)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        C = build_C_matrix([1e-7], [50.0], pulses, cfg, RRC)
+        C = build_C_matrix([1e-7], [50.0], cfg, RRC, CKernelTable(pulses, cfg))
         assert C.shape == (cfg.jd, 1)
 
     def test_far_off_support_delay_vanishes(self):
         cfg = small_cfg(n_tx=1)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        near = build_C_matrix([1 * cfg.Ts], [0.0], pulses, cfg, RRC)
-        far = build_C_matrix([60 * cfg.Ts], [0.0], pulses, cfg, RRC)
+        near = build_C_matrix([1 * cfg.Ts], [0.0], cfg, RRC, CKernelTable(pulses, cfg))
+        far = build_C_matrix([60 * cfg.Ts], [0.0], cfg, RRC, CKernelTable(pulses, cfg))
         assert np.abs(far).max() < 1e-3 * np.abs(near).max()
 
     def test_attach_kernels_matches_per_doppler_c_matrix(self):
@@ -210,7 +210,7 @@ class TestBuildCMatrix:
         samples = attach_kernels(sample_prior(desk_prior(cfg), R, 17), pulses, cfg, RRC)
         table = CKernelTable(pulses, cfg)
         expect = np.stack([
-            build_C_matrix(samples.taus[rho], samples.nus[rho], pulses, cfg, RRC, table=table)
+            build_C_matrix(samples.taus[rho], samples.nus[rho], cfg, RRC, table)
             for rho in range(R)])
         assert samples.C.shape == expect.shape
         assert samples.C.tobytes() == expect.tobytes()
@@ -230,7 +230,7 @@ class TestBuildCMatrix:
             nu0 = rng.uniform(-prior.nu_max, prior.nu_max)
             taus = [tau0, tau0]
             nus = [nu0, nu0 + rng.uniform(-1.4, 1.4)]
-            C = build_C_matrix(taus, nus, pulses, cfg, RRC)
+            C = build_C_matrix(taus, nus, cfg, RRC, CKernelTable(pulses, cfg))
             blocks = np.stack([basis.block(m) for m in range(cfg.D)])
             VC = np.concatenate(
                 [blocks[m] @ C[m * cfg.J: (m + 1) * cfg.J] for m in range(cfg.D)]
@@ -284,7 +284,7 @@ class TestMcObjective:
         kron = FilterSpec(kind="kronecker")
         m0, i0 = 1, 1
         tau, nu = m0 * cfg.Ts, i0 / (cfg.Ts * cfg.l_r)
-        C = build_C_matrix([tau], [nu], pulses, cfg, kron)
+        C = build_C_matrix([tau], [nu], cfg, kron, CKernelTable(pulses, cfg))
         samples = ObjectiveSamples(
             taus=np.array([[tau]]), nus=np.array([[nu]]), C=C[None, :, :]
         )

@@ -19,6 +19,7 @@ from mgcs.partition import (
     group_norm,
     make_block_tiling,
     singleton_partition,
+    stack_partition,
     uniform_partition,
 )
 from mgcs.recovery import (
@@ -41,6 +42,7 @@ from oracles import (
     lipschitz_by_zherk,
     lstsq_per_problem,
     penalty_search_g_bpdn,
+    plain_admm_g_bpdn,
 )
 
 
@@ -705,10 +707,8 @@ class TestGBpdn:
 
     @pytest.mark.parametrize("seed,q,m", [(11, 24, 64), (12, 24, 64), (13, 48, 32)])
     def test_kkt_conditions_at_returned_penalty(self, seed, q, m):
-        # optimality of the group lasso at lambda: on the support
-        # Phi_g^H (Phi x - y) = -lambda x_g / ||x_g||, off it the group
-        # correlation is at most lambda; the tall case takes the other Gram
-        # matrix for the Lipschitz constant
+        # the wide partial DFT is a tight frame and takes the closed-form
+        # projection; the tall Gaussian matrix takes the eigenbasis path
         rng = np.random.default_rng(seed)
         if q <= m:
             Phi = partial_dft(q, m, rng)
@@ -719,16 +719,7 @@ class TestGBpdn:
         z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         y = Phi @ x_true + z
         res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
-        lam = res.diagnostics["lambda"]
-        corr = Phi.conj().T @ (Phi @ res.x - y)
-        assert res.selected_groups
-        for b, g in enumerate(part.groups):
-            norm = np.linalg.norm(res.x[g])
-            if b in res.selected_groups:
-                assert np.linalg.norm(corr[g] + lam * res.x[g] / norm) <= 1e-3 * lam
-            else:
-                assert norm == 0
-                assert np.linalg.norm(corr[g]) <= lam * (1 + 1e-3)
+        assert_group_lasso_kkt(Phi, y, part, res)
 
     @pytest.mark.parametrize("seed,group_size", [(21, 2), (22, 3), (23, 4)])
     def test_matches_bisection_oracle(self, seed, group_size):
@@ -834,19 +825,71 @@ class TestGBpdn:
             res = g_bpdn(Phi, y, part, eps=eps)
             assert eps * (1 - 1e-4) <= np.linalg.norm(Phi @ res.x - y) <= eps
 
-    def test_tight_frame_projection_takes_one_newton_step(self, monkeypatch):
-        # build_phi blocks are tight frames, so the first Newton step puts
-        # every projection on the ball: capping Newton at one step changes
-        # nothing
+    def test_general_projection_agrees_with_the_tight_frame_path(self, monkeypatch):
+        # build_phi blocks are one tight frame, so the projection is closed
+        # form; with the tolerance at 0 the same instance takes the
+        # eigenbasis and Newton path and lands on the same solution
         cfg, config, scheme, ens, sigma_z = desk_trial(11, 1)
         part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
         eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
         y = ens.observations.reshape(-1)
-        res = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
-        monkeypatch.setattr(mgcs.recovery, "_MAX_NEWTON", 1)
-        one = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
-        assert one.iterations == res.iterations
-        np.testing.assert_array_equal(one.x, res.x)
+        eighs = count_eigh_calls(monkeypatch)
+        tight = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
+        assert not eighs
+        monkeypatch.setattr(mgcs.recovery, "_TIGHT", 0.0)
+        general = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
+        assert len(eighs) == 1
+        assert general.selected_groups == tight.selected_groups
+        assert np.linalg.norm(general.x - tight.x) <= 1e-9 * np.linalg.norm(tight.x)
+
+    def test_tight_blocks_of_different_scales_take_the_general_path(self, monkeypatch):
+        # two partial DFT blocks, each a tight frame, the second scaled by 2:
+        # A A^H is c I per block but not one c I, so the projection goes
+        # through the eigenbasis; the result is a group-lasso minimizer
+        rng = np.random.default_rng(33)
+        q, m, n_ch = 24, 64, 4
+        blocks = np.stack([partial_dft(q, m, rng), 2 * partial_dft(q, m, rng)])
+        op = BlockDiagonalOperator(blocks, n_ch)
+        part = uniform_partition(m, 4)
+        x_true = np.concatenate([group_sparse_signal(part, [2, 9], rng) for _ in range(n_ch)])
+        z = 0.05 * (rng.normal(size=n_ch * q) + 1j * rng.normal(size=n_ch * q))
+        y = op @ x_true + z
+        eighs = count_eigh_calls(monkeypatch)
+        res = g_bpdn(op, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
+        assert len(eighs) == 1
+        assert_group_lasso_kkt(np.asarray(op), y, stack_partition(part, m, n_ch), res)
+
+    @pytest.mark.parametrize("snr_db", [10.0, 30.0])
+    def test_desk_estimators_match_plain_admm(self, snr_db, monkeypatch):
+        # every G-BPDN call of the four *-bpdn estimators on desk trials 0-2
+        # of seed 11 takes the tight-frame path and fewer iterations than
+        # plain ADMM with the eigenbasis projection, with the same groups, x
+        # within 1e-3 and the group norm within 1e-4
+        calls = []
+
+        def recording(Phi, y, part, eps, tol=1e-4):
+            calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        eighs = count_eigh_calls(monkeypatch)
+        for t in range(3):
+            config, scheme, y_grid, sigma_z = desk_grid(11, t, snr_db)
+            cfg = config.system
+            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+            for name in ("conv-bpdn", "gcs-bpdn", "mcs-bpdn", "mgcs-bpdn"):
+                run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                              sigma_z)
+        assert not eighs
+        assert len(calls) == 3 * (2 * cfg.n_channels + 2)
+        for Phi, y, part, eps, tol, res in calls:
+            x_ref, groups_ref, _, iters_ref = plain_admm_g_bpdn(Phi, y, part, eps, tol)
+            assert res.selected_groups == groups_ref
+            assert np.linalg.norm(res.x - x_ref) <= 1e-3 * np.linalg.norm(x_ref)
+            norm, norm_ref = (np.sqrt(part.energies(x)).sum() for x in (res.x, x_ref))
+            assert norm == pytest.approx(norm_ref, rel=1e-4)
+            assert eps * (1 - tol) <= res.residual_norms[0] <= eps
+            assert res.iterations < iters_ref
 
     def test_tiny_radius_lands_in_the_band(self):
         # noise-free one-group data and eps = 1e-5 ||y||: the band is
@@ -1175,15 +1218,15 @@ def dense_stack(ensemble):
     return Phi
 
 
-def desk_grid(seed, t):
-    """Demodulated grid of seeded desk 2x2 trial t at 20 dB."""
+def desk_grid(seed, t, snr_db=20.0):
+    """Demodulated grid of seeded desk 2x2 trial t at ``snr_db``."""
     config = desk_experiment(seed)
     cfg = config.system
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     scheme = draw_pilots(cfg, np.random.SeedSequence([seed, 7919]), q=config.q)
     geometry = desk_geometry(cfg.n_tx, cfg.n_rx, fc=cfg.f0, block_duration=cfg.l_r * cfg.Ts)
     y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, FilterSpec(kind="rrc"),
-                                           geometry, 20.0, [seed, 0, t])
+                                           geometry, snr_db, [seed, 0, t])
     return config, scheme, y_grid, sigma_z
 
 
@@ -1198,6 +1241,34 @@ def run_cosamp_estimators_on_desk_trials():
             run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
                           sigma_z)
     return cfg
+
+
+def assert_group_lasso_kkt(Phi, y, part, res):
+    """Optimality of the group lasso at the penalty lambda that G-BPDN
+    reports: on the support Phi_g^H (Phi x - y) = -lambda x_g / ||x_g||, off
+    it the group correlation is at most lambda."""
+    lam = res.diagnostics["lambda"]
+    corr = Phi.conj().T @ (Phi @ res.x - y)
+    assert res.selected_groups
+    for b, g in enumerate(part.groups):
+        norm = np.linalg.norm(res.x[g])
+        if b in res.selected_groups:
+            assert np.linalg.norm(corr[g] + lam * res.x[g] / norm) <= 1e-3 * lam
+        else:
+            assert norm == 0
+            assert np.linalg.norm(corr[g]) <= lam * (1 + 1e-3)
+
+
+def count_eigh_calls(monkeypatch):
+    """The list that every later ``np.linalg.eigh`` call appends to."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 def desk_trial(seed, t):
