@@ -8,13 +8,15 @@ blocks by iterated convexified updates with matrix-exponential retraction.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .channel import phi_kernel  # noqa: F401 (an attribute the bench tracer wraps)
 from .channel import phi_profiles, psi_kernel
 from .errors import ConfigurationError, DomainError
-from .estimator import BasisSpec, dft_block, first_non_unitary
+from .estimator import BasisSpec, dft_block
+from .partition import Partition
 from .waveform import ambiguity_table
 
 
@@ -155,42 +157,18 @@ def attach_kernels(samples, pulses, cfg, filters):
     return replace(samples, C=C)
 
 
-def _blocks_of(basis_or_blocks, J, D):
-    if isinstance(basis_or_blocks, BasisSpec):
-        if basis_or_blocks.is_dft:
-            return np.broadcast_to(dft_block(J), (D, J, J)).copy()
-        return basis_or_blocks.blocks
-    blocks = np.asarray(basis_or_blocks, dtype=complex)
-    bad = first_non_unitary(blocks)
-    if bad is not None:
-        raise DomainError(f"basis block {bad} is not unitary")
-    return blocks
-
-
-def _block_energies(blocks, C, di):
-    """Joint energies of one delay column's coefficient tensors V_m C_m:
-    (R, J/di) sums of |.|^2 over each dm x di block and all channels.
-    blocks: (dm, J, J), C: (R, dm, J, Xi).  The squared Re and Im parts are
-    summed per block by one product with a 0/1 block-indicator matrix."""
-    W = blocks @ C
-    R, dm, J, xi = W.shape
-    parts = W.view(float)  # Re, Im side by side; squared in place to keep no copy
-    np.square(parts, out=parts)
-    doppler_block = np.repeat(np.arange(J) // di, 2 * xi)  # of each (lambda, part)
-    indicator = np.tile(doppler_block, dm)[:, None] == np.arange(J // di)
-    return parts.reshape(R, -1) @ indicator.astype(float)
-
-
-def mc_objective(basis_or_blocks, samples, tiling):
-    """Monte-Carlo joint-group-sparsity objective: the summed block-Frobenius
-    norm of the coefficient tensors over all prior samples, summed one delay
-    column (dm delays) at a time, so only that column's coefficients are
-    ever held."""
+def mc_objective(basis, samples, tiling):
+    """Monte-Carlo joint-group-sparsity objective of the :class:`BasisSpec`
+    ``basis``: the summed block-Frobenius norm of the coefficient tensors over
+    all prior samples, summed one delay column (dm delays) at a time, so only
+    that column's coefficients are ever held."""
     if samples.C is None:
         raise DomainError("samples carry no kernel matrices; attach them first")
-    blocks = _blocks_of(basis_or_blocks, tiling.J, tiling.D)
+    if (basis.D, basis.J) != (tiling.D, tiling.J):
+        raise ConfigurationError("basis does not match the tiling")
     C = samples.C.reshape(samples.n_samples, tiling.D, tiling.J, samples.n_channels)
-    return sum(_subproblem_objective(blocks[m:m + tiling.dm], C[:, m:m + tiling.dm], tiling.di)
+    return sum(_subproblem_objective(basis.blocks[m:m + tiling.dm], C[:, m:m + tiling.dm],
+                                     tiling.di)
                for m in range(0, tiling.D, tiling.dm))
 
 
@@ -204,10 +182,23 @@ def hermitian_unitary_exp(A):
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
+@cache
+def _doppler_partition(dm, J, di, n_channels):
+    """Partition of one delay column's dm x J x n_channels coefficients,
+    flattened in (m, lambda, xi) order, whose group k holds the Doppler rows
+    lambda with lambda // di = k; built once per shape."""
+    rows = np.arange(dm * J * n_channels) // n_channels % J
+    return Partition(rows.size, tuple(np.flatnonzero(rows // di == k) for k in range(J // di)))
+
+
 def _subproblem_objective(v_sub, C_sub, di):
     """Objective restricted to one delay column: sum over samples and Doppler
-    blocks of the joint Frobenius norms.  C_sub: (R, dm, J, Xi)."""
-    return float(np.sqrt(_block_energies(v_sub, C_sub, di)).sum())
+    blocks of the joint Frobenius norms of the coefficients V_m C_m.
+    v_sub: (dm, J, J), C_sub: (R, dm, J, Xi)."""
+    W = v_sub @ C_sub
+    R, dm, J, n_ch = W.shape
+    energies = _doppler_partition(dm, J, di, n_ch).energies(W.reshape(R, -1), rows=True)
+    return float(np.sqrt(energies).sum())
 
 
 # convex_update_step's smoothing of each block norm, sqrt(E + _SMOOTHING), and
@@ -343,7 +334,8 @@ def optimize_blocks(samples, tiling, pulses, cfg, max_iters):
     retraction, accepting an update only if the true objective strictly
     decreases and halving the update box otherwise.  The box starts at 0.1
     and a column stops once it falls below 1e-4 or after ``max_iters``
-    outer iterations.  Blocks start from the DFT basis.  Returns
+    outer iterations.  Blocks start from the DFT basis, so a run that accepts
+    no update returns a basis with ``is_dft`` set.  Returns
     (BasisSpec, diagnostics).
     """
     if samples.C is None:
@@ -377,4 +369,4 @@ def optimize_blocks(samples, tiling, pulses, cfg, max_iters):
     # summed over the columns, the first and last values are mc_objective of
     # the DFT and of the returned blocks
     first, last = (sum(h[k] for h in histories) for k in (0, -1))
-    return BasisSpec.from_blocks(blocks), OptimizeDiagnostics(histories, first, last)
+    return BasisSpec(blocks), OptimizeDiagnostics(histories, first, last)

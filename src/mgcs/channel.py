@@ -145,7 +145,8 @@ def psi_kernel(x, l_r, sin_pi_x=None):
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Scenario parameters for the specular scatterer simulator."""
+    """Scenario parameters for the specular scatterer simulator; the antenna
+    arrays are spaced at half the carrier wavelength, c/(2 fc)."""
 
     n_tx: int = 1
     n_rx: int = 1
@@ -159,7 +160,6 @@ class GeometryParams:
     cluster_radius: float = 30.0
     speed_range: tuple = (0.0, 50.0)
     accel_range: tuple = (0.0, 7.0)
-    antenna_spacing: float = None  # default: half carrier wavelength c/(2 fc)
     min_range: float = 5.0
     block_duration: float = 0.0  # for the midpoint-velocity rule
 
@@ -200,12 +200,12 @@ def sample_geometry(seed, p):
     Far clusters are placed uniformly in a rectangle centered on the link,
     near clusters within a circle around the receiver; each cluster shares a
     speed, heading and acceleration drawn uniformly from the configured
-    ranges, as does the receiver (the transmitter is static).
+    ranges, as does the receiver (the transmitter is static).  Both antenna
+    arrays lie along the y axis, spaced at half the carrier wavelength
+    c/(2 fc).
     """
     rng = np.random.default_rng(seed)
-    spacing = p.antenna_spacing
-    if spacing is None:
-        spacing = SPEED_OF_LIGHT / (2 * p.fc)
+    spacing = SPEED_OF_LIGHT / (2 * p.fc)
     tx_center = np.array([0.0, 0.0])
     rx_center = np.array([p.link_distance, 0.0])
     tx_pos = _array_positions(tx_center, p.n_tx, spacing)

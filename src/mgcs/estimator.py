@@ -8,6 +8,7 @@ guarantees.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -24,50 +25,53 @@ from .recovery import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSpec:
-    """2D expansion basis: Fourier in the frequency direction, an arbitrary
-    unitary J x J block per delay in the time direction.
+    """2D expansion basis: Fourier in the frequency direction, a unitary J x J
+    block V_m per delay m in the time direction.
 
-    ``kind`` is "dft" (pure 2D DFT, blocks implicit) or "blocks" with an
-    explicit (D, J, J) stack of unitary matrices.
+    ``blocks`` is the (D, J, J) stack of the V_m, rows indexed by i + J/2,
+    held read-only (a writable input is copied); J and D are read from its
+    shape.  ``is_dft`` is derived: it holds when every block equals
+    ``dft_block(J)`` bit for bit, which makes the basis the 2D DFT
+    (``expand_coeffs`` and ``io.save_basis`` take shortcuts for it).  A basis
+    equals only itself.
     """
 
-    J: int
-    D: int
-    kind: str = "dft"
-    blocks: np.ndarray = None
+    blocks: np.ndarray
+    is_dft: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("dft", "blocks"):
-            raise ConfigurationError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "blocks":
-            blocks = np.asarray(self.blocks, dtype=complex)
-            if blocks.shape != (self.D, self.J, self.J):
-                raise ConfigurationError("blocks must have shape (D, J, J)")
+        blocks = np.asarray(self.blocks, dtype=complex)
+        if blocks.flags.writeable:  # a read-only copy keeps is_dft true to the blocks
+            blocks = blocks.copy()
+            blocks.flags.writeable = False
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+            raise ConfigurationError("blocks must have shape (D, J, J)")
+        dft = dft_block(blocks.shape[1]).tobytes()
+        is_dft = all(block.tobytes() == dft for block in blocks)
+        if not is_dft:  # the DFT is unitary by construction
             bad = first_non_unitary(blocks)
             if bad is not None:
                 raise ConfigurationError(f"basis block {bad} is not unitary")
-            object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "is_dft", is_dft)
 
     @classmethod
+    @cache
     def dft(cls, J, D):
-        return cls(J=J, D=D, kind="dft")
-
-    @classmethod
-    def from_blocks(cls, blocks):
-        blocks = np.asarray(blocks, dtype=complex)
-        return cls(J=blocks.shape[1], D=blocks.shape[0], kind="blocks", blocks=blocks)
+        """The 2D DFT basis: ``dft_block(J)`` at every delay, one read-only
+        view; built once per (J, D) and shared, so the flag check over the D
+        blocks does not run at every call."""
+        return cls(np.broadcast_to(dft_block(J), (D, J, J)))
 
     @property
-    def is_dft(self):
-        return self.kind == "dft"
+    def J(self):
+        return self.blocks.shape[1]
 
-    def block(self, m):
-        """Unitary time-direction block V_m (rows indexed by i + J/2)."""
-        if self.kind == "blocks":
-            return self.blocks[m]
-        return dft_block(self.J)
+    @property
+    def D(self):
+        return self.blocks.shape[0]
 
     def assemble(self):
         """Full unitary J D x J D basis matrix.
@@ -81,7 +85,7 @@ class BasisSpec:
         U = np.zeros((J * D, J * D), dtype=complex)
         kappa = np.arange(D)
         for m in range(D):
-            vm = self.block(m)
+            vm = self.blocks[m]
             phase = np.exp(-2j * np.pi * kappa * m / D) / np.sqrt(D)  # (D,)
             # rows (lambda, kappa), columns a = i + J/2
             block_rows = np.conj(vm).T[:, None, :] * phase[None, :, None]  # (J, D, J)
@@ -187,23 +191,22 @@ def assemble_frame(scheme, cfg, rng):
 def build_phi(scheme, basis, cfg):
     """Measurement matrices sqrt(JD/Q) * (pilot rows of the basis).
 
-    Returns the (n_tx, Q, JD) stack of per-transmit matrices, built blockwise
-    from the basis without assembling the full unitary matrix: entry
-    (q, m J + a) of matrix s is conj(V_m[a, lambda_q])
-    exp(-j 2 pi kappa_q m / D) / sqrt(D), scaled.
+    Returns the (n_tx, Q, JD) stack of per-transmit matrices, built from the
+    blocks V_m of the :class:`BasisSpec` ``basis`` (the DFT's too) without
+    assembling the full unitary matrix: entry (q, m J + a) of matrix s is
+    conj(V_m[a, lambda_q]) exp(-j 2 pi kappa_q m / D) / sqrt(D), scaled.
     """
     J, D = basis.J, basis.D
     if (J, D) != (cfg.J, cfg.D):
         raise ConfigurationError("basis dimensions do not match the system")
     scale = np.sqrt(cfg.jd / scheme.q)
-    # V_m^H indexed (lambda, m, a); the DFT basis has one block for every m
-    if basis.is_dft:
-        vh = np.conj(dft_block(J)).T[:, None, :]
-    else:
-        vh = np.conj(basis.blocks).transpose(2, 0, 1)
+    # V_m^H indexed (lambda, m, a), contiguous so that the row gather and the
+    # in-place products below run on contiguous memory
+    vh = np.ascontiguousarray(np.conj(basis.blocks).transpose(2, 0, 1))
     lam, kap = np.divmod(scheme.grid_ids, D)  # (n_tx, Q)
     phase = np.exp(-2j * np.pi * kap[..., None] * np.arange(D) / D) / np.sqrt(D)
-    Phi = vh[lam] * phase[..., None]  # (n_tx, Q, D, J)
+    Phi = vh[lam]  # (n_tx, Q, D, J)
+    Phi *= phase[..., None]
     Phi *= scale
     return Phi.reshape(scheme.n_tx, scheme.q, cfg.jd)
 
@@ -283,7 +286,8 @@ def expand_coeffs(g_tensor, basis, cfg):
     inversion to rectangle 2D-DFT coefficients, zero-padded full-grid
     expansion.  Returns (h_full, f_tensor, h_sub).
 
-    Under the DFT basis the subsampled detour reduces to F = G / sqrt(JD).
+    Under the DFT basis (``basis.is_dft``, however the basis was built) the
+    subsampled detour reduces to F = G / sqrt(JD).
     """
     g_tensor = np.asarray(g_tensor, dtype=complex)
     D, J, _ = g_tensor.shape

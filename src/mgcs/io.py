@@ -64,7 +64,9 @@ def config_fingerprint(cfg):
 
 
 def save_basis(path, basis, fingerprint):
-    """Write a basis file (block width 1); the DFT tag is a header-only record."""
+    """Write the :class:`BasisSpec` ``basis`` to a basis file (block width 1):
+    a header-only DFT record when ``basis.is_dft``, however the basis was
+    built, and the (D, J, J) blocks after the header otherwise."""
     fp = fingerprint.encode()
     with open(path, "wb") as fh:
         fh.write(BASIS_MAGIC)
@@ -94,4 +96,4 @@ def load_basis(path, fingerprint):
             )
         if kind == 0:
             return BasisSpec.dft(J, D)
-        return BasisSpec.from_blocks(_read_values(fh, (D, J, J), ConfigurationError))
+        return BasisSpec(_read_values(fh, (D, J, J), ConfigurationError))

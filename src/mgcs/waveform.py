@@ -36,9 +36,9 @@ class SystemConfig:
     """Multicarrier system dimensions and physical parameters.
 
     K subcarriers, symbol duration N >= K, L symbols per block (even),
-    delay support D | K, Doppler support J | L (even).  ``l_gamma`` is the
-    receive-pulse support end; it defaults to N-1, which is exact for CP-OFDM
-    and gives the block length L_r = L*N.
+    delay support D | K, Doppler support J | L (even).  The receive-pulse
+    support end ``l_gamma`` is derived as N-1, exact for CP-OFDM, which gives
+    the block length L_r = L*N.
     """
 
     K: int
@@ -50,7 +50,6 @@ class SystemConfig:
     n_rx: int = 1
     f0: float = 5e9
     Ts: float = 2e-7
-    l_gamma: int = None
 
     def __post_init__(self):
         for name in ("K", "N", "L", "D", "J", "n_tx", "n_rx"):
@@ -68,8 +67,10 @@ class SystemConfig:
             raise ConfigurationError("D must divide K")
         if self.L % self.J:
             raise ConfigurationError("J must divide L")
-        if self.l_gamma is None:
-            object.__setattr__(self, "l_gamma", self.N - 1)
+
+    @property
+    def l_gamma(self):
+        return self.N - 1
 
     @property
     def delta_k(self):

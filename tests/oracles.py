@@ -491,7 +491,7 @@ def expand_coeffs_loop(g_tensor, basis, D, J):
     f_tensor = np.empty_like(g_tensor)
     h_sub = np.empty((J, D, n_ch), dtype=complex)
     for xi in range(n_ch):
-        T = np.stack([np.conj(basis.block(m)).T @ g_tensor[m, :, xi] for m in range(D)])
+        T = np.stack([np.conj(basis.blocks[m]).T @ g_tensor[m, :, xi] for m in range(D)])
         hs = np.fft.fft(T, axis=0).T / np.sqrt(D)
         h_sub[:, :, xi] = hs
         F = np.fft.fft(np.fft.ifft(hs, axis=1), axis=0) / J  # (i mod J, m)

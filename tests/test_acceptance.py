@@ -89,7 +89,7 @@ def test_criterion_1_norm_chain():
     ratio = np.sqrt(cfg.K * cfg.L / cfg.jd)
     worst = 0.0
     for _ in range(100):
-        basis = BasisSpec.from_blocks(random_blocks(cfg.D, cfg.J, rng))
+        basis = BasisSpec(random_blocks(cfg.D, cfg.J, rng))
         shape = (cfg.D, cfg.J, cfg.n_channels)
         g1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -150,12 +150,12 @@ def test_criterion_3_kernel_identity():
         C = build_C_matrix(taus, nus, cfg, RRC, table)
         for kind in ("dft", "blocks"):
             basis = (BasisSpec.dft(cfg.J, cfg.D) if kind == "dft"
-                     else BasisSpec.from_blocks(random_blocks(cfg.D, cfg.J, rng)))
+                     else BasisSpec(random_blocks(cfg.D, cfg.J, rng)))
             U = basis.assemble()
             g_proj = np.stack(
                 [U.conj().T @ h_sub[:, :, xi].reshape(-1) for xi in range(2)], axis=1
             )
-            blocks = np.stack([basis.block(mm) for mm in range(cfg.D)])
+            blocks = basis.blocks
             vc = np.concatenate(
                 [blocks[mm] @ C[mm * cfg.J: (mm + 1) * cfg.J] for mm in range(cfg.D)]
             )

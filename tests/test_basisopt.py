@@ -7,9 +7,9 @@ import pytest
 
 from mgcs.basisopt import (
     CKernelTable,
-    _block_energies,
     DelayDopplerPrior,
     ObjectiveSamples,
+    _doppler_partition,
     attach_kernels,
     build_C_matrix,
     convex_update_step,
@@ -223,7 +223,7 @@ class TestBuildCMatrix:
         if kind == "dft":
             basis = BasisSpec.dft(cfg.J, cfg.D)
         else:
-            basis = BasisSpec.from_blocks(random_blocks(cfg.D, cfg.J, rng))
+            basis = BasisSpec(random_blocks(cfg.D, cfg.J, rng))
         prior = reference_prior(cfg)
         for trial in range(5):
             tau0 = rng.uniform(0, (cfg.D - 1) * cfg.Ts)
@@ -231,7 +231,7 @@ class TestBuildCMatrix:
             taus = [tau0, tau0]
             nus = [nu0, nu0 + rng.uniform(-1.4, 1.4)]
             C = build_C_matrix(taus, nus, cfg, RRC, CKernelTable(pulses, cfg))
-            blocks = np.stack([basis.block(m) for m in range(cfg.D)])
+            blocks = basis.blocks
             VC = np.concatenate(
                 [blocks[m] @ C[m * cfg.J: (m + 1) * cfg.J] for m in range(cfg.D)]
             )
@@ -253,7 +253,7 @@ class TestMcObjective:
         samples, _ = self.setup_samples(cfg)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         eye_blocks = np.broadcast_to(np.eye(cfg.J, dtype=complex), (cfg.D, cfg.J, cfg.J)).copy()
-        got = mc_objective(eye_blocks, samples, tiling)
+        got = mc_objective(BasisSpec(eye_blocks), samples, tiling)
         expect = sum(
             group_frobenius_norm(samples.C[r].reshape(cfg.D, cfg.J, -1), tiling)
             for r in range(samples.n_samples)
@@ -307,12 +307,20 @@ class TestMcObjective:
         flipped = replace(samples, C=samples.C[:, :, ::-1])
         assert mc_objective(basis, flipped, tiling) == pytest.approx(base, rel=1e-12)
 
+    def test_rejects_a_basis_of_other_dimensions(self):
+        cfg = small_cfg()
+        samples, _ = self.setup_samples(cfg)
+        tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
+        with pytest.raises(ConfigurationError, match="tiling"):
+            mc_objective(BasisSpec.dft(cfg.J, 2 * cfg.D), samples, tiling)
+
     def test_rejects_non_unitary_blocks(self):
         cfg = small_cfg()
         samples, _ = self.setup_samples(cfg)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
-        with pytest.raises(DomainError):
-            mc_objective(np.ones((cfg.D, cfg.J, cfg.J)), samples, tiling)
+        # the basis constructor rejects the blocks before any objective is taken
+        with pytest.raises(ConfigurationError):
+            mc_objective(BasisSpec(np.ones((cfg.D, cfg.J, cfg.J))), samples, tiling)
 
     def test_names_the_first_non_unitary_block(self):
         cfg = small_cfg()
@@ -321,22 +329,23 @@ class TestMcObjective:
         blocks = random_blocks(cfg.D, cfg.J, np.random.default_rng(15))
         blocks[1, 0, 2] += 1e-8
         blocks[3] *= 2
-        with pytest.raises(DomainError, match=r"^basis block 1 is not unitary$"):
-            mc_objective(blocks, samples, tiling)
+        with pytest.raises(ConfigurationError, match=r"^basis block 1 is not unitary$"):
+            mc_objective(BasisSpec(blocks), samples, tiling)
 
     @pytest.mark.parametrize("xi", [1, 4])
     @pytest.mark.parametrize("di", [1, 2, 4])
     @pytest.mark.parametrize("dm", [1, 2, 4])
     def test_block_energies_match_the_group_norm_oracle(self, dm, di, xi):
-        # every (sample, Doppler block) energy of one delay column, against
-        # the group norm of that block's coefficients
+        # every (sample, Doppler block) energy of one delay column through its
+        # Doppler-row partition, against the group norm of that block's
+        # coefficients
         J, R = 8, 3
         rng = np.random.default_rng(16)
         blocks = random_blocks(dm, J, rng)
         C = rng.normal(size=(R, dm, J, xi)) + 1j * rng.normal(size=(R, dm, J, xi))
-        e = _block_energies(blocks, C, di)
-        assert e.shape == (R, J // di)
         W = blocks @ C
+        e = _doppler_partition(dm, J, di, xi).energies(W.reshape(R, -1), rows=True)
+        assert e.shape == (R, J // di)
         column = make_block_tiling(dm, J, dm, di)
         for r in range(R):
             for k in range(J // di):
@@ -356,17 +365,18 @@ class TestMcObjective:
             group_frobenius_norm(np.einsum("mab,mbx->max", blocks, Cm[r]), tiling)
             for r in range(samples.n_samples)
         )
-        assert mc_objective(blocks, samples, tiling) == pytest.approx(expect, rel=1e-12)
+        assert mc_objective(BasisSpec(blocks), samples, tiling) == pytest.approx(
+            expect, rel=1e-12)
 
     def test_invariant_under_basis_vector_phase_rotation(self):
         cfg = small_cfg()
         samples, _ = self.setup_samples(cfg)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         blocks = np.broadcast_to(dft_block(cfg.J), (cfg.D, cfg.J, cfg.J)).copy()
-        base = mc_objective(blocks, samples, tiling)
+        base = mc_objective(BasisSpec(blocks), samples, tiling)
         rotated = blocks.copy()
         rotated[1, 2, :] *= np.exp(0.7j)  # rotate one basis vector globally
-        assert mc_objective(rotated, samples, tiling) == pytest.approx(base, rel=1e-12)
+        assert mc_objective(BasisSpec(rotated), samples, tiling) == pytest.approx(base, rel=1e-12)
 
 
 class TestHermitianExp:
@@ -592,9 +602,8 @@ class TestOptimizeBlocks:
         cfg = small_cfg()
         samples, tiling, pulses = self.opt_inputs(cfg, R=4)
         basis, diags = optimize_blocks(samples, tiling, pulses, cfg, max_iters=0)
-        np.testing.assert_allclose(
-            basis.blocks, np.broadcast_to(dft_block(cfg.J), basis.blocks.shape), atol=1e-12
-        )
+        assert basis.is_dft
+        assert basis.blocks.tobytes() == BasisSpec.dft(cfg.J, cfg.D).blocks.tobytes()
         assert diags.final_objective == pytest.approx(diags.initial_objective)
 
     def test_objective_history_nonincreasing_and_improves(self):
@@ -652,15 +661,15 @@ class TestAssemble2dBasis:
     def test_dft_blocks_give_2d_dft(self):
         J, D = 4, 3
         blocks = np.broadcast_to(dft_block(J), (D, J, J)).copy()
-        U = BasisSpec.from_blocks(blocks).assemble()
+        U = BasisSpec(blocks).assemble()
         U_ref = BasisSpec.dft(J, D).assemble()
         np.testing.assert_allclose(U, U_ref, atol=1e-12)
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
-        U = BasisSpec.from_blocks(random_blocks(3, 4, rng)).assemble()
+        U = BasisSpec(random_blocks(3, 4, rng)).assemble()
         np.testing.assert_allclose(U.conj().T @ U, np.eye(12), atol=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec.from_blocks(np.ones((2, 3, 3))).assemble()
+            BasisSpec(np.ones((2, 3, 3))).assemble()

@@ -93,34 +93,86 @@ class TestBasis:
 
     def test_assembled_unitary(self):
         rng = np.random.default_rng(0)
-        basis = BasisSpec.from_blocks(random_unitary_blocks(3, 4, rng))
+        basis = BasisSpec(random_unitary_blocks(3, 4, rng))
         U = basis.assemble()
         np.testing.assert_allclose(U.conj().T @ U, np.eye(12), atol=1e-12)
 
     def test_column_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
         J, D = 4, 2
-        basis = BasisSpec.from_blocks(random_unitary_blocks(D, J, rng))
+        basis = BasisSpec(random_unitary_blocks(D, J, rng))
         U = basis.assemble()
         m, i = 1, -1
         col = U[:, m * J + i + J // 2].reshape(J, D)
         for lam in range(J):
             for kap in range(D):
-                v = np.conj(basis.block(m)[i + J // 2, lam])
+                v = np.conj(basis.blocks[m][i + J // 2, lam])
                 expect = v * np.exp(-2j * np.pi * kap * m / D) / np.sqrt(D)
                 assert col[lam, kap] == pytest.approx(expect, abs=1e-12)
+
+    def test_dft_valued_blocks_are_the_dft_bit_for_bit(self):
+        # a basis built from blocks equal to dft_block(J) is the DFT: the same
+        # Phi bits, and the same expansion, through the DFT shortcut
+        cfg = cfg_2x2()
+        dft = BasisSpec.dft(cfg.J, cfg.D)
+        built = BasisSpec(np.stack([dft_block(cfg.J)] * cfg.D))
+        assert dft.is_dft and built.is_dft
+        assert (built.J, built.D) == (dft.J, dft.D) == (cfg.J, cfg.D)
+        assert not dft.blocks.flags.writeable
+        assert BasisSpec.dft(cfg.J, cfg.D) is dft  # built once per shape
+        scheme = draw_pilots(cfg, 7, q=12)
+        assert build_phi(scheme, built, cfg).tobytes() == build_phi(scheme, dft, cfg).tobytes()
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(cfg.D, cfg.J, 4)) + 1j * rng.normal(size=(cfg.D, cfg.J, 4))
+        (h_b, f_b, sub_b), (h_d, f_d, sub_d) = (expand_coeffs(g, b, cfg) for b in (built, dft))
+        assert sub_b is None and sub_d is None
+        assert h_b.tobytes() == h_d.tobytes() and f_b.tobytes() == f_d.tobytes()
+
+    def test_dft_phi_keeps_the_broadcast_block_bits(self):
+        # Phi of the DFT basis through its (D, J, J) blocks, against the
+        # single conjugated DFT block broadcast over the delays
+        cfg = cfg_2x2()
+        scheme = draw_pilots(cfg, 9, q=12)
+        lam, kap = np.divmod(scheme.grid_ids, cfg.D)
+        phase = np.exp(-2j * np.pi * kap[..., None] * np.arange(cfg.D) / cfg.D) / np.sqrt(cfg.D)
+        expect = np.conj(dft_block(cfg.J)).T[:, None, :][lam] * phase[..., None]
+        expect *= np.sqrt(cfg.jd / scheme.q)
+        got = build_phi(scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
+        assert got.tobytes() == expect.reshape(got.shape).tobytes()
+
+    def test_holds_a_read_only_copy_of_writable_blocks(self):
+        # writing to the input afterwards leaves the basis and its flag as built
+        blocks = np.stack([dft_block(4)] * 3)
+        basis = BasisSpec(blocks)
+        blocks[0] = -blocks[0]
+        assert basis.is_dft
+        assert basis.blocks.tobytes() == BasisSpec.dft(4, 3).blocks.tobytes()
+        with pytest.raises(ValueError):
+            basis.blocks[0, 0, 0] = 0
+
+    def test_any_other_blocks_are_not_the_dft(self):
+        rng = np.random.default_rng(3)
+        assert not BasisSpec(random_unitary_blocks(3, 4, rng)).is_dft
+        blocks = np.stack([dft_block(4)] * 3)
+        blocks[1] = blocks[1][::-1]  # a row permutation: unitary, not the DFT
+        assert not BasisSpec(blocks).is_dft
+
+    def test_blocks_must_be_a_stack_of_square_matrices(self):
+        for shape in ((4, 4), (2, 4, 3)):
+            with pytest.raises(ConfigurationError, match="shape"):
+                BasisSpec(np.zeros(shape, dtype=complex))
 
     def test_non_unitary_block_rejected(self):
         blocks = np.ones((2, 2, 2), dtype=complex)
         with pytest.raises(ConfigurationError):
-            BasisSpec.from_blocks(blocks)
+            BasisSpec(blocks)
 
     def test_names_the_first_non_unitary_block(self):
         blocks = random_unitary_blocks(5, 4, np.random.default_rng(2))
         blocks[2, 1, 3] += 1e-8
         blocks[4] *= 2
         with pytest.raises(ConfigurationError, match=r"^basis block 2 is not unitary$"):
-            BasisSpec.from_blocks(blocks)
+            BasisSpec(blocks)
 
 
 class TestDrawPilots:
@@ -166,7 +218,7 @@ class TestBuildPhi:
         rng = np.random.default_rng(2)
         scheme = draw_pilots(cfg, 7, q=6)
         scale = np.sqrt(cfg.jd / scheme.q)
-        for basis in (BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng)),
+        for basis in (BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng)),
                       BasisSpec.dft(cfg.J, cfg.D)):
             U = basis.assemble()
             mats = build_phi(scheme, basis, cfg)
@@ -185,7 +237,7 @@ class TestBuildPhi:
         cfg, q = (desk_experiment(1).system, 48) if desk else (cfg_2x2(), 12)
         rng = np.random.default_rng(3)
         basis = (BasisSpec.dft(cfg.J, cfg.D) if dft
-                 else BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng)))
+                 else BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng)))
         scheme = draw_pilots(cfg, np.random.SeedSequence([1, 7919]), q=q)
         mats = build_phi(scheme, basis, cfg)
         assert mats.shape == (cfg.n_tx, q, cfg.jd)
@@ -278,9 +330,10 @@ class TestEstimateMimo:
         scheme = draw_pilots(cfg, 7, q=12)
         y_grid, _ = run_full_chain(paths, scheme, cfg, pulses, rng)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
-        explicit = BasisSpec.from_blocks(
-            np.broadcast_to(dft_block(cfg.J), (cfg.D, cfg.J, cfg.J)).copy()
-        )
+        # the negated DFT blocks are not the DFT bit for bit, so the expansion
+        # takes the general path; the sign cancels in the estimate
+        explicit = BasisSpec(-np.broadcast_to(dft_block(cfg.J), (cfg.D, cfg.J, cfg.J)))
+        assert not explicit.is_dft
         ests = []
         for basis in (BasisSpec.dft(cfg.J, cfg.D), explicit):
             ens = collect_measurements(y_grid, scheme, basis, cfg)
@@ -562,7 +615,7 @@ class TestNormChain:
         for random tensors under random unitary bases."""
         rng = np.random.default_rng(seed)
         cfg = cfg_2x2()
-        basis = BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng))
+        basis = BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng))
         shape = (cfg.D, cfg.J, cfg.n_channels)
         g1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -581,7 +634,7 @@ class TestNormChain:
     def test_batched_expansion_matches_the_per_channel_loop(self, n_ch):
         rng = np.random.default_rng(41)
         cfg = cfg_2x2()
-        basis = BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng))
+        basis = BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng))
         shape = (cfg.D, cfg.J, n_ch)
         g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         _, f_tensor, h_sub = expand_coeffs(g, basis, cfg)
@@ -593,7 +646,7 @@ class TestNormChain:
     def test_subsampled_energy_identity(self):
         rng = np.random.default_rng(40)
         cfg = cfg_2x2()
-        basis = BasisSpec.from_blocks(random_unitary_blocks(cfg.D, cfg.J, rng))
+        basis = BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng))
         g = rng.normal(size=(cfg.D, cfg.J, 4)) + 1j * rng.normal(size=(cfg.D, cfg.J, 4))
         h_full, _, h_sub = expand_coeffs(g, basis, cfg)
         # the basis expansion is unitary on the subsampled grid

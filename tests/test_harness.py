@@ -250,7 +250,7 @@ class TestBasisIo:
             [np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
              for _ in range(8)]
         )
-        basis = BasisSpec.from_blocks(blocks)
+        basis = BasisSpec(blocks)
         p = tmp_path / "basis.bin"
         mgio.save_basis(p, basis, mgio.config_fingerprint(cfg))
         loaded = mgio.load_basis(p, mgio.config_fingerprint(cfg))

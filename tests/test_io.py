@@ -14,7 +14,7 @@ from mgcs.io import (
     save_basis,
     save_tensor,
 )
-from mgcs.estimator import BasisSpec
+from mgcs.estimator import BasisSpec, dft_block
 from mgcs.waveform import SystemConfig
 
 
@@ -75,7 +75,7 @@ def test_basis_file_of_the_earlier_writer_loads(tmp_path):
                   + struct.pack("<I", len(fp)) + fp + payload.tobytes())
     assert load_basis(p, config_fingerprint(cfg)).blocks.tobytes() == blocks.tobytes()
     # and today's writer still writes that layout
-    save_basis(tmp_path / "now.basis", BasisSpec.from_blocks(blocks), config_fingerprint(cfg))
+    save_basis(tmp_path / "now.basis", BasisSpec(blocks), config_fingerprint(cfg))
     assert (tmp_path / "now.basis").read_bytes() == p.read_bytes()
 
 
@@ -85,11 +85,25 @@ def test_basis_roundtrip(tmp_path):
         [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
          for _ in range(3)]
     )
-    basis = BasisSpec.from_blocks(blocks)
+    basis = BasisSpec(blocks)
     p = tmp_path / "b.bin"
     save_basis(p, basis, "f" * 64)
     back = load_basis(p, "f" * 64)
     assert np.array_equal(back.blocks, blocks)
+
+
+def test_dft_valued_blocks_save_as_the_header_only_record(tmp_path):
+    # a basis equal to the DFT however it was built writes the header-only
+    # record, the same bytes as BasisSpec.dft, and loads back as the DFT
+    built = BasisSpec(np.stack([dft_block(4)] * 3))
+    save_basis(tmp_path / "built.basis", built, "c" * 64)
+    save_basis(tmp_path / "dft.basis", BasisSpec.dft(4, 3), "c" * 64)
+    data = (tmp_path / "built.basis").read_bytes()
+    assert data == (tmp_path / "dft.basis").read_bytes()
+    assert len(data) == 4 + 17 + 4 + 64
+    back = load_basis(tmp_path / "built.basis", "c" * 64)
+    assert back.is_dft
+    assert back.blocks.tobytes() == built.blocks.tobytes()
 
 
 def test_basis_fingerprint_mismatch(tmp_path):
