@@ -141,9 +141,17 @@ class ExperimentConfig:
             parse_solver(name)
         if self.axis not in ("snr", "antennas", "blocksize"):
             raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
-        if self.axis == "blocksize":
-            for point in self.points:
-                make_block_tiling(self.system.D, self.system.J, *_block_shape(point))
+        shapes = ([_block_shape(p) for p in self.points] if self.axis == "blocksize"
+                  else [(self.dm, self.di)])
+        for dm, di in shapes:
+            tiling = make_block_tiling(self.system.D, self.system.J, dm, di)
+            for name in self.solvers:  # a G-CoSaMP order must fit before any trial
+                grouped, _, algo = parse_solver(name)
+                if algo == "cosamp":
+                    size = tiling.block_size if grouped else 1
+                    n_groups = self.system.jd // size
+                    cosamp_order(n_groups if self.max_groups is None else self.max_groups,
+                                 self.q, size, n_groups)
 
 
 def _block_shape(point):
@@ -267,10 +275,29 @@ def simulate_trial(cfg, scheme, pulses, filters, geometry, snr_db, seed):
 def budget_sparsity(tiling, filters, cfg, n_paths, tau_b, nu_b):
     """Default group-sparsity order for G-CoSaMP: the joint sparsity budget
     P * N of the kernel support widths and the cross-channel bounds
-    (tau_b, nu_b)."""
+    (tau_b, nu_b), at most the tiling's block count."""
     dm_eff, di_eff = effective_support_widths(filters, cfg)
     _, _, _, s_joint = sparsity_budget(dm_eff, di_eff, tau_b, nu_b, tiling, n_paths, cfg)
-    return s_joint
+    return min(s_joint, tiling.n_blocks)
+
+
+def cosamp_order(requested, q, group_size, n_groups):
+    """G-CoSaMP's group-sparsity order: S = min(requested, B // 4,
+    Q // (4 |g|)) for B groups of |g| columns and Q pilot rows.
+
+    4S <= B is the solver's own domain.  4S |g| <= Q is the regime of
+    Needell & Tropp's CoSaMP analysis (ACHA 26(3), 2009), which G-CoSaMP's
+    guarantee (``error_bound("g-cosamp")``) inherits: it needs
+    delta_4S <= 0.1, impossible once 4S groups hold more columns than there
+    are rows.  Every merged candidate set, at most 3S groups, is then a tall
+    least-squares fit.  Raises ``ConfigurationError`` when no S >= 1 fits.
+    """
+    S = min(requested, n_groups // 4, q // (4 * group_size))
+    if S < 1:
+        raise ConfigurationError(
+            f"no G-CoSaMP order S >= 1 with 4S <= {n_groups} groups and "
+            f"4S x {group_size} columns <= {q} pilots (requested {requested})")
+    return S
 
 
 def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
@@ -280,7 +307,10 @@ def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
     The noise radius is the demodulated pilot noise norm (variance K
     sigma_z^2 per sample) over one solve's channels: all when joint, else
     one.  Greedy solvers stop at ``residual_scale`` times it; G-BPDN takes
-    it as ``eps``.
+    it as ``eps``.  The greedy cap ``max_groups`` defaults to Q / (2 |g|).
+    G-CoSaMP's order is :func:`cosamp_order` of ``cosamp_sparsity`` (else
+    the cap), at most the cap: S = min(requested, max_groups, B // 4,
+    Q // (4 |g|)), the 4S-column regime of Needell & Tropp's analysis.
     """
     grouped, joint, algo = parse_solver(name)
     ens = collect_measurements(y_grid, scheme, basis, cfg)
@@ -289,9 +319,9 @@ def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
     if max_groups is None:
         max_groups = max(1, scheme.q // (2 * group_size))
     if algo == "cosamp":
-        S = cosamp_sparsity if cosamp_sparsity is not None else max_groups
-        S = min(S, max_groups, cfg.jd // group_size // 4)
-        opts = dict(S=max(1, S), n_iters=15, residual_tol=residual_scale * noise)
+        requested = max_groups if cosamp_sparsity is None else min(cosamp_sparsity, max_groups)
+        S = cosamp_order(requested, scheme.q, group_size, cfg.jd // group_size)
+        opts = dict(S=S, n_iters=15, residual_tol=residual_scale * noise)
     elif algo == "bpdn":
         opts = dict(eps=noise, tol=1e-3)
     else:

@@ -557,9 +557,11 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4):
     is the basis pursuit limit: x lies on the least-squares solutions, which
     z never meets exactly, so the loop stops on the residuals and returns x.
 
-    ``iterations`` counts ADMM iterations; ``diagnostics["lambda"]`` is the
-    equivalent group-lasso penalty, the median of ||(Phi^H (y - Phi x))_b||
-    over the selected groups.  ``Phi`` is a matrix or a
+    ``selected_groups`` are the groups of norm above ``_STOP`` ||x||: a
+    smaller group is within the stop tolerance of zero, so it stays in x but
+    is not reported.  ``iterations`` counts ADMM iterations;
+    ``diagnostics["lambda"]`` is the equivalent group-lasso penalty, the
+    median of ||(Phi^H (y - Phi x))_b|| over the selected groups.  ``Phi`` is a matrix or a
     :class:`BlockDiagonalOperator`.
     """
     Phi = _as_operator(Phi, part)
@@ -606,7 +608,7 @@ def g_bpdn(Phi, y, part, eps, tol=1e-4):
         out, p_out = alpha * z, alpha * pz
         resid = np.linalg.norm(p_out - y)
     norms = np.sqrt(part.energies(out))
-    selected = [int(b) for b in np.nonzero(norms > 1e-12 * max(norms.max(), 1e-300))[0]]
+    selected = np.nonzero(norms > _STOP * np.linalg.norm(out))[0].tolist()
     corr = np.sqrt(part.energies(Phi.rmatvec(y - p_out)))
     return RecoveryResult(
         estimates=out[None, :],

@@ -338,8 +338,9 @@ def plain_admm_g_bpdn(Phi, y, part, eps, tol=1e-4, max_iter=2000):
     """G-BPDN by plain scaled-form ADMM (no over-relaxation), as the solver
     computed it before: every projection onto the noise ball goes through
     each block's Gram eigendecomposition, with mu from Newton's method on
-    1/||w(mu)|| - 1/r, and the stop and the lift onto the radius are the
-    solver's.  Returns (x, selected groups, residual norm, iterations)."""
+    1/||w(mu)|| - 1/r, and the stop, the lift onto the radius and the groups
+    reported as selected (norm above 1e-5 ||x||) are the solver's.  Returns
+    (x, selected groups, residual norm, iterations)."""
     Phi = _as_operator(Phi, part)
     y = np.asarray(y, dtype=complex)
     n_tx, q, _ = Phi.blocks.shape
@@ -400,7 +401,7 @@ def plain_admm_g_bpdn(Phi, y, part, eps, tol=1e-4, max_iter=2000):
         out, p_out = alpha * z, alpha * pz
         resid = np.linalg.norm(p_out - y)
     norms = np.sqrt(part.energies(out))
-    selected = [int(b) for b in np.nonzero(norms > 1e-12 * max(norms.max(), 1e-300))[0]]
+    selected = [int(b) for b in np.nonzero(norms > 1e-5 * np.linalg.norm(out))[0]]
     return out, selected, float(resid), n_iter
 
 

@@ -283,6 +283,17 @@ def test_bad_blocksize_point_exits_2_without_traceback(point, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_too_few_pilots_for_a_cosamp_order_exits_2_without_traceback(tmp_path, capsys):
+    # Q = 12 pilots cannot hold 4S groups of 4 columns for any S >= 1
+    rc = main(["--set", "sweep.trials=1", "--set", "sweep.points=20",
+               "--set", "sweep.solvers=mgcs-somp,mgcs-cosamp", "--set", "pilots.q=12",
+               "sweep", "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no G-CoSaMP order") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("value", [
     "pilots.q=0", "pilots.q=-3", "system.n_tx=0", "system.n_rx=0", "system.d=0",
     "system.j=0", "tiling.dm=0", "tiling.di=0", "channel.rolloff=0",

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mgcs.estimator
 import mgcs.harness
 from mgcs import io as mgio
 from mgcs.errors import ConfigurationError, DomainError
@@ -12,16 +13,28 @@ from mgcs.estimator import BasisSpec
 from mgcs.harness import (
     ExperimentConfig,
     ResultTable,
+    budget_sparsity,
+    cosamp_order,
     desk_experiment,
     desk_geometry,
     desk_prior,
     emit_results,
     parse_solver,
     paths_from_prior,
+    point_geometry,
+    run_estimator,
     run_sweep,
     simulate_trial,
 )
-from mgcs.channel import FilterSpec
+from mgcs.channel import (
+    FilterSpec,
+    cross_channel_bounds,
+    effective_support_widths,
+    sample_geometry,
+    sparsity_budget,
+)
+from mgcs.partition import make_block_tiling
+from mgcs.recovery import _GrownQR, g_cosamp
 from mgcs.waveform import FactoredIR, SystemConfig, cp_ofdm_pulses, identity_channel
 from mgcs.estimator import draw_pilots, normalized_mse
 
@@ -193,6 +206,79 @@ def test_sweep_csv_matches_the_golden_file(tmp_path):
         out = emit_results(table, tmp_path / filename)
         golden = Path(__file__).parent / "data" / filename
         assert out.read_bytes() == golden.read_bytes(), filename
+
+
+class TestCosampOrder:
+    def test_every_desk_fit_is_tall(self, monkeypatch):
+        # a seeded desk sweep of the four CoSaMP estimators: every solver call
+        # gets 4S |g| <= Q, at S = 3 for groups of 4 and 12 for singletons,
+        # and no fit takes the wide minimum-norm path
+        orders = []
+
+        def recording(Phi, y, part, S, **opts):
+            orders.append((S, int(part.sizes[0])))
+            return g_cosamp(Phi, y, part, S, **opts)
+
+        def refuse(*args):
+            raise AssertionError("wide fit")
+
+        monkeypatch.setattr(mgcs.estimator, "g_cosamp", recording)
+        monkeypatch.setattr(_GrownQR, "_wide", refuse)
+        config = desk_experiment(5, points=(10.0, 30.0), trials=2,
+                                 solvers=("conv-cosamp", "gcs-cosamp", "mcs-cosamp",
+                                          "mgcs-cosamp"))
+        table = run_sweep(config)
+        assert not table.failures.any()
+        assert len(orders) == 2 * 2 * (2 * config.system.n_channels + 2)
+        assert all(4 * S * size <= config.q for S, size in orders)
+        assert set(orders) == {(3, 4), (12, 1)}
+
+    def test_rule(self):
+        assert cosamp_order(288, 48, 4, 64) == 3
+        assert cosamp_order(2, 48, 4, 64) == 2
+        assert cosamp_order(288, 48, 1, 256) == 12
+        assert cosamp_order(288, 480, 1, 20) == 5  # 4S <= B
+        with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
+            cosamp_order(6, 15, 4, 64)
+
+    @pytest.mark.parametrize("solver", ["gcs-cosamp", "mgcs-cosamp"])
+    def test_too_few_pilots_for_one_group_is_a_configuration_error(self, solver):
+        # Q = 15 < 4 |g| = 16: no order S >= 1 keeps 4S groups within Q rows
+        with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
+            desk_experiment(1, q=15, solvers=(solver,))
+        desk_experiment(1, q=15, solvers=("conv-cosamp", "mgcs-somp"))  # 4 |g| = 4
+
+    def test_run_estimator_raises_for_too_few_pilots(self):
+        config = desk_experiment(1)
+        cfg = config.system
+        tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+        scheme = draw_pilots(cfg, 1, q=15)
+        y_grid = np.ones((cfg.L, cfg.K, cfg.n_rx), dtype=complex)
+        with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
+            run_estimator("mgcs-cosamp", y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
+                          tiling, 0.1)
+
+    def test_blocksize_points_are_checked_before_any_trial(self):
+        # 2x4 blocks hold 8 columns: 4 x 8 > 30 pilots
+        with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
+            desk_experiment(1, q=30, axis="blocksize", points=("1x4", "2x4"),
+                            solvers=("gcs-cosamp",))
+
+
+def test_budget_sparsity_is_capped_at_the_block_count():
+    config = desk_experiment(1)
+    cfg = config.system
+    tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+    nominal = sample_geometry(np.random.SeedSequence([1, 0]), point_geometry(cfg))
+    tau_b, nu_b = cross_channel_bounds(nominal)
+    dm_eff, di_eff = effective_support_widths(config.filters, cfg)
+    s_joint = sparsity_budget(dm_eff, di_eff, tau_b, nu_b, tiling, nominal.n_scatterers,
+                              cfg)[3]
+    assert s_joint > tiling.n_blocks == 64
+    assert budget_sparsity(tiling, config.filters, cfg, nominal.n_scatterers,
+                           tau_b, nu_b) == tiling.n_blocks
+    assert budget_sparsity(tiling, config.filters, cfg, 1, 0.0, 0.0) == sparsity_budget(
+        dm_eff, di_eff, 0.0, 0.0, tiling, 1, cfg)[3] < 64
 
 
 class TestSnrCalibration:

@@ -591,20 +591,28 @@ class TestGCosamp:
 
     def test_fits_match_the_per_problem_reference_on_desk_trials(self, monkeypatch):
         # every solver call of the four CoSaMP estimators on seeded desk
-        # trials, against the same loop with every transmit matrix's fit
-        # solved on its own: a thin QR, or lstsq when wide or rank-lost
-        calls = []
+        # trials, replayed at the order min(Q / (2 |g|), B / 4) that the
+        # harness picked before it kept 4S |g| <= Q: merged sets of up to 3S
+        # groups then hold more columns than rows, so the wide fits run.
+        # Against the same loop with every transmit matrix's fit solved on
+        # its own: a thin QR, or lstsq when wide or rank-lost
+        args_seen = []
 
-        def both(*args, **kwargs):
-            res = g_cosamp(*args, **kwargs)
+        def recording(*args, **kwargs):
+            args_seen.append((args, kwargs))
+            return g_cosamp(*args, **kwargs)
+
+        monkeypatch.setattr(mgcs.estimator, "g_cosamp", recording)
+        cfg = run_cosamp_estimators_on_desk_trials()
+        assert len(args_seen) == 3 * (2 * cfg.n_channels + 2)
+        q, calls = desk_experiment(11).q, []
+        for args, kwargs in args_seen:
+            part = args[2]
+            opts = dict(kwargs, S=min(q // (2 * part.sizes[0]), part.n_groups // 4))
+            res = g_cosamp(*args, **opts)
             with monkeypatch.context() as mp:
                 mp.setattr(BlockDiagonalOperator, "lstsq", lstsq_per_problem)
-                calls.append((res, g_cosamp(*args, **kwargs)))
-            return res
-
-        monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
-        cfg = run_cosamp_estimators_on_desk_trials()
-        assert len(calls) == 3 * (2 * cfg.n_channels + 2)
+                calls.append((res, g_cosamp(*args, **opts)))
         for res, ref in calls:
             assert res.selected_groups == ref.selected_groups
             assert res.iterations == ref.iterations
@@ -890,6 +898,43 @@ class TestGBpdn:
             assert norm == pytest.approx(norm_ref, rel=1e-4)
             assert eps * (1 - tol) <= res.residual_norms[0] <= eps
             assert res.iterations < iters_ref
+
+    # (seed, SNR dB, trial, estimator, solver call) of the desk G-BPDN calls
+    # whose groups above 1e-12 of the largest differ between plain and
+    # over-relaxed ADMM: 8 of 900 (seeds 1/42/2718, trials 0-9, 10/20/30 dB),
+    # each by one group of norm at most 8.6e-6 ||x||
+    FLIPPED_SUPPORTS = [
+        (1, 20.0, 9, "conv-bpdn", 1), (42, 20.0, 6, "mcs-bpdn", 0),
+        (42, 30.0, 6, "conv-bpdn", 3), (2718, 10.0, 3, "mcs-bpdn", 0),
+        (2718, 20.0, 5, "conv-bpdn", 0), (2718, 30.0, 1, "conv-bpdn", 3),
+        (2718, 30.0, 1, "gcs-bpdn", 3), (2718, 30.0, 4, "conv-bpdn", 0),
+    ]
+
+    def test_supports_within_the_stop_tolerance_are_not_reported(self, monkeypatch):
+        # on those calls the groups of norm at most _STOP ||x|| are left out,
+        # and plain and over-relaxed ADMM report the same groups
+        calls = []
+
+        def recording(Phi, y, part, eps, tol):
+            calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        for seed, snr_db, t, name, call in self.FLIPPED_SUPPORTS:
+            config, scheme, y_grid, sigma_z = desk_grid(seed, t, snr_db)
+            cfg = config.system
+            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+            calls.clear()
+            run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                          sigma_z)
+            Phi, y, part, eps, tol, res = calls[call]
+            x_ref, groups_ref, _, _ = plain_admm_g_bpdn(Phi, y, part, eps, tol)
+            norms, norms_ref = (np.sqrt(part.energies(x)) for x in (res.x, x_ref))
+            assert (np.flatnonzero(norms > 1e-12 * norms.max()).tolist()
+                    != np.flatnonzero(norms_ref > 1e-12 * norms_ref.max()).tolist())
+            assert res.selected_groups == groups_ref
+            assert res.selected_groups == np.flatnonzero(
+                norms > mgcs.recovery._STOP * np.linalg.norm(res.x)).tolist()
 
     def test_tiny_radius_lands_in_the_band(self):
         # noise-free one-group data and eps = 1e-5 ||y||: the band is
