@@ -370,51 +370,47 @@ def cross_channel_bounds(geo):
 # spreading functions and coefficient tensors
 
 
-def discrete_ir(paths, filters, cfg, m_len=None):
+def discrete_ir(paths, filters, cfg):
     """Discrete time-varying impulse response of the specular model.
 
     H[n, m] = sum_p eta_p phi^(nu_p)(m - tau_p/Ts) exp(j 2 pi nu_p Ts n) per
     channel, returned factored as a :class:`~mgcs.waveform.FactoredIR`: the
     gains, normalized Dopplers and delay profiles of all n_ch P channel-major
     paths, the profiles from one :func:`phi_profiles` call.  No caller builds
-    the dense (L_r, m_len, n_rx, n_tx) array (``np.asarray`` does, for tests).
-    A path whose delay falls outside the delay axis raises a warning but is
-    kept: only the part of its kernel past the last delay tap is dropped.
+    the dense (L_r, K, n_rx, n_tx) array (``np.asarray`` does, for tests).
+    A path whose delay falls outside the K-tap delay axis raises a warning but
+    is kept: only the part of its kernel past the last delay tap is dropped.
     """
-    if m_len is None:
-        m_len = cfg.K
     if paths.n_channels != cfg.n_channels:
         raise DomainError(
             f"path set has {paths.n_channels} channels, the system {cfg.n_channels}")
     max_x = paths.delays.max() / cfg.Ts
-    if max_x > m_len - 1:
+    if max_x > cfg.K - 1:
         warnings.warn(
-            f"path delay {max_x:.2f} samples exceeds the delay axis ({m_len - 1}); "
+            f"path delay {max_x:.2f} samples exceeds the delay axis ({cfg.K - 1}); "
             "its kernel past the axis is dropped"
         )
     nu_ts = paths.dopplers.T * cfg.Ts  # (n_ch, P), channel-major
-    profiles = phi_profiles(filters, (paths.delays.T / cfg.Ts).ravel(), nu_ts.ravel(), m_len)
+    profiles = phi_profiles(filters, (paths.delays.T / cfg.Ts).ravel(), nu_ts.ravel(), cfg.K)
     return FactoredIR(
-        gains=paths.gains.T, nu_ts=nu_ts, profiles=profiles.reshape(nu_ts.shape + (m_len,)),
+        gains=paths.gains.T, nu_ts=nu_ts, profiles=profiles.reshape(nu_ts.shape + (cfg.K,)),
         l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
     )
 
 
-def spreading_model(paths, cfg, filters, m_len=None):
+def spreading_model(paths, cfg, filters):
     """Discrete-delay-Doppler spreading functions of the specular model.
 
     S_h[m, i] = sum_p eta_p exp(j pi (nu_p Ts - i/L_r)(L_r - 1)) Lambda_p[m, i]
-    evaluated on {0..m_len-1} x {0..L_r-1}; matches the DFT of the impulse
-    response from :func:`discrete_ir` exactly.  Returns (n_channels, m_len, L_r).
+    evaluated on {0..K-1} x {0..L_r-1}; matches the DFT of the impulse
+    response from :func:`discrete_ir` exactly.  Returns (n_channels, K, L_r).
     """
-    if m_len is None:
-        m_len = cfg.K
     l_r = cfg.l_r
     i = np.arange(l_r)
-    S = np.zeros((cfg.n_channels, m_len, l_r), dtype=complex)
+    S = np.zeros((cfg.n_channels, cfg.K, l_r), dtype=complex)
     for xi in range(cfg.n_channels):
         nu_ts = paths.dopplers[:, xi] * cfg.Ts
-        phi = phi_profiles(filters, paths.delays[:, xi] / cfg.Ts, nu_ts, m_len)  # (P, m_len)
+        phi = phi_profiles(filters, paths.delays[:, xi] / cfg.Ts, nu_ts, cfg.K)  # (P, K)
         for p in range(paths.n_paths):
             psi = psi_kernel(i - nu_ts[p] * l_r, l_r)
             phase = np.exp(1j * np.pi * (nu_ts[p] - i / l_r) * (l_r - 1))
@@ -422,28 +418,13 @@ def spreading_model(paths, cfg, filters, m_len=None):
     return S
 
 
-@dataclass(frozen=True)
-class CoefficientTensor:
-    """Delay-Doppler expansion coefficients on the fundamental rectangle.
-
-    ``values`` has shape (D, J, n_channels) with Doppler axis index i + J/2
-    and holds the 2D-DFT coefficients F; :meth:`as_g` gives the DFT-basis
-    coefficients G = sqrt(J D) F.
-    """
-
-    values: np.ndarray
-
-    def as_g(self):
-        jd = self.values.shape[0] * self.values.shape[1]
-        return np.sqrt(jd) * self.values
-
-
 def dft_coeffs(S_h, pulses, cfg):
     """2D-DFT channel coefficients on the fundamental rectangle.
 
     F_{m,i} = sum_{q=0}^{N-1} S_h[m, i + q L] conj(A(m, (i + q L)/L_r)) for
     m in {0..D-1}, i in {-J/2..J/2-1}; negative Doppler indices wrap modulo
-    L_r.  Returns a :class:`CoefficientTensor` holding F.
+    L_r.  Returns F as a (D, J, n_channels) array, Doppler axis index i + J/2;
+    the DFT-basis coefficients are G = sqrt(J D) F.
     """
     S_h = np.asarray(S_h)
     l_r = cfg.l_r
@@ -456,7 +437,7 @@ def dft_coeffs(S_h, pulses, cfg):
     for xi in range(S_h.shape[0]):
         prod = S_h[xi][: cfg.D, idx] * np.conj(amb)  # (D, J*N)
         F[:, :, xi] = prod.reshape(cfg.D, cfg.J, cfg.N).sum(axis=2)
-    return CoefficientTensor(values=F)
+    return F
 
 
 # ---------------------------------------------------------------------------

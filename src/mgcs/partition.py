@@ -70,10 +70,6 @@ class Partition:
     def n_groups(self):
         return self.sizes.size
 
-    def subvector(self, x, b):
-        """Entries of ``x`` indexed by group ``b``."""
-        return np.asarray(x)[..., self.groups[b]]
-
     def energies(self, v, rows=False):
         """Per-group energy over the last axis of length M.  The rows of ``v``,
         or of a channel-stacked vector of length n_channels M, are summed

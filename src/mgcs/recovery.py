@@ -19,10 +19,9 @@ Every least-squares fit splits into one problem per transmit matrix, whose
 n_rx channels share its columns (one per channel under per-channel
 selection); all problems of a fit share one stacked thin QR.  G-OMP grows it
 a group at a time in batched products; G-CoSaMP, whose support changes
-wholesale, factors it from scratch.  A fit with more columns than rows takes
-the minimum-norm solution from one stacked QR of A^H, and ``lstsq`` only for
-a problem whose rows are dependent; ``rank_deficient`` then means a
-minimum-norm fit.
+wholesale, factors it from scratch.  A problem with more columns than rows,
+or whose R loses rank, takes numpy's minimum-norm ``lstsq`` on its own;
+``rank_deficient`` then means a minimum-norm fit.
 
 G-BPDN forms each block's Gram matrix A A^H once.  When all of them equal
 one c I to rounding (a tight frame, as every ``build_phi`` block is), its
@@ -118,21 +117,20 @@ class _GrownQR:
     serves all) and Q^H Y.  Each append is block Gram-Schmidt with one
     re-orthogonalization pass in batched products, then the QR of the new
     (P, Q, g) columns, for one column a norm and a divide.  A problem whose R
-    gets a diagonal at or below ``_RANK_TOL`` max(max |diag R|, 1) takes the
-    minimum-norm ``lstsq`` from then on (``lost``).  Problems with more
-    columns than rows are minimum-norm fits too (``lost``): one stacked QR of
-    their A^H serves all whose R passes the same rule, ``lstsq`` the rest.
-    The thin-QR buffers are allocated by the first append that is not wide,
-    so a fit whose appends are all wide never holds them."""
+    gets a diagonal at or below ``_RANK_TOL`` max(max |diag R|, 1), or that
+    would hold more columns than its Q rows, takes the minimum-norm
+    ``lstsq`` from then on (``lost``)."""
 
     def __init__(self, blocks, Y, width, per_transmit):
-        n_tx, _, m = blocks.shape
+        n_tx, q, m = blocks.shape
         self.blocks, self.per_transmit = blocks, per_transmit
         self.mats = np.arange(n_tx if per_transmit else len(Y)) % n_tx
         self.residual = Y.copy()  # (n_channels, Q)
         self.Y, self.resid = self._problems(Y), self._problems(self.residual)
-        n = len(self.mats)
-        self.Q = self.Qh = self.R = self.QhY = None  # see _extend
+        n, w = len(self.mats), min(q, width)
+        self.Q, self.Qh = np.zeros((n, q, w), complex), np.zeros((n, w, q), complex)
+        self.R = np.tile(np.eye(w, dtype=complex), (n, 1, 1))
+        self.QhY = np.zeros((n, w, self.Y.shape[2]), dtype=complex)
         self.cols = np.full((n, width), m)  # past a problem's columns: M, a dummy
         self.n = np.zeros(n, dtype=np.intp)
         self.lo, self.hi = [np.inf] * n, [0.0] * n  # extreme |diag R|, as floats
@@ -150,12 +148,10 @@ class _GrownQR:
         n0 = self.n[idx[0]]
         n1 = n0 + cols.shape[1]
         self.cols[idx, n0:n1], self.n[idx] = cols, n1
-        if n1 > self.Y.shape[1]:
-            lost = self._wide(idx, n1)
-        else:
-            lost = [p for p in idx.tolist() if p in self.lost]
-            if len(lost) < idx.size:
-                lost += self._extend(np.setdiff1d(idx, lost) if lost else idx, n0, n1)
+        wide = n1 > self.Y.shape[1]
+        lost = [p for p in idx.tolist() if wide or p in self.lost]
+        if len(lost) < idx.size:
+            lost += self._extend(np.setdiff1d(idx, lost) if lost else idx, n0, n1)
         for p in lost:
             A = self.blocks[self.mats[p]][:, self.cols[p, :n1]]
             self.lost[p] = np.linalg.lstsq(A, self.Y[p], rcond=None)[0]
@@ -163,12 +159,6 @@ class _GrownQR:
 
     def _extend(self, idx, n0, n1):
         """Extend the factors of problems ``idx``; returns those that lost rank."""
-        if self.R is None:
-            (n, width), q = self.cols.shape, self.Y.shape[1]
-            w = min(q, width)
-            self.Q, self.Qh = np.zeros((n, q, w), complex), np.zeros((n, w, q), complex)
-            self.R = np.tile(np.eye(w, dtype=complex), (n, 1, 1))
-            self.QhY = np.zeros((n, w, self.Y.shape[2]), dtype=complex)
         sel = slice(None) if idx.size == len(self.mats) else idx  # a slice copies nothing
         Qk, Qh = self.Q[sel, :, :n0], self.Qh[sel, :n0]
         W = self.blocks[self.mats[sel, None], :, self.cols[sel, n0:n1]].transpose(0, 2, 1)
@@ -197,34 +187,14 @@ class _GrownQR:
         self.resid[sel] -= W @ qhy
         return idx[np.logical_not(ok)].tolist()
 
-    def _wide(self, idx, n1):
-        """Minimum-norm fits of problems ``idx``, wider than tall, from one
-        stacked QR of A^H: x = Q R^-H y where R has the full row rank of A;
-        returns the problems whose R fails the rank rule."""
-        Ah = self.blocks[self.mats[idx, None], :, self.cols[idx, :n1]]  # A^T, (P, n1, Q)
-        np.conjugate(Ah, out=Ah)  # in place: a second copy raises the peak memory
-        Qa, r = np.linalg.qr(Ah)
-        d = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        ok = d.min(axis=1) > _RANK_TOL * np.maximum(d.max(axis=1), 1.0)
-        failed = idx[np.logical_not(ok)].tolist()
-        if failed:
-            idx, Ah, Qa, r = idx[ok], Ah[ok], Qa[ok], r[ok]
-        Y = self.Y[idx]
-        coef = Qa @ np.linalg.solve(r.conj().transpose(0, 2, 1), Y)
-        self.lost.update(zip(idx.tolist(), coef))
-        # A x = (x^H A^H)^H
-        self.resid[idx] = Y - (coef.conj().transpose(0, 2, 1) @ Ah).conj().transpose(0, 2, 1)
-        return failed
-
     def estimates(self):
         """The (n_channels, M) coefficients, zero off each problem's columns."""
         m = self.blocks.shape[2]
         x = np.zeros((len(self.residual), m + 1), dtype=complex)  # column M: the dummy
         xp = self._problems(x)
         k = max((c for p, c in enumerate(self.n.tolist()) if p not in self.lost), default=0)
-        if k:  # else every problem holds a minimum-norm fit
-            xp[np.arange(len(xp))[:, None], self.cols[:, :k]] = np.linalg.solve(
-                self.R[:, :k, :k], self.QhY[:, :k])
+        xp[np.arange(len(xp))[:, None], self.cols[:, :k]] = np.linalg.solve(
+            self.R[:, :k, :k], self.QhY[:, :k])
         for p, coef in self.lost.items():  # past its columns: the dummy
             xp[p, self.cols[p, :self.n[p]]] = coef
         return x[:, :m]
@@ -268,7 +238,7 @@ class BlockDiagonalOperator:
         """Least squares of ``y`` on the columns of the selected ``groups`` of
         the per-channel partition ``part``, factored from scratch: the
         full-length coefficient vector and whether any problem is a
-        minimum-norm fit (wider than tall, or rank lost)."""
+        minimum-norm ``lstsq`` fit (wider than tall, or rank lost)."""
         cols = part.columns(groups)
         fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size, True)
         fit.append(fit.mats, cols[None])
@@ -277,11 +247,6 @@ class BlockDiagonalOperator:
     def gram(self):
         """The (n_tx, Q, Q) Gram matrices A A^H of the blocks (see :func:`_gram`)."""
         return np.array([_gram(A) for A in self.blocks])
-
-    def gram_eigh(self):
-        """Eigenvalues (n_tx, Q), ascending, and eigenvectors (n_tx, Q, Q) of
-        every block's Gram matrix."""
-        return np.linalg.eigh(self.gram())
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

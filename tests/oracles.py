@@ -344,7 +344,7 @@ def plain_admm_g_bpdn(Phi, y, part, eps, tol=1e-4, max_iter=2000):
     Phi = _as_operator(Phi, part)
     y = np.asarray(y, dtype=complex)
     n_tx, q, _ = Phi.blocks.shape
-    g, U = Phi.gram_eigh()
+    g, U = np.linalg.eigh(Phi.gram())
     g = g[:, None, :]
     null = g <= 1e-12 * g.max()
     inv = np.divide(1.0, g, out=np.zeros_like(g), where=~null)

@@ -145,7 +145,7 @@ def test_criterion_3_kernel_identity():
         nus = np.array([nu0, nu0 + rng.uniform(-1.4, 1.4)])
         paths = PathSet(gains=np.ones((1, 2), dtype=complex),
                         delays=taus[None, :], dopplers=nus[None, :])
-        F = dft_coeffs(spreading_model(paths, cfg, RRC), pulses, cfg).values
+        F = dft_coeffs(spreading_model(paths, cfg, RRC), pulses, cfg)
         h_sub = np.einsum("lkmi,mix->lkx", phase, F)
         C = build_C_matrix(taus, nus, cfg, RRC, table)
         for kind in ("dft", "blocks"):

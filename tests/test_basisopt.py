@@ -58,7 +58,7 @@ def projection_oracle_g(taus, nus, basis, cfg, pulses, filters):
         delays=np.asarray(taus)[None, :],
         dopplers=np.asarray(nus)[None, :],
     )
-    F = dft_coeffs(spreading_model(paths, cfg, filters), pulses, cfg).values
+    F = dft_coeffs(spreading_model(paths, cfg, filters), pulses, cfg)
     m = np.arange(cfg.D)
     i = np.arange(-cfg.J // 2, cfg.J // 2)
     lam = np.arange(cfg.J)
@@ -292,7 +292,7 @@ class TestMcObjective:
         got = mc_objective(BasisSpec.dft(cfg.J, cfg.D), samples, tiling)
         paths = PathSet(gains=np.ones((1, 1), dtype=complex),
                         delays=np.array([[tau]]), dopplers=np.array([[nu]]))
-        F = dft_coeffs(spreading_model(paths, cfg, kron), pulses, cfg).values
+        F = dft_coeffs(spreading_model(paths, cfg, kron), pulses, cfg)
         expect = np.sqrt(cfg.jd) * group_frobenius_norm(F, tiling)
         assert got == pytest.approx(expect, rel=1e-8)
 

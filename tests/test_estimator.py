@@ -280,8 +280,8 @@ class TestCollectMeasurements:
         paths = on_grid_paths(cfg, m0=1, rng=rng)
         S_h = spreading_model(paths, cfg, KRON)
         F = dft_coeffs(S_h, pulses, cfg)
-        g_true = F.as_g()  # (D, J, n_ch)
-        h_full = expand_rectangle_to_grid(F.values, cfg)  # (L, K, n_ch)
+        g_true = np.sqrt(cfg.jd) * F  # (D, J, n_ch)
+        h_full = expand_rectangle_to_grid(F, cfg)  # (L, K, n_ch)
         # diagonal model: y_{l,k} = H_{l,k} a_{l,k}
         a = assemble_frame(scheme, cfg, rng)
         Hlk = h_full.reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)

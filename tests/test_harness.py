@@ -212,18 +212,19 @@ class TestCosampOrder:
     def test_every_desk_fit_is_tall(self, monkeypatch):
         # a seeded desk sweep of the four CoSaMP estimators: every solver call
         # gets 4S |g| <= Q, at S = 3 for groups of 4 and 12 for singletons,
-        # and no fit takes the wide minimum-norm path
-        orders = []
+        # and no least-squares problem ever holds more columns than Q rows
+        orders, widths, append = [], [], _GrownQR.append
 
         def recording(Phi, y, part, S, **opts):
             orders.append((S, int(part.sizes[0])))
             return g_cosamp(Phi, y, part, S, **opts)
 
-        def refuse(*args):
-            raise AssertionError("wide fit")
+        def measured_append(fit, idx, cols):
+            append(fit, idx, cols)
+            widths.append(int(fit.n.max()))
 
         monkeypatch.setattr(mgcs.estimator, "g_cosamp", recording)
-        monkeypatch.setattr(_GrownQR, "_wide", refuse)
+        monkeypatch.setattr(_GrownQR, "append", measured_append)
         config = desk_experiment(5, points=(10.0, 30.0), trials=2,
                                  solvers=("conv-cosamp", "gcs-cosamp", "mcs-cosamp",
                                           "mgcs-cosamp"))
@@ -232,6 +233,7 @@ class TestCosampOrder:
         assert len(orders) == 2 * 2 * (2 * config.system.n_channels + 2)
         assert all(4 * S * size <= config.q for S, size in orders)
         assert set(orders) == {(3, 4), (12, 1)}
+        assert widths and max(widths) <= config.q
 
     def test_rule(self):
         assert cosamp_order(288, 48, 4, 64) == 3

@@ -107,7 +107,7 @@ class TestStackPartition:
         stacked_p = stack_partition(p, 6, 3)
         for b in range(p.n_groups):
             expect = np.concatenate([x[p.groups[b]] for x in xs])
-            np.testing.assert_allclose(np.sort_complex(stacked_p.subvector(stacked_x, b)),
+            np.testing.assert_allclose(np.sort_complex(stacked_x[stacked_p.groups[b]]),
                                        np.sort_complex(expect))
 
 

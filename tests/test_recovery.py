@@ -426,67 +426,34 @@ class TestGOmpRankLoss:
 
 
 class TestWideFits:
-    """Fits with more columns than rows: one stacked QR of A^H for the
-    problems of full row rank, numpy's ``lstsq`` for the others."""
+    """Fits with more columns than rows, whatever their row rank, take numpy's
+    minimum-norm ``lstsq`` one problem at a time, as the per-problem
+    reference does, and report a minimum-norm fit."""
 
-    @staticmethod
-    def fit(blocks, n_rx, groups, monkeypatch, rng):
-        """``BlockDiagonalOperator.lstsq`` on 4-column groups, the
-        per-transmit ``lstsq`` references and the number of ``lstsq`` calls
-        the fit made."""
-        n_tx, q, m = blocks.shape
-        part = uniform_partition(m, 4)
-        y = rng.normal(size=(n_rx, n_tx, q)) + 1j * rng.normal(size=(n_rx, n_tx, q))
-        lstsq, calls = np.linalg.lstsq, []
-        with monkeypatch.context() as mp:
-            mp.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-            x, lost = BlockDiagonalOperator(blocks, n_rx * n_tx).lstsq(part, np.array(groups),
-                                                                      y.reshape(-1))
-        cols = part.columns(np.array(groups))
-        x = x.reshape(n_rx, n_tx, m)
-        assert lost and not np.any(np.delete(x, cols, axis=2))
-        refs = [np.linalg.lstsq(blocks[s][:, cols], y[:, s].T, rcond=None)[0] for s in range(n_tx)]
-        return [x[:, s, cols].T for s in range(n_tx)], refs, len(calls)
-
-    @pytest.mark.parametrize("seed,n_tx,n_rx,groups", [
-        (80, 1, 1, [0, 1, 3]), (81, 2, 2, [0, 2, 3, 5]), (82, 2, 1, [1, 2, 4, 5]),
-        (83, 3, 2, [0, 1, 2, 3, 4, 5])])
-    def test_full_row_rank_matches_lstsq(self, seed, n_tx, n_rx, groups, monkeypatch):
+    @pytest.mark.parametrize("seed,n_tx,n_rx,groups,tie", [
+        pytest.param(80, 1, 1, [0, 1, 3], None, id="full-row-rank-80"),
+        pytest.param(81, 2, 2, [0, 2, 3, 5], None, id="full-row-rank-81"),
+        pytest.param(82, 2, 1, [1, 2, 4, 5], None, id="full-row-rank-82"),
+        pytest.param(83, 3, 2, [0, 1, 2, 3, 4, 5], None, id="full-row-rank-83"),
+        # (transmit, row, row it copies, gap): rows 1e-3 apart keep the row rank
+        pytest.param(86, 1, 2, [0, 2, 4], (0, 7, 2, 1e-3), id="nearly-equal-rows"),
+        pytest.param(84, 1, 2, [0, 2, 4], (0, 7, 2, 0.0), id="equal-rows"),
+        # one append: transmit 0's matrix has full row rank, transmit 1's not
+        pytest.param(85, 2, 2, [1, 3, 5], (1, 9, 0, 0.0), id="one-append-mixes-both"),
+    ])
+    def test_matches_the_per_problem_lstsq(self, seed, n_tx, n_rx, groups, tie):
         rng = np.random.default_rng(seed)
         blocks = rng.normal(size=(n_tx, 10, 24)) + 1j * rng.normal(size=(n_tx, 10, 24))
-        got, refs, n_calls = self.fit(blocks, n_rx, groups, monkeypatch, rng)
-        assert n_calls == 0
-        for x, ref in zip(got, refs):
-            assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
-
-    def test_nearly_equal_rows_keep_the_qr_accurate(self, monkeypatch):
-        # two rows 1e-3 apart: condition about 1e4 keeps the row rank; the QR
-        # misses lstsq by 1e-12 here, a solve through A A^H, which squares
-        # the condition, by 2e-11
-        rng = np.random.default_rng(86)
-        blocks = rng.normal(size=(1, 10, 24)) + 1j * rng.normal(size=(1, 10, 24))
-        blocks[0, 7] = blocks[0, 2] + 1e-3 * rng.normal(size=24)
-        (x,), (ref,), n_calls = self.fit(blocks, 2, [0, 2, 4], monkeypatch, rng)
-        assert n_calls == 0
-        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
-
-    def test_equal_rows_fall_back_to_lstsq(self, monkeypatch):
-        rng = np.random.default_rng(84)
-        blocks = rng.normal(size=(1, 10, 24)) + 1j * rng.normal(size=(1, 10, 24))
-        blocks[0, 7] = blocks[0, 2]
-        (x,), (ref,), n_calls = self.fit(blocks, 2, [0, 2, 4], monkeypatch, rng)
-        assert n_calls == 1
+        if tie:
+            s, row, copied, gap = tie
+            blocks[s, row] = blocks[s, copied] + (gap * rng.normal(size=24) if gap else 0)
+        y = rng.normal(size=n_rx * n_tx * 10) + 1j * rng.normal(size=n_rx * n_tx * 10)
+        op, part = BlockDiagonalOperator(blocks, n_rx * n_tx), uniform_partition(24, 4)
+        groups = np.array(groups)
+        x, deficient = op.lstsq(part, groups, y)
+        ref, ref_deficient = lstsq_per_problem(op, part, groups, y)
+        assert deficient and ref_deficient
         np.testing.assert_array_equal(x, ref)
-
-    def test_one_append_mixes_both_kinds(self, monkeypatch):
-        # transmit 1's matrix has two equal rows, transmit 0's has full rank
-        rng = np.random.default_rng(85)
-        blocks = rng.normal(size=(2, 10, 24)) + 1j * rng.normal(size=(2, 10, 24))
-        blocks[1, 9] = blocks[1, 0]
-        got, refs, n_calls = self.fit(blocks, 2, [1, 3, 5], monkeypatch, rng)
-        assert n_calls == 1
-        assert np.linalg.norm(got[0] - refs[0]) <= 1e-11 * np.linalg.norm(refs[0])
-        np.testing.assert_array_equal(got[1], refs[1])
 
 
 class TestGCosamp:
@@ -593,9 +560,9 @@ class TestGCosamp:
         # every solver call of the four CoSaMP estimators on seeded desk
         # trials, replayed at the order min(Q / (2 |g|), B / 4) that the
         # harness picked before it kept 4S |g| <= Q: merged sets of up to 3S
-        # groups then hold more columns than rows, so the wide fits run.
-        # Against the same loop with every transmit matrix's fit solved on
-        # its own: a thin QR, or lstsq when wide or rank-lost
+        # groups then hold more columns than rows, so the minimum-norm
+        # fallback runs.  Against the same loop with every transmit matrix's
+        # fit solved on its own: a thin QR, or lstsq when wide or rank-lost
         args_seen = []
 
         def recording(*args, **kwargs):
@@ -977,7 +944,7 @@ class TestLipschitz:
         for chunk in (None, 5 * blocks.shape[1]):
             if chunk:
                 monkeypatch.setattr(mgcs.recovery, "_GRAM_BLOCK", chunk)
-            g, U = Phi.gram_eigh()
+            g, U = np.linalg.eigh(Phi.gram())
             assert g.max() == pytest.approx(expect, rel=1e-14)
             for A, g_s, U_s in zip(blocks, g, U):
                 gram = A @ A.conj().T
@@ -995,7 +962,7 @@ class TestLipschitz:
         monkeypatch.setattr(mgcs.recovery, "_GRAM_BLOCK", 1 << 14)
         tracemalloc.start()
         try:
-            g = Phi.gram_eigh()[0]
+            g = np.linalg.eigh(Phi.gram())[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1163,7 +1130,7 @@ class TestMgcsStack:
         assert np.linalg.norm(op @ x - fwd) <= 1e-13 * np.linalg.norm(fwd)
         assert np.linalg.norm(op.rmatvec(v) - adj) <= 1e-13 * np.linalg.norm(adj)
         lip = np.linalg.norm(dense, 2) ** 2
-        assert op.gram_eigh()[0].max() == pytest.approx(lip, rel=1e-12)
+        assert np.linalg.eigh(op.gram())[0].max() == pytest.approx(lip, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_solvers_match_on_the_dense_matrix(self, seed):

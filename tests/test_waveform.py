@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import mgcs.waveform
-from mgcs.channel import FilterSpec, PathSet, discrete_ir
+from mgcs.channel import FilterSpec, PathSet, discrete_ir, phi_profiles
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.waveform import (
+    FactoredIR,
     PulsePair,
     SystemConfig,
     ambiguity_table,
@@ -27,12 +28,12 @@ def small_cfg(**kw):
     return SystemConfig(**defaults)
 
 
-def static_channel(cfg, delays, gains, m_len):
+def static_channel(cfg, delays, gains):
     """Zero-Doppler single-channel Kronecker channel: gains[p] at delay bin delays[p]."""
     gains = np.asarray(gains, dtype=complex)[:, None]
     paths = PathSet(gains=gains, delays=np.asarray(delays, dtype=float)[:, None] * cfg.Ts,
                     dopplers=np.zeros(gains.shape))
-    return discrete_ir(paths, FilterSpec(kind="kronecker"), cfg, m_len=m_len)
+    return discrete_ir(paths, FilterSpec(kind="kronecker"), cfg)
 
 
 def modulate_direct(symbols, pulses, cfg):
@@ -215,7 +216,7 @@ class TestApplyDiscreteChannel:
     def test_pure_delay(self):
         cfg = small_cfg()
         m0 = 2
-        H = static_channel(cfg, [m0], [1.0], m_len=4)
+        H = static_channel(cfg, [m0], [1.0])
         rng = np.random.default_rng(5)
         s = rng.normal(size=(cfg.l_r, 1)) + 0j
         r = apply_discrete_channel(H, s)
@@ -243,7 +244,7 @@ class TestEffectiveCoeffs:
         cfg = small_cfg()
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         m0 = 2  # within the CP
-        H = static_channel(cfg, [m0], [1.0], m_len=4)
+        H = static_channel(cfg, [m0], [1.0])
         Hlk = effective_coeffs(H, pulses, cfg)[:, :, 0, 0]
         k = np.arange(cfg.K)
         expect = cfg.K * np.exp(-2j * np.pi * k * m0 / cfg.K)
@@ -254,7 +255,7 @@ class TestEffectiveCoeffs:
         cfg = small_cfg(K=4, N=6, L=2, D=2, J=2)
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         rng = np.random.default_rng(6)
-        H = static_channel(cfg, [0, 1, 2], rng.normal(size=3), m_len=3)  # random LTI taps
+        H = static_channel(cfg, [0, 1, 2], rng.normal(size=3))  # random LTI taps
         got = effective_coeffs(H, pulses, cfg)[:, :, 0, 0]
         H = np.asarray(H)
         # literal double sum
@@ -280,7 +281,7 @@ class TestEffectiveCoeffs:
     def test_zero_channel(self):
         cfg = small_cfg()
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
-        H = static_channel(cfg, [0, 1], [0.0, 0.0], m_len=2)
+        H = static_channel(cfg, [0, 1], [0.0, 0.0])
         assert np.all(effective_coeffs(H, pulses, cfg) == 0)
 
 
@@ -289,18 +290,20 @@ class TestFactoredChannel:
 
     @staticmethod
     def random_channel(kind, n_tx, n_rx, m_len, seed):
+        """Three random paths per channel on an m_len-tap delay axis, factored
+        as ``discrete_ir`` factors them on its K taps."""
         cfg = small_cfg(K=16, N=20, L=4, D=4, J=2, n_tx=n_tx, n_rx=n_rx)
         rng = np.random.default_rng(seed)
         P, n_ch = 3, cfg.n_channels
-        offsets = rng.uniform(0, m_len - 2, size=(P, n_ch))
+        offsets = rng.uniform(0, m_len - 2, size=(n_ch, P))
         if kind == "kronecker":
             offsets = np.floor(offsets)
-        paths = PathSet(
-            gains=rng.normal(size=(P, n_ch)) + 1j * rng.normal(size=(P, n_ch)),
-            delays=offsets * cfg.Ts,
-            dopplers=rng.uniform(-3, 3, size=(P, n_ch)) / (cfg.Ts * cfg.l_r),
-        )
-        return cfg, discrete_ir(paths, FilterSpec(kind=kind, span=8), cfg, m_len=m_len), rng
+        gains = rng.normal(size=(n_ch, P)) + 1j * rng.normal(size=(n_ch, P))
+        nu_ts = rng.uniform(-3, 3, size=(n_ch, P)) / cfg.l_r
+        profiles = phi_profiles(FilterSpec(kind=kind, span=8), offsets.ravel(), nu_ts.ravel(), m_len)
+        H = FactoredIR(gains=gains, nu_ts=nu_ts, profiles=profiles.reshape(n_ch, P, m_len),
+                       l_r=cfg.l_r, n_rx=n_rx, n_tx=n_tx)
+        return cfg, H, rng
 
     @pytest.mark.parametrize("kind", ["rrc", "kronecker"])
     @pytest.mark.parametrize("n_tx,n_rx", [(1, 1), (2, 2), (2, 3)])
@@ -358,7 +361,7 @@ def test_lti_roundtrip_diagonal_model():
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)
     rng = np.random.default_rng(7)
     taps = rng.normal(size=2) + 1j * rng.normal(size=2)  # delays 0, 1 <= CP = 2
-    H = static_channel(cfg, [0, 1], taps, m_len=2)
+    H = static_channel(cfg, [0, 1], taps)
     a = rng.normal(size=(cfg.L, cfg.K, 1)) + 1j * rng.normal(size=(cfg.L, cfg.K, 1))
     r = apply_discrete_channel(H, modulate(a, pulses, cfg))
     y = demodulate(r, pulses, cfg)
