@@ -97,12 +97,9 @@ class CKernelTable:
 
     def __init__(self, pulses, cfg):
         self.cfg = cfg
-        i_vals = np.arange(-cfg.J // 2, cfg.J // 2)
-        q_vals = np.arange(cfg.N)
-        self.freq = (i_vals[:, None] + q_vals[None, :] * cfg.L).astype(float)  # (J, N)
-        amb = ambiguity_table(pulses, np.arange(cfg.D), (self.freq / cfg.l_r).ravel())
+        self.freq = cfg.doppler_grid.astype(float)  # (J, N)
         # (J, D, N): one (D, N) matrix per Doppler row i + J/2
-        self.amb_conj = np.conj(amb).reshape(cfg.D, cfg.J, cfg.N).transpose(1, 0, 2).copy()
+        self.amb_conj = np.conj(ambiguity_table(pulses, cfg))
         self.signs = (-1.0) ** np.arange(cfg.J)  # lambda-DFT index shift
         # -(-1)^n and exp(-j pi n (L_r - 1) / L_r) for n = i + q L
         self.neg_parity = np.where(self.freq % 2 == 0, -1.0, 1.0)

@@ -423,21 +423,13 @@ def dft_coeffs(S_h, pulses, cfg):
 
     F_{m,i} = sum_{q=0}^{N-1} S_h[m, i + q L] conj(A(m, (i + q L)/L_r)) for
     m in {0..D-1}, i in {-J/2..J/2-1}; negative Doppler indices wrap modulo
-    L_r.  Returns F as a (D, J, n_channels) array, Doppler axis index i + J/2;
+    L_r; A is the kernel matrices' :func:`~mgcs.waveform.ambiguity_table`.
+    Returns F as a (D, J, n_channels) array, Doppler axis index i + J/2;
     the DFT-basis coefficients are G = sqrt(J D) F.
     """
-    S_h = np.asarray(S_h)
-    l_r = cfg.l_r
-    i_vals = np.arange(-cfg.J // 2, cfg.J // 2)
-    q_vals = np.arange(cfg.N)
-    freq = (i_vals[:, None] + q_vals[None, :] * cfg.L).astype(float)  # (J, N)
-    amb = ambiguity_table(pulses, np.arange(cfg.D), (freq / l_r).ravel())  # (D, J*N)
-    idx = np.mod(freq.astype(int), l_r).ravel()
-    F = np.empty((cfg.D, cfg.J, S_h.shape[0]), dtype=complex)
-    for xi in range(S_h.shape[0]):
-        prod = S_h[xi][: cfg.D, idx] * np.conj(amb)  # (D, J*N)
-        F[:, :, xi] = prod.reshape(cfg.D, cfg.J, cfg.N).sum(axis=2)
-    return F
+    S_h = np.asarray(S_h)[:, : cfg.D, np.mod(cfg.doppler_grid, cfg.l_r)]  # (n_ch, D, J, N)
+    amb = np.conj(ambiguity_table(pulses, cfg)).transpose(1, 0, 2)  # (D, J, N)
+    return np.moveaxis((S_h * amb).sum(axis=3), 0, -1)
 
 
 # ---------------------------------------------------------------------------

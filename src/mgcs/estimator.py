@@ -218,8 +218,8 @@ def collect_measurements(y_grid, scheme, basis, cfg):
     position of transmit antenna s, for theta = (r, s).
     """
     y_grid = np.asarray(y_grid)
-    if y_grid.shape[:2] != (cfg.L, cfg.K):
-        raise DomainError("demodulated grid has the wrong shape")
+    if y_grid.shape != (cfg.L, cfg.K, cfg.n_rx):
+        raise DomainError(f"demodulated grid must have shape {(cfg.L, cfg.K, cfg.n_rx)}")
     obs = np.empty((cfg.n_rx * scheme.n_tx, scheme.q), dtype=complex)
     for r in range(cfg.n_rx):
         for s in range(scheme.n_tx):

@@ -4,7 +4,8 @@ Covers the modulator/demodulator pair, CP-OFDM pulse construction, the
 cross-ambiguity function of the pulse pair, the factored discrete
 time-varying channel of a sum of specular paths and its application, and the
 per-symbol channel coefficient matrices of the diagonal (ISI/ICI-free) system
-model.
+model.  The coefficient matrices and the ambiguity table on the fundamental
+rectangle share one pulse window, g[n - m] conj(gamma[n]) and its conjugate.
 """
 
 import math
@@ -85,6 +86,11 @@ class SystemConfig:
         return (self.L - 1) * self.N + self.l_gamma + 1
 
     @property
+    def doppler_grid(self):
+        """(J, N) frequencies i + q L (over L_r) of the fundamental rectangle."""
+        return np.arange(-self.J // 2, self.J // 2)[:, None] + self.L * np.arange(self.N)
+
+    @property
     def jd(self):
         return self.J * self.D
 
@@ -130,10 +136,10 @@ def _folded_dft(x, K):
     out[..., k] = sum_n x[..., n] exp(-j 2 pi k n / K); the axis is zero-padded
     to a multiple of K and summed over its K-sample segments first.
     """
-    pad = -x.shape[-1] % K
-    if pad:
-        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,), dtype=x.dtype)], axis=-1)
-    return np.fft.fft(x.reshape(x.shape[:-1] + (-1, K)).sum(axis=-2), axis=-1)
+    if x.shape[-1] > K:
+        pad = np.zeros(x.shape[:-1] + (-x.shape[-1] % K,), dtype=x.dtype)
+        x = np.concatenate([x, pad], axis=-1).reshape(x.shape[:-1] + (-1, K)).sum(axis=-2)
+    return np.fft.fft(x, K, axis=-1)
 
 
 def demodulate(r, pulses, cfg):
@@ -164,18 +170,24 @@ def cross_ambiguity(pulses, m, xi):
     return complex(np.sum(pulses.gamma * np.conj(gm) * np.exp(-2j * np.pi * xi * n)))
 
 
-def ambiguity_table(pulses, m_values, xi_values):
-    """Vectorized A_{gamma,g} over delay and normalized-frequency grids."""
+def _pulse_window(pulses, m_len):
+    """(L_gamma + 1, m_len) window w[n, m] = g[n - m] conj(gamma[n]), 0 off g's support."""
+    lg1 = pulses.l_gamma + 1
+    idx = np.arange(lg1)[:, None] - np.arange(m_len)[None, :]
+    valid = (idx >= 0) & (idx < len(pulses.g))
+    w = np.where(valid, pulses.g[np.clip(idx, 0, len(pulses.g) - 1)], 0)
+    w *= np.conj(pulses.gamma)[:, None]
+    return w
+
+
+def ambiguity_table(pulses, cfg):
+    """(J, D, N) table of A_{gamma,g}(m, (i + q L) / L_r) for delays m < D,
+    indexed [i + J/2, m, q] as the ``doppler_grid``.  As L_r = L N, it is J D
+    N-point DFTs (folded modulo N) of the conjugate windows
+    gamma[n] conj(g[n - m]), each modulated by exp(-j 2 pi i n / L_r)."""
     n = np.arange(pulses.l_gamma + 1)
-    phases = np.exp(-2j * np.pi * np.outer(np.asarray(xi_values, dtype=float), n))
-    out = np.empty((len(m_values), len(xi_values)), dtype=complex)
-    for a, m in enumerate(m_values):
-        idx = n - m
-        valid = (idx >= 0) & (idx < len(pulses.g))
-        w = np.zeros_like(n, dtype=complex)
-        w[valid] = np.conj(pulses.g[idx[valid]])
-        out[a] = phases @ (pulses.gamma * w)
-    return out
+    doppler = np.exp(-2j * np.pi * np.outer(np.arange(-cfg.J // 2, cfg.J // 2), n) / cfg.l_r)
+    return _folded_dft(doppler[:, None, :] * np.conj(_pulse_window(pulses, cfg.D)).T, cfg.N)
 
 
 @dataclass(frozen=True)
@@ -285,10 +297,7 @@ def effective_coeffs(H, pulses, cfg):
     if H.l_r < cfg.l_r:
         raise DomainError("impulse response shorter than the receive window")
     lg1 = pulses.l_gamma + 1
-    idx = np.arange(lg1)[:, None] - np.arange(H.m_len)[None, :]
-    valid = (idx >= 0) & (idx < len(pulses.g))
-    w = np.where(valid, pulses.g[np.clip(idx, 0, len(pulses.g) - 1)], 0)
-    w *= np.conj(pulses.gamma)[:, None]
+    w = _pulse_window(pulses, H.m_len)
     within = H.phases(lg1).reshape(lg1, -1).T @ w  # (n_ch P, m_len)
     spectra = _folded_dft(H.gains[..., None] * H.profiles * within.reshape(H.profiles.shape), cfg.K)
     symbols = np.moveaxis(H.phases(cfg.L, cfg.N), 0, 1)  # (n_ch, L, P)

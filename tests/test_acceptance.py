@@ -365,7 +365,15 @@ def test_criterion_8_qualitative_ordering():
 
 def test_criterion_9_basis_optimization():
     """The optimized basis monotonically improves the sparsity objective and
-    does not lose to the DFT basis in estimation."""
+    does not lose to the DFT basis in estimation.
+
+    The final objective is chaotic at rounding level, so no change to the
+    kernel table's rounding can hold it to 1e-9 relative.  With the table
+    built as one phase-matrix product it read 870713.0645953133; that table
+    times 1 + e z, z standard complex normal, read 869902-870666 over eight
+    draws at e = 1e-16 and 869932-870572 over eight at e = 1e-14.  The table
+    built by N-point DFTs reads 870642.6953856109.  Compare a change to the
+    optimizer's rounding against that spread."""
     t0 = time.time()
     cfg = SystemConfig(K=64, N=80, L=16, D=16, J=16, n_tx=2, n_rx=2, f0=40e9, Ts=2e-7)
     pulses = cp_ofdm_pulses(cfg.K, cfg.N)

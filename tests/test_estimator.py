@@ -269,6 +269,16 @@ class TestCollectMeasurements:
         )
         assert ens.observations.shape == (1, 6)
 
+    @pytest.mark.parametrize("tail", [(1,), (), (3,)], ids=["one-rx", "no-rx-axis", "three-rx"])
+    def test_grid_must_cover_every_receive_antenna(self, tail):
+        # a 2x2 system needs an (L, K, 2) grid: fewer antennas would index
+        # past the grid, more would be read from the first two silently
+        cfg = cfg_2x2()
+        scheme = draw_pilots(cfg, 0, q=6)
+        with pytest.raises(DomainError, match="shape"):
+            collect_measurements(np.zeros((cfg.L, cfg.K) + tail), scheme,
+                                 BasisSpec.dft(cfg.J, cfg.D), cfg)
+
     def test_measurement_equation_consistency(self):
         """y = Phi x exactly for a diagonal-model synthetic on-grid channel,
         with x built from the ground-truth scaled coefficients."""

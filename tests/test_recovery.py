@@ -650,6 +650,44 @@ class TestGBpdn:
         assert np.linalg.norm(r) <= eps
         assert dual <= group_norm(x, part) <= dual * (1 + 2e-3)
 
+    @pytest.mark.parametrize("seed,q,m,tight", [(41, 24, 64, True), (42, 32, 96, True),
+                                                (43, 24, 64, False), (44, 48, 32, False)])
+    def test_dual_gap_on_random_instances(self, seed, q, m, tight):
+        # partial DFTs are tight frames (closed-form projection); Gaussian
+        # matrices, wide and tall, take the eigenbasis path
+        rng = np.random.default_rng(seed)
+        if tight:
+            Phi = partial_dft(q, m, rng)
+        else:
+            Phi = (rng.normal(size=(q, m)) + 1j * rng.normal(size=(q, m))) / np.sqrt(2 * q)
+        part = uniform_partition(m, 4)
+        x_true = group_sparse_signal(part, rng.choice(m // 4, size=3, replace=False), rng)
+        z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
+        y = Phi @ x_true + z
+        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)))
+        assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
+
+    def test_dual_gap_on_desk_calls(self, monkeypatch):
+        # every G-BPDN call of mgcs-bpdn (joint, on the block-diagonal
+        # operator) and gcs-bpdn (one per channel) on desk trials 0-4 of seed 1
+        calls = []
+
+        def recording(Phi, y, part, eps, tol=1e-4):
+            calls.append((Phi, y, part, g_bpdn(Phi, y, part, eps, tol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        for t in range(5):
+            config, scheme, y_grid, sigma_z = desk_grid(1, t)
+            cfg = config.system
+            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+            for name in ("mgcs-bpdn", "gcs-bpdn"):
+                run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                              sigma_z)
+        assert len(calls) == 5 * (1 + cfg.n_channels)
+        for Phi, y, part, res in calls:
+            assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
+
     def test_certified_instance_error_bound(self):
         # noisy group-sparse instance with brute-forced delta_{2S|P} <= sqrt(2)-1
         rng = np.random.default_rng(9)
@@ -1269,6 +1307,22 @@ def assert_group_lasso_kkt(Phi, y, part, res):
         else:
             assert norm == 0
             assert np.linalg.norm(corr[g]) <= lam * (1 + 1e-3)
+
+
+def relative_dual_gap(Phi, y, part, x):
+    """Duality gap of min sum_g ||x_g|| s.t. ||Phi x - y|| <= r at x, taking
+    r = ||Phi x - y|| so that x is feasible, relative to the objective.
+
+    The dual is max Re<u, y> - r ||u|| s.t. ||(Phi^H u)_g|| <= 1 for every
+    group g; the scaled residual u = (y - Phi x) / max_g ||(Phi^H (y - Phi x))_g||
+    is dual-feasible, so the gap bounds how far x is from the optimum.  Groups
+    are joint across the channels of a block-diagonal operator."""
+    residual = y - Phi @ x
+    corr = Phi.rmatvec(residual) if hasattr(Phi, "rmatvec") else Phi.conj().T @ residual
+    u = residual / np.sqrt(part.energies(corr)).max()
+    primal = np.sqrt(part.energies(x)).sum()
+    dual = np.vdot(u, y).real - np.linalg.norm(residual) * np.linalg.norm(u)
+    return (primal - dual) / primal
 
 
 def count_eigh_calls(monkeypatch):

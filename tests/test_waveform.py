@@ -6,6 +6,7 @@ import pytest
 import mgcs.waveform
 from mgcs.channel import FilterSpec, PathSet, discrete_ir, phi_profiles
 from mgcs.errors import ConfigurationError, DomainError
+from mgcs.harness import desk_experiment, point_geometry, simulate_channel
 from mgcs.waveform import (
     FactoredIR,
     PulsePair,
@@ -34,6 +35,14 @@ def static_channel(cfg, delays, gains):
     paths = PathSet(gains=gains, delays=np.asarray(delays, dtype=float)[:, None] * cfg.Ts,
                     dopplers=np.zeros(gains.shape))
     return discrete_ir(paths, FilterSpec(kind="kronecker"), cfg)
+
+
+def direct_ambiguity_table(pulses, cfg):
+    """(J, D, N) array of cross_ambiguity(pulses, m, (i + q L) / L_r), one
+    direct sum per entry, indexed [i + J/2, m, q]."""
+    return np.array([[[cross_ambiguity(pulses, m, (i + q * cfg.L) / cfg.l_r)
+                       for q in range(cfg.N)] for m in range(cfg.D)]
+                     for i in range(-cfg.J // 2, cfg.J // 2)])
 
 
 def modulate_direct(symbols, pulses, cfg):
@@ -194,13 +203,26 @@ class TestCrossAmbiguity:
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_table_matches_scalar(self):
-        p = cp_ofdm_pulses(8, 10)
-        ms = [0, 1, 5]
-        xis = [0.0, 0.2, -0.3]
-        table = ambiguity_table(p, ms, xis)
-        for a, m in enumerate(ms):
-            for b, xi in enumerate(xis):
-                assert table[a, b] == pytest.approx(cross_ambiguity(p, m, xi))
+        # every entry A(m, (i + q L) / L_r) of the desk table, indexed
+        # [i + J/2, m, q], against the direct sum; the table has exact zeros,
+        # so the error is relative to its largest entry
+        cfg = desk_experiment(0).system
+        p = cp_ofdm_pulses(cfg.K, cfg.N)
+        table = ambiguity_table(p, cfg)
+        assert table.shape == (cfg.J, cfg.D, cfg.N)
+        ref = direct_ambiguity_table(p, cfg)
+        assert np.abs(table - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lg1", [7, 10, 23], ids=["shorter", "one-symbol", "folded"])
+    def test_table_of_complex_pulses_matches_scalar(self, lg1):
+        # receive windows shorter than, equal to and longer than a symbol:
+        # the N-point DFTs are zero-padded, direct or folded modulo N
+        cfg = small_cfg(L=4, D=4, J=4)
+        rng = np.random.default_rng(14)
+        p = PulsePair(g=rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N),
+                      gamma=rng.normal(size=lg1) + 1j * rng.normal(size=lg1))
+        ref = direct_ambiguity_table(p, cfg)
+        assert np.abs(ambiguity_table(p, cfg) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestApplyDiscreteChannel:
@@ -283,6 +305,31 @@ class TestEffectiveCoeffs:
         pulses = cp_ofdm_pulses(cfg.K, cfg.N)
         H = static_channel(cfg, [0, 1], [0.0, 0.0])
         assert np.all(effective_coeffs(H, pulses, cfg) == 0)
+
+    def test_desk_channel_matches_the_window_formula_bit_for_bit(self):
+        # seeded desk 2x2 channel: per path, eta_p exp(j 2 pi nu_p Ts l N)
+        # times the K-point DFT over m, folded modulo K, of
+        # phi_p(m) sum_n exp(j 2 pi nu_p Ts n) w[n, m] with the window
+        # w[n, m] = g[n - m] conj(gamma[n]) written out entry by entry
+        config = desk_experiment(1)
+        cfg = config.system
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        s_geo, s_gain, _, _ = np.random.SeedSequence([1, 0, 0]).spawn(4)
+        H = simulate_channel(cfg, config.filters, point_geometry(cfg), s_geo, s_gain)
+        lg1 = pulses.l_gamma + 1
+        w = np.zeros((lg1, H.m_len), dtype=complex)
+        for n in range(lg1):
+            for m in range(H.m_len):
+                if 0 <= n - m < len(pulses.g):
+                    w[n, m] = pulses.g[n - m] * np.conj(pulses.gamma[n])
+        within = (H.phases(lg1).reshape(lg1, -1).T @ w).reshape(H.profiles.shape)
+        taps = H.gains[..., None] * H.profiles * within  # (n_ch, P, m_len)
+        folded = np.zeros(taps.shape[:2] + (cfg.K,), dtype=complex)
+        for m in range(H.m_len):
+            folded[..., m % cfg.K] += taps[..., m]
+        out = np.moveaxis(H.phases(cfg.L, cfg.N), 0, 1) @ np.fft.fft(folded, axis=-1)
+        expect = np.moveaxis(out, 0, -1).reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)
+        np.testing.assert_array_equal(effective_coeffs(H, pulses, cfg), expect)
 
 
 class TestFactoredChannel:
