@@ -1,9 +1,9 @@
 """Geometry-based doubly selective MIMO channel generation.
 
 Specular scatterer geometries, per-channel path parameters (delay, Doppler,
-gain), leakage kernels, discrete-delay-Doppler spreading functions, the
-delay-Doppler coefficient tensors of the multicarrier system, and the
-sparsity-budget arithmetic used to size group-sparse recovery.
+gain), leakage kernels, the discrete time-varying impulse response of the
+specular model, and the sparsity-budget arithmetic used to size group-sparse
+recovery.
 """
 
 import warnings
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .waveform import FactoredIR, ambiguity_table
+from .waveform import FactoredIR
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 
@@ -146,22 +146,24 @@ def psi_kernel(x, l_r, sin_pi_x=None):
 @dataclass(frozen=True)
 class GeometryParams:
     """Scenario parameters for the specular scatterer simulator; the antenna
-    arrays are spaced at half the carrier wavelength, c/(2 fc)."""
+    arrays are spaced at half the carrier wavelength, c/(2 fc).
+    :func:`~mgcs.harness.desk_geometry` gives the scenario the harness
+    simulates."""
 
-    n_tx: int = 1
-    n_rx: int = 1
-    fc: float = 5e9
-    n_far_clusters: int = 7
-    n_near_clusters: int = 3
-    per_cluster: int = 10
-    area: tuple = (2500.0, 800.0)
-    near_radius: float = 100.0
-    link_distance: float = 1500.0
-    cluster_radius: float = 30.0
-    speed_range: tuple = (0.0, 50.0)
-    accel_range: tuple = (0.0, 7.0)
-    min_range: float = 5.0
-    block_duration: float = 0.0  # for the midpoint-velocity rule
+    n_tx: int
+    n_rx: int
+    fc: float
+    n_far_clusters: int
+    n_near_clusters: int
+    per_cluster: int
+    area: tuple
+    near_radius: float
+    link_distance: float
+    cluster_radius: float
+    speed_range: tuple
+    accel_range: tuple
+    min_range: float
+    block_duration: float  # for the midpoint-velocity rule
 
 
 @dataclass(frozen=True)
@@ -367,7 +369,7 @@ def cross_channel_bounds(geo):
 
 
 # ---------------------------------------------------------------------------
-# spreading functions and coefficient tensors
+# discrete impulse response
 
 
 def discrete_ir(paths, filters, cfg):
@@ -376,8 +378,8 @@ def discrete_ir(paths, filters, cfg):
     H[n, m] = sum_p eta_p phi^(nu_p)(m - tau_p/Ts) exp(j 2 pi nu_p Ts n) per
     channel, returned factored as a :class:`~mgcs.waveform.FactoredIR`: the
     gains, normalized Dopplers and delay profiles of all n_ch P channel-major
-    paths, the profiles from one :func:`phi_profiles` call.  No caller builds
-    the dense (L_r, K, n_rx, n_tx) array (``np.asarray`` does, for tests).
+    paths, the profiles from one :func:`phi_profiles` call.  The package
+    never builds the dense (L_r, K, n_rx, n_tx) array.
     A path whose delay falls outside the K-tap delay axis raises a warning but
     is kept: only the part of its kernel past the last delay tap is dropped.
     """
@@ -396,40 +398,6 @@ def discrete_ir(paths, filters, cfg):
         gains=paths.gains.T, nu_ts=nu_ts, profiles=profiles.reshape(nu_ts.shape + (cfg.K,)),
         l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
     )
-
-
-def spreading_model(paths, cfg, filters):
-    """Discrete-delay-Doppler spreading functions of the specular model.
-
-    S_h[m, i] = sum_p eta_p exp(j pi (nu_p Ts - i/L_r)(L_r - 1)) Lambda_p[m, i]
-    evaluated on {0..K-1} x {0..L_r-1}; matches the DFT of the impulse
-    response from :func:`discrete_ir` exactly.  Returns (n_channels, K, L_r).
-    """
-    l_r = cfg.l_r
-    i = np.arange(l_r)
-    S = np.zeros((cfg.n_channels, cfg.K, l_r), dtype=complex)
-    for xi in range(cfg.n_channels):
-        nu_ts = paths.dopplers[:, xi] * cfg.Ts
-        phi = phi_profiles(filters, paths.delays[:, xi] / cfg.Ts, nu_ts, cfg.K)  # (P, K)
-        for p in range(paths.n_paths):
-            psi = psi_kernel(i - nu_ts[p] * l_r, l_r)
-            phase = np.exp(1j * np.pi * (nu_ts[p] - i / l_r) * (l_r - 1))
-            S[xi] += paths.gains[p, xi] * np.outer(phi[p], phase * psi)
-    return S
-
-
-def dft_coeffs(S_h, pulses, cfg):
-    """2D-DFT channel coefficients on the fundamental rectangle.
-
-    F_{m,i} = sum_{q=0}^{N-1} S_h[m, i + q L] conj(A(m, (i + q L)/L_r)) for
-    m in {0..D-1}, i in {-J/2..J/2-1}; negative Doppler indices wrap modulo
-    L_r; A is the kernel matrices' :func:`~mgcs.waveform.ambiguity_table`.
-    Returns F as a (D, J, n_channels) array, Doppler axis index i + J/2;
-    the DFT-basis coefficients are G = sqrt(J D) F.
-    """
-    S_h = np.asarray(S_h)[:, : cfg.D, np.mod(cfg.doppler_grid, cfg.l_r)]  # (n_ch, D, J, N)
-    amb = np.conj(ambiguity_table(pulses, cfg)).transpose(1, 0, 2)  # (D, J, N)
-    return np.moveaxis((S_h * amb).sum(axis=3), 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Pilot schemes on the subsampled time-frequency grid, the selected-row
 measurement matrices, the multichannel estimation pipeline (solve, pilot
 de-mixing, basis expansion, 2D-DFT inversion, full-grid expansion), its SISO
-variant, the block RMSE, and the estimation-error bound of the recovery
-guarantees.
+variant and the block RMSE.
 """
 
 from dataclasses import dataclass, field, replace
@@ -72,27 +71,6 @@ class BasisSpec:
     @property
     def D(self):
         return self.blocks.shape[0]
-
-    def assemble(self):
-        """Full unitary J D x J D basis matrix.
-
-        Row order is the row-wise (lambda, kappa) stacking; column order is
-        the delay-Doppler rank map.  Entry:
-        U[kappa + lambda D, m J + i + J/2] = (1/sqrt(D)) v_{m,i}[lambda]
-        exp(-j 2 pi kappa m / D) with v_{m,i}[lambda] = conj(V_m[i+J/2, lambda]).
-        """
-        J, D = self.J, self.D
-        U = np.zeros((J * D, J * D), dtype=complex)
-        kappa = np.arange(D)
-        for m in range(D):
-            vm = self.blocks[m]
-            phase = np.exp(-2j * np.pi * kappa * m / D) / np.sqrt(D)  # (D,)
-            # rows (lambda, kappa), columns a = i + J/2
-            block_rows = np.conj(vm).T[:, None, :] * phase[None, :, None]  # (J, D, J)
-            U[:, m * J: (m + 1) * J] = block_rows.reshape(J * D, J)
-        if np.abs(U.conj().T @ U - np.eye(J * D)).max() > 1e-10:
-            raise ConfigurationError("assembled basis is not unitary")
-        return U
 
 
 def first_non_unitary(blocks):
@@ -215,8 +193,13 @@ def collect_measurements(y_grid, scheme, basis, cfg):
     """Stack demodulated pilot symbols into per-channel observations.
 
     y^(theta)_q is the receive-antenna-r demodulated symbol at the q-th pilot
-    position of transmit antenna s, for theta = (r, s).
+    position of transmit antenna s, for theta = (r, s).  The scheme must be
+    drawn for the system's transmit antennas and subsampled grid.
     """
+    if (scheme.n_tx, scheme.D, scheme.J) != (cfg.n_tx, cfg.D, cfg.J):
+        raise ConfigurationError(
+            f"pilot scheme for (n_tx, D, J) = {(scheme.n_tx, scheme.D, scheme.J)}, "
+            f"the system has {(cfg.n_tx, cfg.D, cfg.J)}")
     y_grid = np.asarray(y_grid)
     if y_grid.shape != (cfg.L, cfg.K, cfg.n_rx):
         raise DomainError(f"demodulated grid must have shape {(cfg.L, cfg.K, cfg.n_rx)}")
@@ -317,14 +300,6 @@ def expand_rectangle_to_grid(f_tensor, cfg):
     return h.transpose(1, 0, 2)  # (L, K, n_channels)
 
 
-def subsample_grid(h_full, cfg):
-    """Values of a full (L, K, ...) grid on the subsampled lattice, stacked
-    row-wise over (lambda, kappa)."""
-    lam = np.arange(cfg.J) * cfg.delta_l
-    kap = np.arange(cfg.D) * cfg.delta_k
-    return h_full[np.ix_(lam, kap)]
-
-
 def channels_to_grid(tensor_lkx, cfg):
     """(L, K, n_channels) -> (L, K, n_rx, n_tx) with xi = r * n_tx + s."""
     return tensor_lkx.reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)
@@ -407,63 +382,3 @@ def normalized_mse(estimate, truth):
     """Squared error normalized by the truth energy."""
     tru = np.asarray(truth)
     return rmse(estimate, truth) ** 2 / float(np.linalg.norm(tru) ** 2)
-
-
-def group_leakage(g_tensor, part, S):
-    """Leakage of the coefficient tensor outside its S strongest groups.
-
-    Returns (C, support): the sum over out-of-support groups of the joint
-    (cross-channel) l2 norms, and the indices of the S groups of largest
-    joint energy.
-    """
-    g = np.asarray(g_tensor)
-    mat = g.reshape(part.total_length, -1)  # (JD, n_channels), rows rank-ordered
-    energies = part.energies(mat.T)
-    order = np.argsort(-energies, kind="stable")
-    return float(np.sqrt(energies[order[S:]]).sum()), set(order[:S].tolist())
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    value: float
-    applicable: bool
-    detail: dict = None
-
-
-def error_bound(variant, delta, S, eps, c_g, p_matrix, cfg, q, n_iters=None,
-                  g_tensor=None):
-    """Estimation-error bound for the certified-isometry regimes.
-
-    ``variant`` is "g-bpdn" (requires delta_{2S} <= sqrt(2)-1) or "g-cosamp"
-    (requires delta_{4S} <= 0.1 and the iteration count plus the true
-    coefficient tensor for the geometric term).  Returns the bound value with
-    an applicability flag reflecting the isometry condition.
-    """
-    P = np.asarray(p_matrix, dtype=complex)
-    p_norm = float(np.linalg.norm(P, 2))
-    p_inv_norm = float(np.linalg.norm(np.linalg.inv(P), 2))
-    c_p = p_norm * p_inv_norm
-    kl = cfg.K * cfg.L
-    jd = cfg.jd
-    if variant == "g-bpdn":
-        applicable = delta <= np.sqrt(2) - 1
-        denom = 1 - (1 + np.sqrt(2)) * delta
-        c0 = 2 * (1 - delta) / denom
-        c1 = 4 * np.sqrt(1 + delta) / denom
-        c0p = c0 * np.sqrt(kl / jd) * c_p
-        c1p = c1 * np.sqrt(kl / q) * p_inv_norm
-        value = c0p * c_g / np.sqrt(S) + c1p * eps
-        detail = {"c0": c0, "c1": c1, "C0": c0p, "C1": c1p}
-    elif variant == "g-cosamp":
-        if n_iters is None or g_tensor is None:
-            raise DomainError("the g-cosamp variant needs n_iters and the tensor")
-        applicable = delta <= 0.1
-        c0pp = 20 * np.sqrt(kl / jd) * c_p
-        c1pp = 20 * np.sqrt(kl / q) * p_inv_norm
-        energy = float(np.sum(np.abs(np.asarray(g_tensor)) ** 2))
-        c2pp = (0.5**n_iters) * c_p * np.sqrt(kl / jd * energy)
-        value = c0pp * (1 + 1 / np.sqrt(S)) * c_g + c1pp * eps + c2pp
-        detail = {"C0": c0pp, "C1": c1pp, "C2": c2pp}
-    else:
-        raise ConfigurationError(f"unknown bound variant {variant!r}")
-    return BoundResult(value=float(value), applicable=bool(applicable), detail=detail)

@@ -287,7 +287,7 @@ def cosamp_order(requested, q, group_size, n_groups):
 
     4S <= B is the solver's own domain.  4S |g| <= Q is the regime of
     Needell & Tropp's CoSaMP analysis (ACHA 26(3), 2009), which G-CoSaMP's
-    guarantee (``error_bound("g-cosamp")``) inherits: it needs
+    estimation-error bound inherits: it needs
     delta_4S <= 0.1, impossible once 4S groups hold more columns than there
     are rows.  Every merged candidate set, at most 3S groups, is then a tall
     least-squares fit.  Raises ``ConfigurationError`` when no S >= 1 fits.

@@ -1,8 +1,8 @@
-"""Index partitions, delay-Doppler block tilings, group norms and approximations.
+"""Index partitions and delay-Doppler block tilings.
 
-Vector indices are 0-based throughout the package.  The 2D->1D rank map
-``index_map`` keeps its textbook 1-based output range {1..J*D}; the groups of a
-:class:`Partition` store the corresponding 0-based positions (rank - 1).
+Vector indices are 0-based throughout the package.  Delay-Doppler position
+(m, i), i in {-J/2..J/2-1}, has rank m J + i + J/2, the textbook 1-based
+rank map minus one; the groups of a :class:`Partition` hold these ranks.
 Every group reduction goes through a partition's flat group index and its
 ``energies``, ``expand`` and ``columns``.
 """
@@ -151,37 +151,10 @@ def make_block_tiling(D, J, dm, di):
     return BlockTiling(D=D, J=J, dm=dm, di=di)
 
 
-def index_map(m, i, D, J):
-    """2D->1D rank of delay-Doppler position (m, i): m*J + i + J/2 + 1.
-
-    Bijective from {0..D-1} x {-J/2..J/2-1} onto {1..J*D} (1-based).
-    """
-    if not (0 <= m < D):
-        raise DomainError(f"m={m} outside 0..{D - 1}")
-    if not (-J // 2 <= i < J // 2):
-        raise DomainError(f"i={i} outside -{J // 2}..{J // 2 - 1}")
-    return m * J + i + J // 2 + 1
-
-
-def index_map_inverse(rank, D, J):
-    """Inverse of :func:`index_map`; returns (m, i)."""
-    if not (1 <= rank <= J * D):
-        raise DomainError(f"rank={rank} outside 1..{J * D}")
-    m, a = divmod(rank - 1, J)
-    return m, a - J // 2
-
-
 @cache
 def singleton_partition(M):
     """Partition of {0..M-1} into M singletons, built once per M."""
     return Partition(M, tuple(np.arange(M)[:, None]))
-
-
-def uniform_partition(M, size):
-    """Partition of {0..M-1} into contiguous groups of equal ``size``."""
-    if M % size != 0:
-        raise ConfigurationError("group size must divide M")
-    return Partition(M, tuple(np.arange(M).reshape(-1, size)))
 
 
 def stack_partition(part, M, n_channels):
@@ -193,25 +166,3 @@ def stack_partition(part, M, n_channels):
         raise DomainError("n_channels must be >= 1")
     offsets = np.arange(n_channels)[:, None] * M
     return Partition(M * n_channels, tuple((offsets + g).ravel() for g in part.groups))
-
-
-def group_norm(x, part):
-    """Sum of the l2 norms of the group subvectors of ``x``."""
-    x = np.asarray(x)
-    if x.shape[-1] != part.total_length:
-        raise DomainError("vector length does not match partition")
-    return float(np.sqrt(part.energies(x)).sum())
-
-
-def best_group_approx(x, part, S):
-    """Keep the S groups of largest subvector l2 norm, zero the rest.
-
-    Ties are broken toward the lowest group index for determinism.
-    """
-    if not (0 <= S <= part.n_groups):
-        raise DomainError(f"S={S} outside 0..{part.n_groups}")
-    x = np.asarray(x)
-    out = np.zeros_like(x)
-    cols = part.columns(np.argsort(-part.energies(x), kind="stable")[:S])
-    out[..., cols] = x[..., cols]
-    return out

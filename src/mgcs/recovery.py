@@ -3,7 +3,8 @@
 Greedy solvers (G-OMP, G-CoSaMP, G-DCS-SOMP), G-BPDN by over-relaxed ADMM
 with an exact projection onto the noise ball, the multichannel stacking that
 turns simultaneous group-sparse problems into one block-diagonal group-sparse
-problem, and brute-force certification of group restricted isometry constants.
+problem, and the brute-force group restricted isometry constant that the
+``certify-ric`` command reports.
 
 G-OMP, G-CoSaMP and G-BPDN act on their measurement matrix only through a
 :class:`BlockDiagonalOperator`: a plain matrix is its one-block case, and the
@@ -12,8 +13,7 @@ so the dense block-diagonal stack is never formed on the solver path.  Their
 partition always covers one block's columns, so on the multichannel operator
 it is the per-channel partition: its group b is group b at every channel
 offset.  G-DCS-SOMP is G-OMP in that form.  :func:`mgcs_stack` gives the same
-problem as a dense one-block matrix with the stacked partition, the
-reference that the structural identities are checked against.
+problem as a dense one-block matrix with the stacked partition.
 
 Every least-squares fit splits into one problem per transmit matrix, whose
 n_rx channels share its columns (one per channel under per-channel
@@ -295,20 +295,11 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
     energy and refits least squares on the selected column union; stops at
     ``max_groups`` selections or when the residual norm drops to
     ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
+    Returns the (n_channels, M) estimates and each channel's residual norm.
     ``joint=False`` runs every channel's own G-OMP in this one call, each
     selecting from the one product Phi^H r and stopping on its own; its groups
-    must be of equal size.  The result then lists groups, estimates and
-    residual norms per channel.
+    must be of equal size.  The result then lists groups per channel.
     """
-    res = _g_omp(Phi, y, part, max_groups, residual_tol, joint)
-    if joint:
-        res.estimates = res.estimates.reshape(1, -1)
-        res.residual_norms = np.array(res.diagnostics["residual_history"][-1:])
-    return res
-
-
-def _g_omp(Phi, y, part, max_groups, residual_tol, joint):
-    """G-OMP with (n_channels, M) estimates and per-channel residual norms."""
     Phi = _as_operator(Phi, part)
     if not joint and np.ptp(part.sizes):
         raise DomainError("per-channel G-OMP requires groups of equal size")
@@ -361,7 +352,7 @@ def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
     channels.  With singleton groups this is DCS-SOMP.  Returns the
     (n_channels, M) estimates and each channel's residual norm.
     """
-    return _g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol, True)
+    return g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol)
 
 
 def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
@@ -624,27 +615,3 @@ def group_ric(Phi, part, S):
         w = np.linalg.eigvalsh(gram)
         delta = max(delta, float(w[-1] - 1.0), float(1.0 - w[0]))
     return delta
-
-
-def delta_stacked_equals_max(ensemble, part, S):
-    """G-RIC of the stacked matrix and of each channel matrix, computed
-    independently; the two sides agree by the block-diagonal structure."""
-    Phi, _, part_stacked = mgcs_stack(ensemble, part)
-    delta_stacked = group_ric(Phi, part_stacked, S)
-    per_channel = [
-        group_ric(ensemble.matrix_for(xi), part, S)
-        for xi in range(ensemble.n_channels)
-    ]
-    return delta_stacked, per_channel
-
-
-def sample_count_bound(S_prime, M, gamma, eta, mu_u):
-    """Measurement-count bound for random row subsampling of a unitary matrix.
-
-    ceil(C mu^2 S' max{log^3(S') log(M), log(1/eta)} / gamma^2), natural logs.
-    The constant C is not pinned down by theory; C = 1 here is heuristic.
-    """
-    if not (0 < gamma < 1 and 0 < eta < 1):
-        raise DomainError("gamma and eta must lie in (0, 1)")
-    term = max(math.log(S_prime) ** 3 * math.log(M), math.log(1.0 / eta))
-    return int(math.ceil(mu_u**2 * S_prime * term / gamma**2))

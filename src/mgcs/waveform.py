@@ -1,11 +1,11 @@
 """Pulse-shaping multicarrier modem in discrete time.
 
 Covers the modulator/demodulator pair, CP-OFDM pulse construction, the
-cross-ambiguity function of the pulse pair, the factored discrete
-time-varying channel of a sum of specular paths and its application, and the
-per-symbol channel coefficient matrices of the diagonal (ISI/ICI-free) system
-model.  The coefficient matrices and the ambiguity table on the fundamental
-rectangle share one pulse window, g[n - m] conj(gamma[n]) and its conjugate.
+cross-ambiguity table of the pulse pair on the fundamental rectangle, the
+factored discrete time-varying channel of a sum of specular paths and its
+application, and the per-symbol channel coefficient matrices of the diagonal
+(ISI/ICI-free) system model.  The coefficient matrices and the ambiguity
+table share one pulse window, g[n - m] conj(gamma[n]) and its conjugate.
 """
 
 import math
@@ -160,16 +160,6 @@ def demodulate(r, pulses, cfg):
     return np.moveaxis(_folded_dft(windows * np.conj(pulses.gamma), cfg.K), -1, 1)
 
 
-def cross_ambiguity(pulses, m, xi):
-    """Cross-ambiguity A_{gamma,g}(m, xi) = sum_n gamma[n] conj(g[n-m]) e^{-j2pi xi n}."""
-    n = np.arange(pulses.l_gamma + 1)
-    gm = np.zeros_like(n, dtype=complex)
-    idx = n - m
-    valid = (idx >= 0) & (idx < len(pulses.g))
-    gm[valid] = pulses.g[idx[valid]]
-    return complex(np.sum(pulses.gamma * np.conj(gm) * np.exp(-2j * np.pi * xi * n)))
-
-
 def _pulse_window(pulses, m_len):
     """(L_gamma + 1, m_len) window w[n, m] = g[n - m] conj(gamma[n]), 0 off g's support."""
     lg1 = pulses.l_gamma + 1
@@ -181,8 +171,10 @@ def _pulse_window(pulses, m_len):
 
 
 def ambiguity_table(pulses, cfg):
-    """(J, D, N) table of A_{gamma,g}(m, (i + q L) / L_r) for delays m < D,
-    indexed [i + J/2, m, q] as the ``doppler_grid``.  As L_r = L N, it is J D
+    """(J, D, N) table of the cross-ambiguity function
+    A_{gamma,g}(m, xi) = sum_n gamma[n] conj(g[n - m]) exp(-j 2 pi xi n) at
+    xi = (i + q L) / L_r for delays m < D, indexed [i + J/2, m, q] as the
+    ``doppler_grid``.  As L_r = L N, it is J D
     N-point DFTs (folded modulo N) of the conjugate windows
     gamma[n] conj(g[n - m]), each modulated by exp(-j 2 pi i n / L_r)."""
     n = np.arange(pulses.l_gamma + 1)
@@ -198,8 +190,8 @@ class FactoredIR:
     profiles[xi, p, m] on n in {0..l_r-1}, m in {0..m_len-1}, for channel
     xi = r n_tx + s; ``nu_ts`` holds the Dopplers normalized by the sample
     rate.  Each channel has rank at most P, so the channel is applied and
-    reduced on these factors; ``np.asarray`` builds the dense
-    (l_r, m_len, n_rx, n_tx) array, for tests and oracles.
+    reduced on these factors, never as the dense (l_r, m_len, n_rx, n_tx)
+    array.
     """
 
     gains: np.ndarray  # (n_ch, P)
@@ -229,12 +221,6 @@ class FactoredIR:
         fine = np.exp(2j * np.pi * np.multiply.outer(np.arange(b) * step, self.nu_ts))
         table = coarse[:, None] * fine[None, :]  # (n_coarse, b, n_ch, P)
         return table.reshape((n_coarse * b,) + self.nu_ts.shape)[:count]
-
-    def __array__(self, dtype=None, copy=None):
-        per_channel = np.moveaxis(self.phases(self.l_r), 0, 1) @ (
-            self.gains[..., None] * self.profiles)  # (n_ch, l_r, m_len)
-        H = np.moveaxis(per_channel, 0, -1).reshape(self.l_r, self.m_len, self.n_rx, self.n_tx)
-        return H if dtype is None else H.astype(dtype)
 
 
 # window elements multiplied at once in apply_discrete_channel; bounds the copy
@@ -270,18 +256,6 @@ def apply_discrete_channel(H, s):
             conv = (np.ascontiguousarray(windows[t, n]) @ taps_t).reshape(-1, n_rx, taps.shape[2])
             r[n] += np.einsum("nrp,nrp->nr", conv, weights[n, :, t])
     return r
-
-
-def identity_channel(cfg):
-    """H[n, m] = delta[m] I, the ISI-free unit channel: one static path per
-    channel at delay 0 with a Kronecker profile, gain 1 on the diagonal."""
-    n_ch = cfg.n_channels
-    return FactoredIR(
-        gains=np.eye(cfg.n_rx, cfg.n_tx, dtype=complex).reshape(n_ch, 1),
-        nu_ts=np.zeros((n_ch, 1)),
-        profiles=np.ones((n_ch, 1, 1), dtype=complex),
-        l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
-    )
 
 
 def effective_coeffs(H, pulses, cfg):

@@ -1,16 +1,18 @@
 """Independent reference computations shared by the tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 from scipy.linalg.blas import zgemm, zherk
 from scipy.linalg.lapack import zgeqrf, zungqr
 
-from mgcs.channel import phi_kernel, psi_kernel
-from mgcs.errors import DomainError
-from mgcs.recovery import RecoveryResult, _as_operator, _top_groups
-from mgcs.waveform import cross_ambiguity
+from mgcs.channel import phi_kernel, phi_profiles, psi_kernel
+from mgcs.errors import ConfigurationError, DomainError
+from mgcs.partition import Partition
+from mgcs.recovery import RecoveryResult, _as_operator, _top_groups, group_ric, mgcs_stack
+from mgcs.waveform import FactoredIR, ambiguity_table
 
 
 def group_frobenius_norm(tensor, tiling):
@@ -30,6 +32,47 @@ def group_frobenius_norm(tensor, tiling):
         tiling.D // tiling.dm, tiling.dm, tiling.J // tiling.di, tiling.di
     ).sum(axis=(1, 3))
     return float(np.sqrt(blocks).sum())
+
+
+def uniform_partition(M, size):
+    """Partition of {0..M-1} into contiguous groups of equal ``size``."""
+    if M % size != 0:
+        raise ConfigurationError("group size must divide M")
+    return Partition(M, tuple(np.arange(M).reshape(-1, size)))
+
+
+def group_norm(x, part):
+    """Sum of the l2 norms of the group subvectors of ``x``."""
+    x = np.asarray(x)
+    if x.shape[-1] != part.total_length:
+        raise DomainError("vector length does not match partition")
+    return float(np.sqrt(part.energies(x)).sum())
+
+
+def best_group_approx(x, part, S):
+    """Keep the S groups of largest subvector l2 norm, zero the rest.
+
+    Ties are broken toward the lowest group index for determinism.
+    """
+    if not (0 <= S <= part.n_groups):
+        raise DomainError(f"S={S} outside 0..{part.n_groups}")
+    x = np.asarray(x)
+    out = np.zeros_like(x)
+    cols = part.columns(np.argsort(-part.energies(x), kind="stable")[:S])
+    out[..., cols] = x[..., cols]
+    return out
+
+
+def delta_stacked_equals_max(ensemble, part, S):
+    """G-RIC of the stacked matrix and of each channel matrix, computed
+    independently; the two sides agree by the block-diagonal structure."""
+    Phi, _, part_stacked = mgcs_stack(ensemble, part)
+    delta_stacked = group_ric(Phi, part_stacked, S)
+    per_channel = [
+        group_ric(ensemble.matrix_for(xi), part, S)
+        for xi in range(ensemble.n_channels)
+    ]
+    return delta_stacked, per_channel
 
 
 def _solve_ls_from_scratch(A, y):
@@ -154,9 +197,9 @@ class GrownQRPerProblem:
 def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
     """Joint G-OMP with one :class:`GrownQRPerProblem` per least-squares
     problem, appended one after the other: per transmit matrix, with its
-    channels as right-hand sides.  Returns the result with the stacked
-    (1, n_channels M) estimate, as ``g_omp`` with ``joint=True``, and the
-    final (n_channels, Q) residual."""
+    channels as right-hand sides.  Returns the result with the
+    (n_channels, M) estimates and per-channel residual norms, as ``g_omp``,
+    and the final (n_channels, Q) residual."""
     Phi = _as_operator(Phi, part)
     n_tx, q, m = Phi.blocks.shape
     n_ch = Phi.n_channels
@@ -185,9 +228,9 @@ def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
     for (_, channels, _), factor in zip(shares, factors):
         x[np.ix_(channels, factor.cols)] = factor.coefficients().T
     result = RecoveryResult(
-        estimates=x.reshape(1, -1),
+        estimates=x,
         selected_groups=selected,
-        residual_norms=np.array([history[-1]]),
+        residual_norms=np.linalg.norm(resid, axis=1),
         iterations=len(selected),
         diagnostics={"residual_history": history,
                      "rank_deficient": any(f.deficient for f in factors)},
@@ -425,6 +468,151 @@ def leakage_kernel(paths, p, chan, m, i, filters, cfg):
     phi = phi_kernel(filters, np.array([m - tau / cfg.Ts]), nu * cfg.Ts)[0]
     psi = psi_kernel(np.array([i - nu * cfg.Ts * cfg.l_r]), cfg.l_r)[0]
     return complex(phi * psi)
+
+
+def cross_ambiguity(pulses, m, xi):
+    """Cross-ambiguity A_{gamma,g}(m, xi) = sum_n gamma[n] conj(g[n-m]) e^{-j2pi xi n}."""
+    n = np.arange(pulses.l_gamma + 1)
+    gm = np.zeros_like(n, dtype=complex)
+    idx = n - m
+    valid = (idx >= 0) & (idx < len(pulses.g))
+    gm[valid] = pulses.g[idx[valid]]
+    return complex(np.sum(pulses.gamma * np.conj(gm) * np.exp(-2j * np.pi * xi * n)))
+
+
+def dense_ir(H):
+    """The dense (l_r, m_len, n_rx, n_tx) array of a :class:`FactoredIR`."""
+    per_channel = np.moveaxis(H.phases(H.l_r), 0, 1) @ (
+        H.gains[..., None] * H.profiles)  # (n_ch, l_r, m_len)
+    return np.moveaxis(per_channel, 0, -1).reshape(H.l_r, H.m_len, H.n_rx, H.n_tx)
+
+
+def identity_channel(cfg):
+    """H[n, m] = delta[m] I, the ISI-free unit channel: one static path per
+    channel at delay 0 with a Kronecker profile, gain 1 on the diagonal."""
+    n_ch = cfg.n_channels
+    return FactoredIR(
+        gains=np.eye(cfg.n_rx, cfg.n_tx, dtype=complex).reshape(n_ch, 1),
+        nu_ts=np.zeros((n_ch, 1)),
+        profiles=np.ones((n_ch, 1, 1), dtype=complex),
+        l_r=cfg.l_r, n_rx=cfg.n_rx, n_tx=cfg.n_tx,
+    )
+
+
+def spreading_model(paths, cfg, filters):
+    """Discrete-delay-Doppler spreading functions of the specular model.
+
+    S_h[m, i] = sum_p eta_p exp(j pi (nu_p Ts - i/L_r)(L_r - 1)) Lambda_p[m, i]
+    evaluated on {0..K-1} x {0..L_r-1}; matches the DFT of the impulse
+    response from ``discrete_ir`` exactly.  Returns (n_channels, K, L_r).
+    """
+    l_r = cfg.l_r
+    i = np.arange(l_r)
+    S = np.zeros((cfg.n_channels, cfg.K, l_r), dtype=complex)
+    for xi in range(cfg.n_channels):
+        nu_ts = paths.dopplers[:, xi] * cfg.Ts
+        phi = phi_profiles(filters, paths.delays[:, xi] / cfg.Ts, nu_ts, cfg.K)  # (P, K)
+        for p in range(paths.n_paths):
+            psi = psi_kernel(i - nu_ts[p] * l_r, l_r)
+            phase = np.exp(1j * np.pi * (nu_ts[p] - i / l_r) * (l_r - 1))
+            S[xi] += paths.gains[p, xi] * np.outer(phi[p], phase * psi)
+    return S
+
+
+def dft_coeffs(S_h, pulses, cfg):
+    """2D-DFT channel coefficients on the fundamental rectangle.
+
+    F_{m,i} = sum_{q=0}^{N-1} S_h[m, i + q L] conj(A(m, (i + q L)/L_r)) for
+    m in {0..D-1}, i in {-J/2..J/2-1}; negative Doppler indices wrap modulo
+    L_r; A is the kernel matrices' ``ambiguity_table``.  Returns F as a
+    (D, J, n_channels) array, Doppler axis index i + J/2; the DFT-basis
+    coefficients are G = sqrt(J D) F.
+    """
+    S_h = np.asarray(S_h)[:, : cfg.D, np.mod(cfg.doppler_grid, cfg.l_r)]  # (n_ch, D, J, N)
+    amb = np.conj(ambiguity_table(pulses, cfg)).transpose(1, 0, 2)  # (D, J, N)
+    return np.moveaxis((S_h * amb).sum(axis=3), 0, -1)
+
+
+def assemble_basis(basis):
+    """Full unitary J D x J D matrix of a ``BasisSpec``.
+
+    Row order is the row-wise (lambda, kappa) stacking; column order is
+    the delay-Doppler rank map.  Entry:
+    U[kappa + lambda D, m J + i + J/2] = (1/sqrt(D)) v_{m,i}[lambda]
+    exp(-j 2 pi kappa m / D) with v_{m,i}[lambda] = conj(V_m[i+J/2, lambda]).
+    """
+    J, D = basis.J, basis.D
+    U = np.zeros((J * D, J * D), dtype=complex)
+    kappa = np.arange(D)
+    for m in range(D):
+        vm = basis.blocks[m]
+        phase = np.exp(-2j * np.pi * kappa * m / D) / np.sqrt(D)  # (D,)
+        # rows (lambda, kappa), columns a = i + J/2
+        block_rows = np.conj(vm).T[:, None, :] * phase[None, :, None]  # (J, D, J)
+        U[:, m * J: (m + 1) * J] = block_rows.reshape(J * D, J)
+    if np.abs(U.conj().T @ U - np.eye(J * D)).max() > 1e-10:
+        raise ConfigurationError("assembled basis is not unitary")
+    return U
+
+
+def group_leakage(g_tensor, part, S):
+    """Leakage of the coefficient tensor outside its S strongest groups.
+
+    Returns (C, support): the sum over out-of-support groups of the joint
+    (cross-channel) l2 norms, and the indices of the S groups of largest
+    joint energy.
+    """
+    g = np.asarray(g_tensor)
+    mat = g.reshape(part.total_length, -1)  # (JD, n_channels), rows rank-ordered
+    energies = part.energies(mat.T)
+    order = np.argsort(-energies, kind="stable")
+    return float(np.sqrt(energies[order[S:]]).sum()), set(order[:S].tolist())
+
+
+@dataclass(frozen=True)
+class BoundResult:
+    value: float
+    applicable: bool
+    detail: dict = None
+
+
+def error_bound(variant, delta, S, eps, c_g, p_matrix, cfg, q, n_iters=None,
+                g_tensor=None):
+    """Estimation-error bound for the certified-isometry regimes.
+
+    ``variant`` is "g-bpdn" (requires delta_{2S} <= sqrt(2)-1) or "g-cosamp"
+    (requires delta_{4S} <= 0.1 and the iteration count plus the true
+    coefficient tensor for the geometric term).  Returns the bound value with
+    an applicability flag reflecting the isometry condition.
+    """
+    P = np.asarray(p_matrix, dtype=complex)
+    p_norm = float(np.linalg.norm(P, 2))
+    p_inv_norm = float(np.linalg.norm(np.linalg.inv(P), 2))
+    c_p = p_norm * p_inv_norm
+    kl = cfg.K * cfg.L
+    jd = cfg.jd
+    if variant == "g-bpdn":
+        applicable = delta <= np.sqrt(2) - 1
+        denom = 1 - (1 + np.sqrt(2)) * delta
+        c0 = 2 * (1 - delta) / denom
+        c1 = 4 * np.sqrt(1 + delta) / denom
+        c0p = c0 * np.sqrt(kl / jd) * c_p
+        c1p = c1 * np.sqrt(kl / q) * p_inv_norm
+        value = c0p * c_g / np.sqrt(S) + c1p * eps
+        detail = {"c0": c0, "c1": c1, "C0": c0p, "C1": c1p}
+    elif variant == "g-cosamp":
+        if n_iters is None or g_tensor is None:
+            raise DomainError("the g-cosamp variant needs n_iters and the tensor")
+        applicable = delta <= 0.1
+        c0pp = 20 * np.sqrt(kl / jd) * c_p
+        c1pp = 20 * np.sqrt(kl / q) * p_inv_norm
+        energy = float(np.sum(np.abs(np.asarray(g_tensor)) ** 2))
+        c2pp = (0.5**n_iters) * c_p * np.sqrt(kl / jd * energy)
+        value = c0pp * (1 + 1 / np.sqrt(S)) * c_g + c1pp * eps + c2pp
+        detail = {"C0": c0pp, "C1": c1pp, "C2": c2pp}
+    else:
+        raise ConfigurationError(f"unknown bound variant {variant!r}")
+    return BoundResult(value=float(value), applicable=bool(applicable), detail=detail)
 
 
 def dense_apply_channel(H, s):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the report lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,15 +18,12 @@ from mgcs.basisopt import (
 )
 from mgcs.channel import (
     FilterSpec,
-    GeometryParams,
     PathSet,
     cross_channel_bounds,
-    dft_coeffs,
     discrete_ir,
     path_params,
     sample_geometry,
     sparsity_budget,
-    spreading_model,
 )
 from mgcs.estimator import (
     BasisSpec,
@@ -37,16 +35,13 @@ from mgcs.estimator import (
     draw_pilots,
     estimate_mimo,
     expand_coeffs,
-    group_leakage,
     normalized_mse,
     rmse,
-    error_bound,
 )
-from mgcs.harness import desk_experiment, desk_prior, paths_from_prior, run_sweep
-from mgcs.partition import make_block_tiling, singleton_partition, uniform_partition
+from mgcs.harness import desk_experiment, desk_geometry, desk_prior, paths_from_prior, run_sweep
+from mgcs.partition import make_block_tiling, singleton_partition
 from mgcs.recovery import (
     MeasurementEnsemble,
-    delta_stacked_equals_max,
     g_cosamp,
     g_dcs_somp,
     g_omp,
@@ -59,8 +54,17 @@ from mgcs.waveform import (
     cp_ofdm_pulses,
     demodulate,
     effective_coeffs,
-    identity_channel,
     modulate,
+)
+from oracles import (
+    assemble_basis,
+    delta_stacked_equals_max,
+    dft_coeffs,
+    error_bound,
+    group_leakage,
+    identity_channel,
+    spreading_model,
+    uniform_partition,
 )
 
 KRON = FilterSpec(kind="kronecker")
@@ -151,7 +155,7 @@ def test_criterion_3_kernel_identity():
         for kind in ("dft", "blocks"):
             basis = (BasisSpec.dft(cfg.J, cfg.D) if kind == "dft"
                      else BasisSpec(random_blocks(cfg.D, cfg.J, rng)))
-            U = basis.assemble()
+            U = assemble_basis(basis)
             g_proj = np.stack(
                 [U.conj().T @ h_sub[:, :, xi].reshape(-1) for xi in range(2)], axis=1
             )
@@ -433,8 +437,10 @@ def test_criterion_10_sparsity_budget():
     cfg = SystemConfig(K=8, N=8, L=16, D=8, J=16, Ts=2e-7)
     n_tilde, *_ = sparsity_budget(2, 4, 0.0, 0.0, tiling, 1, cfg)
     arith_ok = n_tilde == 9
-    params = GeometryParams(n_tx=2, n_rx=2, per_cluster=2, n_far_clusters=2,
-                            n_near_clusters=1, block_duration=2.56e-4)
+    # the wide-area scenario: clusters over 2500 x 800 m around a 1500 m link
+    params = replace(desk_geometry(2, 2, fc=5e9, block_duration=2.56e-4),
+                     area=(2500.0, 800.0), near_radius=100.0, link_distance=1500.0,
+                     cluster_radius=30.0)
     violations = 0
     for seed in range(1000):
         geo = sample_geometry(seed, params)

@@ -20,18 +20,22 @@ from mgcs.basisopt import (
     reference_prior,
     sample_prior,
 )
-from mgcs.channel import FilterSpec, PathSet, dft_coeffs, psi_kernel, spreading_model
+from mgcs.channel import FilterSpec, PathSet, psi_kernel
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import BasisSpec, dft_block
 from mgcs.harness import desk_experiment, desk_prior
 from mgcs.partition import make_block_tiling
-from mgcs.waveform import SystemConfig, cp_ofdm_pulses, cross_ambiguity
+from mgcs.waveform import SystemConfig, cp_ofdm_pulses
 from oracles import (
+    assemble_basis,
     c_kernel,
     c_matrix,
+    cross_ambiguity,
+    dft_coeffs,
     explicit_convex_subproblem,
     group_frobenius_norm,
     projected_gradient_convex_step,
+    spreading_model,
 )
 
 RRC = FilterSpec(kind="rrc")
@@ -69,7 +73,7 @@ def projection_oracle_g(taus, nus, basis, cfg, pulses, filters):
                        - lam[:, None, None, None] * i[None, None, None, :] / cfg.J)
     )
     h_sub = np.einsum("lkmi,mix->lkx", phase, F)
-    U = basis.assemble()
+    U = assemble_basis(basis)
     return np.stack([U.conj().T @ h_sub[:, :, xi].reshape(-1) for xi in range(n_ch)], axis=1)
 
 
@@ -692,15 +696,15 @@ class TestAssemble2dBasis:
     def test_dft_blocks_give_2d_dft(self):
         J, D = 4, 3
         blocks = np.broadcast_to(dft_block(J), (D, J, J)).copy()
-        U = BasisSpec(blocks).assemble()
-        U_ref = BasisSpec.dft(J, D).assemble()
+        U = assemble_basis(BasisSpec(blocks))
+        U_ref = assemble_basis(BasisSpec.dft(J, D))
         np.testing.assert_allclose(U, U_ref, atol=1e-12)
 
     def test_unitarity(self):
         rng = np.random.default_rng(12)
-        U = BasisSpec(random_blocks(3, 4, rng)).assemble()
+        U = assemble_basis(BasisSpec(random_blocks(3, 4, rng)))
         np.testing.assert_allclose(U.conj().T @ U, np.eye(12), atol=1e-10)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec(np.ones((2, 3, 3))).assemble()
+            assemble_basis(BasisSpec(np.ones((2, 3, 3))))

@@ -13,9 +13,10 @@ import pytest
 
 import mgcs.estimator
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
-from mgcs.partition import make_block_tiling, uniform_partition
+from mgcs.partition import make_block_tiling
 from mgcs.recovery import MeasurementEnsemble, g_cosamp, g_omp
 from mgcs.waveform import cp_ofdm_pulses
+from oracles import uniform_partition
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

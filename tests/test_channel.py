@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from mgcs.channel import (
     PathSet,
     ScattererGeometry,
     cross_channel_bounds,
-    dft_coeffs,
     discrete_ir,
     effective_support_widths,
     path_params,
@@ -27,14 +27,22 @@ from mgcs.channel import (
     psi_kernel,
     sample_geometry,
     sparsity_budget,
-    spreading_model,
 )
 from mgcs.errors import DomainError
 from mgcs.partition import make_block_tiling
 from mgcs.waveform import SystemConfig, cp_ofdm_pulses, effective_coeffs
-from oracles import leakage_kernel
+from oracles import dense_ir, dft_coeffs, leakage_kernel, spreading_model
 
 KRON = FilterSpec(kind="kronecker")
+
+
+# a wide-area scenario: 7 far clusters over 2500 x 800 m around a 1500 m
+# link and 3 near the receiver, 10 scatterers each
+WIDE_AREA = GeometryParams(
+    n_tx=1, n_rx=1, fc=5e9, n_far_clusters=7, n_near_clusters=3, per_cluster=10,
+    area=(2500.0, 800.0), near_radius=100.0, link_distance=1500.0, cluster_radius=30.0,
+    speed_range=(0.0, 50.0), accel_range=(0.0, 7.0), min_range=5.0, block_duration=0.0,
+)
 
 
 def tiny_cfg(**kw):
@@ -171,7 +179,7 @@ class TestPhiProfiles:
             delays=rng.uniform(0, 5, size=(P, n_ch)) * cfg.Ts,
             dopplers=rng.uniform(-2, 2, size=(P, n_ch)) / (cfg.Ts * cfg.l_r),
         )
-        H = np.asarray(discrete_ir(paths, f, cfg))
+        H = dense_ir(discrete_ir(paths, f, cfg))
         n, m = np.arange(cfg.l_r), np.arange(cfg.K)
         for r in range(cfg.n_rx):
             for s in range(cfg.n_tx):
@@ -231,24 +239,24 @@ def test_speed_of_light_is_the_si_value():
 
 class TestGeometry:
     def test_same_seed_identical(self):
-        p = GeometryParams(n_tx=2, n_rx=2)
+        p = replace(WIDE_AREA, n_tx=2, n_rx=2)
         g1 = sample_geometry(11, p)
         g2 = sample_geometry(11, p)
         np.testing.assert_array_equal(g1.scat_pos, g2.scat_pos)
         np.testing.assert_array_equal(g1.v_t, g2.v_t)
 
     def test_default_scatterer_count(self):
-        geo = sample_geometry(0, GeometryParams())
+        geo = sample_geometry(0, WIDE_AREA)
         assert geo.n_scatterers == 100  # 7 far + 3 near clusters of 10
 
     def test_zero_speed_gives_zero_doppler(self):
-        p = GeometryParams(n_tx=2, n_rx=2, speed_range=(0.0, 0.0), accel_range=(0.0, 0.0))
+        p = replace(WIDE_AREA, n_tx=2, n_rx=2, speed_range=(0.0, 0.0), accel_range=(0.0, 0.0))
         geo = sample_geometry(3, p)
         paths = path_params(geo, np.ones(geo.n_scatterers))
         np.testing.assert_allclose(paths.dopplers, 0.0, atol=1e-12)
 
     def test_antenna_spacing_default(self):
-        p = GeometryParams(n_tx=2, n_rx=1, fc=5e9)
+        p = replace(WIDE_AREA, n_tx=2, n_rx=1, fc=5e9)
         geo = sample_geometry(5, p)
         spacing = np.linalg.norm(geo.tx_pos[1] - geo.tx_pos[0])
         assert spacing == pytest.approx(C_LIGHT / 1e10)
@@ -299,8 +307,8 @@ class TestPathParams:
 
 class TestCrossChannelBounds:
     def test_half_wavelength_delay_bound(self):
-        p = GeometryParams(n_tx=2, n_rx=2, fc=5e9, per_cluster=1,
-                           n_far_clusters=1, n_near_clusters=0)
+        p = replace(WIDE_AREA, n_tx=2, n_rx=2, fc=5e9, per_cluster=1,
+                    n_far_clusters=1, n_near_clusters=0)
         geo = sample_geometry(1, p)
         tau_b, _ = cross_channel_bounds(geo)
         d = C_LIGHT / 1e10
@@ -308,14 +316,14 @@ class TestCrossChannelBounds:
         assert tau_b == pytest.approx(2.0e-10, rel=1e-3)
 
     def test_siso_bounds_vanish(self):
-        geo = sample_geometry(2, GeometryParams(n_tx=1, n_rx=1, per_cluster=2,
-                                                n_far_clusters=1, n_near_clusters=1))
+        geo = sample_geometry(2, replace(WIDE_AREA, n_tx=1, n_rx=1, per_cluster=2,
+                                         n_far_clusters=1, n_near_clusters=1))
         assert cross_channel_bounds(geo) == (0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_bounds_dominate_actual_differences(self, seed):
-        p = GeometryParams(n_tx=2, n_rx=2, per_cluster=2, n_far_clusters=2,
-                           n_near_clusters=1, block_duration=2.56e-4)
+        p = replace(WIDE_AREA, n_tx=2, n_rx=2, per_cluster=2, n_far_clusters=2,
+                    n_near_clusters=1, block_duration=2.56e-4)
         geo = sample_geometry(seed, p)
         paths = path_params(geo, np.ones(geo.n_scatterers))
         tau_b, nu_b = cross_channel_bounds(geo)
@@ -360,7 +368,7 @@ class TestSpreadingModel:
         nus = rng.uniform(-1, 1, size=3) / (cfg.Ts * cfg.l_r)  # off-grid Doppler
         gains = rng.normal(size=3) + 1j * rng.normal(size=3)
         paths = PathSet(gains=gains[:, None], delays=taus[:, None], dopplers=nus[:, None])
-        H = np.asarray(discrete_ir(paths, filters, cfg))
+        H = dense_ir(discrete_ir(paths, filters, cfg))
         S_def = np.fft.fft(H[:, :, 0, 0], axis=0).T / cfg.l_r  # (m, i)
         S_mod = spreading_model(paths, cfg, filters)[0]
         np.testing.assert_allclose(S_mod, S_def, atol=1e-8 * np.abs(S_def).max())
@@ -384,7 +392,7 @@ class TestDiscreteIr:
     def test_static_on_grid_path(self):
         cfg = tiny_cfg()
         paths = single_path(2 * cfg.Ts, 0.0, gain=1.5)
-        H = np.asarray(discrete_ir(paths, KRON, cfg))
+        H = dense_ir(discrete_ir(paths, KRON, cfg))
         np.testing.assert_allclose(H[:, 2, 0, 0], 1.5)
         H_other = np.delete(H[:, :, 0, 0], 2, axis=1)
         np.testing.assert_allclose(H_other, 0.0, atol=1e-12)
@@ -392,7 +400,7 @@ class TestDiscreteIr:
     def test_time_invariance_at_zero_doppler(self):
         cfg = tiny_cfg()
         paths = single_path(1 * cfg.Ts, 0.0)
-        H = np.asarray(discrete_ir(paths, KRON, cfg))
+        H = dense_ir(discrete_ir(paths, KRON, cfg))
         np.testing.assert_allclose(H, np.broadcast_to(H[0], H.shape), atol=1e-12)
 
     def test_path_channels_must_match_the_system(self):
@@ -497,8 +505,8 @@ def test_joint_support_overlap_budget():
     params = GeometryParams(
         n_tx=2, n_rx=2, fc=cfg.f0, n_far_clusters=1, n_near_clusters=1,
         per_cluster=2, area=(400.0, 200.0), near_radius=40.0,
-        link_distance=300.0, cluster_radius=15.0,
-        block_duration=cfg.l_r * cfg.Ts,
+        link_distance=300.0, cluster_radius=15.0, speed_range=(0.0, 50.0),
+        accel_range=(0.0, 7.0), min_range=5.0, block_duration=cfg.l_r * cfg.Ts,
     )
     n_paths = 4
     for seed in range(50):

@@ -1,10 +1,12 @@
 """Tests for pilot design, measurement construction and the estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mgcs.estimator
-from mgcs.channel import FilterSpec, PathSet, discrete_ir, dft_coeffs, spreading_model
+from mgcs.channel import FilterSpec, PathSet, discrete_ir
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.estimator import (
     BasisSpec,
@@ -18,14 +20,11 @@ from mgcs.estimator import (
     estimate_siso,
     expand_coeffs,
     expand_rectangle_to_grid,
-    group_leakage,
     normalized_mse,
     rmse,
-    subsample_grid,
-    error_bound,
 )
 from mgcs.harness import desk_experiment
-from mgcs.partition import make_block_tiling, uniform_partition
+from mgcs.partition import make_block_tiling
 from mgcs.recovery import g_omp
 from mgcs.waveform import (
     SystemConfig,
@@ -35,7 +34,15 @@ from mgcs.waveform import (
     effective_coeffs,
     modulate,
 )
-from oracles import expand_coeffs_loop
+from oracles import (
+    assemble_basis,
+    dft_coeffs,
+    error_bound,
+    expand_coeffs_loop,
+    group_leakage,
+    spreading_model,
+    uniform_partition,
+)
 
 KRON = FilterSpec(kind="kronecker")
 
@@ -44,6 +51,14 @@ def cfg_2x2(**kw):
     defaults = dict(K=16, N=20, L=8, D=8, J=4, n_tx=2, n_rx=2, Ts=2e-7)
     defaults.update(kw)
     return SystemConfig(**defaults)
+
+
+def subsample_grid(h_full, cfg):
+    """Values of a full (L, K, ...) grid on the subsampled lattice, stacked
+    row-wise over (lambda, kappa)."""
+    lam = np.arange(cfg.J) * cfg.delta_l
+    kap = np.arange(cfg.D) * cfg.delta_k
+    return h_full[np.ix_(lam, kap)]
 
 
 def random_unitary_blocks(D, J, rng):
@@ -81,7 +96,7 @@ class TestBasis:
     def test_dft_assembly_matches_formula(self):
         J, D = 4, 3
         basis = BasisSpec.dft(J, D)
-        U = basis.assemble()
+        U = assemble_basis(basis)
         for m in range(D):
             for a in range(J):
                 i = a - J // 2
@@ -94,14 +109,14 @@ class TestBasis:
     def test_assembled_unitary(self):
         rng = np.random.default_rng(0)
         basis = BasisSpec(random_unitary_blocks(3, 4, rng))
-        U = basis.assemble()
+        U = assemble_basis(basis)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(12), atol=1e-12)
 
     def test_column_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
         J, D = 4, 2
         basis = BasisSpec(random_unitary_blocks(D, J, rng))
-        U = basis.assemble()
+        U = assemble_basis(basis)
         m, i = 1, -1
         col = U[:, m * J + i + J // 2].reshape(J, D)
         for lam in range(J):
@@ -220,7 +235,7 @@ class TestBuildPhi:
         scale = np.sqrt(cfg.jd / scheme.q)
         for basis in (BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng)),
                       BasisSpec.dft(cfg.J, cfg.D)):
-            U = basis.assemble()
+            U = assemble_basis(basis)
             mats = build_phi(scheme, basis, cfg)
             for s in range(cfg.n_tx):
                 np.testing.assert_allclose(
@@ -277,6 +292,17 @@ class TestCollectMeasurements:
         scheme = draw_pilots(cfg, 0, q=6)
         with pytest.raises(DomainError, match="shape"):
             collect_measurements(np.zeros((cfg.L, cfg.K) + tail), scheme,
+                                 BasisSpec.dft(cfg.J, cfg.D), cfg)
+
+    @pytest.mark.parametrize("field,value", [("n_tx", 1), ("D", 8), ("J", 8)])
+    def test_scheme_must_match_the_system(self, field, value):
+        # on the desk 2x2 system a scheme for one transmit antenna gave a
+        # 2-channel ensemble that the estimator could not reshape, and one for
+        # another grid was decoded with its own D but measured with the basis's
+        cfg = desk_experiment(1).system
+        scheme = draw_pilots(replace(cfg, **{field: value}), 0, q=48)
+        with pytest.raises(ConfigurationError, match="pilot scheme"):
+            collect_measurements(np.zeros((cfg.L, cfg.K, cfg.n_rx)), scheme,
                                  BasisSpec.dft(cfg.J, cfg.D), cfg)
 
     def test_measurement_equation_consistency(self):

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgcs"
-MAX_OPTIONS = 73
+MAX_OPTIONS = 54
 
 
 def _is_dataclass(node):

@@ -10,16 +10,31 @@ from hypothesis import strategies as st
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.partition import (
     Partition,
-    best_group_approx,
-    group_norm,
-    index_map,
-    index_map_inverse,
     make_block_tiling,
     singleton_partition,
     stack_partition,
-    uniform_partition,
 )
-from oracles import group_frobenius_norm
+from oracles import best_group_approx, group_frobenius_norm, group_norm, uniform_partition
+
+
+def index_map(m, i, D, J):
+    """2D->1D rank of delay-Doppler position (m, i): m*J + i + J/2 + 1.
+
+    Bijective from {0..D-1} x {-J/2..J/2-1} onto {1..J*D} (1-based).
+    """
+    if not (0 <= m < D):
+        raise DomainError(f"m={m} outside 0..{D - 1}")
+    if not (-J // 2 <= i < J // 2):
+        raise DomainError(f"i={i} outside -{J // 2}..{J // 2 - 1}")
+    return m * J + i + J // 2 + 1
+
+
+def index_map_inverse(rank, D, J):
+    """Inverse of :func:`index_map`; returns (m, i)."""
+    if not (1 <= rank <= J * D):
+        raise DomainError(f"rank={rank} outside 1..{J * D}")
+    m, a = divmod(rank - 1, J)
+    return m, a - J // 2
 
 
 def as_sets(part):

@@ -14,13 +14,17 @@ from mgcs.waveform import (
     ambiguity_table,
     apply_discrete_channel,
     cp_ofdm_pulses,
-    cross_ambiguity,
     demodulate,
     effective_coeffs,
-    identity_channel,
     modulate,
 )
-from oracles import dense_apply_channel, dense_effective_coeffs
+from oracles import (
+    cross_ambiguity,
+    dense_apply_channel,
+    dense_effective_coeffs,
+    dense_ir,
+    identity_channel,
+)
 
 
 def small_cfg(**kw):
@@ -279,7 +283,7 @@ class TestEffectiveCoeffs:
         rng = np.random.default_rng(6)
         H = static_channel(cfg, [0, 1, 2], rng.normal(size=3))  # random LTI taps
         got = effective_coeffs(H, pulses, cfg)[:, :, 0, 0]
-        H = np.asarray(H)
+        H = dense_ir(H)
         # literal double sum
         expect = np.zeros((cfg.L, cfg.K), dtype=complex)
         for l in range(cfg.L):
@@ -333,7 +337,7 @@ class TestEffectiveCoeffs:
 
 
 class TestFactoredChannel:
-    """The factored channel against the dense formulas on ``np.asarray(H)``."""
+    """The factored channel against the dense formulas on ``dense_ir(H)``."""
 
     @staticmethod
     def random_channel(kind, n_tx, n_rx, m_len, seed):
@@ -357,7 +361,7 @@ class TestFactoredChannel:
     @pytest.mark.parametrize("m_len", [11, 27])  # below K and past it (folded)
     def test_matches_dense_oracle(self, kind, n_tx, n_rx, m_len):
         cfg, H, rng = self.random_channel(kind, n_tx, n_rx, m_len, seed=10 * n_tx + n_rx)
-        dense = np.asarray(H)
+        dense = dense_ir(H)
         assert dense.shape == (cfg.l_r, m_len, n_rx, n_tx)
         for len_s in (cfg.l_r - 7, cfg.l_r + 9):
             s = rng.normal(size=(len_s, n_tx)) + 1j * rng.normal(size=(len_s, n_tx))
@@ -391,7 +395,7 @@ class TestFactoredChannel:
 
     def test_identity_channel_is_dense_identity(self):
         cfg = small_cfg(n_tx=2, n_rx=3)
-        H = np.asarray(identity_channel(cfg))
+        H = dense_ir(identity_channel(cfg))
         assert H.shape == (cfg.l_r, 1, 3, 2)
         np.testing.assert_array_equal(H, np.broadcast_to(np.eye(3, 2), H.shape))
 
