@@ -26,12 +26,13 @@ class DelayDopplerPrior:
 
     The first channel's pair is uniform on [0, tau_max] x [-nu_max, nu_max];
     each further channel adds an offset drawn uniformly from its rectangle
-    (tau_lo, tau_hi, nu_lo, nu_hi) relative to the first draw.
+    (tau_lo, tau_hi, nu_lo, nu_hi) relative to the first draw.  ``offsets``
+    holds one rectangle per further channel, none for a single channel.
     """
 
     tau_max: float
     nu_max: float
-    offsets: tuple = ()
+    offsets: tuple
 
     def __post_init__(self):
         if self.tau_max < 0 or self.nu_max < 0:

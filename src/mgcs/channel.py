@@ -112,7 +112,7 @@ def phi_profiles(filters, offsets, nu_ts, m_len):
     return out
 
 
-def phi_kernel(filters, x, nu_ts=0.0):
+def phi_kernel(filters, x, nu_ts):
     """Delay leakage kernel phi^(nu) evaluated at offsets ``x`` (in samples).
 
     ``nu_ts`` is the Doppler shift normalized by the sample rate (nu * Ts).

@@ -138,26 +138,30 @@ def default_pilot_matrix(n_tx):
     return np.sqrt(n_tx) * np.exp(1j * np.pi / 4) * np.eye(n_tx)
 
 
-def draw_pilots(cfg, seed, q, p_matrix=None):
-    """Draw disjoint uniform-random sets of ``q`` pilots on the subsampled grid."""
+def draw_pilots(cfg, seed, q):
+    """Draw disjoint uniform-random sets of ``q`` pilots, with the default pilot matrix."""
     if q < 1:
         raise ConfigurationError(f"pilot count q must be at least 1, got {q}")
     if cfg.n_tx * q > cfg.jd:
-        raise ConfigurationError(
-            f"{cfg.n_tx} x {q} pilots exceed the {cfg.jd} grid points"
-        )
+        raise ConfigurationError(f"{cfg.n_tx} x {q} pilots exceed the {cfg.jd} grid points")
     rng = np.random.default_rng(seed)
     ids = rng.choice(cfg.jd, size=cfg.n_tx * q, replace=False)
-    if p_matrix is None:
-        p_matrix = default_pilot_matrix(cfg.n_tx)
-    return PilotScheme(
-        grid_ids=ids.reshape(cfg.n_tx, q), p_matrix=p_matrix, D=cfg.D, J=cfg.J
-    )
+    return PilotScheme(grid_ids=ids.reshape(cfg.n_tx, q),
+                       p_matrix=default_pilot_matrix(cfg.n_tx), D=cfg.D, J=cfg.J)
+
+
+def _check_scheme(scheme, cfg):
+    """``ConfigurationError`` unless the scheme was drawn for the system."""
+    if (scheme.n_tx, scheme.D, scheme.J) != (cfg.n_tx, cfg.D, cfg.J):
+        raise ConfigurationError(
+            f"pilot scheme for (n_tx, D, J) = {(scheme.n_tx, scheme.D, scheme.J)}, "
+            f"the system has {(cfg.n_tx, cfg.D, cfg.J)}")
 
 
 def assemble_frame(scheme, cfg, rng):
-    """Transmit symbol grid: pilot vectors at pilot positions, unit-power QPSK
-    data drawn from ``rng`` elsewhere."""
+    """Transmit symbol grid of a scheme drawn for the system: pilot vectors at
+    pilot positions, unit-power QPSK data drawn from ``rng`` elsewhere."""
+    _check_scheme(scheme, cfg)
     symbols = rng.integers(0, 4, size=(cfg.L, cfg.K, cfg.n_tx))
     a = np.exp(1j * (np.pi / 4 + np.pi / 2 * symbols))
     for s in range(scheme.n_tx):
@@ -196,10 +200,7 @@ def collect_measurements(y_grid, scheme, basis, cfg):
     position of transmit antenna s, for theta = (r, s).  The scheme must be
     drawn for the system's transmit antennas and subsampled grid.
     """
-    if (scheme.n_tx, scheme.D, scheme.J) != (cfg.n_tx, cfg.D, cfg.J):
-        raise ConfigurationError(
-            f"pilot scheme for (n_tx, D, J) = {(scheme.n_tx, scheme.D, scheme.J)}, "
-            f"the system has {(cfg.n_tx, cfg.D, cfg.J)}")
+    _check_scheme(scheme, cfg)
     y_grid = np.asarray(y_grid)
     if y_grid.shape != (cfg.L, cfg.K, cfg.n_rx):
         raise DomainError(f"demodulated grid must have shape {(cfg.L, cfg.K, cfg.n_rx)}")
@@ -219,7 +220,7 @@ class ChannelEstimate:
     h_full: np.ndarray  # (L, K, n_rx, n_tx)
     g_tensor: np.ndarray  # (D, J, n_channels)
     f_tensor: np.ndarray  # (D, J, n_channels)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def _run_solver(ensemble, part, solver, joint, opts):
@@ -261,31 +262,28 @@ def _run_solver(ensemble, part, solver, joint, opts):
         selected_groups=[r.selected_groups for r in results],
         residual_norms=np.concatenate([r.residual_norms for r in results]),
         iterations=sum(r.iterations for r in results),
+        diagnostics={},
     )
 
 
 def expand_coeffs(g_tensor, basis, cfg):
     """Steps 4-6 of the estimator: basis expansion on the subsampled grid,
     inversion to rectangle 2D-DFT coefficients, zero-padded full-grid
-    expansion.  Returns (h_full, f_tensor, h_sub).
+    expansion.  Returns (h_full, f_tensor).
 
-    Under the DFT basis (``basis.is_dft``, however the basis was built) the
-    subsampled detour reduces to F = G / sqrt(JD).
+    The grid is the DFT over m of T_m = V_m^H g_m, which its inversion undoes
+    over kappa: F[m] = fftshift(DFT_lambda(T_m)) / (J sqrt(D)).  Under the DFT
+    basis (``basis.is_dft``, however built) this is F = G / sqrt(JD).
     """
     g_tensor = np.asarray(g_tensor, dtype=complex)
     D, J, _ = g_tensor.shape
     if basis.is_dft:
         f_tensor = g_tensor / np.sqrt(J * D)
-        h_sub = None
     else:
-        # V_m^H g_m of every delay and channel, then (m, lambda) -> grid (lambda, kappa)
+        # V_m^H g_m of every delay and channel, indexed (m, lambda, xi)
         T = np.conj(basis.blocks.transpose(0, 2, 1)) @ g_tensor
-        h_sub = np.fft.fft(T, axis=0).transpose(1, 0, 2) / np.sqrt(D)
-        # invert the subsampled 2D DFT back to the rectangle
-        F = np.fft.fft(np.fft.ifft(h_sub, axis=1), axis=0) / J  # (i mod J, m, xi)
-        f_tensor = np.fft.fftshift(F, axes=0).transpose(1, 0, 2)
-    h_full = expand_rectangle_to_grid(f_tensor, cfg)
-    return h_full, f_tensor, h_sub
+        f_tensor = np.fft.fftshift(np.fft.fft(T, axis=1), axes=1) / (J * np.sqrt(D))
+    return expand_rectangle_to_grid(f_tensor, cfg), f_tensor
 
 
 def expand_rectangle_to_grid(f_tensor, cfg):
@@ -305,14 +303,15 @@ def channels_to_grid(tensor_lkx, cfg):
     return tensor_lkx.reshape(cfg.L, cfg.K, cfg.n_rx, cfg.n_tx)
 
 
-def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
-                  joint=True, **solver_opts):
+def estimate_mimo(ensemble, scheme, basis, cfg, solver, tiling, joint=True, **solver_opts):
     """Pilot-based multichannel estimation of all component channels.
 
     Steps: reconstruct the stacked coefficient vectors, rescale by
     sqrt(JD/Q), de-mix the pilot matrix per delay-Doppler position, expand
     through the basis to the subsampled grid, invert to rectangle 2D-DFT
-    coefficients, expand to the full grid.  ``tiling=None`` uses singleton
+    coefficients, expand to the full grid.  ``solver`` is g-omp, g-dcs-somp,
+    g-cosamp or g-bpdn; ``solver_opts`` are all of its stopping arguments.
+    ``tiling=None`` uses singleton
     groups.  ``joint=True`` solves all channels as one problem, so
     ``residual_tol`` or a G-BPDN ``eps`` bounds the residual over all of
     them; joint G-OMP runs as G-DCS-SOMP.  ``joint=False`` reconstructs each
@@ -330,7 +329,7 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
     p_inv = np.linalg.inv(scheme.p_matrix)
     g_hat = np.einsum("djrs,st->djrt", gt, p_inv)
     g_tensor = g_hat.reshape(cfg.D, cfg.J, n_ch)  # xi = r * n_tx + t
-    h_full, f_tensor, h_sub = expand_coeffs(g_tensor, basis, cfg)
+    h_full, f_tensor = expand_coeffs(g_tensor, basis, cfg)
     diagnostics = {
         "solver": solver,
         "joint": joint,
@@ -346,8 +345,7 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver="g-omp", tiling=None,
     )
 
 
-def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver="g-omp",
-                  tiling=None, **solver_opts):
+def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver, tiling, **solver_opts):
     """Single-antenna estimator with per-position pilot values.
 
     Divides each demodulated pilot symbol by its pilot value to form direct

@@ -7,7 +7,7 @@ same configuration produce identical result files.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,7 +187,7 @@ class ResultTable:
     stderr_db: np.ndarray
     trials: int
     failures: np.ndarray  # failed trials per point, left out of every mean
-    failure_kinds: Counter = field(default_factory=Counter)  # (point, stage, error)
+    failure_kinds: Counter  # (point, stage, error)
 
     def cell(self, point, solver):
         return self.mean_mse_db[self.points.index(point), self.solvers.index(solver)]
@@ -321,7 +321,7 @@ def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
     if algo == "cosamp":
         requested = max_groups if cosamp_sparsity is None else min(cosamp_sparsity, max_groups)
         S = cosamp_order(requested, scheme.q, group_size, cfg.jd // group_size)
-        opts = dict(S=S, n_iters=15, residual_tol=residual_scale * noise)
+        opts = dict(S=S, residual_tol=residual_scale * noise)
     elif algo == "bpdn":
         opts = dict(eps=noise, tol=1e-3)
     else:

@@ -125,11 +125,6 @@ class BlockTiling:
     def block_size(self):
         return self.dm * self.di
 
-    def blocks(self):
-        """List of (dm*di, 2) arrays of (m, i) pairs, i in -J/2..J/2-1."""
-        m, a = np.divmod(self.to_partition().perm.reshape(self.n_blocks, -1), self.J)
-        return list(np.stack([m, a - self.J // 2], axis=-1))
-
     def to_partition(self):
         """1D partition of {0..J*D-1} induced by the rank map, built once per
         tiling."""

@@ -96,7 +96,7 @@ class RecoveryResult:
     selected_groups: list
     residual_norms: np.ndarray
     iterations: int
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def x(self):
@@ -104,8 +104,10 @@ class RecoveryResult:
         return self.estimates[0]
 
 
-# a diagonal of R at or below this times max(max |diag R|, 1) loses rank
+# a diagonal of R at or below this times max(max |diag R|, 1) loses rank;
+# the least-squares fits g_cosamp runs at most
 _RANK_TOL = 1e-12
+_MAX_FITS = 15
 
 
 class _GrownQR:
@@ -288,23 +290,24 @@ def _top_groups(energies, count):
     return np.argsort(-energies, kind="stable")[:count]
 
 
-def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
+def g_omp(Phi, y, part, max_groups, residual_tol, joint=True):
     """Group orthogonal matching pursuit.
 
     Adds per iteration the group with the largest aggregated correlation
     energy and refits least squares on the selected column union; stops at
-    ``max_groups`` selections or when the residual norm drops to
-    ``residual_tol``.  ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.
-    Returns the (n_channels, M) estimates and each channel's residual norm.
-    ``joint=False`` runs every channel's own G-OMP in this one call, each
-    selecting from the one product Phi^H r and stopping on its own; its groups
-    must be of equal size.  The result then lists groups per channel.
+    ``max_groups`` selections (the harness's Q / (2 |g|) keeps each fit tall)
+    or when the residual norm drops to ``residual_tol``.  ``Phi`` is a
+    matrix or a :class:`BlockDiagonalOperator`.  Returns the (n_channels, M)
+    estimates and each channel's residual norm.  ``joint=False`` runs every
+    channel's own G-OMP in this one call, each selecting from the one product
+    Phi^H r and stopping on its own; its groups must be of equal size.  The
+    result then lists groups per channel.
     """
     Phi = _as_operator(Phi, part)
     if not joint and np.ptp(part.sizes):
         raise DomainError("per-channel G-OMP requires groups of equal size")
     Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, -1)
-    cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
+    cap = min(max_groups, part.n_groups)
     fit = _GrownQR(Phi.blocks, Y, cap * int(part.sizes.max()), joint)
     n_sel = 1 if joint else Phi.n_channels  # selections per iteration
     selected = [[] for _ in range(n_sel)]
@@ -342,30 +345,31 @@ def g_omp(Phi, y, part, max_groups=None, residual_tol=0.0, joint=True):
     )
 
 
-def g_dcs_somp(ensemble, part, max_groups=None, residual_tol=0.0):
+def g_dcs_somp(ensemble, part, max_groups, residual_tol):
     """Greedy joint-support identification across all channels.
 
     G-OMP on the ensemble's block-diagonal operator with the per-channel
     partition: each iteration adds the group maximizing the correlation
     energy summed over channels and group members, then refits least squares
     on the joint support, one problem per transmit matrix for all its
-    channels.  With singleton groups this is DCS-SOMP.  Returns the
-    (n_channels, M) estimates and each channel's residual norm.
+    channels; it stops as :func:`g_omp` does.  With singleton groups this is
+    DCS-SOMP.  Returns the (n_channels, M) estimates and each channel's
+    residual norm.
     """
     return g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol)
 
 
-def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
+def g_cosamp(Phi, y, part, S, residual_tol):
     """Group-structured CoSaMP.
 
     Per iteration: build the proxy Phi^H r, select the 2S groups of largest
     aggregated proxy energy, merge with the current support, least-squares on
     the merged column union, and prune to the S groups of largest solution
     norm.  The output is always group-S-sparse.  ``Phi`` is a matrix or a
-    :class:`BlockDiagonalOperator`.  The loop stops after ``n_iters`` fits,
+    :class:`BlockDiagonalOperator`.  The loop stops after ``_MAX_FITS`` fits,
     at residual norm ``residual_tol``, or when the merged candidate set equals
     the previous one: every later fit would repeat it exactly, so the output
-    is that of all ``n_iters``.  ``iterations`` counts the fits that ran;
+    is that of all ``_MAX_FITS``.  ``iterations`` counts the fits that ran;
     ``diagnostics["fixed_point"]`` says whether the repeat ended the loop.
     """
     Phi = _as_operator(Phi, part)
@@ -380,7 +384,7 @@ def g_cosamp(Phi, y, part, S, n_iters=30, residual_tol=0.0):
     history = [float(np.linalg.norm(resid))]
     rank_deficient = fixed_point = False
     candidates = support  # empty, so unlike any merged set
-    for _ in range(n_iters):
+    for _ in range(_MAX_FITS):
         if history[-1] <= residual_tol:
             break
         proxy = part.energies(Phi.rmatvec(resid))
@@ -474,9 +478,10 @@ def _ball_projection(Phi, y, r, eps):
     return project, float(g.max())
 
 
-def g_bpdn(Phi, y, part, eps, tol=1e-4):
+def g_bpdn(Phi, y, part, eps, tol):
     """Group basis pursuit denoising: minimize the group norm subject to
-    ||Phi x - y||_2 <= eps.
+    ||Phi x - y||_2 <= eps.  For eps > 0 and ||y|| > eps the returned
+    residual lies in [eps (1 - tol), eps]; the harness passes tol = 1e-3.
 
     Scaled-form ADMM on min sum_b ||z_b|| s.t. x = z, ||Phi x - y|| <= r,
     r = eps (1 - tol/2), as in C-SALSA (Afonso, Bioucas-Dias & Figueiredo,

@@ -88,7 +88,7 @@ def _solve_ls_from_scratch(A, y):
     return solve_triangular(r, q.conj().T @ y), False
 
 
-def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_tol=0.0):
+def g_omp_from_scratch(blocks, n_channels, y, part, max_groups, residual_tol):
     """Group OMP that factors every channel's selected columns from scratch
     at every iteration: the reference for the solver's grown factorization.
 
@@ -104,7 +104,7 @@ def g_omp_from_scratch(blocks, n_channels, y, part, max_groups=None, residual_to
     dense = block_diag(*(blocks[xi % n_tx] for xi in range(n_channels)))
     length = part.total_length
     offsets = np.arange(0, n_cols, length)[:, None]
-    cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
+    cap = min(max_groups, part.n_groups)
     x = np.zeros(n_cols, dtype=complex)
     resid = y.copy()
     selected = []
@@ -194,7 +194,7 @@ class GrownQRPerProblem:
         return solve_triangular(self.R[:self.k, :self.k], self.QhY[:self.k])
 
 
-def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
+def g_omp_per_problem(Phi, y, part, max_groups, residual_tol):
     """Joint G-OMP with one :class:`GrownQRPerProblem` per least-squares
     problem, appended one after the other: per transmit matrix, with its
     channels as right-hand sides.  Returns the result with the
@@ -206,7 +206,7 @@ def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
     Y = np.asarray(y, dtype=complex).reshape(n_ch, q)
     chans = np.arange(n_ch).reshape(-1, n_tx).T
     shares = [(s, chans[s], part.columns) for s in range(n_tx)]
-    cap = part.n_groups if max_groups is None else min(max_groups, part.n_groups)
+    cap = min(max_groups, part.n_groups)
     width = cap * int(part.sizes.max())
     factors = [GrownQRPerProblem(Phi.blocks[s], Y[channels].T, width)
                for s, channels, _ in shares]
@@ -238,7 +238,7 @@ def g_omp_per_problem(Phi, y, part, max_groups=None, residual_tol=0.0):
     return result, resid
 
 
-def g_cosamp_all_iterations(Phi, y, part, S, n_iters=30, residual_tol=0.0):
+def g_cosamp_all_iterations(Phi, y, part, S, residual_tol, n_iters):
     """Group CoSaMP that runs every one of its ``n_iters`` iterations unless
     the residual reaches ``residual_tol``, also after the merged candidate set
     has stopped changing: the reference for the solver's fixed-point stop.

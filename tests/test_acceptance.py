@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import mgcs.recovery
 from mgcs.basisopt import (
     CKernelTable,
     attach_kernels,
@@ -97,8 +98,8 @@ def test_criterion_1_norm_chain():
         shape = (cfg.D, cfg.J, cfg.n_channels)
         g1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        h1, _, _ = expand_coeffs(g1, basis, cfg)
-        h2, _, _ = expand_coeffs(g2, basis, cfg)
+        h1, _ = expand_coeffs(g1, basis, cfg)
+        h2, _ = expand_coeffs(g2, basis, cfg)
         for xi in range(cfg.n_channels):
             a = np.linalg.norm(h1[:, :, xi]) / (ratio * np.linalg.norm(g1[:, :, xi]))
             b = np.linalg.norm(h1[:, :, xi] - h2[:, :, xi]) / (
@@ -199,13 +200,14 @@ def test_criterion_4_group_ric_facts():
     )
 
 
-def test_criterion_5_exact_joint_recovery():
+def test_criterion_5_exact_joint_recovery(monkeypatch):
     """Noiseless jointly group-sparse recovery by the three greedy solvers."""
     t0 = time.time()
     M, q, n_ch = 256, 96, 2
     part = uniform_partition(M, 4)
     F = np.exp(-2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M) / np.sqrt(M)
     wins = {"g-omp": 0, "g-cosamp": 0, "g-dcs-somp": 0}
+    monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 20)
     trials = 100
     for trial in range(trials):
         rng = np.random.default_rng(1000 + trial)
@@ -229,7 +231,7 @@ def test_criterion_5_exact_joint_recovery():
         r = g_omp(Phi_s, y_s, part_s, max_groups=S, residual_tol=0.0)
         if np.linalg.norm(r.x.reshape(n_ch, M) - xs) < 1e-6 * scale:
             wins["g-omp"] += 1
-        r = g_cosamp(Phi_s, y_s, part_s, S=S, n_iters=20, residual_tol=1e-12 * scale)
+        r = g_cosamp(Phi_s, y_s, part_s, S=S, residual_tol=1e-12 * scale)
         if np.linalg.norm(r.x.reshape(n_ch, M) - xs) < 1e-6 * scale:
             wins["g-cosamp"] += 1
         r = g_dcs_somp(ens, part, max_groups=S, residual_tol=0.0)
@@ -243,7 +245,7 @@ def test_criterion_5_exact_joint_recovery():
     )
 
 
-def test_criterion_6_error_bound():
+def test_criterion_6_error_bound(monkeypatch):
     """Measured estimation error never exceeds the certified-regime bound."""
     t0 = time.time()
     cfg = SystemConfig(K=8, N=10, L=4, D=4, J=2, n_tx=1, n_rx=2, Ts=2e-7)
@@ -262,13 +264,13 @@ def test_criterion_6_error_bound():
             # certified pilot scheme (falls back to the full grid, delta = 0)
             delta, scheme = None, None
             for seed in range(trial * 37, trial * 37 + 50):
-                cand = draw_pilots(cfg, seed, p_matrix=p_matrix, q=q)
+                cand = draw_pilots(cfg, seed, q=q)
                 d = group_ric(build_phi(cand, basis, cfg)[0], part, order)
                 if d <= threshold:
                     delta, scheme = d, cand
                     break
             if scheme is None:
-                scheme = draw_pilots(cfg, 0, p_matrix=p_matrix, q=cfg.jd)
+                scheme = draw_pilots(cfg, 0, q=cfg.jd)
                 delta = group_ric(build_phi(scheme, basis, cfg)[0], part, order)
             rng = np.random.default_rng(5000 + trial)
             g_true = np.zeros((cfg.D, cfg.J, 2), dtype=complex)
@@ -298,9 +300,9 @@ def test_criterion_6_error_bound():
                                       q=scheme.q)
             else:
                 n_iters = 8
+                monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", n_iters)
                 est = estimate_mimo(ens, scheme, basis, cfg, solver="g-cosamp",
-                                    tiling=tiling, joint=True, S=S, n_iters=n_iters,
-                                    residual_tol=0.0)
+                                    tiling=tiling, joint=True, S=S, residual_tol=0.0)
                 bound = error_bound("g-cosamp", delta, S, eps, c_g, p_matrix, cfg,
                                       q=scheme.q, n_iters=n_iters, g_tensor=g_true)
             assert bound.applicable
@@ -339,7 +341,7 @@ def test_criterion_7_cp_ofdm_consistency():
     ens = collect_measurements(y_grid, scheme, basis, cfg)
     est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp",
                         tiling=make_block_tiling(cfg.D, cfg.J, 1, 2),
-                        joint=True, residual_tol=1e-10)
+                        joint=True, max_groups=cfg.jd, residual_tol=1e-10)
     rel = rmse(est.h_full, truth) / np.linalg.norm(truth)
     report(
         7, ident_ok and rel < 1e-6,

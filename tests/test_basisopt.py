@@ -107,7 +107,7 @@ class TestPrior:
 
     def test_invalid_rectangles(self):
         with pytest.raises(ConfigurationError):
-            DelayDopplerPrior(-1.0, 10.0)
+            DelayDopplerPrior(-1.0, 10.0, ())
         with pytest.raises(ConfigurationError):
             DelayDopplerPrior(1.0, 10.0, ((0.0, -1.0, 0.0, 0.0),))
         with pytest.raises(ConfigurationError):

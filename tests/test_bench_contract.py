@@ -88,7 +88,7 @@ def test_cosamp_span_counts_read_the_result():
     Phi = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
     y = rng.normal(size=8) + 1j * rng.normal(size=8)
     args = (Phi, y, uniform_partition(16, 2))
-    res = g_cosamp(*args, S=1, n_iters=15)
+    res = g_cosamp(*args, S=1, residual_tol=0.0)
     counts = count(args, res)
     assert counts["recovery.g_cosamp.iters"] == res.iterations
     assert 1 <= res.iterations <= 15
@@ -105,7 +105,7 @@ def test_omp_span_counts_read_a_per_channel_result():
     ens = MeasurementEnsemble(matrices=mats,
                               observations=rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8)))
     args = (ens.operator(), ens.observations, uniform_partition(16, 2))
-    res = g_omp(*args, max_groups=3, joint=False)
+    res = g_omp(*args, max_groups=3, residual_tol=0.0, joint=False)
     counts = count(args, res)
     assert counts["recovery.g_omp.groups"] == len(res.selected_groups) == ens.n_channels
     assert [len(g) for g in res.selected_groups] == [3] * ens.n_channels

@@ -95,7 +95,7 @@ class TestKernels:
 
     def test_kronecker_phi(self):
         x = np.array([-1.0, 0.0, 0.25, 1.0])
-        np.testing.assert_allclose(phi_kernel(KRON, x), [0, 1, 0, 0])
+        np.testing.assert_allclose(phi_kernel(KRON, x, 0.0), [0, 1, 0, 0])
 
     def test_rrc_phi_nyquist_zero_crossings(self):
         # ideal-pair kernel at zero Doppler is a raised cosine: 1 at 0 and
@@ -167,7 +167,7 @@ class TestPhiProfiles:
         for row, off in zip(prof, offsets):
             np.testing.assert_array_equal(row, trapezoid_phi(KRON, np.arange(4) - off))
         x = np.array([-1.0, 0.0, 0.25, 1.0, -0.5])
-        np.testing.assert_array_equal(phi_kernel(KRON, x), trapezoid_phi(KRON, x))
+        np.testing.assert_array_equal(phi_kernel(KRON, x, 0.0), trapezoid_phi(KRON, x))
 
     def test_discrete_ir_matches_per_path_oracle(self):
         cfg = tiny_cfg(n_tx=2, n_rx=2)

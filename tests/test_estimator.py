@@ -139,8 +139,8 @@ class TestBasis:
         assert build_phi(scheme, built, cfg).tobytes() == build_phi(scheme, dft, cfg).tobytes()
         rng = np.random.default_rng(8)
         g = rng.normal(size=(cfg.D, cfg.J, 4)) + 1j * rng.normal(size=(cfg.D, cfg.J, 4))
-        (h_b, f_b, sub_b), (h_d, f_d, sub_d) = (expand_coeffs(g, b, cfg) for b in (built, dft))
-        assert sub_b is None and sub_d is None
+        (h_b, f_b), (h_d, f_d) = (expand_coeffs(g, b, cfg) for b in (built, dft))
+        assert f_d.tobytes() == (g / np.sqrt(cfg.jd)).tobytes()  # the shortcut
         assert h_b.tobytes() == h_d.tobytes() and f_b.tobytes() == f_d.tobytes()
 
     def test_dft_phi_keeps_the_broadcast_block_bits(self):
@@ -335,6 +335,18 @@ class TestCollectMeasurements:
                 np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.abs(lhs).max())
 
 
+class TestAssembleFrame:
+    @pytest.mark.parametrize("field,value", [("n_tx", 1), ("D", 8), ("J", 8)])
+    def test_scheme_must_match_the_system(self, field, value):
+        # on the desk 2x2 system a scheme for one transmit antenna broadcast
+        # antenna 0's pilot value to both antennas, and one for another grid
+        # placed its pilots by its own D and J; both returned a full frame
+        cfg = desk_experiment(1).system
+        scheme = draw_pilots(replace(cfg, **{field: value}), 0, q=48)
+        with pytest.raises(ConfigurationError, match="pilot scheme"):
+            assemble_frame(scheme, cfg, np.random.default_rng(0))
+
+
 class TestEstimateMimo:
     def test_noiseless_on_grid_recovery(self):
         cfg = cfg_2x2()
@@ -347,7 +359,7 @@ class TestEstimateMimo:
         ens = collect_measurements(y_grid, scheme, basis, cfg)
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=tiling,
-                            joint=True, residual_tol=1e-9)
+                            joint=True, max_groups=cfg.jd, residual_tol=1e-9)
         assert rmse(est.h_full, truth) <= 1e-6 * np.linalg.norm(truth)
 
     def test_zero_channel(self):
@@ -355,7 +367,8 @@ class TestEstimateMimo:
         scheme = draw_pilots(cfg, 6, q=8)
         basis = BasisSpec.dft(cfg.J, cfg.D)
         ens = collect_measurements(np.zeros((cfg.L, cfg.K, cfg.n_rx)), scheme, basis, cfg)
-        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", residual_tol=0.0)
+        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=None,
+                            max_groups=cfg.jd, residual_tol=0.0)
         assert np.all(est.h_full == 0)
 
     def test_dft_tag_equals_explicit_dft_blocks(self):
@@ -375,7 +388,7 @@ class TestEstimateMimo:
             ens = collect_measurements(y_grid, scheme, basis, cfg)
             ests.append(
                 estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=tiling,
-                              joint=True, residual_tol=1e-9)
+                              joint=True, max_groups=cfg.jd, residual_tol=1e-9)
             )
         scale = np.abs(ests[0].h_full).max()
         np.testing.assert_allclose(ests[0].h_full, ests[1].h_full, atol=1e-10 * scale)
@@ -395,7 +408,7 @@ class TestEstimateMimo:
             y_grid, _ = run_full_chain(paths, scheme, cfg, pulses, rng_frame)
             ens = collect_measurements(y_grid, scheme, basis, cfg)
             est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=tiling,
-                                joint=True, residual_tol=1e-9)
+                                joint=True, max_groups=cfg.jd, residual_tol=1e-9)
             hs.append(est.h_full)
         np.testing.assert_allclose(hs[1], 2.5 * hs[0], atol=1e-8 * np.abs(hs[1]).max())
 
@@ -415,11 +428,11 @@ class TestEstimateMimo:
         basis = BasisSpec.dft(cfg.J, cfg.D)
         y_grid, truth = run_full_chain(paths, scheme, cfg, pulses, rng)
         ens = collect_measurements(y_grid, scheme, basis, cfg)
-        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", joint=False,
-                            residual_tol=1e-9)
+        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=None, joint=False,
+                            max_groups=cfg.jd, residual_tol=1e-9)
         diag = est.diagnostics
         per_channel = [g_omp(ens.matrix_for(xi), ens.observations[xi],
-                             uniform_partition(cfg.jd, 1), residual_tol=1e-9)
+                             uniform_partition(cfg.jd, 1), max_groups=cfg.jd, residual_tol=1e-9)
                        for xi in range(n_ch)]
         assert diag["selected_groups"] == [r.selected_groups for r in per_channel]
         assert len({tuple(g) for g in diag["selected_groups"]}) == n_ch
@@ -441,7 +454,7 @@ class TestEstimateMimo:
                                    rng, noise=noise)
         ens = collect_measurements(y_grid, scheme, basis, cfg)
         eps, tol = 0.3 * np.linalg.norm(ens.observations, axis=1).min(), 1e-3
-        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", joint=False,
+        est = estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", tiling=None, joint=False,
                             eps=eps, tol=tol)
         norms = est.diagnostics["residual_norms"]
         assert norms.shape == (cfg.n_channels,)
@@ -473,30 +486,34 @@ class TestSolverDispatch:
         for name in ("g_omp", "g_cosamp", "g_bpdn", "g_dcs_somp"):
             monkeypatch.setattr(mgcs.estimator, name, recording(getattr(mgcs.estimator, name)))
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-cosamp", tiling=tiling, S=1)
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-cosamp", tiling=tiling, S=1,
+                      residual_tol=0.0)
         assert calls == ["g_cosamp"]
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", joint=False, eps=1e-3)
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", tiling=None, joint=False,
+                      eps=1e-3, tol=1e-4)
         assert calls[1:] == ["g_bpdn"] * cfg.n_channels
         del calls[:]
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", residual_tol=1e-9)
+        estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=None, max_groups=cfg.jd,
+                      residual_tol=1e-9)
         assert calls == ["g_dcs_somp"]  # joint G-OMP runs as G-DCS-SOMP
         siso_cfg = cfg_2x2(n_tx=1, n_rx=1)
         siso_scheme = draw_pilots(siso_cfg, 9, q=12)
         y_grid = np.zeros((siso_cfg.L, siso_cfg.K, 1), dtype=complex)
         estimate_siso(np.ones(12), y_grid, siso_scheme, BasisSpec.dft(siso_cfg.J, siso_cfg.D),
-                      siso_cfg, solver="g-cosamp", S=1)
+                      siso_cfg, solver="g-cosamp", tiling=None, S=1, residual_tol=0.0)
         assert calls[1:] == ["g_cosamp"]
 
     @pytest.mark.parametrize("joint", [True, False])
     def test_unknown_solver_rejected(self, joint):
         cfg, scheme, basis, ens = self.make_2x2()
         with pytest.raises(ConfigurationError, match="unknown solver"):
-            estimate_mimo(ens, scheme, basis, cfg, solver="g-lasso", joint=joint)
+            estimate_mimo(ens, scheme, basis, cfg, solver="g-lasso", tiling=None, joint=joint)
 
     def test_dcs_somp_is_joint_only(self):
         cfg, scheme, basis, ens = self.make_2x2()
         with pytest.raises(ConfigurationError, match="joint"):
-            estimate_mimo(ens, scheme, basis, cfg, solver="g-dcs-somp", joint=False)
+            estimate_mimo(ens, scheme, basis, cfg, solver="g-dcs-somp", tiling=None,
+                          joint=False)
 
     def test_unknown_solver_rejected_by_siso(self):
         cfg = cfg_2x2(n_tx=1, n_rx=1)
@@ -504,7 +521,7 @@ class TestSolverDispatch:
         y_grid = np.zeros((cfg.L, cfg.K, 1), dtype=complex)
         with pytest.raises(ConfigurationError, match="unknown solver"):
             estimate_siso(np.ones(12), y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
-                          solver="g-lasso")
+                          solver="g-lasso", tiling=None)
 
 
 class TestEstimateSiso:
@@ -523,10 +540,10 @@ class TestEstimateSiso:
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         p = scheme.p_matrix[0, 0]
         siso = estimate_siso(np.full(scheme.q, p), y_grid, scheme, basis, cfg,
-                             solver="g-omp", tiling=tiling, residual_tol=1e-9)
+                             solver="g-omp", tiling=tiling, max_groups=cfg.jd, residual_tol=1e-9)
         ens = collect_measurements(y_grid, scheme, basis, cfg)
         mimo = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=tiling,
-                             residual_tol=1e-9)
+                             max_groups=cfg.jd, residual_tol=1e-9)
         scale = np.abs(mimo.h_full).max()
         np.testing.assert_allclose(siso.h_full, mimo.h_full, atol=1e-10 * scale)
 
@@ -537,7 +554,7 @@ class TestEstimateSiso:
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
         p = scheme.p_matrix[0, 0]
         est = estimate_siso(np.full(scheme.q, p), y_grid, scheme, basis, cfg,
-                            solver="g-omp", tiling=tiling, residual_tol=1e-9)
+                            solver="g-omp", tiling=tiling, max_groups=cfg.jd, residual_tol=1e-9)
         assert rmse(est.h_full, truth) <= 1e-6 * np.linalg.norm(truth)
 
     def test_zero_pilot_value_rejected(self):
@@ -546,7 +563,8 @@ class TestEstimateSiso:
         vals = np.full(scheme.q, scheme.p_matrix[0, 0])
         vals[0] = 0.0
         with pytest.raises(DomainError):
-            estimate_siso(vals, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg)
+            estimate_siso(vals, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
+                          solver="g-omp", tiling=None)
 
     def test_singleton_groups_reduce_to_plain_omp(self):
         rng = np.random.default_rng(10)
@@ -554,7 +572,7 @@ class TestEstimateSiso:
         basis = BasisSpec.dft(cfg.J, cfg.D)
         p = scheme.p_matrix[0, 0]
         est = estimate_siso(np.full(scheme.q, p), y_grid, scheme, basis, cfg,
-                            solver="g-omp", tiling=None, residual_tol=1e-9)
+                            solver="g-omp", tiling=None, max_groups=cfg.jd, residual_tol=1e-9)
         # inline plain OMP on the same instance
         Phi = build_phi(scheme, basis, cfg)[0]
         ls, ks = scheme.positions(0, cfg)
@@ -655,8 +673,8 @@ class TestNormChain:
         shape = (cfg.D, cfg.J, cfg.n_channels)
         g1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        h1, _, _ = expand_coeffs(g1, basis, cfg)
-        h2, _, _ = expand_coeffs(g2, basis, cfg)
+        h1, _ = expand_coeffs(g1, basis, cfg)
+        h2, _ = expand_coeffs(g2, basis, cfg)
         ratio = np.sqrt(cfg.K * cfg.L / cfg.jd)
         for xi in range(cfg.n_channels):
             assert np.linalg.norm(h1[:, :, xi]) == pytest.approx(
@@ -673,23 +691,25 @@ class TestNormChain:
         basis = BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng))
         shape = (cfg.D, cfg.J, n_ch)
         g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        _, f_tensor, h_sub = expand_coeffs(g, basis, cfg)
-        f_ref, h_ref = expand_coeffs_loop(g, basis, cfg.D, cfg.J)
-        for got, ref in ((f_tensor, f_ref), (h_sub, h_ref)):
-            assert got.shape == ref.shape
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        _, f_tensor = expand_coeffs(g, basis, cfg)
+        f_ref, _ = expand_coeffs_loop(g, basis, cfg.D, cfg.J)
+        assert f_tensor.shape == f_ref.shape
+        np.testing.assert_allclose(f_tensor, f_ref, rtol=0, atol=1e-13 * np.abs(f_ref).max())
 
     def test_subsampled_energy_identity(self):
         rng = np.random.default_rng(40)
         cfg = cfg_2x2()
         basis = BasisSpec(random_unitary_blocks(cfg.D, cfg.J, rng))
         g = rng.normal(size=(cfg.D, cfg.J, 4)) + 1j * rng.normal(size=(cfg.D, cfg.J, 4))
-        h_full, _, h_sub = expand_coeffs(g, basis, cfg)
-        # the basis expansion is unitary on the subsampled grid
+        h_full, f_tensor = expand_coeffs(g, basis, cfg)
+        _, h_sub = expand_coeffs_loop(g, basis, cfg.D, cfg.J)
+        # the basis expansion is unitary on the subsampled grid, and the
+        # subsampled 2D DFT is sqrt(JD) times a unitary map
         for xi in range(4):
-            assert np.linalg.norm(h_sub[:, :, xi]) == pytest.approx(
-                np.linalg.norm(g[:, :, xi]), rel=1e-10
-            )
+            norm_g = np.linalg.norm(g[:, :, xi])
+            assert np.linalg.norm(h_sub[:, :, xi]) == pytest.approx(norm_g, rel=1e-10)
+            assert np.linalg.norm(f_tensor[:, :, xi]) == pytest.approx(
+                norm_g / np.sqrt(cfg.jd), rel=1e-10)
         np.testing.assert_allclose(
             subsample_grid(h_full, cfg), h_sub, atol=1e-9 * np.abs(h_sub).max()
         )

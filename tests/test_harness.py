@@ -1,5 +1,6 @@
 """Tests for the experiment runner, result emission and basis persistence."""
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from mgcs.channel import (
     sparsity_budget,
 )
 from mgcs.partition import make_block_tiling
-from mgcs.recovery import _GrownQR, g_cosamp
+from mgcs.recovery import _GrownQR, g_cosamp, g_dcs_somp, g_omp
 from mgcs.waveform import FactoredIR, SystemConfig, cp_ofdm_pulses
-from mgcs.estimator import draw_pilots, normalized_mse
+from mgcs.estimator import collect_measurements, draw_pilots, estimate_mimo, normalized_mse
 from oracles import identity_channel
 
 
@@ -268,6 +269,59 @@ class TestCosampOrder:
                             solvers=("gcs-cosamp",))
 
 
+class TestGreedyCap:
+    def test_every_desk_fit_is_tall(self, monkeypatch):
+        # a seeded desk sweep of the four G-OMP estimators: every g_omp and
+        # g_dcs_somp call gets max_groups |g| <= Q/2, at 6 groups of 4 and 24
+        # singletons, and no least-squares problem ever holds more columns
+        # than Q rows
+        caps, widths, append = [], [], _GrownQR.append
+
+        def recording(solve):
+            def capped(*args, max_groups, **opts):
+                caps.append((max_groups, int(args[-1].sizes[0])))  # args end in part
+                return solve(*args, max_groups=max_groups, **opts)
+            return capped
+
+        def measured_append(fit, idx, cols):
+            append(fit, idx, cols)
+            widths.append(int(fit.n.max()))
+
+        monkeypatch.setattr(mgcs.estimator, "g_omp", recording(g_omp))
+        monkeypatch.setattr(mgcs.estimator, "g_dcs_somp", recording(g_dcs_somp))
+        monkeypatch.setattr(_GrownQR, "append", measured_append)
+        config = desk_experiment(5, points=(10.0, 30.0), trials=2,
+                                 solvers=("conv-omp", "gcs-omp", "mcs-somp", "mgcs-somp"))
+        table = run_sweep(config)
+        assert not table.failures.any()
+        assert len(caps) == 2 * 2 * 4  # one solver call per estimate
+        assert all(2 * groups * size <= config.q for groups, size in caps)
+        assert set(caps) == {(6, 4), (24, 1)}
+        assert widths and max(widths) <= config.q
+
+    def test_a_call_without_a_cap_is_a_type_error(self):
+        # on seed-1 desk trial [1, 0, 3] joint G-OMP without a cap selected all
+        # 256 groups on 48 pilot rows, each fit past the 48th column a
+        # minimum-norm one
+        config = desk_experiment(1)
+        cfg = config.system
+        pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+        scheme = draw_pilots(cfg, np.random.SeedSequence([1, 7919]), q=config.q)
+        y_grid, *_ = simulate_trial(cfg, scheme, pulses, config.filters, point_geometry(cfg),
+                                    20.0, [1, 0, 3])
+        basis = BasisSpec.dft(cfg.J, cfg.D)
+        ens = collect_measurements(y_grid, scheme, basis, cfg)
+        part = make_block_tiling(cfg.D, cfg.J, 1, 1).to_partition()
+        with pytest.raises(TypeError, match="max_groups"):
+            g_omp(ens.operator(), ens.observations, part)
+        with pytest.raises(TypeError, match="max_groups"):
+            g_dcs_somp(ens, part)
+        with pytest.raises(TypeError, match="'solver' and 'tiling'"):
+            estimate_mimo(ens, scheme, basis, cfg)
+        with pytest.raises(TypeError, match="max_groups"):
+            estimate_mimo(ens, scheme, basis, cfg, "g-omp", None)
+
+
 def test_budget_sparsity_is_capped_at_the_block_count():
     config = desk_experiment(1)
     cfg = config.system
@@ -306,7 +360,7 @@ class TestEmitResults:
         return ResultTable(
             axis="snr", points=(20.0,), solvers=("mgcs-somp",),
             mean_mse_db=np.array([[-12.345678]]), stderr_db=np.array([[0.1234567]]),
-            trials=7, failures=np.zeros(1, dtype=int),
+            trials=7, failures=np.zeros(1, dtype=int), failure_kinds=Counter(),
         )
 
     def test_single_cell_two_lines(self, tmp_path):

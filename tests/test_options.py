@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgcs"
-MAX_OPTIONS = 54
+MAX_OPTIONS = 37
 
 
 def _is_dataclass(node):

@@ -137,7 +137,8 @@ class TestGOmp:
     def test_zero_observation(self):
         rng = np.random.default_rng(0)
         part = uniform_partition(8, 2)
-        res = g_omp(partial_dft(4, 8, rng), np.zeros(4, dtype=complex), part)
+        res = g_omp(partial_dft(4, 8, rng), np.zeros(4, dtype=complex), part,
+                    max_groups=part.n_groups, residual_tol=0.0)
         assert res.selected_groups == []
         np.testing.assert_array_equal(res.x, 0)
 
@@ -158,7 +159,7 @@ class TestGOmp:
         part = uniform_partition(12, 2)
         x_true = group_sparse_signal(part, [4], rng)
         y = Phi @ x_true
-        res = g_omp(Phi, y, part, residual_tol=1e-12)
+        res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=1e-12)
         # the exhaustive single-group oracle confirms support uniqueness
         b_star, res_star = exhaustive_single_group_ls(Phi, y, part)
         assert b_star == 4 and res_star < 1e-10
@@ -170,7 +171,7 @@ class TestGOmp:
         Phi = partial_dft(8, 16, rng)
         part = uniform_partition(16, 2)
         y = rng.normal(size=8) + 1j * rng.normal(size=8)
-        res = g_omp(Phi, y, part, max_groups=3)
+        res = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0)
         cols = np.concatenate([part.groups[b] for b in res.selected_groups])
         resid = y - Phi @ res.x
         assert np.abs(Phi[:, cols].conj().T @ resid).max() < 1e-10
@@ -213,7 +214,7 @@ class TestGrownFactor:
         part = uniform_partition(40, 5)
         Phi = (rng.normal(size=(12, 40)) + 1j * rng.normal(size=(12, 40))) / np.sqrt(24)
         y = Phi @ group_sparse_signal(part, (2, 5), rng) + 0.05 * rng.normal(size=12)
-        res = self.assert_matches_oracle(Phi, y, part, max_groups=max_groups)
+        res = self.assert_matches_oracle(Phi, y, part, max_groups=max_groups, residual_tol=0.0)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
 
     @pytest.mark.parametrize("max_groups", [2, 3])
@@ -224,7 +225,7 @@ class TestGrownFactor:
         ens = random_ensemble(rng, 8, 24, n_tx, n_rx, part=part, support=(1, 4, 6),
                               noise=0.05)
         res = self.assert_matches_oracle(ens.operator(), ens.observations.reshape(-1),
-                                         part, max_groups=max_groups)
+                                         part, max_groups=max_groups, residual_tol=0.0)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
 
 
@@ -297,7 +298,8 @@ class TestStackedFactor:
         part = uniform_partition(24, 3)
         ens = random_ensemble(rng, 8, 24, n_tx, n_rx, part=part, support=(1, 4, 6),
                               noise=0.05)
-        res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=max_groups)
+        res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=max_groups,
+                                                        residual_tol=0.0)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
 
     def test_unequal_groups_are_rejected(self):
@@ -308,8 +310,10 @@ class TestStackedFactor:
         part = Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
         ens = random_ensemble(rng, 10, 16, 2, 2, noise=1.0)
         with pytest.raises(DomainError, match="equal size"):
-            g_omp(ens.operator(), ens.observations, part, max_groups=4, joint=False)
-        assert g_omp(ens.operator(), ens.observations, part, max_groups=4).iterations == 4
+            g_omp(ens.operator(), ens.observations, part, max_groups=4, residual_tol=0.0,
+                  joint=False)
+        assert g_omp(ens.operator(), ens.observations, part, max_groups=4,
+                     residual_tol=0.0).iterations == 4
 
     def test_channels_stop_on_their_own(self):
         # channel 0 reaches the tolerance after one group, channel 1 runs to
@@ -357,7 +361,8 @@ class TestStackedFactor:
                 rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
         obs = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
         ens = MeasurementEnsemble(matrices=mats, observations=obs)
-        res = g_omp(ens.operator(), obs, singleton_partition(6), joint=False)
+        res = g_omp(ens.operator(), obs, singleton_partition(6), max_groups=6,
+                    residual_tol=0.0, joint=False)
         assert not res.diagnostics["rank_deficient"]
         for xi in range(2):
             ref = np.linalg.lstsq(mats[xi], obs[xi], rcond=None)[0]
@@ -370,7 +375,7 @@ class TestStackedFactor:
         rng = np.random.default_rng(71)
         A = self.nearly_dependent(rng, 12, 3, eps)
         y = rng.normal(size=12) + 1j * rng.normal(size=12)
-        res = g_omp(A, y, singleton_partition(3))
+        res = g_omp(A, y, singleton_partition(3), max_groups=3, residual_tol=0.0)
         assert res.iterations == 3 and res.diagnostics["rank_deficient"] == lost
         if lost:
             ref = np.zeros(3, dtype=complex)
@@ -382,7 +387,8 @@ class TestStackedFactor:
         rng = np.random.default_rng(63)
         ens = random_ensemble(rng, 6, 8, 2, 2)
         with pytest.raises(DomainError):
-            g_omp(ens.operator(), ens.observations, uniform_partition(32, 2), joint=False)
+            g_omp(ens.operator(), ens.observations, uniform_partition(32, 2), max_groups=16,
+                  residual_tol=0.0, joint=False)
 
     def test_ensemble_stores_its_matrices_once(self):
         rng = np.random.default_rng(64)
@@ -410,7 +416,7 @@ class TestGOmpRankLoss:
         Phi = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
         Phi[:, 1] = Phi[:, 0]
         y = 3 * Phi[:, 0] + (1 - 1j) * Phi[:, 4]
-        res = g_omp(Phi, y, part, max_groups=2)
+        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0)
         assert res.selected_groups == [0, 2]
         self.assert_min_norm_fit(Phi, y, part, res)
         np.testing.assert_allclose(res.x[[0, 1, 4]], [1.5, 1.5, 1 - 1j], atol=1e-12)
@@ -420,7 +426,7 @@ class TestGOmpRankLoss:
         part = uniform_partition(12, 3)
         Phi = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
         y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        res = g_omp(Phi, y, part, max_groups=2)
+        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0)
         assert res.iterations == 2
         self.assert_min_norm_fit(Phi, y, part, res)
 
@@ -460,7 +466,8 @@ class TestGCosamp:
     def test_zero_observation(self):
         rng = np.random.default_rng(3)
         part = uniform_partition(16, 2)
-        res = g_cosamp(partial_dft(8, 16, rng), np.zeros(8, dtype=complex), part, S=2)
+        res = g_cosamp(partial_dft(8, 16, rng), np.zeros(8, dtype=complex), part, S=2,
+                       residual_tol=0.0)
         np.testing.assert_array_equal(res.x, 0)
 
     def test_requires_equal_group_sizes(self):
@@ -468,14 +475,16 @@ class TestGCosamp:
 
         part = Partition(3, (np.array([0, 1]), np.array([2])))
         with pytest.raises(DomainError):
-            g_cosamp(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), part, S=1)
+            g_cosamp(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), part, S=1,
+                     residual_tol=0.0)
 
     def test_sparsity_cap(self):
         part = uniform_partition(8, 2)
         with pytest.raises(DomainError):
-            g_cosamp(np.eye(8, dtype=complex), np.zeros(8, dtype=complex), part, S=2)
+            g_cosamp(np.eye(8, dtype=complex), np.zeros(8, dtype=complex), part, S=2,
+                     residual_tol=0.0)
 
-    def test_exact_recovery_on_certified_instance(self):
+    def test_exact_recovery_on_certified_instance(self, monkeypatch):
         # small instance with brute-forced delta_{4S|P} <= 0.1
         rng = np.random.default_rng(11)
         m, q = 16, 16
@@ -483,19 +492,21 @@ class TestGCosamp:
         Phi = conditioned_matrix(q, m, 0.08, rng)
         assert group_ric(Phi, part, 4) <= 0.1
         x_true = group_sparse_signal(part, [1], rng)
-        res = g_cosamp(Phi, Phi @ x_true, part, S=1, n_iters=30, residual_tol=1e-13)
+        monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 30)
+        res = g_cosamp(Phi, Phi @ x_true, part, S=1, residual_tol=1e-13)
         np.testing.assert_allclose(res.x, x_true, atol=1e-8)
 
-    def test_output_always_group_sparse(self):
+    def test_output_always_group_sparse(self, monkeypatch):
         rng = np.random.default_rng(4)
         Phi = partial_dft(6, 16, rng)
         part = uniform_partition(16, 2)
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
-        res = g_cosamp(Phi, y, part, S=2, n_iters=4)
+        monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 4)
+        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
         norms = [np.linalg.norm(res.x[g]) for g in part.groups]
         assert np.count_nonzero(np.array(norms) > 1e-12) <= 2
 
-    def test_iteration_error_bound(self):
+    def test_iteration_error_bound(self, monkeypatch):
         # guarantee at delta_{4S|P} = 0 (full sampling): after n iterations the
         # error is within 2^-n ||x|| + 20 (1 + 1/sqrt(S)) tail + 20 eps
         rng = np.random.default_rng(5)
@@ -508,21 +519,23 @@ class TestGCosamp:
         eps = np.linalg.norm(z)
         S = 2
         for n in (1, 2, 4):
-            res = g_cosamp(F, F @ x + z, part, S=S, n_iters=n)
+            monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", n)
+            res = g_cosamp(F, F @ x + z, part, S=S, residual_tol=0.0)
             tail = group_norm(x - best_group_approx(x, part, S), part)
             bound = 2.0**-n * np.linalg.norm(x) + 20 * (1 + 1 / math.sqrt(S)) * tail + 20 * eps
             assert np.linalg.norm(res.x - x) <= bound
 
-    def test_fixed_point_ends_the_loop_early(self):
+    def test_fixed_point_ends_the_loop_early(self, monkeypatch):
         # a noisy instance whose merged candidate set repeats: fewer fits than
-        # n_iters, and every later residual of the full run equals the last
+        # the cap, and every later residual of the full run equals the last
         rng = np.random.default_rng(7)
         part = uniform_partition(32, 2)
         Phi = (rng.normal(size=(16, 32)) + 1j * rng.normal(size=(16, 32))) / np.sqrt(32)
         y = (Phi @ group_sparse_signal(part, [2, 9], rng)
              + 0.05 * (rng.normal(size=16) + 1j * rng.normal(size=16)))
-        res = g_cosamp(Phi, y, part, S=2, n_iters=15)
-        ref = g_cosamp_all_iterations(Phi, y, part, S=2, n_iters=15)
+        monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 15)
+        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
+        ref = g_cosamp_all_iterations(Phi, y, part, S=2, residual_tol=0.0, n_iters=15)
         assert res.diagnostics["fixed_point"]
         assert res.iterations < 15
         history = res.diagnostics["residual_history"]
@@ -531,7 +544,8 @@ class TestGCosamp:
         assert set(ref.diagnostics["residual_history"][len(history):]) == {history[-1]}
         np.testing.assert_array_equal(res.x, ref.x)
         # one iteration cannot see a repeat
-        once = g_cosamp(Phi, y, part, S=2, n_iters=1)
+        monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 1)
+        once = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
         assert (once.iterations, once.diagnostics["fixed_point"]) == (1, False)
 
     def test_fixed_point_stop_matches_the_full_run_on_desk_trials(self, monkeypatch):
@@ -542,19 +556,20 @@ class TestGCosamp:
 
         def both(*args, **kwargs):
             res = g_cosamp(*args, **kwargs)
-            calls.append((res, g_cosamp_all_iterations(*args, **kwargs), kwargs["n_iters"]))
+            ref = g_cosamp_all_iterations(*args, **kwargs, n_iters=mgcs.recovery._MAX_FITS)
+            calls.append((res, ref))
             return res
 
         monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
         cfg = run_cosamp_estimators_on_desk_trials()
         assert len(calls) == 3 * (2 * cfg.n_channels + 2)
-        for res, ref, n_iters in calls:
+        for res, ref in calls:
             np.testing.assert_array_equal(res.estimates, ref.estimates)
             assert res.selected_groups == ref.selected_groups
             np.testing.assert_array_equal(res.residual_norms, ref.residual_norms)
             assert res.diagnostics["rank_deficient"] == ref.diagnostics["rank_deficient"]
-            assert res.iterations <= min(ref.iterations, n_iters)
-        assert any(res.diagnostics["fixed_point"] for res, _, _ in calls)
+            assert res.iterations <= min(ref.iterations, mgcs.recovery._MAX_FITS)
+        assert any(res.diagnostics["fixed_point"] for res, _ in calls)
 
     def test_fits_match_the_per_problem_reference_on_desk_trials(self, monkeypatch):
         # every solver call of the four CoSaMP estimators on seeded desk
@@ -596,7 +611,7 @@ class TestGBpdn:
         Phi = partial_dft(4, 8, rng)
         part = uniform_partition(8, 2)
         y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        res = g_bpdn(Phi, y, part, eps=2 * np.linalg.norm(y))
+        res = g_bpdn(Phi, y, part, eps=2 * np.linalg.norm(y), tol=1e-4)
         np.testing.assert_array_equal(res.x, 0)
 
     def test_unitary_zero_eps_exact(self):
@@ -605,7 +620,7 @@ class TestGBpdn:
         part = singleton_partition(m)
         rng = np.random.default_rng(7)
         y = rng.normal(size=m) + 1j * rng.normal(size=m)
-        res = g_bpdn(F, y, part, eps=0.0)
+        res = g_bpdn(F, y, part, eps=0.0, tol=1e-4)
         np.testing.assert_allclose(res.x, F.conj().T @ y, atol=1e-7)
 
     def test_feasibility_and_objective_against_cvxpy(self):
@@ -664,7 +679,7 @@ class TestGBpdn:
         x_true = group_sparse_signal(part, rng.choice(m // 4, size=3, replace=False), rng)
         z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         y = Phi @ x_true + z
-        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)))
+        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
         assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
 
     def test_dual_gap_on_desk_calls(self, monkeypatch):
@@ -672,7 +687,7 @@ class TestGBpdn:
         # operator) and gcs-bpdn (one per channel) on desk trials 0-4 of seed 1
         calls = []
 
-        def recording(Phi, y, part, eps, tol=1e-4):
+        def recording(Phi, y, part, eps, tol):
             calls.append((Phi, y, part, g_bpdn(Phi, y, part, eps, tol)))
             return calls[-1][-1]
 
@@ -792,7 +807,7 @@ class TestGBpdn:
         tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
         calls = []
 
-        def recording(Phi, y, part, eps, tol=1e-4):
+        def recording(Phi, y, part, eps, tol):
             calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
             return calls[-1][-1]
 
@@ -831,11 +846,11 @@ class TestGBpdn:
         y = Phi @ group_sparse_signal(part, [1, 5], rng) + off
         if outside > 1:
             with pytest.raises(ConvergenceError) as info:
-                g_bpdn(Phi, y, part, eps=eps)
+                g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
             x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
             assert np.linalg.norm(info.value.best - x_ls) <= 1e-10 * np.linalg.norm(x_ls)
         else:
-            res = g_bpdn(Phi, y, part, eps=eps)
+            res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
             assert eps * (1 - 1e-4) <= np.linalg.norm(Phi @ res.x - y) <= eps
 
     def test_general_projection_agrees_with_the_tight_frame_path(self, monkeypatch):
@@ -880,7 +895,7 @@ class TestGBpdn:
         # within 1e-3 and the group norm within 1e-4
         calls = []
 
-        def recording(Phi, y, part, eps, tol=1e-4):
+        def recording(Phi, y, part, eps, tol):
             calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
             return calls[-1][-1]
 
@@ -951,7 +966,7 @@ class TestGBpdn:
         part = uniform_partition(32, 2)
         y = Phi @ group_sparse_signal(part, [3], rng)
         eps = 1e-5 * float(np.linalg.norm(y))
-        res = g_bpdn(Phi, y, part, eps=eps)
+        res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
         assert eps * (1 - 1e-4) <= np.linalg.norm(Phi @ res.x - y) <= eps
         assert res.selected_groups == [3] and res.iterations < 500
         x_ref, _ = penalty_search_g_bpdn(Phi, y, part, eps, 1e-4)
@@ -1028,15 +1043,15 @@ class TestGDcsSomp:
         Phi = partial_dft(6, m, rng)
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
         ens = MeasurementEnsemble(matrices=(Phi,), observations=y[None, :])
-        res_joint = g_dcs_somp(ens, part, max_groups=3)
-        res_single = g_omp(Phi, y, part, max_groups=3)
+        res_joint = g_dcs_somp(ens, part, max_groups=3, residual_tol=0.0)
+        res_single = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0)
         assert res_joint.selected_groups == res_single.selected_groups
         np.testing.assert_allclose(res_joint.estimates[0], res_single.x, atol=1e-12)
 
     def test_jointly_group_sparse_exact(self):
         rng = np.random.default_rng(12)
         ens, part, xs = self.make_ensemble(rng, support=(3,))
-        res = g_dcs_somp(ens, part, max_groups=1)
+        res = g_dcs_somp(ens, part, max_groups=1, residual_tol=0.0)
         assert res.selected_groups == [3]
         np.testing.assert_allclose(res.estimates, xs, atol=1e-10)
         # exhaustive per-channel single-group oracle agrees
@@ -1050,7 +1065,7 @@ class TestGDcsSomp:
         ens = MeasurementEnsemble(
             matrices=ens.matrices, observations=np.zeros_like(ens.observations)
         )
-        res = g_dcs_somp(ens, part)
+        res = g_dcs_somp(ens, part, max_groups=part.n_groups, residual_tol=0.0)
         np.testing.assert_array_equal(res.estimates, 0)
         assert res.selected_groups == []
 
@@ -1063,14 +1078,14 @@ class TestGDcsSomp:
             + 0.1 * (rng.normal(size=ens.observations.shape)
                      + 1j * rng.normal(size=ens.observations.shape)),
         )
-        res = g_dcs_somp(noisy, part, max_groups=part.n_groups)
+        res = g_dcs_somp(noisy, part, max_groups=part.n_groups, residual_tol=0.0)
         hist = res.diagnostics["residual_history"]
         assert all(b <= a + 1e-10 for a, b in zip(hist, hist[1:]))
 
     def test_support_contained_in_selected_groups(self):
         rng = np.random.default_rng(23)
         ens, part, _ = self.make_ensemble(rng, support=(1, 5))
-        res = g_dcs_somp(ens, part, max_groups=3)
+        res = g_dcs_somp(ens, part, max_groups=3, residual_tol=0.0)
         allowed = set(np.concatenate([part.groups[b] for b in res.selected_groups]))
         for xi in range(ens.n_channels):
             assert set(np.nonzero(res.estimates[xi])[0]).issubset(allowed)
@@ -1131,7 +1146,7 @@ class TestMgcsStack:
                 ys.append(mats[s] @ x)
             ens = MeasurementEnsemble(matrices=mats, observations=np.array(ys))
             Phi_s, y_s, part_s = mgcs_stack(ens, part)
-            res = g_omp(Phi_s, y_s, part_s, residual_tol=1e-10)
+            res = g_omp(Phi_s, y_s, part_s, max_groups=part_s.n_groups, residual_tol=1e-10)
             # oracle: enumerate all 2-group joint supports, minimize total residual
             best, best_res = None, np.inf
             for combo in itertools.combinations(range(part.n_groups), 2):
@@ -1171,7 +1186,7 @@ class TestMgcsStack:
         assert np.linalg.eigh(op.gram())[0].max() == pytest.approx(lip, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_solvers_match_on_the_dense_matrix(self, seed):
+    def test_solvers_match_on_the_dense_matrix(self, seed, monkeypatch):
         # each solver on the operator with the per-channel partition and on
         # the dense stacked triple: same selection, iteration counts and
         # rank-deficiency flag; the CoSaMP merged support (up to 12 columns
@@ -1182,9 +1197,10 @@ class TestMgcsStack:
         ens = random_ensemble(rng, q, m, 2, 2, part=part, support=(1, 5), noise=0.05)
         dense, y_s, part_s = mgcs_stack(ens, part)
         eps = 0.05 * np.sqrt(2 * y_s.size)
+        monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 10)
         runs = [
-            (g_omp, dict(max_groups=3)),
-            (g_cosamp, dict(S=2, n_iters=10)),
+            (g_omp, dict(max_groups=3, residual_tol=0.0)),
+            (g_cosamp, dict(S=2, residual_tol=0.0)),
             (g_bpdn, dict(eps=eps, tol=1e-3)),
         ]
         for solver, opts in runs:
@@ -1197,10 +1213,12 @@ class TestMgcsStack:
             # G-OMP on the operator estimates per channel, the rest stacked
             x_op, x_dense = on_op.estimates.reshape(-1), on_dense.x
             assert np.linalg.norm(x_op - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
-        assert g_cosamp(ens.operator(), y_s, part, S=2, n_iters=10).diagnostics["rank_deficient"]
+        assert g_cosamp(ens.operator(), y_s, part, S=2,
+                        residual_tol=0.0).diagnostics["rank_deficient"]
 
-    @pytest.mark.parametrize("solver,opts", [(g_omp, {}), (g_cosamp, dict(S=1)),
-                                             (g_bpdn, dict(eps=0.1))])
+    @pytest.mark.parametrize("solver,opts", [
+        (g_omp, dict(max_groups=16, residual_tol=0.0)),
+        (g_cosamp, dict(S=1, residual_tol=0.0)), (g_bpdn, dict(eps=0.1, tol=1e-4))])
     def test_partition_of_neither_length_is_rejected(self, solver, opts):
         rng = np.random.default_rng(41)
         ens = random_ensemble(rng, 6, 16, 2, 2)
@@ -1208,8 +1226,10 @@ class TestMgcsStack:
             solver(ens.operator(), ens.observations.reshape(-1), uniform_partition(32, 2),
                    **opts)
 
-    @pytest.mark.parametrize("solver,opts", [(g_omp, {}), (g_omp, dict(joint=False)),
-                                             (g_cosamp, dict(S=1)), (g_bpdn, dict(eps=0.1))])
+    @pytest.mark.parametrize("solver,opts", [
+        (g_omp, dict(max_groups=8, residual_tol=0.0)),
+        (g_omp, dict(max_groups=8, residual_tol=0.0, joint=False)),
+        (g_cosamp, dict(S=1, residual_tol=0.0)), (g_bpdn, dict(eps=0.1, tol=1e-4))])
     def test_partition_of_all_columns_is_rejected(self, solver, opts):
         # the operator takes only the per-channel partition; the stacked one
         # belongs to the dense matrix of mgcs_stack
