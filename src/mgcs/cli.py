@@ -181,7 +181,7 @@ def cmd_estimate(args):
     )
     y_grid = y_clean + z
     est = run_estimator(solver, y_grid, scheme, basis, cfg, tiling, np.sqrt(sigma2),
-                        residual_scale=config.residual_scale)
+                        residual_scale=config.residual_scale, max_groups=config.max_groups)
     mgio.save_tensor(args.out, est.h_full)
     print(f"solver {solver}: rmse {rmse(est.h_full, truth):.6g}, "
           f"normalized mse {normalized_mse(est.h_full, truth):.6g} "

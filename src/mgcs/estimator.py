@@ -15,7 +15,6 @@ from .errors import ConfigurationError, DomainError
 from .partition import singleton_partition
 from .recovery import (
     MeasurementEnsemble,
-    RecoveryResult,
     g_bpdn,
     g_cosamp,
     g_dcs_somp,
@@ -224,46 +223,20 @@ class ChannelEstimate:
 
 
 def _run_solver(ensemble, part, solver, joint, opts):
-    """Dispatch to the configured reconstruction algorithm; returns the
-    per-channel estimates (n_channels, M) and the solver result.
-
-    Joint solvers run on the ensemble's block-diagonal operator with the
-    per-channel partition; joint G-OMP there is G-DCS-SOMP, so it runs as
-    such; G-DCS-SOMP is joint only.  Per-channel G-OMP is one call on that
-    operator with ``joint=False``; per-channel G-CoSaMP and G-BPDN solves all
-    take ``opts`` (a G-BPDN ``eps`` bounds each channel's residual) and are
-    merged: selected groups per channel, the summed iteration count and every
-    channel's residual norm.  Each solver is called by its name in this
-    module, looked up at call time, so a replaced attribute takes effect.
-    """
+    """The configured solver's result, from one call on the ensemble's
+    block-diagonal operator with the per-channel partition, jointly or one
+    problem per channel; joint G-OMP there is G-DCS-SOMP, so it runs as such.
+    Each solver is called by its name in this module, looked up at call
+    time, so a replaced attribute takes effect."""
     if solver == "g-dcs-somp" or (joint and solver == "g-omp"):
         if not joint:
             raise ConfigurationError("g-dcs-somp is a joint solver; it needs joint=True")
-        res = g_dcs_somp(ensemble, part, **opts)
-        return res.estimates, res
-    if solver == "g-omp":
-        res = g_omp(ensemble.operator(), ensemble.observations, part, joint=False, **opts)
-        return res.estimates, res
-    if solver == "g-cosamp":
-        solve = g_cosamp
-    elif solver == "g-bpdn":
-        solve = g_bpdn
-    else:
+        return g_dcs_somp(ensemble, part, **opts)
+    solve = {"g-omp": g_omp, "g-cosamp": g_cosamp, "g-bpdn": g_bpdn}.get(solver)
+    if solve is None:
         raise ConfigurationError(f"unknown solver {solver!r}")
-    n_ch = ensemble.n_channels
-    if joint:
-        res = solve(ensemble.operator(), ensemble.observations.reshape(-1), part, **opts)
-        return res.estimates.reshape(n_ch, -1), res
-    results = [solve(ensemble.matrix_for(xi), ensemble.observations[xi], part, **opts)
-               for xi in range(n_ch)]
-    estimates = np.array([r.x for r in results])
-    return estimates, RecoveryResult(
-        estimates=estimates,
-        selected_groups=[r.selected_groups for r in results],
-        residual_norms=np.concatenate([r.residual_norms for r in results]),
-        iterations=sum(r.iterations for r in results),
-        diagnostics={},
-    )
+    return solve(ensemble.operator(), ensemble.observations.reshape(-1), part, joint=joint,
+                 **opts)
 
 
 def expand_coeffs(g_tensor, basis, cfg):
@@ -311,38 +284,30 @@ def estimate_mimo(ensemble, scheme, basis, cfg, solver, tiling, joint=True, **so
     through the basis to the subsampled grid, invert to rectangle 2D-DFT
     coefficients, expand to the full grid.  ``solver`` is g-omp, g-dcs-somp,
     g-cosamp or g-bpdn; ``solver_opts`` are all of its stopping arguments.
-    ``tiling=None`` uses singleton
-    groups.  ``joint=True`` solves all channels as one problem, so
-    ``residual_tol`` or a G-BPDN ``eps`` bounds the residual over all of
-    them; joint G-OMP runs as G-DCS-SOMP.  ``joint=False`` reconstructs each
-    channel separately with the same options, so they bound each channel's
-    residual; the diagnostics then list the selected groups per channel, the
-    summed iteration count and every channel's residual norm.
+    ``tiling=None`` uses singleton groups.  ``joint=True`` solves all
+    channels as one problem, so ``residual_tol`` or a G-BPDN ``eps`` bounds
+    the residual over all of them; joint G-OMP runs as G-DCS-SOMP.
+    ``joint=False`` solves each channel as its own problem of the one solver
+    call, so they bound each channel's residual, and groups are listed per
+    channel.  The diagnostics include the solver's own (``rank_deficient``,
+    ``fixed_point``, ``residual_history`` and the like).
     """
     part = tiling.to_partition() if tiling is not None else singleton_partition(cfg.jd)
-    estimates, res = _run_solver(ensemble, part, solver, joint, solver_opts)
+    res = _run_solver(ensemble, part, solver, joint, solver_opts)
     scale = np.sqrt(cfg.jd / scheme.q)
     n_ch = ensemble.n_channels
-    g_tilde = (scale * estimates).reshape(n_ch, cfg.D, cfg.J)  # per channel (m, a)
+    g_tilde = (scale * res.estimates).reshape(n_ch, cfg.D, cfg.J)  # per channel (m, a)
     # channel index xi = r * n_tx + s -> matrix entry [r, s]
     gt = g_tilde.reshape(cfg.n_rx, cfg.n_tx, cfg.D, cfg.J).transpose(2, 3, 0, 1)
     p_inv = np.linalg.inv(scheme.p_matrix)
     g_hat = np.einsum("djrs,st->djrt", gt, p_inv)
     g_tensor = g_hat.reshape(cfg.D, cfg.J, n_ch)  # xi = r * n_tx + t
     h_full, f_tensor = expand_coeffs(g_tensor, basis, cfg)
-    diagnostics = {
-        "solver": solver,
-        "joint": joint,
-        "selected_groups": res.selected_groups,
-        "iterations": res.iterations,
-        "residual_norms": res.residual_norms,
-    }
-    return ChannelEstimate(
-        h_full=channels_to_grid(h_full, cfg),
-        g_tensor=g_tensor,
-        f_tensor=f_tensor,
-        diagnostics=diagnostics,
-    )
+    diagnostics = {"solver": solver, "joint": joint, "selected_groups": res.selected_groups,
+                   "iterations": res.iterations, "residual_norms": res.residual_norms,
+                   **res.diagnostics}
+    return ChannelEstimate(h_full=channels_to_grid(h_full, cfg), g_tensor=g_tensor,
+                           f_tensor=f_tensor, diagnostics=diagnostics)
 
 
 def estimate_siso(pilot_values, y_grid, scheme, basis, cfg, solver, tiling, **solver_opts):

@@ -143,15 +143,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
         shapes = ([_block_shape(p) for p in self.points] if self.axis == "blocksize"
                   else [(self.dm, self.di)])
-        for dm, di in shapes:
-            tiling = make_block_tiling(self.system.D, self.system.J, dm, di)
-            for name in self.solvers:  # a G-CoSaMP order must fit before any trial
+        for dm, di in shapes:  # every cap and order must fit before any trial
+            size = make_block_tiling(self.system.D, self.system.J, dm, di).block_size
+            for name in self.solvers:
                 grouped, _, algo = parse_solver(name)
-                if algo == "cosamp":
-                    size = tiling.block_size if grouped else 1
-                    n_groups = self.system.jd // size
-                    cosamp_order(n_groups if self.max_groups is None else self.max_groups,
-                                 self.q, size, n_groups)
+                greedy_regime(algo, self.q, size if grouped else 1,
+                              self.system.jd // (size if grouped else 1), self.max_groups, None)
 
 
 def _block_shape(point):
@@ -281,23 +278,29 @@ def budget_sparsity(tiling, filters, cfg, n_paths, tau_b, nu_b):
     return min(s_joint, tiling.n_blocks)
 
 
-def cosamp_order(requested, q, group_size, n_groups):
-    """G-CoSaMP's group-sparsity order: S = min(requested, B // 4,
-    Q // (4 |g|)) for B groups of |g| columns and Q pilot rows.
-
-    4S <= B is the solver's own domain.  4S |g| <= Q is the regime of
-    Needell & Tropp's CoSaMP analysis (ACHA 26(3), 2009), which G-CoSaMP's
-    estimation-error bound inherits: it needs
-    delta_4S <= 0.1, impossible once 4S groups hold more columns than there
-    are rows.  Every merged candidate set, at most 3S groups, is then a tall
-    least-squares fit.  Raises ``ConfigurationError`` when no S >= 1 fits.
-    """
-    S = min(requested, n_groups // 4, q // (4 * group_size))
-    if S < 1:
-        raise ConfigurationError(
-            f"no G-CoSaMP order S >= 1 with 4S <= {n_groups} groups and "
-            f"4S x {group_size} columns <= {q} pilots (requested {requested})")
-    return S
+def greedy_regime(algo, q, group_size, n_groups, max_groups, sparsity):
+    """G-OMP's cap, G-CoSaMP's order (None for G-BPDN) for Q pilot rows and B
+    groups of |g| columns; ``ConfigurationError`` when no value >= 1 fits.
+    The cap is ``max_groups`` (None: Q // (2 |g|)); a larger one is refused, as
+    its fits would be wide.  The order is S = min(request, B // 4, Q // (4 |g|))
+    for the request ``sparsity`` (a model budget, often far above, so clamped)
+    at most the cap: 4S <= B is the solver's domain, 4S |g| <= Q the regime of
+    Needell & Tropp's CoSaMP analysis (ACHA 26(3), 2009), whose delta_4S <= 0.1
+    G-CoSaMP's error bound needs, with every merged set of <= 3S groups tall."""
+    limit = q // (2 * group_size)
+    cap = limit if max_groups is None else max_groups
+    if algo == "cosamp":
+        requested = cap if sparsity is None else min(sparsity, cap)
+        S = min(requested, n_groups // 4, q // (4 * group_size))
+        if S < 1:
+            raise ConfigurationError(
+                f"no G-CoSaMP order S >= 1 with 4S <= {n_groups} groups and "
+                f"4S x {group_size} columns <= {q} pilots (requested {requested})")
+        return S
+    if algo != "bpdn" and not 1 <= cap <= limit:
+        raise ConfigurationError(f"G-OMP cap {cap} outside 1..{limit}: groups of "
+                                 f"{group_size} columns on at most half of {q} pilots")
+    return None if algo == "bpdn" else cap
 
 
 def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
@@ -307,25 +310,20 @@ def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
     The noise radius is the demodulated pilot noise norm (variance K
     sigma_z^2 per sample) over one solve's channels: all when joint, else
     one.  Greedy solvers stop at ``residual_scale`` times it; G-BPDN takes
-    it as ``eps``.  The greedy cap ``max_groups`` defaults to Q / (2 |g|).
-    G-CoSaMP's order is :func:`cosamp_order` of ``cosamp_sparsity`` (else
-    the cap), at most the cap: S = min(requested, max_groups, B // 4,
-    Q // (4 |g|)), the 4S-column regime of Needell & Tropp's analysis.
+    it as ``eps``.  The cap and the order are :func:`greedy_regime`'s.
     """
     grouped, joint, algo = parse_solver(name)
     ens = collect_measurements(y_grid, scheme, basis, cfg)
     group_size = tiling.block_size if grouped else 1
     noise = np.sqrt((cfg.n_channels if joint else 1) * scheme.q * cfg.K) * sigma_z
-    if max_groups is None:
-        max_groups = max(1, scheme.q // (2 * group_size))
+    order = greedy_regime(algo, scheme.q, group_size, cfg.jd // group_size, max_groups,
+                          cosamp_sparsity)
     if algo == "cosamp":
-        requested = max_groups if cosamp_sparsity is None else min(cosamp_sparsity, max_groups)
-        S = cosamp_order(requested, scheme.q, group_size, cfg.jd // group_size)
-        opts = dict(S=S, residual_tol=residual_scale * noise)
+        opts = dict(S=order, residual_tol=residual_scale * noise)
     elif algo == "bpdn":
         opts = dict(eps=noise, tol=1e-3)
     else:
-        opts = dict(residual_tol=residual_scale * noise, max_groups=max_groups)
+        opts = dict(residual_tol=residual_scale * noise, max_groups=order)
     return estimate_mimo(ens, scheme, basis, cfg, solver=SOLVER_ALGOS[algo],
                          tiling=tiling if grouped else None, joint=joint, **opts)
 
@@ -367,12 +365,8 @@ def run_sweep(config):
             nmse, failed = np.zeros(n_sol), kinds.total()
             for si, name in enumerate(config.solvers):
                 try:
-                    est = run_estimator(
-                        name, y_grid, scheme, basis, cfg, tiling, sigma_z,
-                        residual_scale=config.residual_scale,
-                        max_groups=config.max_groups,
-                        cosamp_sparsity=s_joint,
-                    )
+                    est = run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
+                                        config.residual_scale, config.max_groups, s_joint)
                     nmse[si] = normalized_mse(est.h_full, truth)
                 except PACKAGE_ERRORS as exc:
                     kinds[point, name, type(exc).__name__] += 1

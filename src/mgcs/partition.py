@@ -86,7 +86,7 @@ class Partition:
 
     def expand(self, per_group):
         """Length-M vector holding ``per_group[b]`` at every member of group b."""
-        return np.asarray(per_group)[self.group_of]
+        return np.take(per_group, self.group_of, axis=-1)
 
     def columns(self, selected):
         """Members of the ``selected`` groups, concatenated in selection order."""

@@ -13,20 +13,20 @@ so the dense block-diagonal stack is never formed on the solver path.  Their
 partition always covers one block's columns, so on the multichannel operator
 it is the per-channel partition: its group b is group b at every channel
 offset.  G-DCS-SOMP is G-OMP in that form.  :func:`mgcs_stack` gives the same
-problem as a dense one-block matrix with the stacked partition.
+problem as a dense one-block matrix with the stacked partition.  With
+``joint=False`` each of the three solves every channel as its own problem
+in one call, each with its own stops.
 
 Every least-squares fit splits into one problem per transmit matrix, whose
-n_rx channels share its columns (one per channel under per-channel
-selection); all problems of a fit share one stacked thin QR.  G-OMP grows it
-a group at a time in batched products; G-CoSaMP, whose support changes
-wholesale, factors it from scratch.  A problem with more columns than rows,
-or whose R loses rank, takes numpy's minimum-norm ``lstsq`` on its own;
-``rank_deficient`` then means a minimum-norm fit.
-
-G-BPDN forms each block's Gram matrix A A^H once.  When all of them equal
-one c I to rounding (a tight frame, as every ``build_phi`` block is), its
-projection onto the noise ball is closed-form; any other operator projects
-through the eigendecomposition of each Gram matrix and a Newton solve.
+n_rx channels share its columns, or per channel under per-channel selection;
+all problems of a fit share one stacked thin QR.  G-OMP grows it a group at
+a time in batched products; G-CoSaMP, whose support changes wholesale,
+factors it from scratch.  A problem with more columns than rows, or whose R
+loses rank, takes numpy's minimum-norm ``lstsq`` on its own;
+``rank_deficient`` then means a minimum-norm fit.  G-BPDN projects onto the
+noise ball in closed form on tight-frame blocks (every ``build_phi`` block
+is one), else jointly through the eigendecomposition of each block's Gram
+matrix and a Newton solve.
 """
 
 import math
@@ -70,18 +70,6 @@ class MeasurementEnsemble:
     @property
     def n_channels(self):
         return self.observations.shape[0]
-
-    @property
-    def n_tx(self):
-        return len(self.matrices)
-
-    @property
-    def shape(self):
-        return self.blocks.shape[1:]
-
-    def matrix_for(self, chan):
-        """Matrix of channel index chan = r * n_tx + s."""
-        return self.matrices[chan % self.n_tx]
 
     def operator(self):
         """The :class:`BlockDiagonalOperator` of all channels."""
@@ -236,16 +224,6 @@ class BlockDiagonalOperator:
         n_tx, q, _ = self.blocks.shape
         return np.matmul(v.conj().reshape(-1, n_tx, 1, q), self.blocks).conj().reshape(-1)
 
-    def lstsq(self, part, groups, y):
-        """Least squares of ``y`` on the columns of the selected ``groups`` of
-        the per-channel partition ``part``, factored from scratch: the
-        full-length coefficient vector and whether any problem is a
-        minimum-norm ``lstsq`` fit (wider than tall, or rank lost)."""
-        cols = part.columns(groups)
-        fit = _GrownQR(self.blocks, y.reshape(self.n_channels, -1), cols.size, True)
-        fit.append(fit.mats, cols[None])
-        return fit.estimates().reshape(-1), bool(fit.lost)
-
     def gram(self):
         """The (n_tx, Q, Q) Gram matrices A A^H of the blocks (see :func:`_gram`)."""
         return np.array([_gram(A) for A in self.blocks])
@@ -287,10 +265,22 @@ def _as_operator(Phi, part):
 
 
 def _top_groups(energies, count):
-    return np.argsort(-energies, kind="stable")[:count]
+    """The ``count`` largest energies' groups along the last axis, ties low."""
+    return np.argsort(-energies, axis=-1, kind="stable")[..., :count]
 
 
-def g_omp(Phi, y, part, max_groups, residual_tol, joint=True):
+def _row_norms(a):
+    """Each row's 2-norm by ``np.linalg.norm`` (of the whole array if one row):
+    a problem's norm has the same bits in a batch as on its own."""
+    return [np.linalg.norm(a)] if len(a) == 1 else list(map(np.linalg.norm, a))
+
+
+def _per_row(values):
+    """Per-problem factors as a column scaling the rows; one as a plain float."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def g_omp(Phi, y, part, max_groups, residual_tol, *, joint):
     """Group orthogonal matching pursuit.
 
     Adds per iteration the group with the largest aggregated correlation
@@ -301,7 +291,7 @@ def g_omp(Phi, y, part, max_groups, residual_tol, joint=True):
     estimates and each channel's residual norm.  ``joint=False`` runs every
     channel's own G-OMP in this one call, each selecting from the one product
     Phi^H r and stopping on its own; its groups must be of equal size.  The
-    result then lists groups per channel.
+    result then lists groups and ``channel_iterations`` per channel.
     """
     Phi = _as_operator(Phi, part)
     if not joint and np.ptp(part.sizes):
@@ -336,13 +326,9 @@ def g_omp(Phi, y, part, max_groups, residual_tol, joint=True):
         r = fit.residual
         norms = np.sqrt((r.conj() * r).real.reshape(n_sel, -1).sum(axis=1))
         history.append(math.hypot(*norms))
-    return RecoveryResult(
-        estimates=fit.estimates(),
-        selected_groups=selected[0] if joint else selected,
-        residual_norms=np.linalg.norm(fit.residual, axis=1),
-        iterations=sum(map(len, selected)),
-        diagnostics={"residual_history": history, "rank_deficient": bool(fit.lost)},
-    )
+    return _result(joint, fit.estimates(), selected, np.linalg.norm(fit.residual, axis=1),
+                   np.array([len(s) for s in selected]),
+                   {"residual_history": history, "rank_deficient": bool(fit.lost)}, {})
 
 
 def g_dcs_somp(ensemble, part, max_groups, residual_tol):
@@ -356,59 +342,86 @@ def g_dcs_somp(ensemble, part, max_groups, residual_tol):
     DCS-SOMP.  Returns the (n_channels, M) estimates and each channel's
     residual norm.
     """
-    return g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol)
+    return g_omp(ensemble.operator(), ensemble.observations, part, max_groups, residual_tol,
+                 joint=True)
 
 
-def g_cosamp(Phi, y, part, S, residual_tol):
-    """Group-structured CoSaMP.
-
-    Per iteration: build the proxy Phi^H r, select the 2S groups of largest
-    aggregated proxy energy, merge with the current support, least-squares on
-    the merged column union, and prune to the S groups of largest solution
-    norm.  The output is always group-S-sparse.  ``Phi`` is a matrix or a
-    :class:`BlockDiagonalOperator`.  The loop stops after ``_MAX_FITS`` fits,
-    at residual norm ``residual_tol``, or when the merged candidate set equals
-    the previous one: every later fit would repeat it exactly, so the output
-    is that of all ``_MAX_FITS``.  ``iterations`` counts the fits that ran;
-    ``diagnostics["fixed_point"]`` says whether the repeat ended the loop.
+def g_cosamp(Phi, y, part, S, residual_tol, *, joint):
+    """Group-structured CoSaMP.  Per iteration: build the proxy Phi^H r,
+    select the 2S groups of largest aggregated proxy energy, merge with the
+    current support, least-squares on the merged column union, and prune to
+    the S groups of largest solution norm.  ``Phi`` is a matrix or a
+    :class:`BlockDiagonalOperator`; groups are of equal size.  A problem
+    stops after ``_MAX_FITS`` fits, at residual norm ``residual_tol``, or when
+    its merged candidate set repeats: every later fit would repeat it, so the
+    output is that of all ``_MAX_FITS``.  ``joint=False`` solves each
+    channel's own problem in this one call, with its own selection, merged
+    set and stops, frozen once stopped; a round's fits share one stacked
+    factor, appended in batches of equal candidate count.  ``estimates`` has
+    a row per problem (joint: the stacked vector); ``iterations`` counts all
+    fits; groups, residual norms and fixed-point flags are per channel then.
     """
     Phi = _as_operator(Phi, part)
-    y = np.asarray(y, dtype=complex)
-    if part.sizes.min() != part.sizes.max():
+    if np.ptp(part.sizes):
         raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
         raise DomainError(f"need 1 <= S and 4S <= B (S={S}, B={part.n_groups})")
-    x = np.zeros(Phi.shape[1], dtype=complex)
-    support = np.zeros(0, dtype=np.intp)
-    resid = y.copy()
-    history = [float(np.linalg.norm(resid))]
-    rank_deficient = fixed_point = False
-    candidates = support  # empty, so unlike any merged set
+    n_ch, n_p = Phi.n_channels, 1 if joint else Phi.n_channels
+    Y = np.asarray(y, dtype=complex).reshape(n_ch, -1)
+    table = part.perm.reshape(part.n_groups, -1)  # groups of one size are rows of a table
+    x = np.zeros((n_ch, part.total_length), dtype=complex)
+    support = np.zeros((n_p, part.n_groups), dtype=bool)
+    candidates = support.copy()  # empty, so unlike any merged set
+    fits, fixed_point = np.zeros(n_p, dtype=np.intp), np.zeros(n_p, dtype=bool)
+    resid, norms = Y, np.array(_row_norms(Y.reshape(n_p, -1)))
+    history = [math.hypot(*norms)]
+    rank_deficient, live = False, np.arange(n_p)
     for _ in range(_MAX_FITS):
-        if history[-1] <= residual_tol:
+        live = live[norms[live] > residual_tol]
+        if not live.size:
             break
-        proxy = part.energies(Phi.rmatvec(resid))
-        merged = np.union1d(_top_groups(proxy, 2 * S), support)
-        if np.array_equal(merged, candidates):
-            fixed_point = True
-            break
-        candidates = merged
-        b_full, deficient = Phi.lstsq(part, candidates, y)
-        rank_deficient |= deficient
-        support = np.sort(_top_groups(part.energies(b_full), S))
-        keep = np.zeros(part.n_groups, dtype=bool)
-        keep[support] = True
-        x = np.where(part.expand(keep), b_full.reshape(-1, part.total_length), 0).reshape(-1)
-        resid = y - Phi @ x
-        history.append(float(np.linalg.norm(resid)))
-    return RecoveryResult(
-        estimates=x[None, :],
-        selected_groups=support.tolist(),
-        residual_norms=np.array([history[-1]]),
-        iterations=len(history) - 1,
-        diagnostics={"residual_history": history, "rank_deficient": rank_deficient,
-                     "fixed_point": fixed_point},
-    )
+        sel = slice(None) if live.size == n_p else live  # a slice copies nothing
+        proxy = part.energies(Phi.rmatvec(resid), rows=not joint).reshape(n_p, -1)[sel]
+        merged = support[live]
+        merged[np.arange(live.size)[:, None], _top_groups(proxy, 2 * S)] = True
+        repeat = (merged == candidates[sel]).all(axis=1)
+        if repeat.any():
+            fixed_point[live[repeat]] = True
+            live = sel = live[~repeat]
+            if not live.size:
+                break
+            merged = merged[~repeat]
+        candidates[sel] = merged
+        fit = _GrownQR(Phi.blocks, Y, 3 * S * table.shape[1], joint)
+        counts = merged.sum(axis=1)
+        for k in set(counts.tolist()):
+            rows = np.flatnonzero(counts == k)
+            cols = table[np.nonzero(merged[rows])[1].reshape(-1, k)].reshape(rows.size, -1)
+            fit.append(fit.mats if joint else live[rows], cols)
+        b_full, ch = fit.estimates(), slice(None) if joint else sel
+        rank_deficient |= bool(fit.lost)
+        energies = part.energies(b_full, rows=not joint).reshape(n_p, -1)[sel]
+        support[sel] = False
+        support[live[:, None], _top_groups(energies, S)] = True
+        x[ch] = np.where(part.expand(support[sel]), b_full[ch], 0)
+        fits[sel] += 1
+        resid = Y - (Phi @ x).reshape(n_ch, -1)
+        norms = np.array(_row_norms(resid.reshape(n_p, -1)))
+        history.append(math.hypot(*norms))
+    return _result(joint, x.reshape(n_p, -1), [np.flatnonzero(s).tolist() for s in support],
+                   norms, fits, {"residual_history": history, "rank_deficient": rank_deficient},
+                   {"fixed_point": fixed_point.tolist()})
+
+
+def _result(joint, estimates, groups, norms, iters, diagnostics, per_problem):
+    """One call's result; ``groups`` and ``per_problem`` hold an entry per
+    problem (one when joint), and per channel ``channel_iterations`` too."""
+    if not joint:
+        per_problem["channel_iterations"] = iters.tolist()
+    diagnostics.update((k, v[0] if joint else v) for k, v in per_problem.items())
+    return RecoveryResult(estimates=estimates, selected_groups=groups[0] if joint else groups,
+                          residual_norms=norms, iterations=int(iters.sum()),
+                          diagnostics=diagnostics)
 
 
 # ADMM iterations g_bpdn runs at most; its shrink threshold as a fraction of
@@ -425,22 +438,34 @@ _MAX_NEWTON = 100
 _TIGHT = 1e-10
 
 
-def _ball_projection(Phi, y, r, eps):
-    """The projection onto {x : ||Phi x - y|| <= r}, as project(v, Phi v) ->
-    (x, Phi x), and ||Phi||^2; see :func:`g_bpdn`."""
+def _ball_projection(Phi, Y, r, eps, joint):
+    """The projection of each problem, a row of ``Y``, onto its ball
+    {x : ||Phi x - y|| <= r}, as project(v, Phi v) -> (x, Phi x) on rows,
+    and each problem's ||Phi||^2; see :func:`g_bpdn`."""
     G = Phi.gram()
     n_tx, q, _ = G.shape
-    c = float(np.trace(G, axis1=1, axis2=2).real.sum()) / (n_tx * q)
-    if c > 0 and np.abs(G - c * np.eye(q)).max() <= _TIGHT * c:
+    traces = np.trace(G, axis1=1, axis2=2).real
+    c = np.full(n_tx, float(traces.sum()) / (n_tx * q)) if joint else traces / q
+    if (c > 0).all() and (np.abs(G - c[:, None, None] * np.eye(q)).max(axis=(1, 2))
+                          <= _TIGHT * c).all():
+        c_rows = c[np.arange(len(Y)) % n_tx].tolist()  # each problem's block's
 
         def project(v, pv):
-            a = pv - y
-            n = float(np.linalg.norm(a))
-            if n <= r:
+            a = pv - Y
+            n = _row_norms(a)
+            if max(n) <= r:
                 return v, pv
-            return v - ((1 - r / n) / c) * Phi.rmatvec(a), y + (r / n) * a
+            ratio = [r / n_q if n_q > r else 1.0 for n_q in n]  # 1: inside, no step
+            step = _per_row([(1 - t) / c_p for t, c_p in zip(ratio, c_rows)])
+            x, px = v - step * Phi.rmatvec(a).reshape(v.shape), Y + _per_row(ratio) * a
+            if min(n) > r:
+                return x, px
+            inside = np.array(n)[:, None] <= r
+            return np.where(inside, v, x), np.where(inside, pv, px)
 
-        return project, c
+        return project, np.array(c_rows)
+    if not joint:
+        raise DomainError("per-channel G-BPDN needs every block to be a tight frame")
     g, U = np.linalg.eigh(G)
     g = g[:, None, :]  # broadcasts over (n_rx, n_tx, 1, Q) rows
     null = g <= 1e-12 * g.max()
@@ -451,17 +476,17 @@ def _ball_projection(Phi, y, r, eps):
         return a.reshape(-1, n_tx, 1, q) @ Uc
 
     def back(c):  # U c
-        return (c @ Ut).reshape(-1)
+        return (c @ Ut).reshape(Y.shape)
 
-    c_y = coords(y)
+    c_y = coords(Y)
     if eps > 0 and np.linalg.norm(c_y * null) >= r:
         raise ConvergenceError(f"y lies farther than {r:.3e} from the range of Phi",
                                best=Phi.rmatvec(back(c_y * inv)))
 
     def project(v, pv):
-        c = coords(pv - y)
+        c = coords(pv - Y)
         if eps == 0:
-            return v - Phi.rmatvec(back(c * inv)), y + back(c * null)
+            return v - Phi.rmatvec(back(c * inv)).reshape(v.shape), Y + back(c * null)
         e = (c.conj() * c).real
         mu, d = 0.0, 1.0
         for _ in range(_MAX_NEWTON):
@@ -473,15 +498,65 @@ def _ball_projection(Phi, y, r, eps):
             mu += (1 / r - 1 / n) * n2 * n / float((ed * g * d).sum())
             d = 1.0 / (1.0 + mu * g)
         w = back(c * d)
-        return v - mu * Phi.rmatvec(w), y + w
+        return v - mu * Phi.rmatvec(w).reshape(v.shape), Y + w
 
-    return project, float(g.max())
+    return project, np.full(1, g.max())
 
 
-def g_bpdn(Phi, y, part, eps, tol):
+def _admm(Phi, Y, part, eps, tol, joint, live, out, p_out, resid, iters):
+    """:func:`g_bpdn`'s ADMM on the ``live`` problems (rows of ``Y``): fills
+    in each one's x, Phi x, residual and iterations at its stop."""
+    n_p, rows = len(Y), not joint
+    r = eps * (1 - tol / 2)
+    project, norm2 = _ball_projection(Phi, Y, r, eps, joint)
+    y_energy = part.energies(Phi.rmatvec(Y), rows=rows).reshape(n_p, -1)
+    tau = _per_row(np.maximum(_THRESHOLD * np.sqrt(y_energy).max(axis=1) / norm2,
+                              np.finfo(float).tiny).tolist())  # > 0: a zero group scales by 0
+    z = u = np.zeros((n_p, Phi.shape[1] // n_p), dtype=complex)
+    pz = pu = np.zeros_like(Y)
+    for n_iter in range(1, _MAX_ITER + 1):
+        x, px = project(z - u, pz - pu)
+        # the relaxed iterate x^ and Phi x^, without another product
+        xr, pxr = _RELAX * x + (1 - _RELAX) * z, _RELAX * px + (1 - _RELAX) * pz
+        v = xr + u
+        norms = np.sqrt(part.energies(v, rows=rows))
+        scale = np.maximum(1.0 - tau / np.maximum(norms, tau), 0.0)
+        z_new = (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(n_p, -1)
+        z_prev, z, pz = z, z_new, (Phi @ z_new).reshape(n_p, -1)
+        u, pu = v - z, pu + pxr - pz
+        o, po = (z, pz) if eps > 0 else (x, px)
+        for p in list(live):  # each problem's stop test, on its scalar norms
+            res = np.linalg.norm(po[p] - Y[p])
+            if eps == 0 or res <= eps:
+                limit = _STOP * np.linalg.norm(z[p])
+                if (np.linalg.norm(x[p] - z[p]) <= limit
+                        and np.linalg.norm(z[p] - z_prev[p]) <= limit):
+                    out[p], p_out[p], resid[p], iters[p] = o[p], po[p], res, n_iter
+                    live.remove(p)
+        if not live:
+            break
+    else:
+        out[live] = o[live]
+        raise ConvergenceError(f"G-BPDN did not converge in {_MAX_ITER} iterations",
+                               best=out.reshape(-1))
+    lift = np.flatnonzero((iters > 0) & (resid < eps * (1 - tol)))  # none at eps = 0
+    if lift.size:
+        # the root in (0, 1) of ||alpha Phi z - y|| = r
+        pl, yl = p_out[lift], Y[lift]
+        a, b = np.array([[np.vdot(p, p).real, np.vdot(p, w).real] for p, w in zip(pl, yl)]).T
+        c = np.array(_row_norms(yl)) ** 2 - r * r
+        alpha = (c / (b + np.sqrt(b * b - a * c)))[:, None]
+        out[lift], p_out[lift] = alpha * out[lift], alpha * pl
+        resid[lift] = _row_norms(p_out[lift] - yl)
+
+
+def g_bpdn(Phi, y, part, eps, tol, *, joint):
     """Group basis pursuit denoising: minimize the group norm subject to
     ||Phi x - y||_2 <= eps.  For eps > 0 and ||y|| > eps the returned
     residual lies in [eps (1 - tol), eps]; the harness passes tol = 1e-3.
+    ``joint=False`` solves each channel's own problem in this one call (own
+    ball, threshold, stop and lift, frozen once stopped) on tight-frame
+    blocks only (else ``DomainError``).
 
     Scaled-form ADMM on min sum_b ||z_b|| s.t. x = z, ||Phi x - y|| <= r,
     r = eps (1 - tol/2), as in C-SALSA (Afonso, Bioucas-Dias & Figueiredo,
@@ -494,19 +569,19 @@ def g_bpdn(Phi, y, part, eps, tol):
 
     The projection takes one of two paths, chosen from the blocks' Gram
     matrices A A^H, formed once.  When all of them equal one c I to within
-    ``_TIGHT`` c (a tight frame: every ``build_phi`` block is sqrt(JD/Q)
-    times pilot rows of a unitary basis), it is closed-form: with
-    a = Phi v - y, x = v if ||a|| <= r, else
+    ``_TIGHT`` c (per channel: each its own c; a tight frame, as every
+    ``build_phi`` block is sqrt(JD/Q) times pilot rows of a unitary basis),
+    it is closed-form: with a = Phi v - y, x = v if ||a|| <= r, else
     x = v - (1 - r/||a||)/c Phi^H a, and Phi x = y + (r/||a||) a.  Any other
-    operator (blocks of different scales, non-tight or tall blocks) takes
-    U diag(g) U^H = A A^H per block from ``eigh``; the projection has the
+    joint operator (blocks of different scales, non-tight or tall blocks)
+    takes U diag(g) U^H = A A^H per block from ``eigh``; the projection has the
     residual w = U diag(1 / (1 + mu g)) U^H a and is x = v - mu Phi^H w, with
     mu >= 0 such that ||w|| = r: Newton's method on the concave, increasing
     1/||w(mu)|| - 1/r rises from mu = 0 to it.  If the part of y on the
     eigenvalues 0, outside the range of Phi, has norm r or more,
     ``ConvergenceError`` carries the least-squares fit.
 
-    The loop stops when ||Phi z - y|| <= eps and the primal residual
+    A problem stops when ||Phi z - y|| <= eps and the primal residual
     ||x - z|| and the step of z are at most ``_STOP`` ||z||; ``_MAX_ITER``
     iterations raise ``ConvergenceError`` carrying z.  The primal residual is
     that of x, not of x^, as in Boyd et al.: near the solution ||x^ - z|| is
@@ -517,67 +592,33 @@ def g_bpdn(Phi, y, part, eps, tol):
     took over 80000 iterations to land in that band, against 50.)  eps = 0
     is the basis pursuit limit: x lies on the least-squares solutions, which
     z never meets exactly, so the loop stops on the residuals and returns x.
+    A problem with ||y|| <= eps gets x = 0 and no iterations.
 
-    ``selected_groups`` are the groups of norm above ``_STOP`` ||x||: a
-    smaller group is within the stop tolerance of zero, so it stays in x but
-    is not reported.  ``iterations`` counts ADMM iterations;
-    ``diagnostics["lambda"]`` is the equivalent group-lasso penalty, the
-    median of ||(Phi^H (y - Phi x))_b|| over the selected groups.  ``Phi`` is a matrix or a
-    :class:`BlockDiagonalOperator`.
+    ``Phi`` is a matrix or a :class:`BlockDiagonalOperator`.  ``estimates``
+    has a row per problem (joint: the stacked vector).  ``selected_groups``
+    are the groups of norm above ``_STOP`` ||x||: a smaller group is within
+    the stop tolerance of zero, so it stays in x but is not reported.
+    ``iterations`` counts all ADMM iterations; ``diagnostics["lambda"]`` is
+    the equivalent group-lasso penalty, the median of
+    ||(Phi^H (y - Phi x))_b|| over the selected groups.  Groups, residual
+    norms, penalties and ``channel_iterations`` are per channel if not joint.
     """
     Phi = _as_operator(Phi, part)
-    y = np.asarray(y, dtype=complex)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    y_norm = float(np.linalg.norm(y))
-    if y_norm <= eps or y_norm == 0.0:
-        return RecoveryResult(
-            estimates=np.zeros((1, Phi.shape[1]), dtype=complex),
-            selected_groups=[],
-            residual_norms=np.array([y_norm]),
-            iterations=0,
-            diagnostics={"lambda": None},
-        )
-    r = eps * (1 - tol / 2)
-    project, norm2 = _ball_projection(Phi, y, r, eps)
-    tau = max(_THRESHOLD * float(np.sqrt(part.energies(Phi.rmatvec(y))).max()) / norm2,
-              np.finfo(float).tiny)  # > 0: a zero group scales by 0
-    z = u = np.zeros(Phi.shape[1], dtype=complex)
-    pz = pu = np.zeros_like(y)
-    for n_iter in range(1, _MAX_ITER + 1):
-        x, px = project(z - u, pz - pu)
-        # the relaxed iterate x^ and Phi x^, without another product
-        xr, pxr = _RELAX * x + (1 - _RELAX) * z, _RELAX * px + (1 - _RELAX) * pz
-        v = xr + u
-        norms = np.sqrt(part.energies(v))
-        scale = np.maximum(1.0 - tau / np.maximum(norms, tau), 0.0)
-        z_new = (v.reshape(-1, part.total_length) * part.expand(scale)).reshape(-1)
-        z_prev, z, pz = z, z_new, Phi @ z_new
-        u, pu = v - z, pu + pxr - pz
-        out, p_out = (z, pz) if eps > 0 else (x, px)
-        resid = np.linalg.norm(p_out - y)
-        if eps == 0 or resid <= eps:
-            limit = _STOP * np.linalg.norm(z)
-            if np.linalg.norm(x - z) <= limit and np.linalg.norm(z - z_prev) <= limit:
-                break
-    else:
-        raise ConvergenceError(f"G-BPDN did not converge in {_MAX_ITER} iterations", best=out)
-    if eps > 0 and resid < eps * (1 - tol):
-        # the root in (0, 1) of ||alpha Phi z - y|| = r
-        a, b, c = np.vdot(pz, pz).real, np.vdot(pz, y).real, y_norm ** 2 - r * r
-        alpha = c / (b + math.sqrt(b * b - a * c))
-        out, p_out = alpha * z, alpha * pz
-        resid = np.linalg.norm(p_out - y)
-    norms = np.sqrt(part.energies(out))
-    selected = np.nonzero(norms > _STOP * np.linalg.norm(out))[0].tolist()
-    corr = np.sqrt(part.energies(Phi.rmatvec(y - p_out)))
-    return RecoveryResult(
-        estimates=out[None, :],
-        selected_groups=selected,
-        residual_norms=np.array([resid]),
-        iterations=n_iter,
-        diagnostics={"lambda": float(np.median(corr[selected])) if selected else None},
-    )
+    n_p = 1 if joint else Phi.n_channels
+    Y = np.asarray(y, dtype=complex).reshape(n_p, -1)
+    y_norm = np.array(_row_norms(Y))
+    live = np.flatnonzero((y_norm > eps) & (y_norm > 0)).tolist()  # else x = 0 solves it
+    out, p_out = np.zeros((n_p, Phi.shape[1] // n_p), dtype=complex), np.zeros_like(Y)
+    resid, iters = y_norm.copy(), np.zeros(n_p, dtype=np.intp)
+    if live:
+        _admm(Phi, Y, part, eps, tol, joint, live, out, p_out, resid, iters)
+    norms = np.sqrt(part.energies(out, rows=not joint)).reshape(n_p, -1)
+    groups = [np.flatnonzero(nb > _STOP * n).tolist() for nb, n in zip(norms, _row_norms(out))]
+    corr = np.sqrt(part.energies(Phi.rmatvec(Y - p_out), rows=not joint)).reshape(n_p, -1)
+    lam = [float(np.median(cb[g])) if g else None for cb, g in zip(corr, groups)]
+    return _result(joint, out, groups, resid, iters, {}, {"lambda": lam})
 
 
 def mgcs_stack(ensemble, part):
@@ -591,7 +632,7 @@ def mgcs_stack(ensemble, part):
     which solves the same problem without forming the matrix.
     """
     return (np.asarray(ensemble.operator()), ensemble.observations.reshape(-1),
-            stack_partition(part, ensemble.shape[1], ensemble.n_channels))
+            stack_partition(part, ensemble.blocks.shape[2], ensemble.n_channels))
 
 
 # supports group_ric enumerates at most

@@ -11,7 +11,8 @@ from scipy.linalg.lapack import zgeqrf, zungqr
 from mgcs.channel import phi_kernel, phi_profiles, psi_kernel
 from mgcs.errors import ConfigurationError, DomainError
 from mgcs.partition import Partition
-from mgcs.recovery import RecoveryResult, _as_operator, _top_groups, group_ric, mgcs_stack
+from mgcs.recovery import (RecoveryResult, _as_operator, _GrownQR, _top_groups, group_ric,
+                           mgcs_stack)
 from mgcs.waveform import FactoredIR, ambiguity_table
 
 
@@ -63,13 +64,18 @@ def best_group_approx(x, part, S):
     return out
 
 
+def channel_matrix(ensemble, xi):
+    """The matrix of channel xi = r n_tx + s: transmit matrix s."""
+    return ensemble.matrices[xi % len(ensemble.matrices)]
+
+
 def delta_stacked_equals_max(ensemble, part, S):
     """G-RIC of the stacked matrix and of each channel matrix, computed
     independently; the two sides agree by the block-diagonal structure."""
     Phi, _, part_stacked = mgcs_stack(ensemble, part)
     delta_stacked = group_ric(Phi, part_stacked, S)
     per_channel = [
-        group_ric(ensemble.matrix_for(xi), part, S)
+        group_ric(channel_matrix(ensemble, xi), part, S)
         for xi in range(ensemble.n_channels)
     ]
     return delta_stacked, per_channel
@@ -256,8 +262,11 @@ def g_cosamp_all_iterations(Phi, y, part, S, residual_tol, n_iters):
             break
         proxy = part.energies(Phi.rmatvec(resid))
         candidates = np.union1d(_top_groups(proxy, 2 * S), support)
-        b_full, deficient = Phi.lstsq(part, candidates, y)
-        rank_deficient |= deficient
+        cols = part.columns(candidates)
+        fit = _GrownQR(Phi.blocks, y.reshape(Phi.n_channels, -1), cols.size, True)
+        fit.append(fit.mats, cols[None])
+        b_full = fit.estimates().reshape(-1)
+        rank_deficient |= bool(fit.lost)
         support = np.sort(_top_groups(part.energies(b_full), S))
         keep = np.zeros(part.n_groups, dtype=bool)
         keep[support] = True
@@ -273,20 +282,53 @@ def g_cosamp_all_iterations(Phi, y, part, S, residual_tol, n_iters):
     )
 
 
-def lstsq_per_problem(op, part, groups, y):
-    """``BlockDiagonalOperator.lstsq`` with each transmit matrix's problem
-    solved on its own by :func:`_solve_ls_from_scratch`: the reference for
-    the stacked factor's tall and wide fits."""
-    cols = part.columns(groups)
-    n_tx, q, m = op.blocks.shape
-    Y = np.asarray(y).reshape(-1, n_tx, q)
-    x = np.zeros((len(Y), n_tx, m), dtype=complex)
-    rank_lost = False
-    for s in range(n_tx):
-        coef, lost = _solve_ls_from_scratch(op.blocks[s][:, cols], Y[:, s].T)
-        x[:, s, cols] = coef.T
-        rank_lost |= lost
-    return x.reshape(-1), rank_lost
+class FitFromScratch:
+    """``recovery._GrownQR`` with each least-squares problem solved on its own
+    by :func:`_solve_ls_from_scratch` when the estimates are asked for: a
+    thin QR, or the minimum-norm ``lstsq`` when wide or rank-lost.  It takes
+    the same arguments and serves G-CoSaMP's fits in its place: the
+    reference for the stacked factor's tall and wide fits."""
+
+    def __init__(self, blocks, Y, width, per_transmit):
+        self.blocks, self.Y, self.per_transmit = blocks, Y, per_transmit
+        n_tx = len(blocks)
+        self.mats = np.arange(n_tx if per_transmit else len(Y)) % n_tx
+        self.cols = {}
+        self.lost = []
+
+    def append(self, idx, cols):
+        for p, c in zip(idx.tolist(), np.broadcast_to(cols, (idx.size, cols.shape[1]))):
+            self.cols[p] = np.concatenate([self.cols.get(p, np.zeros(0, np.intp)), c])
+
+    def estimates(self):
+        n_tx, _, m = self.blocks.shape
+        x = np.zeros((len(self.Y), m), dtype=complex)
+        for p, cols in self.cols.items():
+            rows = slice(p, None, n_tx) if self.per_transmit else slice(p, p + 1)
+            coef, lost = _solve_ls_from_scratch(self.blocks[self.mats[p]][:, cols],
+                                                self.Y[rows].T)
+            x[rows, cols] = coef.T
+            if lost:
+                self.lost.append(p)
+        return x
+
+
+def channel_problems(Phi, y, part, joint):
+    """The problems of a solver call as (matrix, observations) pairs: the
+    call's own when joint, else each channel's block and observations."""
+    if joint:
+        return [(Phi, y)]
+    op = _as_operator(Phi, part)
+    Y = np.asarray(y).reshape(op.n_channels, -1)
+    return [(op.blocks[xi % len(op.blocks)], Y[xi]) for xi in range(op.n_channels)]
+
+
+def per_channel_loop(solve, Phi, y, part, **opts):
+    """The per-channel estimators as they ran before every solver took
+    ``joint=False``: ``solve`` once per channel, on that channel's own block
+    and observations.  Returns the channels' results."""
+    return [solve(A, y_xi, part, joint=True, **opts)
+            for A, y_xi in channel_problems(Phi, y, part, False)]
 
 
 def group_prox_by_scatter(v, part, thresh):

@@ -228,10 +228,10 @@ def test_criterion_5_exact_joint_recovery(monkeypatch):
         ens = MeasurementEnsemble(matrices=tuple(mats), observations=np.array(ys))
         Phi_s, y_s, part_s = mgcs_stack(ens, part)
         scale = np.linalg.norm(xs)
-        r = g_omp(Phi_s, y_s, part_s, max_groups=S, residual_tol=0.0)
+        r = g_omp(Phi_s, y_s, part_s, max_groups=S, residual_tol=0.0, joint=True)
         if np.linalg.norm(r.x.reshape(n_ch, M) - xs) < 1e-6 * scale:
             wins["g-omp"] += 1
-        r = g_cosamp(Phi_s, y_s, part_s, S=S, residual_tol=1e-12 * scale)
+        r = g_cosamp(Phi_s, y_s, part_s, S=S, residual_tol=1e-12 * scale, joint=True)
         if np.linalg.norm(r.x.reshape(n_ch, M) - xs) < 1e-6 * scale:
             wins["g-cosamp"] += 1
         r = g_dcs_somp(ens, part, max_groups=S, residual_tol=0.0)

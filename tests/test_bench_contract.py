@@ -42,7 +42,7 @@ def test_every_traced_attribute_exists(span, attr, module):
 def test_g_bpdn_binds_the_feasibility_check_arguments():
     # the check binds the call to the signature and reads Phi, y, eps, tol
     bound = inspect.signature(mgcs.estimator.g_bpdn).bind(
-        np.eye(2), np.ones(2), None, eps=0.1, tol=1e-3)
+        np.eye(2), np.ones(2), None, eps=0.1, tol=1e-3, joint=True)
     bound.apply_defaults()
     assert {"Phi", "y", "eps", "tol"} <= set(bound.arguments)
 
@@ -88,7 +88,7 @@ def test_cosamp_span_counts_read_the_result():
     Phi = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
     y = rng.normal(size=8) + 1j * rng.normal(size=8)
     args = (Phi, y, uniform_partition(16, 2))
-    res = g_cosamp(*args, S=1, residual_tol=0.0)
+    res = g_cosamp(*args, S=1, residual_tol=0.0, joint=True)
     counts = count(args, res)
     assert counts["recovery.g_cosamp.iters"] == res.iterations
     assert 1 <= res.iterations <= 15

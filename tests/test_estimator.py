@@ -23,7 +23,7 @@ from mgcs.estimator import (
     normalized_mse,
     rmse,
 )
-from mgcs.harness import desk_experiment
+from mgcs.harness import desk_experiment, point_geometry, run_estimator, simulate_trial
 from mgcs.partition import make_block_tiling
 from mgcs.recovery import g_omp
 from mgcs.waveform import (
@@ -36,6 +36,7 @@ from mgcs.waveform import (
 )
 from oracles import (
     assemble_basis,
+    channel_matrix,
     dft_coeffs,
     error_bound,
     expand_coeffs_loop,
@@ -331,7 +332,7 @@ class TestCollectMeasurements:
                 # x = sqrt(Q/JD) rvec(G P)[r, s]
                 x = np.sqrt(scheme.q / cfg.jd) * gp[:, :, r, s].reshape(-1)
                 lhs = ens.observations[xi]
-                rhs = ens.matrix_for(xi) @ x
+                rhs = channel_matrix(ens, xi) @ x
                 np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.abs(lhs).max())
 
 
@@ -431,8 +432,9 @@ class TestEstimateMimo:
         est = estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=None, joint=False,
                             max_groups=cfg.jd, residual_tol=1e-9)
         diag = est.diagnostics
-        per_channel = [g_omp(ens.matrix_for(xi), ens.observations[xi],
-                             uniform_partition(cfg.jd, 1), max_groups=cfg.jd, residual_tol=1e-9)
+        per_channel = [g_omp(channel_matrix(ens, xi), ens.observations[xi],
+                             uniform_partition(cfg.jd, 1), max_groups=cfg.jd, residual_tol=1e-9,
+                             joint=True)
                        for xi in range(n_ch)]
         assert diag["selected_groups"] == [r.selected_groups for r in per_channel]
         assert len({tuple(g) for g in diag["selected_groups"]}) == n_ch
@@ -461,6 +463,25 @@ class TestEstimateMimo:
         assert np.all((eps * (1 - tol) <= norms) & (norms <= eps))
 
 
+def test_estimate_mimo_forwards_the_solver_diagnostics():
+    # seed-1 desk trial [1, 0, 3]: mgcs-somp's joint fit loses rank, and the
+    # estimate says so; a CoSaMP estimate carries its fixed-point flags
+    config = desk_experiment(1)
+    cfg = config.system
+    pulses = cp_ofdm_pulses(cfg.K, cfg.N)
+    scheme = draw_pilots(cfg, np.random.SeedSequence([1, 7919]), q=config.q)
+    y_grid, _, sigma_z, _ = simulate_trial(cfg, scheme, pulses, config.filters,
+                                           point_geometry(cfg), 20.0, [1, 0, 3])
+    basis = BasisSpec.dft(cfg.J, cfg.D)
+    tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+    diag = run_estimator("mgcs-somp", y_grid, scheme, basis, cfg, tiling, sigma_z).diagnostics
+    assert diag["rank_deficient"] is True
+    assert len(diag["residual_history"]) == diag["iterations"] + 1
+    diag = run_estimator("gcs-cosamp", y_grid, scheme, basis, cfg, tiling, sigma_z).diagnostics
+    assert len(diag["fixed_point"]) == len(diag["channel_iterations"]) == cfg.n_channels
+    assert sum(diag["channel_iterations"]) == diag["iterations"]
+
+
 class TestSolverDispatch:
     def make_2x2(self):
         cfg = cfg_2x2()
@@ -469,12 +490,13 @@ class TestSolverDispatch:
         basis = BasisSpec.dft(cfg.J, cfg.D)
         y_grid, _ = run_full_chain(on_grid_paths(cfg, m0=2, rng=rng), scheme, cfg,
                                    cp_ofdm_pulses(cfg.K, cfg.N), rng)
-        return cfg, scheme, basis, collect_measurements(y_grid, scheme, basis, cfg)
+        return cfg, scheme, basis, collect_measurements(y_grid, scheme, basis, cfg), y_grid
 
     def test_solvers_resolve_through_module_attributes(self, monkeypatch):
         # a replaced mgcs.estimator attribute serves the joint, the
-        # per-channel and the scalar-pilot paths alike
-        cfg, scheme, basis, ens = self.make_2x2()
+        # per-channel and the scalar-pilot paths alike: every estimator name
+        # is one solver call per estimate
+        cfg, scheme, basis, ens, y_grid = self.make_2x2()
         calls = []
 
         def recording(original):
@@ -486,31 +508,29 @@ class TestSolverDispatch:
         for name in ("g_omp", "g_cosamp", "g_bpdn", "g_dcs_somp"):
             monkeypatch.setattr(mgcs.estimator, name, recording(getattr(mgcs.estimator, name)))
         tiling = make_block_tiling(cfg.D, cfg.J, 1, 2)
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-cosamp", tiling=tiling, S=1,
-                      residual_tol=0.0)
-        assert calls == ["g_cosamp"]
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-bpdn", tiling=None, joint=False,
-                      eps=1e-3, tol=1e-4)
-        assert calls[1:] == ["g_bpdn"] * cfg.n_channels
-        del calls[:]
-        estimate_mimo(ens, scheme, basis, cfg, solver="g-omp", tiling=None, max_groups=cfg.jd,
-                      residual_tol=1e-9)
-        assert calls == ["g_dcs_somp"]  # joint G-OMP runs as G-DCS-SOMP
+        expected = {"omp": "g_omp", "cosamp": "g_cosamp", "bpdn": "g_bpdn"}
+        names = [f"{s}-{a}" for s in ("conv", "gcs", "mcs", "mgcs") for a in expected]
+        for name in names + ["mcs-somp", "mgcs-somp"]:
+            run_estimator(name, y_grid, scheme, basis, cfg, tiling, 0.05)
+            structure, algo = name.split("-")
+            joint_omp = structure.startswith("m") and algo in ("omp", "somp")
+            assert calls == ["g_dcs_somp" if joint_omp else expected[algo]], name
+            del calls[:]
         siso_cfg = cfg_2x2(n_tx=1, n_rx=1)
         siso_scheme = draw_pilots(siso_cfg, 9, q=12)
         y_grid = np.zeros((siso_cfg.L, siso_cfg.K, 1), dtype=complex)
         estimate_siso(np.ones(12), y_grid, siso_scheme, BasisSpec.dft(siso_cfg.J, siso_cfg.D),
                       siso_cfg, solver="g-cosamp", tiling=None, S=1, residual_tol=0.0)
-        assert calls[1:] == ["g_cosamp"]
+        assert calls == ["g_cosamp"]
 
     @pytest.mark.parametrize("joint", [True, False])
     def test_unknown_solver_rejected(self, joint):
-        cfg, scheme, basis, ens = self.make_2x2()
+        cfg, scheme, basis, ens, _ = self.make_2x2()
         with pytest.raises(ConfigurationError, match="unknown solver"):
             estimate_mimo(ens, scheme, basis, cfg, solver="g-lasso", tiling=None, joint=joint)
 
     def test_dcs_somp_is_joint_only(self):
-        cfg, scheme, basis, ens = self.make_2x2()
+        cfg, scheme, basis, ens, _ = self.make_2x2()
         with pytest.raises(ConfigurationError, match="joint"):
             estimate_mimo(ens, scheme, basis, cfg, solver="g-dcs-somp", tiling=None,
                           joint=False)

@@ -15,11 +15,11 @@ from mgcs.harness import (
     ExperimentConfig,
     ResultTable,
     budget_sparsity,
-    cosamp_order,
     desk_experiment,
     desk_geometry,
     desk_prior,
     emit_results,
+    greedy_regime,
     parse_solver,
     paths_from_prior,
     point_geometry,
@@ -212,9 +212,10 @@ def test_sweep_csv_matches_the_golden_file(tmp_path):
 
 class TestCosampOrder:
     def test_every_desk_fit_is_tall(self, monkeypatch):
-        # a seeded desk sweep of the four CoSaMP estimators: every solver call
-        # gets 4S |g| <= Q, at S = 3 for groups of 4 and 12 for singletons,
-        # and no least-squares problem ever holds more columns than Q rows
+        # a seeded desk sweep of the four CoSaMP estimators, one solver call
+        # per estimate: every call gets 4S |g| <= Q, at S = 3 for groups of 4
+        # and 12 for singletons, and no least-squares problem ever holds more
+        # columns than Q rows
         orders, widths, append = [], [], _GrownQR.append
 
         def recording(Phi, y, part, S, **opts):
@@ -232,18 +233,21 @@ class TestCosampOrder:
                                           "mgcs-cosamp"))
         table = run_sweep(config)
         assert not table.failures.any()
-        assert len(orders) == 2 * 2 * (2 * config.system.n_channels + 2)
+        assert len(orders) == 2 * 2 * 4
         assert all(4 * S * size <= config.q for S, size in orders)
         assert set(orders) == {(3, 4), (12, 1)}
         assert widths and max(widths) <= config.q
 
     def test_rule(self):
-        assert cosamp_order(288, 48, 4, 64) == 3
-        assert cosamp_order(2, 48, 4, 64) == 2
-        assert cosamp_order(288, 48, 1, 256) == 12
-        assert cosamp_order(288, 480, 1, 20) == 5  # 4S <= B
+        # a sparsity budget above the regime is clamped, also by the cap
+        assert greedy_regime("cosamp", 48, 4, 64, None, 288) == 3
+        assert greedy_regime("cosamp", 48, 4, 64, None, 2) == 2
+        assert greedy_regime("cosamp", 48, 1, 256, None, 288) == 12
+        assert greedy_regime("cosamp", 480, 1, 20, None, 288) == 5  # 4S <= B
+        assert greedy_regime("cosamp", 48, 1, 256, 20, None) == 12
+        assert greedy_regime("cosamp", 48, 1, 256, 5, 288) == 5
         with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
-            cosamp_order(6, 15, 4, 64)
+            greedy_regime("cosamp", 15, 4, 64, None, 6)
 
     @pytest.mark.parametrize("solver", ["gcs-cosamp", "mgcs-cosamp"])
     def test_too_few_pilots_for_one_group_is_a_configuration_error(self, solver):
@@ -270,6 +274,41 @@ class TestCosampOrder:
 
 
 class TestGreedyCap:
+    def test_rule(self):
+        # at most Q / (2 |g|) groups; a larger request is refused
+        assert greedy_regime("omp", 48, 4, 64, None, None) == 6
+        assert greedy_regime("somp", 48, 1, 256, None, 288) == 24
+        assert greedy_regime("omp", 48, 4, 64, 2, None) == 2
+        assert greedy_regime("bpdn", 48, 4, 64, 20, None) is None
+        for q, cap in ((48, 7), (48, 0), (7, None)):
+            with pytest.raises(ConfigurationError, match="G-OMP cap"):
+                greedy_regime("somp", q, 4, 64, cap, None)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(q=3, trials=2, points=(20.0,), solvers=("gcs-omp", "mgcs-somp")),
+        dict(max_groups=20, solvers=("mgcs-somp",)),
+    ], ids=["q-3", "max-groups-20"])
+    def test_a_cap_outside_the_regime_is_refused_before_any_trial(self, overrides,
+                                                                    monkeypatch):
+        # Q = 3 holds no group of 4 columns at half the rows; 20 groups of 4
+        # are 80 columns on 48 rows
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(mgcs.harness, "simulate_trial", no_trial)
+        with pytest.raises(ConfigurationError, match="G-OMP cap"):
+            run_sweep(desk_experiment(1, **overrides))
+
+    def test_run_estimator_refuses_a_cap_outside_the_regime(self):
+        config = desk_experiment(1)
+        cfg = config.system
+        tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+        scheme = draw_pilots(cfg, 1, q=config.q)
+        y_grid = np.ones((cfg.L, cfg.K, cfg.n_rx), dtype=complex)
+        with pytest.raises(ConfigurationError, match="G-OMP cap"):
+            run_estimator("gcs-omp", y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
+                          tiling, 0.1, max_groups=7)
+
     def test_every_desk_fit_is_tall(self, monkeypatch):
         # a seeded desk sweep of the four G-OMP estimators: every g_omp and
         # g_dcs_somp call gets max_groups |g| <= Q/2, at 6 groups of 4 and 24
@@ -313,7 +352,7 @@ class TestGreedyCap:
         ens = collect_measurements(y_grid, scheme, basis, cfg)
         part = make_block_tiling(cfg.D, cfg.J, 1, 1).to_partition()
         with pytest.raises(TypeError, match="max_groups"):
-            g_omp(ens.operator(), ens.observations, part)
+            g_omp(ens.operator(), ens.observations, part, joint=True)
         with pytest.raises(TypeError, match="max_groups"):
             g_dcs_somp(ens, part)
         with pytest.raises(TypeError, match="'solver' and 'tiling'"):

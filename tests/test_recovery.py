@@ -22,6 +22,8 @@ from mgcs.partition import (
 from mgcs.recovery import (
     BlockDiagonalOperator,
     MeasurementEnsemble,
+    RecoveryResult,
+    _GrownQR,
     g_bpdn,
     g_cosamp,
     g_dcs_somp,
@@ -31,14 +33,17 @@ from mgcs.recovery import (
 )
 from mgcs.waveform import cp_ofdm_pulses
 from oracles import (
+    FitFromScratch,
     best_group_approx,
+    channel_matrix,
+    channel_problems,
     delta_stacked_equals_max,
     g_cosamp_all_iterations,
     g_omp_from_scratch,
     g_omp_per_problem,
     group_norm,
     lipschitz_by_zherk,
-    lstsq_per_problem,
+    per_channel_loop,
     penalty_search_g_bpdn,
     plain_admm_g_bpdn,
     uniform_partition,
@@ -138,7 +143,7 @@ class TestGOmp:
         rng = np.random.default_rng(0)
         part = uniform_partition(8, 2)
         res = g_omp(partial_dft(4, 8, rng), np.zeros(4, dtype=complex), part,
-                    max_groups=part.n_groups, residual_tol=0.0)
+                    max_groups=part.n_groups, residual_tol=0.0, joint=True)
         assert res.selected_groups == []
         np.testing.assert_array_equal(res.x, 0)
 
@@ -148,7 +153,7 @@ class TestGOmp:
         part = singleton_partition(m)
         e3 = np.zeros(m, dtype=complex)
         e3[3] = 1.0
-        res = g_omp(F, F @ e3, part, max_groups=m, residual_tol=1e-12)
+        res = g_omp(F, F @ e3, part, max_groups=m, residual_tol=1e-12, joint=True)
         assert res.selected_groups == [3]
         assert res.iterations == 1
         np.testing.assert_allclose(res.x, e3, atol=1e-12)
@@ -159,7 +164,7 @@ class TestGOmp:
         part = uniform_partition(12, 2)
         x_true = group_sparse_signal(part, [4], rng)
         y = Phi @ x_true
-        res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=1e-12)
+        res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=1e-12, joint=True)
         # the exhaustive single-group oracle confirms support uniqueness
         b_star, res_star = exhaustive_single_group_ls(Phi, y, part)
         assert b_star == 4 and res_star < 1e-10
@@ -171,7 +176,7 @@ class TestGOmp:
         Phi = partial_dft(8, 16, rng)
         part = uniform_partition(16, 2)
         y = rng.normal(size=8) + 1j * rng.normal(size=8)
-        res = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0)
+        res = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0, joint=True)
         cols = np.concatenate([part.groups[b] for b in res.selected_groups])
         resid = y - Phi @ res.x
         assert np.abs(Phi[:, cols].conj().T @ resid).max() < 1e-10
@@ -181,7 +186,7 @@ class TestGOmp:
         Phi = partial_dft(10, 20, rng)
         part = uniform_partition(20, 2)
         y = rng.normal(size=10) + 1j * rng.normal(size=10)
-        res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=0.0)
+        res = g_omp(Phi, y, part, max_groups=part.n_groups, residual_tol=0.0, joint=True)
         hist = res.diagnostics["residual_history"]
         assert all(b <= a + 1e-10 for a, b in zip(hist, hist[1:]))
 
@@ -191,7 +196,7 @@ class TestGrownFactor:
     channel's selected columns from scratch at every iteration."""
 
     def assert_matches_oracle(self, Phi, y, part, **opts):
-        res = g_omp(Phi, y, part, **opts)
+        res = g_omp(Phi, y, part, joint=True, **opts)
         if isinstance(Phi, np.ndarray):
             Phi = BlockDiagonalOperator(Phi[None], 1)
         groups, x, history, rank_lost = g_omp_from_scratch(Phi.blocks, Phi.n_channels, y,
@@ -252,7 +257,8 @@ class TestStackedFactor:
     @pytest.mark.parametrize("t", [0, 1, 2, 8, 12, 42, 49, 53])
     def test_desk_estimators_match_the_per_problem_oracle(self, t):
         for name, ens, part, joint, opts in self.desk_calls(t):
-            x, res = mgcs.estimator._run_solver(ens, part, "g-omp", joint, opts)
+            res = mgcs.estimator._run_solver(ens, part, "g-omp", joint, opts)
+            x = res.estimates.reshape(ens.n_channels, -1)
             if joint:
                 ref, resid = g_omp_per_problem(ens.operator(), ens.observations, part, **opts)
                 refs = [ref]
@@ -260,8 +266,8 @@ class TestStackedFactor:
                 norms = np.linalg.norm(resid, axis=1)
                 assert res.selected_groups == ref.selected_groups, name
             else:
-                refs = [g_omp_per_problem(ens.matrix_for(xi), ens.observations[xi], part,
-                                          **opts)[0] for xi in range(ens.n_channels)]
+                refs = [g_omp_per_problem(channel_matrix(ens, xi), ens.observations[xi],
+                                          part, **opts)[0] for xi in range(ens.n_channels)]
                 x_ref = np.array([r.x for r in refs])
                 norms = np.concatenate([r.residual_norms for r in refs])
                 assert res.selected_groups == [r.selected_groups for r in refs], name
@@ -276,8 +282,7 @@ class TestStackedFactor:
     @staticmethod
     def assert_one_call_is_per_channel_calls(ens, part, **opts):
         res = g_omp(ens.operator(), ens.observations, part, joint=False, **opts)
-        singles = [g_omp(ens.matrix_for(xi), ens.observations[xi], part, **opts)
-                   for xi in range(ens.n_channels)]
+        singles = per_channel_loop(g_omp, ens.operator(), ens.observations, part, **opts)
         assert res.selected_groups == [r.selected_groups for r in singles]
         assert res.iterations == sum(r.iterations for r in singles)
         assert res.diagnostics["rank_deficient"] == any(
@@ -313,7 +318,7 @@ class TestStackedFactor:
             g_omp(ens.operator(), ens.observations, part, max_groups=4, residual_tol=0.0,
                   joint=False)
         assert g_omp(ens.operator(), ens.observations, part, max_groups=4,
-                     residual_tol=0.0).iterations == 4
+                     residual_tol=0.0, joint=True).iterations == 4
 
     def test_channels_stop_on_their_own(self):
         # channel 0 reaches the tolerance after one group, channel 1 runs to
@@ -339,7 +344,7 @@ class TestStackedFactor:
         assert norms[0] <= 1e-9 and norms[3] <= 1e-9 and norms[1] > 1e-9
         assert norms[2] == 1.0
         for xi in range(ens.n_channels):
-            ref = g_omp_per_problem(ens.matrix_for(xi), obs[xi], part, **opts)[0]
+            ref = g_omp_per_problem(channel_matrix(ens, xi), obs[xi], part, **opts)[0]
             assert res.selected_groups[xi] == ref.selected_groups
             assert np.linalg.norm(res.estimates[xi] - ref.x) <= 1e-12 * max(
                 np.linalg.norm(ref.x), 1e-300)
@@ -375,7 +380,7 @@ class TestStackedFactor:
         rng = np.random.default_rng(71)
         A = self.nearly_dependent(rng, 12, 3, eps)
         y = rng.normal(size=12) + 1j * rng.normal(size=12)
-        res = g_omp(A, y, singleton_partition(3), max_groups=3, residual_tol=0.0)
+        res = g_omp(A, y, singleton_partition(3), max_groups=3, residual_tol=0.0, joint=True)
         assert res.iterations == 3 and res.diagnostics["rank_deficient"] == lost
         if lost:
             ref = np.zeros(3, dtype=complex)
@@ -416,7 +421,7 @@ class TestGOmpRankLoss:
         Phi = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
         Phi[:, 1] = Phi[:, 0]
         y = 3 * Phi[:, 0] + (1 - 1j) * Phi[:, 4]
-        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0)
+        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0, joint=True)
         assert res.selected_groups == [0, 2]
         self.assert_min_norm_fit(Phi, y, part, res)
         np.testing.assert_allclose(res.x[[0, 1, 4]], [1.5, 1.5, 1 - 1j], atol=1e-12)
@@ -426,7 +431,7 @@ class TestGOmpRankLoss:
         part = uniform_partition(12, 3)
         Phi = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
         y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0)
+        res = g_omp(Phi, y, part, max_groups=2, residual_tol=0.0, joint=True)
         assert res.iterations == 2
         self.assert_min_norm_fit(Phi, y, part, res)
 
@@ -454,12 +459,15 @@ class TestWideFits:
             s, row, copied, gap = tie
             blocks[s, row] = blocks[s, copied] + (gap * rng.normal(size=24) if gap else 0)
         y = rng.normal(size=n_rx * n_tx * 10) + 1j * rng.normal(size=n_rx * n_tx * 10)
-        op, part = BlockDiagonalOperator(blocks, n_rx * n_tx), uniform_partition(24, 4)
-        groups = np.array(groups)
-        x, deficient = op.lstsq(part, groups, y)
-        ref, ref_deficient = lstsq_per_problem(op, part, groups, y)
-        assert deficient and ref_deficient
-        np.testing.assert_array_equal(x, ref)
+        cols = uniform_partition(24, 4).columns(groups)
+        x, deficient = [], []
+        for fit in (_GrownQR(blocks, y.reshape(-1, 10), cols.size, True),
+                    FitFromScratch(blocks, y.reshape(-1, 10), cols.size, True)):
+            fit.append(fit.mats, cols[None])
+            x.append(fit.estimates())
+            deficient.append(bool(fit.lost))
+        assert all(deficient)
+        np.testing.assert_array_equal(*x)
 
 
 class TestGCosamp:
@@ -467,7 +475,7 @@ class TestGCosamp:
         rng = np.random.default_rng(3)
         part = uniform_partition(16, 2)
         res = g_cosamp(partial_dft(8, 16, rng), np.zeros(8, dtype=complex), part, S=2,
-                       residual_tol=0.0)
+                       residual_tol=0.0, joint=True)
         np.testing.assert_array_equal(res.x, 0)
 
     def test_requires_equal_group_sizes(self):
@@ -476,13 +484,13 @@ class TestGCosamp:
         part = Partition(3, (np.array([0, 1]), np.array([2])))
         with pytest.raises(DomainError):
             g_cosamp(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), part, S=1,
-                     residual_tol=0.0)
+                     residual_tol=0.0, joint=True)
 
     def test_sparsity_cap(self):
         part = uniform_partition(8, 2)
         with pytest.raises(DomainError):
             g_cosamp(np.eye(8, dtype=complex), np.zeros(8, dtype=complex), part, S=2,
-                     residual_tol=0.0)
+                     residual_tol=0.0, joint=True)
 
     def test_exact_recovery_on_certified_instance(self, monkeypatch):
         # small instance with brute-forced delta_{4S|P} <= 0.1
@@ -493,7 +501,7 @@ class TestGCosamp:
         assert group_ric(Phi, part, 4) <= 0.1
         x_true = group_sparse_signal(part, [1], rng)
         monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 30)
-        res = g_cosamp(Phi, Phi @ x_true, part, S=1, residual_tol=1e-13)
+        res = g_cosamp(Phi, Phi @ x_true, part, S=1, residual_tol=1e-13, joint=True)
         np.testing.assert_allclose(res.x, x_true, atol=1e-8)
 
     def test_output_always_group_sparse(self, monkeypatch):
@@ -502,7 +510,7 @@ class TestGCosamp:
         part = uniform_partition(16, 2)
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
         monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 4)
-        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
+        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0, joint=True)
         norms = [np.linalg.norm(res.x[g]) for g in part.groups]
         assert np.count_nonzero(np.array(norms) > 1e-12) <= 2
 
@@ -520,7 +528,7 @@ class TestGCosamp:
         S = 2
         for n in (1, 2, 4):
             monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", n)
-            res = g_cosamp(F, F @ x + z, part, S=S, residual_tol=0.0)
+            res = g_cosamp(F, F @ x + z, part, S=S, residual_tol=0.0, joint=True)
             tail = group_norm(x - best_group_approx(x, part, S), part)
             bound = 2.0**-n * np.linalg.norm(x) + 20 * (1 + 1 / math.sqrt(S)) * tail + 20 * eps
             assert np.linalg.norm(res.x - x) <= bound
@@ -534,7 +542,7 @@ class TestGCosamp:
         y = (Phi @ group_sparse_signal(part, [2, 9], rng)
              + 0.05 * (rng.normal(size=16) + 1j * rng.normal(size=16)))
         monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 15)
-        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
+        res = g_cosamp(Phi, y, part, S=2, residual_tol=0.0, joint=True)
         ref = g_cosamp_all_iterations(Phi, y, part, S=2, residual_tol=0.0, n_iters=15)
         assert res.diagnostics["fixed_point"]
         assert res.iterations < 15
@@ -545,30 +553,32 @@ class TestGCosamp:
         np.testing.assert_array_equal(res.x, ref.x)
         # one iteration cannot see a repeat
         monkeypatch.setattr(mgcs.recovery, "_MAX_FITS", 1)
-        once = g_cosamp(Phi, y, part, S=2, residual_tol=0.0)
+        once = g_cosamp(Phi, y, part, S=2, residual_tol=0.0, joint=True)
         assert (once.iterations, once.diagnostics["fixed_point"]) == (1, False)
 
     def test_fixed_point_stop_matches_the_full_run_on_desk_trials(self, monkeypatch):
-        # every solver call of the four CoSaMP estimators on seeded desk
-        # trials: the estimate, support and final residual of the run without
-        # the stop, bit for bit
+        # every channel of a per-channel call and every joint call of the
+        # four CoSaMP estimators on seeded desk trials: the estimate, support
+        # and final residual of the run without the stop, bit for bit
         calls = []
 
-        def both(*args, **kwargs):
-            res = g_cosamp(*args, **kwargs)
-            ref = g_cosamp_all_iterations(*args, **kwargs, n_iters=mgcs.recovery._MAX_FITS)
-            calls.append((res, ref))
+        def both(Phi, y, part, joint, **kwargs):
+            res = g_cosamp(Phi, y, part, joint=joint, **kwargs)
+            refs = [g_cosamp_all_iterations(A, y_p, part, **kwargs,
+                                            n_iters=mgcs.recovery._MAX_FITS)
+                    for A, y_p in channel_problems(Phi, y, part, joint)]
+            calls.append((res, refs))
             return res
 
         monkeypatch.setattr(mgcs.estimator, "g_cosamp", both)
         cfg = run_cosamp_estimators_on_desk_trials()
-        assert len(calls) == 3 * (2 * cfg.n_channels + 2)
-        for res, ref in calls:
-            np.testing.assert_array_equal(res.estimates, ref.estimates)
-            assert res.selected_groups == ref.selected_groups
-            np.testing.assert_array_equal(res.residual_norms, ref.residual_norms)
-            assert res.diagnostics["rank_deficient"] == ref.diagnostics["rank_deficient"]
-            assert res.iterations <= min(ref.iterations, mgcs.recovery._MAX_FITS)
+        assert [len(refs) for _, refs in calls] == [cfg.n_channels, cfg.n_channels, 1, 1] * 3
+        for res, refs in calls:
+            fits = assert_matches_per_problem(res, refs)
+            assert res.diagnostics["rank_deficient"] == any(
+                ref.diagnostics["rank_deficient"] for ref in refs)
+            assert all(n <= min(ref.iterations, mgcs.recovery._MAX_FITS)
+                       for n, ref in zip(fits, refs))
         assert any(res.diagnostics["fixed_point"] for res, _ in calls)
 
     def test_fits_match_the_per_problem_reference_on_desk_trials(self, monkeypatch):
@@ -586,14 +596,14 @@ class TestGCosamp:
 
         monkeypatch.setattr(mgcs.estimator, "g_cosamp", recording)
         cfg = run_cosamp_estimators_on_desk_trials()
-        assert len(args_seen) == 3 * (2 * cfg.n_channels + 2)
+        assert len(args_seen) == 3 * 4  # one solver call per estimate
         q, calls = desk_experiment(11).q, []
         for args, kwargs in args_seen:
             part = args[2]
             opts = dict(kwargs, S=min(q // (2 * part.sizes[0]), part.n_groups // 4))
             res = g_cosamp(*args, **opts)
             with monkeypatch.context() as mp:
-                mp.setattr(BlockDiagonalOperator, "lstsq", lstsq_per_problem)
+                mp.setattr(mgcs.recovery, "_GrownQR", FitFromScratch)
                 calls.append((res, g_cosamp(*args, **opts)))
         for res, ref in calls:
             assert res.selected_groups == ref.selected_groups
@@ -611,7 +621,7 @@ class TestGBpdn:
         Phi = partial_dft(4, 8, rng)
         part = uniform_partition(8, 2)
         y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        res = g_bpdn(Phi, y, part, eps=2 * np.linalg.norm(y), tol=1e-4)
+        res = g_bpdn(Phi, y, part, eps=2 * np.linalg.norm(y), tol=1e-4, joint=True)
         np.testing.assert_array_equal(res.x, 0)
 
     def test_unitary_zero_eps_exact(self):
@@ -620,7 +630,7 @@ class TestGBpdn:
         part = singleton_partition(m)
         rng = np.random.default_rng(7)
         y = rng.normal(size=m) + 1j * rng.normal(size=m)
-        res = g_bpdn(F, y, part, eps=0.0, tol=1e-4)
+        res = g_bpdn(F, y, part, eps=0.0, tol=1e-4, joint=True)
         np.testing.assert_allclose(res.x, F.conj().T @ y, atol=1e-7)
 
     def test_feasibility_and_objective_against_cvxpy(self):
@@ -632,7 +642,7 @@ class TestGBpdn:
         z = 0.05 * (rng.normal(size=12) + 1j * rng.normal(size=12))
         y = Phi @ x_true + z
         eps = float(np.linalg.norm(z)) * 1.1
-        res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
+        res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4, joint=True)
         assert np.linalg.norm(Phi @ res.x - y) <= eps * (1 + 1e-4)
         # independent convex oracle
         xv = cvxpy.Variable(24, complex=True)
@@ -657,7 +667,7 @@ class TestGBpdn:
         z = 0.05 * (rng.normal(size=12) + 1j * rng.normal(size=12))
         y = Phi @ x_true + z
         eps = float(np.linalg.norm(z)) * 1.1
-        x = g_bpdn(Phi, y, part, eps=eps, tol=1e-4).x
+        x = g_bpdn(Phi, y, part, eps=eps, tol=1e-4, joint=True).x
         r = y - Phi @ x
         corr = Phi.conj().T @ r
         dual = ((np.vdot(r, y).real - eps * np.linalg.norm(r))
@@ -679,19 +689,13 @@ class TestGBpdn:
         x_true = group_sparse_signal(part, rng.choice(m // 4, size=3, replace=False), rng)
         z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         y = Phi @ x_true + z
-        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
+        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4, joint=True)
         assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
 
     def test_dual_gap_on_desk_calls(self, monkeypatch):
         # every G-BPDN call of mgcs-bpdn (joint, on the block-diagonal
         # operator) and gcs-bpdn (one per channel) on desk trials 0-4 of seed 1
-        calls = []
-
-        def recording(Phi, y, part, eps, tol):
-            calls.append((Phi, y, part, g_bpdn(Phi, y, part, eps, tol)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        calls = record_bpdn_problems(monkeypatch)
         for t in range(5):
             config, scheme, y_grid, sigma_z = desk_grid(1, t)
             cfg = config.system
@@ -700,7 +704,7 @@ class TestGBpdn:
                 run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
                               sigma_z)
         assert len(calls) == 5 * (1 + cfg.n_channels)
-        for Phi, y, part, res in calls:
+        for Phi, y, part, _, _, res in calls:
             assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
 
     def test_certified_instance_error_bound(self):
@@ -714,7 +718,7 @@ class TestGBpdn:
         x = group_sparse_signal(part, [0, 3], rng)
         z = 0.01 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         eps = float(np.linalg.norm(z))
-        res = g_bpdn(Phi, Phi @ x + z, part, eps=eps, tol=1e-5)
+        res = g_bpdn(Phi, Phi @ x + z, part, eps=eps, tol=1e-5, joint=True)
         c0 = 2 * (1 - delta) / (1 - (1 + math.sqrt(2)) * delta)
         c1 = 4 * math.sqrt(1 + delta) / (1 - (1 + math.sqrt(2)) * delta)
         tail = group_norm(x - best_group_approx(x, part, S), part)
@@ -729,8 +733,8 @@ class TestGBpdn:
         y = Phi @ x_true + z
         eps = float(np.linalg.norm(z))
         alpha = 3.7
-        r1 = g_bpdn(Phi, y, part, eps=eps, tol=1e-5)
-        r2 = g_bpdn(Phi, alpha * y, part, eps=alpha * eps, tol=1e-5)
+        r1 = g_bpdn(Phi, y, part, eps=eps, tol=1e-5, joint=True)
+        r2 = g_bpdn(Phi, alpha * y, part, eps=alpha * eps, tol=1e-5, joint=True)
         np.testing.assert_allclose(r2.x, alpha * r1.x, atol=1e-4 * np.linalg.norm(r1.x))
 
     @pytest.mark.parametrize("seed,q,m", [(11, 24, 64), (12, 24, 64), (13, 48, 32)])
@@ -746,7 +750,7 @@ class TestGBpdn:
         x_true = group_sparse_signal(part, rng.choice(m // 4, size=3, replace=False), rng)
         z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         y = Phi @ x_true + z
-        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
+        res = g_bpdn(Phi, y, part, eps=float(np.linalg.norm(z)), tol=1e-4, joint=True)
         assert_group_lasso_kkt(Phi, y, part, res)
 
     @pytest.mark.parametrize("seed,group_size", [(21, 2), (22, 3), (23, 4)])
@@ -760,7 +764,7 @@ class TestGBpdn:
         z = 0.05 * (rng.normal(size=q) + 1j * rng.normal(size=q))
         y = Phi @ x_true + z
         eps = float(np.linalg.norm(z))
-        res = g_bpdn(Phi, y, part, eps=eps, tol=tol)
+        res = g_bpdn(Phi, y, part, eps=eps, tol=tol, joint=True)
         x_ref = bisection_g_bpdn(Phi, y, part, eps, tol)
         r_new = np.linalg.norm(Phi @ res.x - y)
         assert eps * (1 - tol) <= r_new <= eps
@@ -784,8 +788,8 @@ class TestGBpdn:
         dense, y, part_s = mgcs_stack(ens, part)
         assert dense.shape == (192, 1024)
         eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
-        res = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
-        ref = g_bpdn(dense, y, part_s, eps=eps, tol=1e-3)
+        res = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3, joint=True)
+        ref = g_bpdn(dense, y, part_s, eps=eps, tol=1e-3, joint=True)
         assert res.iterations == ref.iterations <= 300
         assert eps * (1 - 1e-3) <= res.residual_norms[0] <= eps
         assert np.linalg.norm(res.x - ref.x) <= 1e-10 * np.linalg.norm(ref.x)
@@ -805,13 +809,7 @@ class TestGBpdn:
                                                FilterSpec(kind="rrc"), geometry, snr_db,
                                                [5, 0, 0])
         tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
-        calls = []
-
-        def recording(Phi, y, part, eps, tol):
-            calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        calls = record_bpdn_problems(monkeypatch)
         for name in ("conv-bpdn", "gcs-bpdn", "mcs-bpdn", "mgcs-bpdn"):
             run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
                           sigma_z)
@@ -828,7 +826,8 @@ class TestGBpdn:
         eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
         monkeypatch.setattr(mgcs.recovery, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as info:
-            g_bpdn(ens.operator(), ens.observations.reshape(-1), part, eps=eps, tol=1e-3)
+            g_bpdn(ens.operator(), ens.observations.reshape(-1), part, eps=eps, tol=1e-3,
+                   joint=True)
         assert info.value.best.shape == (ens.n_channels * cfg.jd,)
 
     @pytest.mark.parametrize("outside", [2.0, 0.5])
@@ -846,11 +845,11 @@ class TestGBpdn:
         y = Phi @ group_sparse_signal(part, [1, 5], rng) + off
         if outside > 1:
             with pytest.raises(ConvergenceError) as info:
-                g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
+                g_bpdn(Phi, y, part, eps=eps, tol=1e-4, joint=True)
             x_ls = np.linalg.lstsq(Phi, y, rcond=None)[0]
             assert np.linalg.norm(info.value.best - x_ls) <= 1e-10 * np.linalg.norm(x_ls)
         else:
-            res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
+            res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4, joint=True)
             assert eps * (1 - 1e-4) <= np.linalg.norm(Phi @ res.x - y) <= eps
 
     def test_general_projection_agrees_with_the_tight_frame_path(self, monkeypatch):
@@ -862,10 +861,10 @@ class TestGBpdn:
         eps = float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z)
         y = ens.observations.reshape(-1)
         eighs = count_eigh_calls(monkeypatch)
-        tight = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
+        tight = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3, joint=True)
         assert not eighs
         monkeypatch.setattr(mgcs.recovery, "_TIGHT", 0.0)
-        general = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3)
+        general = g_bpdn(ens.operator(), y, part, eps=eps, tol=1e-3, joint=True)
         assert len(eighs) == 1
         assert general.selected_groups == tight.selected_groups
         assert np.linalg.norm(general.x - tight.x) <= 1e-9 * np.linalg.norm(tight.x)
@@ -883,7 +882,7 @@ class TestGBpdn:
         z = 0.05 * (rng.normal(size=n_ch * q) + 1j * rng.normal(size=n_ch * q))
         y = op @ x_true + z
         eighs = count_eigh_calls(monkeypatch)
-        res = g_bpdn(op, y, part, eps=float(np.linalg.norm(z)), tol=1e-4)
+        res = g_bpdn(op, y, part, eps=float(np.linalg.norm(z)), tol=1e-4, joint=True)
         assert len(eighs) == 1
         assert_group_lasso_kkt(np.asarray(op), y, stack_partition(part, m, n_ch), res)
 
@@ -893,13 +892,7 @@ class TestGBpdn:
         # of seed 11 takes the tight-frame path and fewer iterations than
         # plain ADMM with the eigenbasis projection, with the same groups, x
         # within 1e-3 and the group norm within 1e-4
-        calls = []
-
-        def recording(Phi, y, part, eps, tol):
-            calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        calls = record_bpdn_problems(monkeypatch)
         eighs = count_eigh_calls(monkeypatch)
         for t in range(3):
             config, scheme, y_grid, sigma_z = desk_grid(11, t, snr_db)
@@ -933,13 +926,7 @@ class TestGBpdn:
     def test_supports_within_the_stop_tolerance_are_not_reported(self, monkeypatch):
         # on those calls the groups of norm at most _STOP ||x|| are left out,
         # and plain and over-relaxed ADMM report the same groups
-        calls = []
-
-        def recording(Phi, y, part, eps, tol):
-            calls.append((Phi, y, part, eps, tol, g_bpdn(Phi, y, part, eps, tol)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+        calls = record_bpdn_problems(monkeypatch)
         for seed, snr_db, t, name, call in self.FLIPPED_SUPPORTS:
             config, scheme, y_grid, sigma_z = desk_grid(seed, t, snr_db)
             cfg = config.system
@@ -966,7 +953,7 @@ class TestGBpdn:
         part = uniform_partition(32, 2)
         y = Phi @ group_sparse_signal(part, [3], rng)
         eps = 1e-5 * float(np.linalg.norm(y))
-        res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4)
+        res = g_bpdn(Phi, y, part, eps=eps, tol=1e-4, joint=True)
         assert eps * (1 - 1e-4) <= np.linalg.norm(Phi @ res.x - y) <= eps
         assert res.selected_groups == [3] and res.iterations < 500
         x_ref, _ = penalty_search_g_bpdn(Phi, y, part, eps, 1e-4)
@@ -1044,7 +1031,7 @@ class TestGDcsSomp:
         y = rng.normal(size=6) + 1j * rng.normal(size=6)
         ens = MeasurementEnsemble(matrices=(Phi,), observations=y[None, :])
         res_joint = g_dcs_somp(ens, part, max_groups=3, residual_tol=0.0)
-        res_single = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0)
+        res_single = g_omp(Phi, y, part, max_groups=3, residual_tol=0.0, joint=True)
         assert res_joint.selected_groups == res_single.selected_groups
         np.testing.assert_allclose(res_joint.estimates[0], res_single.x, atol=1e-12)
 
@@ -1056,7 +1043,7 @@ class TestGDcsSomp:
         np.testing.assert_allclose(res.estimates, xs, atol=1e-10)
         # exhaustive per-channel single-group oracle agrees
         for xi in range(ens.n_channels):
-            b, _ = exhaustive_single_group_ls(ens.matrix_for(xi), ens.observations[xi], part)
+            b, _ = exhaustive_single_group_ls(channel_matrix(ens, xi), ens.observations[xi], part)
             assert b == 3
 
     def test_all_zero_observations(self):
@@ -1089,6 +1076,102 @@ class TestGDcsSomp:
         allowed = set(np.concatenate([part.groups[b] for b in res.selected_groups]))
         for xi in range(ens.n_channels):
             assert set(np.nonzero(res.estimates[xi])[0]).issubset(allowed)
+
+
+class TestPerChannelCall:
+    """Per-channel G-CoSaMP and G-BPDN are one call with ``joint=False``; the
+    reference is the loop that solved each channel in a call of its own."""
+
+    @pytest.mark.parametrize("seed,snr_db", [(1, 20.0), (5, 10.0), (42, 30.0)])
+    def test_desk_estimators_match_the_loop(self, seed, snr_db, monkeypatch):
+        # the four per-channel estimators on desk trials 0-1: groups and
+        # iterations per channel, estimates and residual norms bit for bit
+        calls = []
+
+        def both(solve):
+            def call(Phi, y, part, joint, **opts):
+                res = solve(Phi, y, part, joint=joint, **opts)
+                calls.append((solve, res, per_channel_loop(solve, Phi, y, part, **opts)))
+                return res
+            return call
+
+        for solve in (g_cosamp, g_bpdn):
+            monkeypatch.setattr(mgcs.estimator, solve.__name__, both(solve))
+        for t in range(2):
+            config, scheme, y_grid, sigma_z = desk_grid(seed, t, snr_db)
+            cfg = config.system
+            tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
+            for name in ("conv-cosamp", "gcs-cosamp", "conv-bpdn", "gcs-bpdn"):
+                run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
+                              sigma_z)
+        assert [solve for solve, _, _ in calls] == [g_cosamp, g_cosamp, g_bpdn, g_bpdn] * 2
+        for solve, res, loop in calls:
+            assert assert_matches_per_problem(res, loop) == [r.iterations for r in loop]
+            assert res.iterations == sum(r.iterations for r in loop)
+            key = "fixed_point" if solve is g_cosamp else "lambda"
+            assert res.diagnostics[key] == [r.diagnostics[key] for r in loop]
+            if solve is g_cosamp:
+                assert res.diagnostics["rank_deficient"] == any(
+                    r.diagnostics["rank_deficient"] for r in loop)
+
+    @staticmethod
+    def tight_ensemble(rng, noise):
+        # two partial-DFT blocks (tight frames, A A^H = (32/12) I) of
+        # different row sets, four channels with a 2-group signal each, the
+        # noise of channel xi scaled by noise[xi]
+        part = uniform_partition(32, 2)
+        mats = tuple(partial_dft(12, 32, rng) for _ in range(2))
+        obs = np.array([mats[xi % 2] @ group_sparse_signal(part, (xi, 7 + xi), rng)
+                        + noise[xi] * (rng.normal(size=12) + 1j * rng.normal(size=12))
+                        for xi in range(4)])
+        return MeasurementEnsemble(matrices=mats, observations=obs), part
+
+    def test_bpdn_channels_stop_on_their_own(self):
+        # channel 2's observation lies inside the ball: zero estimate, no
+        # iterations; the others stop at their own iteration counts
+        rng = np.random.default_rng(91)
+        ens, part = self.tight_ensemble(rng, [0.05, 0.01, 0.05, 0.1])
+        ens.observations[2] *= 0.2 / np.linalg.norm(ens.observations[2])
+        args = (ens.operator(), ens.observations.reshape(-1), part)
+        res = g_bpdn(*args, eps=0.3, tol=1e-3, joint=False)
+        loop = per_channel_loop(g_bpdn, *args, eps=0.3, tol=1e-3)
+        iterations = assert_matches_per_problem(res, loop)
+        assert iterations == [r.iterations for r in loop]
+        assert iterations[2] == 0 and min(iterations[:2] + iterations[3:]) > 0
+        assert len(set(iterations)) == 4
+        np.testing.assert_array_equal(res.estimates[2], 0)
+        assert res.residual_norms[2] == np.linalg.norm(ens.observations[2])
+        live = [0, 1, 3]
+        assert np.all((0.3 * (1 - 1e-3) <= res.residual_norms[live])
+                      & (res.residual_norms[live] <= 0.3))
+
+    def test_cosamp_channels_stop_on_their_own(self):
+        # each channel stops its own way: channel 0 at the tolerance after
+        # one fit, channel 1 (observing nothing) before any fit, channel 2 at
+        # the fit cap and channel 3 at a fixed point
+        rng = np.random.default_rng(92)
+        ens, part = self.tight_ensemble(rng, [0.0, 0.0, 0.05, 0.05])
+        ens.observations[1] = 0
+        args = (ens.operator(), ens.observations.reshape(-1), part)
+        res = g_cosamp(*args, S=2, residual_tol=1e-9, joint=False)
+        loop = per_channel_loop(g_cosamp, *args, S=2, residual_tol=1e-9)
+        iterations = assert_matches_per_problem(res, loop)
+        assert iterations == [r.iterations for r in loop]
+        assert iterations[:3] == [1, 0, mgcs.recovery._MAX_FITS] and res.selected_groups[1] == []
+        assert res.residual_norms[0] <= 1e-9
+        assert res.diagnostics["fixed_point"] == [r.diagnostics["fixed_point"] for r in loop]
+        assert res.diagnostics["fixed_point"] == [False, False, False, True]
+
+    def test_per_channel_bpdn_needs_tight_frames(self):
+        # a Gaussian block is no tight frame: the joint call projects through
+        # the eigenbasis, the per-channel call refuses
+        rng = np.random.default_rng(93)
+        ens = random_ensemble(rng, 12, 32, 2, 2, part=uniform_partition(32, 2),
+                              support=(1, 6), noise=0.05)
+        args = (ens.operator(), ens.observations.reshape(-1), uniform_partition(32, 2))
+        assert g_bpdn(*args, eps=0.5, tol=1e-3, joint=True).iterations > 0
+        with pytest.raises(DomainError, match="tight frame"):
+            g_bpdn(*args, eps=0.5, tol=1e-3, joint=False)
 
 
 class TestMgcsStack:
@@ -1127,7 +1210,7 @@ class TestMgcsStack:
         Phi_s, _, _ = mgcs_stack(ens, singleton_partition(4))
         xs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = Phi_s @ xs.reshape(-1)
-        rhs = np.concatenate([ens.matrix_for(xi) @ xs[xi] for xi in range(4)])
+        rhs = np.concatenate([channel_matrix(ens, xi) @ xs[xi] for xi in range(4)])
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_stacked_gomp_matches_joint_oracle(self):
@@ -1146,14 +1229,15 @@ class TestMgcsStack:
                 ys.append(mats[s] @ x)
             ens = MeasurementEnsemble(matrices=mats, observations=np.array(ys))
             Phi_s, y_s, part_s = mgcs_stack(ens, part)
-            res = g_omp(Phi_s, y_s, part_s, max_groups=part_s.n_groups, residual_tol=1e-10)
+            res = g_omp(Phi_s, y_s, part_s, max_groups=part_s.n_groups, residual_tol=1e-10,
+                        joint=True)
             # oracle: enumerate all 2-group joint supports, minimize total residual
             best, best_res = None, np.inf
             for combo in itertools.combinations(range(part.n_groups), 2):
                 total = 0.0
                 for xi in range(2):
                     cols = np.concatenate([part.groups[b] for b in combo])
-                    A = ens.matrix_for(xi)[:, cols]
+                    A = channel_matrix(ens, xi)[:, cols]
                     coef, *_ = np.linalg.lstsq(A, ens.observations[xi], rcond=None)
                     total += np.linalg.norm(ens.observations[xi] - A @ coef) ** 2
                 if total < best_res - 1e-14:
@@ -1204,8 +1288,8 @@ class TestMgcsStack:
             (g_bpdn, dict(eps=eps, tol=1e-3)),
         ]
         for solver, opts in runs:
-            on_op = solver(ens.operator(), y_s, part, **opts)
-            on_dense = solver(dense, y_s, part_s, **opts)
+            on_op = solver(ens.operator(), y_s, part, joint=True, **opts)
+            on_dense = solver(dense, y_s, part_s, joint=True, **opts)
             assert on_op.selected_groups == on_dense.selected_groups
             assert on_op.iterations == on_dense.iterations
             for key in ("penalty_solves", "rank_deficient"):
@@ -1214,11 +1298,12 @@ class TestMgcsStack:
             x_op, x_dense = on_op.estimates.reshape(-1), on_dense.x
             assert np.linalg.norm(x_op - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
         assert g_cosamp(ens.operator(), y_s, part, S=2,
-                        residual_tol=0.0).diagnostics["rank_deficient"]
+                        residual_tol=0.0, joint=True).diagnostics["rank_deficient"]
 
     @pytest.mark.parametrize("solver,opts", [
-        (g_omp, dict(max_groups=16, residual_tol=0.0)),
-        (g_cosamp, dict(S=1, residual_tol=0.0)), (g_bpdn, dict(eps=0.1, tol=1e-4))])
+        (g_omp, dict(max_groups=16, residual_tol=0.0, joint=True)),
+        (g_cosamp, dict(S=1, residual_tol=0.0, joint=True)),
+        (g_bpdn, dict(eps=0.1, tol=1e-4, joint=True))])
     def test_partition_of_neither_length_is_rejected(self, solver, opts):
         rng = np.random.default_rng(41)
         ens = random_ensemble(rng, 6, 16, 2, 2)
@@ -1227,9 +1312,12 @@ class TestMgcsStack:
                    **opts)
 
     @pytest.mark.parametrize("solver,opts", [
-        (g_omp, dict(max_groups=8, residual_tol=0.0)),
+        (g_omp, dict(max_groups=8, residual_tol=0.0, joint=True)),
         (g_omp, dict(max_groups=8, residual_tol=0.0, joint=False)),
-        (g_cosamp, dict(S=1, residual_tol=0.0)), (g_bpdn, dict(eps=0.1, tol=1e-4))])
+        (g_cosamp, dict(S=1, residual_tol=0.0, joint=True)),
+        (g_bpdn, dict(eps=0.1, tol=1e-4, joint=True)),
+        (g_cosamp, dict(S=1, residual_tol=0.0, joint=False)),
+        (g_bpdn, dict(eps=0.1, tol=1e-4, joint=False))])
     def test_partition_of_all_columns_is_rejected(self, solver, opts):
         # the operator takes only the per-channel partition; the stacked one
         # belongs to the dense matrix of mgcs_stack
@@ -1252,7 +1340,7 @@ class TestMgcsStack:
             opts = dict(max_groups=scheme.q // (2 * part.groups[0].size),
                         residual_tol=float(np.sqrt(cfg.n_channels * scheme.q * cfg.K) * sigma_z))
             Phi_s, y_s, part_s = mgcs_stack(ens, part)
-            joint = g_omp(Phi_s, y_s, part_s, **opts)
+            joint = g_omp(Phi_s, y_s, part_s, joint=True, **opts)
             somp = g_dcs_somp(ens, part, **opts)
             assert joint.selected_groups == somp.selected_groups
             assert len(somp.selected_groups) > 1
@@ -1283,10 +1371,10 @@ def dense_stack(ensemble):
     """The dense (n_channels Q) x (n_channels M) block-diagonal matrix, block
     xi being the matrix of channel xi."""
     n_ch = ensemble.n_channels
-    q, m = ensemble.shape
+    _, q, m = ensemble.blocks.shape
     Phi = np.zeros((q * n_ch, m * n_ch), dtype=complex)
     for xi in range(n_ch):
-        Phi[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = ensemble.matrix_for(xi)
+        Phi[xi * q: (xi + 1) * q, xi * m: (xi + 1) * m] = channel_matrix(ensemble, xi)
     return Phi
 
 
@@ -1302,9 +1390,56 @@ def desk_grid(seed, t, snr_db=20.0):
     return config, scheme, y_grid, sigma_z
 
 
+def split_problems(Phi, y, part, joint, res):
+    """A solver call's problems as (matrix, observations, result) triples:
+    the call itself when joint, else each channel with the one-problem view
+    of its row of the result."""
+    if joint:
+        return [(Phi, y, res)]
+    return [(A, y_p, RecoveryResult(
+        estimates=res.estimates[xi:xi + 1],
+        selected_groups=res.selected_groups[xi],
+        residual_norms=res.residual_norms[xi:xi + 1],
+        iterations=res.diagnostics["channel_iterations"][xi],
+        diagnostics={k: res.diagnostics[k][xi] for k in ("lambda", "fixed_point")
+                     if k in res.diagnostics}))
+        for xi, (A, y_p) in enumerate(channel_problems(Phi, y, part, False))]
+
+
+def record_bpdn_problems(monkeypatch):
+    """Replace the estimator's ``g_bpdn`` by one that records every problem
+    of every call, each channel of a per-channel call on its own, as
+    (Phi, y, part, eps, tol, result)."""
+    calls = []
+
+    def recording(Phi, y, part, eps, tol, *, joint):
+        res = g_bpdn(Phi, y, part, eps, tol, joint=joint)
+        calls.extend((A, y_p, part, eps, tol, one)
+                     for A, y_p, one in split_problems(Phi, y, part, joint, res))
+        return res
+
+    monkeypatch.setattr(mgcs.estimator, "g_bpdn", recording)
+    return calls
+
+
+def assert_matches_per_problem(res, refs):
+    """One solver call against its problems solved one call each (one for a
+    joint call, one per channel otherwise): groups, estimates and residual
+    norms bit for bit.  Returns the call's iteration count per problem."""
+    if "channel_iterations" in res.diagnostics:
+        groups, iterations = res.selected_groups, res.diagnostics["channel_iterations"]
+    else:
+        groups, iterations = [res.selected_groups], [res.iterations]
+    assert groups == [ref.selected_groups for ref in refs]
+    np.testing.assert_array_equal(res.estimates, np.concatenate([r.estimates for r in refs]))
+    np.testing.assert_array_equal(res.residual_norms,
+                                  np.concatenate([r.residual_norms for r in refs]))
+    return iterations
+
+
 def run_cosamp_estimators_on_desk_trials():
-    """The four CoSaMP estimators on seeded desk trials 0-2 of seed 11,
-    2 n_channels + 2 solver calls per trial; returns the system config."""
+    """The four CoSaMP estimators on seeded desk trials 0-2 of seed 11, one
+    solver call each; returns the system config."""
     for t in range(3):
         config, scheme, y_grid, sigma_z = desk_grid(11, t)
         cfg = config.system
