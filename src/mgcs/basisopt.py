@@ -185,8 +185,8 @@ def _doppler_partition(dm, J, di, n_channels):
     """Partition of one delay column's dm x J x n_channels coefficients,
     flattened in (m, lambda, xi) order, whose group k holds the Doppler rows
     lambda with lambda // di = k; built once per shape."""
-    rows = np.arange(dm * J * n_channels) // n_channels % J
-    return Partition(rows.size, tuple(np.flatnonzero(rows // di == k) for k in range(J // di)))
+    ranks = np.arange(dm * J * n_channels).reshape(dm, J // di, di * n_channels)
+    return Partition(ranks.size, ranks.transpose(1, 0, 2).reshape(J // di, -1))
 
 
 def _subproblem_objective(v_sub, C_sub, di):

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as mgio
 from .channel import FilterSpec
 from .errors import PACKAGE_ERRORS, ConfigurationError
-from .estimator import assemble_frame, build_phi, draw_pilots, normalized_mse, rmse
+from .estimator import assemble_frame, build_phi, normalized_mse, rmse
 from .harness import (
     ExperimentConfig,
     desk_experiment,
@@ -31,6 +31,7 @@ from .harness import (
     run_estimator,
     run_sweep,
     simulate_channel,
+    sweep_pilots,
 )
 from .partition import make_block_tiling
 from .recovery import group_ric
@@ -168,8 +169,8 @@ def cmd_estimate(args):
     parse_solver(solver)
     tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
     basis = resolve_basis(config, cfg, pulses)
-    s_pilot, s_data, s_noise = np.random.SeedSequence(args.seed).spawn(3)
-    scheme = draw_pilots(cfg, s_pilot, q=config.q)
+    _, s_data, s_noise = np.random.SeedSequence(args.seed).spawn(3)
+    scheme = sweep_pilots(cfg, args.seed, config.q)
     # diagonal system model on the provided coefficient grid
     a = assemble_frame(scheme, cfg, np.random.default_rng(s_data))
     y_clean = np.einsum("lkrs,lks->lkr", truth, a)
@@ -181,7 +182,8 @@ def cmd_estimate(args):
     )
     y_grid = y_clean + z
     est = run_estimator(solver, y_grid, scheme, basis, cfg, tiling, np.sqrt(sigma2),
-                        residual_scale=config.residual_scale, max_groups=config.max_groups)
+                        residual_scale=config.residual_scale, max_groups=config.max_groups,
+                        cosamp_sparsity=None)
     mgio.save_tensor(args.out, est.h_full)
     print(f"solver {solver}: rmse {rmse(est.h_full, truth):.6g}, "
           f"normalized mse {normalized_mse(est.h_full, truth):.6g} "
@@ -211,7 +213,7 @@ def cmd_certify_ric(args):
     _, config = _experiment(args, args.seed)
     cfg = config.system
     basis = resolve_basis(config, cfg, cp_ofdm_pulses(cfg.K, cfg.N))
-    scheme = draw_pilots(cfg, args.seed, q=config.q)
+    scheme = sweep_pilots(cfg, args.seed, config.q)
     part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
     for s, Phi in enumerate(build_phi(scheme, basis, cfg)):
         delta = group_ric(Phi, part, args.order)

@@ -245,6 +245,11 @@ def simulate_channel(cfg, filters, geometry, s_geo, s_gain):
     return discrete_ir(paths, filters, cfg)
 
 
+def sweep_pilots(cfg, master_seed, q):
+    """The pilot scheme of every point of a sweep with this master seed."""
+    return draw_pilots(cfg, np.random.SeedSequence([master_seed, 7919]), q=q)
+
+
 def simulate_trial(cfg, scheme, pulses, filters, geometry, snr_db, seed):
     """One channel realization, transmission and noisy demodulation.
 
@@ -303,14 +308,15 @@ def greedy_regime(algo, q, group_size, n_groups, max_groups, sparsity):
     return None if algo == "bpdn" else cap
 
 
-def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
-                  residual_scale=1.0, max_groups=None, cosamp_sparsity=None):
+def run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z, *,
+                  residual_scale, max_groups, cosamp_sparsity):
     """One estimator variant on a demodulated block; returns the estimate.
 
     The noise radius is the demodulated pilot noise norm (variance K
     sigma_z^2 per sample) over one solve's channels: all when joint, else
     one.  Greedy solvers stop at ``residual_scale`` times it; G-BPDN takes
-    it as ``eps``.  The cap and the order are :func:`greedy_regime`'s.
+    it as ``eps``.  The cap and the order are :func:`greedy_regime`'s for
+    ``max_groups`` and the request ``cosamp_sparsity`` (None: the cap).
     """
     grouped, joint, algo = parse_solver(name)
     ens = collect_measurements(y_grid, scheme, basis, cfg)
@@ -345,8 +351,7 @@ def run_sweep(config):
             bases[cfg, dm, di] = resolve_basis(replace(config, dm=dm, di=di), cfg, pulses)
         basis = bases[cfg, dm, di]
         geometry = point_geometry(cfg)
-        pilot_seed = np.random.SeedSequence([config.master_seed, 7919])
-        scheme = draw_pilots(cfg, pilot_seed, q=config.q)
+        scheme = sweep_pilots(cfg, config.master_seed, config.q)
         # nominal-geometry sparsity budget for the CoSaMP default
         nominal = sample_geometry(np.random.SeedSequence([config.master_seed, pi]), geometry)
         tau_b, nu_b = cross_channel_bounds(nominal)
@@ -366,7 +371,8 @@ def run_sweep(config):
             for si, name in enumerate(config.solvers):
                 try:
                     est = run_estimator(name, y_grid, scheme, basis, cfg, tiling, sigma_z,
-                                        config.residual_scale, config.max_groups, s_joint)
+                                        residual_scale=config.residual_scale,
+                                        max_groups=config.max_groups, cosamp_sparsity=s_joint)
                     nmse[si] = normalized_mse(est.h_full, truth)
                 except PACKAGE_ERRORS as exc:
                     kinds[point, name, type(exc).__name__] += 1

@@ -3,8 +3,8 @@
 Vector indices are 0-based throughout the package.  Delay-Doppler position
 (m, i), i in {-J/2..J/2-1}, has rank m J + i + J/2, the textbook 1-based
 rank map minus one; the groups of a :class:`Partition` hold these ranks.
-Every group reduction goes through a partition's flat group index and its
-``energies``, ``expand`` and ``columns``.
+Every group reduction goes through a partition's table of equal-size groups
+and its ``energies``, ``expand`` and ``columns``.
 """
 
 from dataclasses import dataclass, field
@@ -17,22 +17,20 @@ from .errors import ConfigurationError, DomainError
 
 @dataclass(frozen=True)
 class Partition:
-    """Partition of {0..M-1} into ordered, disjoint, nonempty groups.
+    """Partition of {0..M-1} into ordered, disjoint groups of one size.
 
-    Groups may be non-contiguous (stacked multichannel partitions interleave
-    channels), so they are stored as explicit index arrays: views into the
-    flat index ``perm``, the groups' members in group order, where group b
-    occupies ``perm[starts[b]:starts[b] + sizes[b]]``; ``group_of[j]`` is the
-    group of column j, and ``identity`` says whether the groups are the
-    singletons {0}, {1}, ... in order.  These arrays are read-only, so one
-    partition can be shared by every caller.
+    ``groups`` is the read-only (n_groups, size) table whose row b holds the
+    members of group b; any sequence of equal-length index arrays converts to
+    it.  Groups may be non-contiguous (stacked multichannel partitions
+    interleave channels).  ``perm`` is the table read row by row,
+    ``group_of[j]`` is the group of column j, and ``identity`` says whether
+    the groups are the singletons {0}, {1}, ... in order.  These arrays are
+    read-only, so one partition can be shared by every caller.
     """
 
     total_length: int
-    groups: tuple
+    groups: np.ndarray
     perm: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
     group_of: np.ndarray = field(init=False, repr=False, compare=False)
     identity: bool = field(init=False, repr=False, compare=False)
 
@@ -40,35 +38,37 @@ class Partition:
         M = self.total_length
         if M <= 0:
             raise ConfigurationError("total_length must be positive")
-        sizes = np.fromiter(map(np.size, self.groups), dtype=np.intp, count=len(self.groups))
-        if sizes.size == 0 or sizes.min() == 0:
-            raise ConfigurationError("partition without groups or with an empty group")
-        perm = np.concatenate(self.groups, axis=None).astype(np.intp, copy=False)
+        sizes = {np.size(g) for g in self.groups}
+        if len(sizes) > 1:
+            raise ConfigurationError("groups of unequal size")
+        if not sizes or 0 in sizes:
+            raise ConfigurationError("partition without groups or with empty groups")
+        table = np.array(self.groups, dtype=np.intp).reshape(len(self.groups), -1)
+        perm = table.ravel()
         if perm.min() < 0 or perm.max() >= M:
             raise ConfigurationError("group index outside {0..M-1}")
         if np.bincount(perm, minlength=M).max() > 1:
             raise ConfigurationError("groups are not disjoint")
         if perm.size != M:
             raise ConfigurationError("groups do not cover {0..M-1}")
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
         group_of = np.empty(M, dtype=np.intp)
-        group_of[perm] = np.repeat(np.arange(sizes.size), sizes)
-        for a in (perm, starts, sizes, group_of):
+        group_of[perm] = np.arange(len(table)).repeat(table.shape[1])
+        for a in (table, perm, group_of):
             a.flags.writeable = False
-        # the groups become views of perm, sliced without np.split's overhead
-        groups = tuple(map(perm.__getitem__, map(slice, starts.tolist(), ends.tolist())))
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", table)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "group_of", group_of)
         object.__setattr__(self, "identity",
-                           sizes.size == M and bool((perm == np.arange(M)).all()))
+                           table.shape[1] == 1 and bool((perm == np.arange(M)).all()))
 
     @property
     def n_groups(self):
-        return self.sizes.size
+        return self.groups.shape[0]
+
+    @property
+    def size(self):
+        """The common size of the groups."""
+        return self.groups.shape[1]
 
     def energies(self, v, rows=False):
         """Per-group energy over the last axis of length M.  The rows of ``v``,
@@ -82,7 +82,9 @@ class Partition:
             per_entry = per_entry.sum(axis=0)
         if self.identity:  # singletons in order: each group's energy is its entry's
             return per_entry
-        return np.add.reduceat(per_entry.take(self.perm, axis=-1), self.starts, axis=-1)
+        # gather, then reduceat: a sum over a short (..., size) axis is far slower
+        return np.add.reduceat(per_entry.take(self.perm, axis=-1),
+                               np.arange(0, self.total_length, self.size), axis=-1)
 
     def expand(self, per_group):
         """Length-M vector holding ``per_group[b]`` at every member of group b."""
@@ -90,11 +92,7 @@ class Partition:
 
     def columns(self, selected):
         """Members of the ``selected`` groups, concatenated in selection order."""
-        sel = np.asarray(selected, dtype=np.intp)
-        sizes = self.sizes[sel]
-        first = np.cumsum(sizes) - sizes  # where each selected group starts in the output
-        pos = np.arange(sizes.sum()) + np.repeat(self.starts[sel] - first, sizes)
-        return self.perm[pos]
+        return self.groups[np.asarray(selected, dtype=np.intp)].ravel()
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,7 @@ class BlockTiling:
         ranks = np.arange(self.J * self.D).reshape(
             self.D // self.dm, self.dm, self.J // self.di, self.di
         )
-        return Partition(self.J * self.D,
-                         tuple(ranks.transpose(0, 2, 1, 3).reshape(self.n_blocks, -1)))
+        return Partition(self.J * self.D, ranks.transpose(0, 2, 1, 3).reshape(self.n_blocks, -1))
 
 
 def make_block_tiling(D, J, dm, di):
@@ -149,7 +146,7 @@ def make_block_tiling(D, J, dm, di):
 @cache
 def singleton_partition(M):
     """Partition of {0..M-1} into M singletons, built once per M."""
-    return Partition(M, tuple(np.arange(M)[:, None]))
+    return Partition(M, np.arange(M)[:, None])
 
 
 def stack_partition(part, M, n_channels):
@@ -160,4 +157,4 @@ def stack_partition(part, M, n_channels):
     if n_channels < 1:
         raise DomainError("n_channels must be >= 1")
     offsets = np.arange(n_channels)[:, None] * M
-    return Partition(M * n_channels, tuple((offsets + g).ravel() for g in part.groups))
+    return Partition(M * n_channels, (offsets + part.groups[:, None]).reshape(part.n_groups, -1))

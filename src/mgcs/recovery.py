@@ -290,15 +290,13 @@ def g_omp(Phi, y, part, max_groups, residual_tol, *, joint):
     matrix or a :class:`BlockDiagonalOperator`.  Returns the (n_channels, M)
     estimates and each channel's residual norm.  ``joint=False`` runs every
     channel's own G-OMP in this one call, each selecting from the one product
-    Phi^H r and stopping on its own; its groups must be of equal size.  The
-    result then lists groups and ``channel_iterations`` per channel.
+    Phi^H r and stopping on its own.  The result then lists groups and
+    ``channel_iterations`` per channel.
     """
     Phi = _as_operator(Phi, part)
-    if not joint and np.ptp(part.sizes):
-        raise DomainError("per-channel G-OMP requires groups of equal size")
     Y = np.asarray(y, dtype=complex).reshape(Phi.n_channels, -1)
     cap = min(max_groups, part.n_groups)
-    fit = _GrownQR(Phi.blocks, Y, cap * int(part.sizes.max()), joint)
+    fit = _GrownQR(Phi.blocks, Y, cap * part.size, joint)
     n_sel = 1 if joint else Phi.n_channels  # selections per iteration
     selected = [[] for _ in range(n_sel)]
     taken = np.zeros((n_sel, part.n_groups), dtype=bool)
@@ -319,10 +317,7 @@ def g_omp(Phi, y, part, max_groups, residual_tol, *, joint):
         taken[live, b] = True
         for c, g in zip(live.tolist(), b.tolist()):
             selected[c].append(g)
-        if joint:
-            fit.append(fit.mats, part.groups[b[0]][None])
-        else:  # groups of one size are rows of a table
-            fit.append(live, part.perm.reshape(part.n_groups, -1)[b])
+        fit.append(fit.mats if joint else live, part.groups[b])
         r = fit.residual
         norms = np.sqrt((r.conj() * r).real.reshape(n_sel, -1).sum(axis=1))
         history.append(math.hypot(*norms))
@@ -351,24 +346,21 @@ def g_cosamp(Phi, y, part, S, residual_tol, *, joint):
     select the 2S groups of largest aggregated proxy energy, merge with the
     current support, least-squares on the merged column union, and prune to
     the S groups of largest solution norm.  ``Phi`` is a matrix or a
-    :class:`BlockDiagonalOperator`; groups are of equal size.  A problem
-    stops after ``_MAX_FITS`` fits, at residual norm ``residual_tol``, or when
-    its merged candidate set repeats: every later fit would repeat it, so the
-    output is that of all ``_MAX_FITS``.  ``joint=False`` solves each
-    channel's own problem in this one call, with its own selection, merged
-    set and stops, frozen once stopped; a round's fits share one stacked
-    factor, appended in batches of equal candidate count.  ``estimates`` has
-    a row per problem (joint: the stacked vector); ``iterations`` counts all
-    fits; groups, residual norms and fixed-point flags are per channel then.
+    :class:`BlockDiagonalOperator`.  A problem stops after ``_MAX_FITS``
+    fits, at residual norm ``residual_tol``, or when its merged candidate set
+    repeats: every later fit would repeat it, so the output is that of all
+    ``_MAX_FITS``.  ``joint=False`` solves each channel's own problem in this
+    one call, with its own selection, merged set and stops, frozen once
+    stopped; a round's fits share one stacked factor, appended in batches of
+    equal candidate count.  ``estimates`` has a row per problem (joint: the
+    stacked vector); ``iterations`` counts all fits; groups, residual norms
+    and fixed-point flags are per channel then.
     """
     Phi = _as_operator(Phi, part)
-    if np.ptp(part.sizes):
-        raise DomainError("G-CoSaMP requires groups of equal size")
     if S < 1 or 4 * S > part.n_groups:
         raise DomainError(f"need 1 <= S and 4S <= B (S={S}, B={part.n_groups})")
     n_ch, n_p = Phi.n_channels, 1 if joint else Phi.n_channels
     Y = np.asarray(y, dtype=complex).reshape(n_ch, -1)
-    table = part.perm.reshape(part.n_groups, -1)  # groups of one size are rows of a table
     x = np.zeros((n_ch, part.total_length), dtype=complex)
     support = np.zeros((n_p, part.n_groups), dtype=bool)
     candidates = support.copy()  # empty, so unlike any merged set
@@ -392,11 +384,11 @@ def g_cosamp(Phi, y, part, S, residual_tol, *, joint):
                 break
             merged = merged[~repeat]
         candidates[sel] = merged
-        fit = _GrownQR(Phi.blocks, Y, 3 * S * table.shape[1], joint)
+        fit = _GrownQR(Phi.blocks, Y, 3 * S * part.size, joint)
         counts = merged.sum(axis=1)
         for k in set(counts.tolist()):
             rows = np.flatnonzero(counts == k)
-            cols = table[np.nonzero(merged[rows])[1].reshape(-1, k)].reshape(rows.size, -1)
+            cols = part.groups[np.nonzero(merged[rows])[1].reshape(-1, k)].reshape(rows.size, -1)
             fit.append(fit.mats if joint else live[rows], cols)
         b_full, ch = fit.estimates(), slice(None) if joint else sel
         rank_deficient |= bool(fit.lost)

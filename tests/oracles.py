@@ -16,6 +16,11 @@ from mgcs.recovery import (RecoveryResult, _as_operator, _GrownQR, _top_groups, 
 from mgcs.waveform import FactoredIR, ambiguity_table
 
 
+# run_estimator's settings where a test states no cap: unit residual scale,
+# the regime's cap and order, as the estimate command runs a desk configuration
+ESTIMATE_SETTINGS = dict(residual_scale=1.0, max_groups=None, cosamp_sparsity=None)
+
+
 def group_frobenius_norm(tensor, tiling):
     """Joint group-sparsity measure of a (D, J, n_channels) coefficient tensor:
     sum over blocks of the Frobenius norm of the block's entries across all
@@ -39,7 +44,7 @@ def uniform_partition(M, size):
     """Partition of {0..M-1} into contiguous groups of equal ``size``."""
     if M % size != 0:
         raise ConfigurationError("group size must divide M")
-    return Partition(M, tuple(np.arange(M).reshape(-1, size)))
+    return Partition(M, np.arange(M).reshape(-1, size))
 
 
 def group_norm(x, part):
@@ -213,7 +218,7 @@ def g_omp_per_problem(Phi, y, part, max_groups, residual_tol):
     chans = np.arange(n_ch).reshape(-1, n_tx).T
     shares = [(s, chans[s], part.columns) for s in range(n_tx)]
     cap = min(max_groups, part.n_groups)
-    width = cap * int(part.sizes.max())
+    width = cap * part.size
     factors = [GrownQRPerProblem(Phi.blocks[s], Y[channels].T, width)
                for s, channels, _ in shares]
     resid = Y.copy()
@@ -339,7 +344,7 @@ def group_prox_by_scatter(v, part, thresh):
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - thresh / norms[nz])
     per_column = np.empty(part.total_length)
-    per_column[part.perm] = np.repeat(scale, part.sizes)
+    per_column[part.perm] = np.repeat(scale, part.size)
     return (v.reshape(-1, part.total_length) * per_column).reshape(v.shape)
 
 

@@ -62,7 +62,8 @@ def test_feasibility_check_sees_every_joint_bpdn_estimate(monkeypatch):
                                            20.0, [4, 0, 0])
     tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
     run_estimator("mgcs-bpdn", y_grid, scheme, mgcs.estimator.BasisSpec.dft(cfg.J, cfg.D),
-                  cfg, tiling, sigma_z)
+                  cfg, tiling, sigma_z, residual_scale=1.0, max_groups=None,
+                  cosamp_sparsity=None)
     assert len(feasibility.records) == 1
     assert feasibility.violations() == []
 

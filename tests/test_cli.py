@@ -9,9 +9,11 @@ import mgcs.cli
 import mgcs.harness
 from mgcs.cli import KEYS, experiment_from_config, load_config, main
 from mgcs.errors import ConfigurationError
-from mgcs.estimator import draw_pilots
+from mgcs.estimator import build_phi, draw_pilots
 from mgcs.harness import desk_experiment, desk_geometry, resolve_basis, simulate_trial
 from mgcs.io import config_fingerprint, load_basis, load_tensor, save_tensor
+from mgcs.partition import make_block_tiling
+from mgcs.recovery import group_ric
 from mgcs.waveform import cp_ofdm_pulses
 
 SMALL = [
@@ -356,6 +358,43 @@ def test_certify_ric(capsys):
     assert "delta_1|P" in out
     deltas = [float(line.rsplit("=", 1)[1]) for line in out.strip().split("\n")]
     assert all(0 <= d < 2 for d in deltas)
+
+
+def test_certify_ric_and_estimate_use_the_sweeps_pilots(tmp_path, monkeypatch, capsys):
+    # certify-ric --seed S certifies, and estimate --seed S runs on, the
+    # pilot scheme that a sweep with master seed S measures with
+    small = SMALL + ["--set", "pilots.q=32", "--set", "tiling.di=4"]
+    schemes = {}
+
+    def recording(command, solve):
+        def wrapped(*args, **kwargs):
+            schemes.setdefault(command, args[1 if command == "sweep" else 2])
+            return solve(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mgcs.harness, "simulate_trial",
+                        recording("sweep", mgcs.harness.simulate_trial))
+    monkeypatch.setattr(mgcs.cli, "run_estimator",
+                        recording("estimate", mgcs.cli.run_estimator))
+    assert main(small + ["--set", "sweep.points=20", "--set", "sweep.trials=1",
+                         "--set", "sweep.solvers=mgcs-somp",
+                         "sweep", "--seed", "5", "--out", str(tmp_path / "r.csv")]) == 0
+    tensor = str(tmp_path / "chan.bin")
+    assert main(small + ["simulate", "--seed", "3", "--out", tensor]) == 0
+    assert main(small + ["estimate", "--tensor", tensor, "--seed", "5",
+                         "--out", str(tmp_path / "e.bin")]) == 0
+    capsys.readouterr()
+    assert main(small + ["certify-ric", "--seed", "5"]) == 0
+    printed = capsys.readouterr().out.strip().split("\n")
+    scheme = schemes["sweep"]
+    np.testing.assert_array_equal(schemes["estimate"].grid_ids, scheme.grid_ids)
+    np.testing.assert_array_equal(schemes["estimate"].p_matrix, scheme.p_matrix)
+    config = experiment_from_config(load_config(None, small[1::2]), 5)
+    cfg = config.system
+    part = make_block_tiling(cfg.D, cfg.J, config.dm, config.di).to_partition()
+    basis = resolve_basis(config, cfg, cp_ofdm_pulses(cfg.K, cfg.N))
+    assert printed == [f"transmit set {s}: delta_1|P = {group_ric(Phi, part, 1):.6g}"
+                       for s, Phi in enumerate(build_phi(scheme, basis, cfg))]
 
 
 def test_seed_is_mandatory_for_sweep(tmp_path):

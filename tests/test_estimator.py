@@ -35,6 +35,7 @@ from mgcs.waveform import (
     modulate,
 )
 from oracles import (
+    ESTIMATE_SETTINGS,
     assemble_basis,
     channel_matrix,
     dft_coeffs,
@@ -474,10 +475,12 @@ def test_estimate_mimo_forwards_the_solver_diagnostics():
                                            point_geometry(cfg), 20.0, [1, 0, 3])
     basis = BasisSpec.dft(cfg.J, cfg.D)
     tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
-    diag = run_estimator("mgcs-somp", y_grid, scheme, basis, cfg, tiling, sigma_z).diagnostics
+    diag = run_estimator("mgcs-somp", y_grid, scheme, basis, cfg, tiling, sigma_z,
+                         **ESTIMATE_SETTINGS).diagnostics
     assert diag["rank_deficient"] is True
     assert len(diag["residual_history"]) == diag["iterations"] + 1
-    diag = run_estimator("gcs-cosamp", y_grid, scheme, basis, cfg, tiling, sigma_z).diagnostics
+    diag = run_estimator("gcs-cosamp", y_grid, scheme, basis, cfg, tiling, sigma_z,
+                         **ESTIMATE_SETTINGS).diagnostics
     assert len(diag["fixed_point"]) == len(diag["channel_iterations"]) == cfg.n_channels
     assert sum(diag["channel_iterations"]) == diag["iterations"]
 
@@ -511,7 +514,7 @@ class TestSolverDispatch:
         expected = {"omp": "g_omp", "cosamp": "g_cosamp", "bpdn": "g_bpdn"}
         names = [f"{s}-{a}" for s in ("conv", "gcs", "mcs", "mgcs") for a in expected]
         for name in names + ["mcs-somp", "mgcs-somp"]:
-            run_estimator(name, y_grid, scheme, basis, cfg, tiling, 0.05)
+            run_estimator(name, y_grid, scheme, basis, cfg, tiling, 0.05, **ESTIMATE_SETTINGS)
             structure, algo = name.split("-")
             joint_omp = structure.startswith("m") and algo in ("omp", "somp")
             assert calls == ["g_dcs_somp" if joint_omp else expected[algo]], name

@@ -38,7 +38,7 @@ from mgcs.partition import make_block_tiling
 from mgcs.recovery import _GrownQR, g_cosamp, g_dcs_somp, g_omp
 from mgcs.waveform import FactoredIR, SystemConfig, cp_ofdm_pulses
 from mgcs.estimator import collect_measurements, draw_pilots, estimate_mimo, normalized_mse
-from oracles import identity_channel
+from oracles import ESTIMATE_SETTINGS, identity_channel
 
 
 def tiny_system():
@@ -210,6 +210,31 @@ def test_sweep_csv_matches_the_golden_file(tmp_path):
         assert out.read_bytes() == golden.read_bytes(), filename
 
 
+def random_unitary_basis(D, J, seed):
+    """A seeded random unitary basis: per delay the Q of the QR of a complex
+    Gaussian J x J matrix, with the diagonal of R made positive."""
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((D, J, J)) + 1j * rng.standard_normal((D, J, J)))
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return BasisSpec(Q * (d / np.abs(d))[:, None, :])
+
+
+def test_non_dft_sweep_csv_matches_the_golden_file(tmp_path):
+    # the golden sweep's estimators under a random unitary basis read from a
+    # basis file: the non-DFT branches of build_phi, expand_coeffs and the
+    # solvers, which the DFT sweeps never reach, written byte for byte
+    cfg = desk_experiment(5).system
+    basis = random_unitary_basis(cfg.D, cfg.J, 2718)
+    assert not basis.is_dft
+    path = tmp_path / "random.basis"
+    mgio.save_basis(path, basis, mgio.config_fingerprint(cfg))
+    table = run_sweep(desk_experiment(5, points=(10.0, 20.0), trials=4, basis=str(path),
+                                      solvers=GOLDEN_SWEEPS["sweep_seed5.csv"]))
+    out = emit_results(table, tmp_path / "sweep_seed5_random_basis.csv")
+    golden = Path(__file__).parent / "data" / "sweep_seed5_random_basis.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 class TestCosampOrder:
     def test_every_desk_fit_is_tall(self, monkeypatch):
         # a seeded desk sweep of the four CoSaMP estimators, one solver call
@@ -219,7 +244,7 @@ class TestCosampOrder:
         orders, widths, append = [], [], _GrownQR.append
 
         def recording(Phi, y, part, S, **opts):
-            orders.append((S, int(part.sizes[0])))
+            orders.append((S, part.size))
             return g_cosamp(Phi, y, part, S, **opts)
 
         def measured_append(fit, idx, cols):
@@ -264,7 +289,7 @@ class TestCosampOrder:
         y_grid = np.ones((cfg.L, cfg.K, cfg.n_rx), dtype=complex)
         with pytest.raises(ConfigurationError, match="G-CoSaMP order"):
             run_estimator("mgcs-cosamp", y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
-                          tiling, 0.1)
+                          tiling, 0.1, **ESTIMATE_SETTINGS)
 
     def test_blocksize_points_are_checked_before_any_trial(self):
         # 2x4 blocks hold 8 columns: 4 x 8 > 30 pilots
@@ -307,7 +332,7 @@ class TestGreedyCap:
         y_grid = np.ones((cfg.L, cfg.K, cfg.n_rx), dtype=complex)
         with pytest.raises(ConfigurationError, match="G-OMP cap"):
             run_estimator("gcs-omp", y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg,
-                          tiling, 0.1, max_groups=7)
+                          tiling, 0.1, residual_scale=1.0, max_groups=7, cosamp_sparsity=None)
 
     def test_every_desk_fit_is_tall(self, monkeypatch):
         # a seeded desk sweep of the four G-OMP estimators: every g_omp and
@@ -318,7 +343,7 @@ class TestGreedyCap:
 
         def recording(solve):
             def capped(*args, max_groups, **opts):
-                caps.append((max_groups, int(args[-1].sizes[0])))  # args end in part
+                caps.append((max_groups, args[-1].size))  # args end in part
                 return solve(*args, max_groups=max_groups, **opts)
             return capped
 

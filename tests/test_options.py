@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mgcs"
-MAX_OPTIONS = 36
+MAX_OPTIONS = 33
 
 
 def _is_dataclass(node):

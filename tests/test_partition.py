@@ -107,8 +107,8 @@ class TestIndexMap:
 
 class TestStackPartition:
     def test_single_channel_identity(self):
-        p = Partition(3, (np.array([0, 1]), np.array([2])))
-        assert as_sets(stack_partition(p, 3, 1)) == as_sets(p)
+        p = Partition(4, (np.array([0, 3]), np.array([2, 1])))
+        assert as_sets(stack_partition(p, 4, 1)) == as_sets(p)
 
     def test_two_channels(self):
         p = Partition(2, (np.array([0]), np.array([1])))
@@ -151,14 +151,8 @@ class TestGroupNorm:
     @settings(max_examples=30)
     def test_l2_lower_bound(self, n_groups, seed):
         rng = np.random.default_rng(seed)
-        sizes = rng.integers(1, 4, size=n_groups)
-        M = int(sizes.sum())
-        perm = rng.permutation(M)
-        groups, pos = [], 0
-        for s in sizes:
-            groups.append(perm[pos: pos + s])
-            pos += s
-        p = Partition(M, tuple(groups))
+        M = n_groups * int(rng.integers(1, 4))
+        p = Partition(M, rng.permutation(M).reshape(n_groups, -1))
         x = rng.normal(size=M) + 1j * rng.normal(size=M)
         assert np.linalg.norm(x) <= group_norm(x, p) + 1e-12
 
@@ -188,28 +182,24 @@ class TestGroupFrobeniusNorm:
         )
 
 
-def unequal_partitions():
-    """Partitions with unequal group sizes: contiguous, and scattered by a
-    random permutation so that groups are non-contiguous and unsorted."""
-    rng = np.random.default_rng(3)
-    sizes = [1, 3, 2, 4, 1]
-    bounds = np.cumsum([0] + sizes)
-    perm = rng.permutation(int(bounds[-1]))
-    contiguous = Partition(11, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
-    scattered = Partition(11, tuple(perm[a:b] for a, b in zip(bounds, bounds[1:])))
-    return [contiguous, scattered]
+def scattered_partitions():
+    """Five groups of three in 15 columns, none contiguous: interleaved in
+    order, and scattered by a random permutation so that groups are unsorted."""
+    interleaved = Partition(15, np.arange(15).reshape(3, 5).T)
+    scattered = Partition(15, np.random.default_rng(3).permutation(15).reshape(5, 3))
+    return [interleaved, scattered]
 
 
 class TestGroupIndex:
-    @pytest.mark.parametrize("p", unequal_partitions())
+    @pytest.mark.parametrize("p", scattered_partitions())
     def test_index_reproduces_the_groups(self, p):
-        assert p.sizes.tolist() == [g.size for g in p.groups]
+        assert p.groups.shape == (p.n_groups, p.size) == (5, 3)
+        np.testing.assert_array_equal(p.perm, [j for g in p.groups for j in g])
         for b, g in enumerate(p.groups):
-            start = p.starts[b]
-            np.testing.assert_array_equal(p.perm[start: start + p.sizes[b]], g)
+            assert (p.group_of[g] == b).all()
 
-    @pytest.mark.parametrize("shape", [(11,), (3, 11)])
-    @pytest.mark.parametrize("p", unequal_partitions())
+    @pytest.mark.parametrize("shape", [(15,), (3, 15)])
+    @pytest.mark.parametrize("p", scattered_partitions())
     def test_energies_match_a_group_loop(self, p, shape):
         rng = np.random.default_rng(4)
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -218,10 +208,10 @@ class TestGroupIndex:
         # the channel-stacked vector gives the same joint energies
         np.testing.assert_allclose(p.energies(v.reshape(-1)), loop, rtol=1e-12)
 
-    @pytest.mark.parametrize("p", unequal_partitions())
+    @pytest.mark.parametrize("p", scattered_partitions())
     def test_row_energies_are_each_rows_own(self, p):
         rng = np.random.default_rng(5)
-        v = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+        v = rng.normal(size=(3, 15)) + 1j * rng.normal(size=(3, 15))
         rows = p.energies(v, rows=True)
         assert rows.shape == (3, p.n_groups)
         for row, vec in zip(rows, v):
@@ -239,7 +229,7 @@ class TestGroupIndex:
         shuffled = Partition(11, tuple(rng.permutation(11)[:, None]))
         assert ordered.identity and uniform_partition(11, 1).identity
         assert not shuffled.identity
-        assert not any(p.identity for p in unequal_partitions())
+        assert not any(p.identity for p in scattered_partitions())
         np.testing.assert_array_equal(ordered.energies(v, rows=rows), per_entry)
         np.testing.assert_array_equal(shuffled.energies(v, rows=rows),
                                       per_entry[..., shuffled.perm])
@@ -248,7 +238,7 @@ class TestGroupIndex:
         with pytest.raises(DomainError):
             uniform_partition(4, 2).energies(np.ones(6))
 
-    @pytest.mark.parametrize("p", unequal_partitions())
+    @pytest.mark.parametrize("p", scattered_partitions())
     def test_expand_matches_a_group_loop(self, p):
         per_group = np.arange(1.0, p.n_groups + 1)
         loop = np.zeros(p.total_length)
@@ -262,13 +252,13 @@ class TestGroupIndex:
         p = stack_partition(make_block_tiling(4, 8, 2, 2).to_partition(), 32, 3)
         per_group = np.random.default_rng(5).normal(size=p.n_groups)
         scatter = np.empty(p.total_length)
-        scatter[p.perm] = np.repeat(per_group, p.sizes)
+        scatter[p.perm] = np.repeat(per_group, p.size)
         np.testing.assert_array_equal(p.expand(per_group), scatter)
         for b, g in enumerate(p.groups):
             assert (p.group_of[g] == b).all()
 
     @pytest.mark.parametrize("selected", [[], [3], [4, 0, 2], [1, 3, 0, 4, 2]])
-    @pytest.mark.parametrize("p", unequal_partitions())
+    @pytest.mark.parametrize("p", scattered_partitions())
     def test_columns_match_a_group_loop(self, p, selected):
         loop = [int(j) for b in selected for j in p.groups[b]]
         assert p.columns(selected).tolist() == loop
@@ -307,13 +297,8 @@ class TestBestGroupApprox:
         # distance over every group-S-sparse competitor
         rng = np.random.default_rng(seed)
         B = int(rng.integers(2, 7))
-        sizes = rng.integers(1, 3, size=B)
-        M = int(sizes.sum())
-        groups, pos = [], 0
-        for s in sizes:
-            groups.append(np.arange(pos, pos + s))
-            pos += s
-        p = Partition(M, tuple(groups))
+        M = B * int(rng.integers(1, 3))
+        p = Partition(M, rng.permutation(M).reshape(B, -1))
         x = rng.normal(size=M) + 1j * rng.normal(size=M)
         S = int(rng.integers(0, B + 1))
         achieved = group_norm(best_group_approx(x, p, S) - x, p)
@@ -330,17 +315,29 @@ def test_partition_validation():
     with pytest.raises(ConfigurationError):
         Partition(3, (np.array([0, 1]), np.array([1, 2])))  # overlap
     with pytest.raises(ConfigurationError):
-        Partition(2, (np.array([0, 1]), np.array([], dtype=int)))  # empty group
+        Partition(2, (np.array([], dtype=int),))  # empty group
     with pytest.raises(ConfigurationError):
         Partition(2, (np.array([0, 0]),))  # repeat inside one group, 1 uncovered
     with pytest.raises(ConfigurationError):
-        Partition(2, (np.array([-1, 0]), np.array([1])))  # index below 0
+        Partition(2, (np.array([-1]), np.array([1])))  # index below 0
     with pytest.raises(ConfigurationError):
-        Partition(2, (np.array([0, 1]), np.array([2])))  # index M
+        Partition(2, (np.array([0]), np.array([2])))  # index M
     with pytest.raises(ConfigurationError):
         Partition(2, ())  # zero groups
     with pytest.raises(ConfigurationError):
         Partition(0, (np.array([0]),))  # total_length 0
+
+
+def test_groups_of_unequal_size_are_rejected():
+    # a partition is a table of groups of one size, so ragged groups fail at
+    # construction, before any solver sees them
+    bounds = [0, 1, 3, 6, 7, 9, 12, 13, 16]
+    with pytest.raises(ConfigurationError, match="unequal size"):
+        Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
+    with pytest.raises(ConfigurationError, match="unequal size"):
+        Partition(3, (np.array([0, 1]), np.array([2])))
+    with pytest.raises(ConfigurationError, match="unequal size"):
+        Partition(4, [[0, 1, 2], [3]])
 
 
 def test_tiling_partition_ranks_match_index_map():
@@ -361,7 +358,8 @@ def test_partitions_are_built_once_and_read_only():
     tiling = make_block_tiling(D=4, J=4, dm=2, di=2)
     assert tiling.to_partition() is tiling.to_partition()
     assert singleton_partition(6) is singleton_partition(6)
-    for part in (tiling.to_partition(), singleton_partition(6), unequal_partitions()[1]):
-        for array in (part.perm, part.starts, part.sizes, part.groups[0]):
+    for part in (tiling.to_partition(), singleton_partition(6), scattered_partitions()[1]):
+        assert part.groups.shape == (part.n_groups, part.size)
+        for array in (part.groups, part.perm, part.group_of, part.groups[0]):
             with pytest.raises(ValueError):
                 array[0] = 1

@@ -14,7 +14,6 @@ from mgcs.errors import BudgetExceededError, ConvergenceError, DomainError
 from mgcs.estimator import BasisSpec, build_phi, collect_measurements, draw_pilots
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
 from mgcs.partition import (
-    Partition,
     make_block_tiling,
     singleton_partition,
     stack_partition,
@@ -33,6 +32,7 @@ from mgcs.recovery import (
 )
 from mgcs.waveform import cp_ofdm_pulses
 from oracles import (
+    ESTIMATE_SETTINGS,
     FitFromScratch,
     best_group_approx,
     channel_matrix,
@@ -249,7 +249,7 @@ class TestStackedFactor:
                                   ("mcs-somp", singleton_partition(cfg.jd), True),
                                   ("mgcs-somp", grouped, True)):
             n_ch = cfg.n_channels if joint else 1
-            opts = dict(max_groups=scheme.q // (2 * int(part.sizes[0])),
+            opts = dict(max_groups=scheme.q // (2 * part.size),
                         residual_tol=float(np.sqrt(n_ch * scheme.q * cfg.K) * sigma_z))
             yield name, ens, part, joint, opts
 
@@ -306,19 +306,6 @@ class TestStackedFactor:
         res = self.assert_one_call_is_per_channel_calls(ens, part, max_groups=max_groups,
                                                         residual_tol=0.0)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
-
-    def test_unequal_groups_are_rejected(self):
-        # per-channel selections grow in one batch only with groups of one size;
-        # joint G-OMP takes the same partition
-        rng = np.random.default_rng(61)
-        bounds = [0, 1, 3, 6, 7, 9, 12, 13, 16]
-        part = Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
-        ens = random_ensemble(rng, 10, 16, 2, 2, noise=1.0)
-        with pytest.raises(DomainError, match="equal size"):
-            g_omp(ens.operator(), ens.observations, part, max_groups=4, residual_tol=0.0,
-                  joint=False)
-        assert g_omp(ens.operator(), ens.observations, part, max_groups=4,
-                     residual_tol=0.0, joint=True).iterations == 4
 
     def test_channels_stop_on_their_own(self):
         # channel 0 reaches the tolerance after one group, channel 1 runs to
@@ -478,14 +465,6 @@ class TestGCosamp:
                        residual_tol=0.0, joint=True)
         np.testing.assert_array_equal(res.x, 0)
 
-    def test_requires_equal_group_sizes(self):
-        from mgcs.partition import Partition
-
-        part = Partition(3, (np.array([0, 1]), np.array([2])))
-        with pytest.raises(DomainError):
-            g_cosamp(np.eye(3, dtype=complex), np.zeros(3, dtype=complex), part, S=1,
-                     residual_tol=0.0, joint=True)
-
     def test_sparsity_cap(self):
         part = uniform_partition(8, 2)
         with pytest.raises(DomainError):
@@ -600,7 +579,7 @@ class TestGCosamp:
         q, calls = desk_experiment(11).q, []
         for args, kwargs in args_seen:
             part = args[2]
-            opts = dict(kwargs, S=min(q // (2 * part.sizes[0]), part.n_groups // 4))
+            opts = dict(kwargs, S=min(q // (2 * part.size), part.n_groups // 4))
             res = g_cosamp(*args, **opts)
             with monkeypatch.context() as mp:
                 mp.setattr(mgcs.recovery, "_GrownQR", FitFromScratch)
@@ -702,7 +681,7 @@ class TestGBpdn:
             tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
             for name in ("mgcs-bpdn", "gcs-bpdn"):
                 run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                              sigma_z)
+                              sigma_z, **ESTIMATE_SETTINGS)
         assert len(calls) == 5 * (1 + cfg.n_channels)
         for Phi, y, part, _, _, res in calls:
             assert relative_dual_gap(Phi, y, part, res.x) <= 1e-3
@@ -812,7 +791,7 @@ class TestGBpdn:
         calls = record_bpdn_problems(monkeypatch)
         for name in ("conv-bpdn", "gcs-bpdn", "mcs-bpdn", "mgcs-bpdn"):
             run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                          sigma_z)
+                          sigma_z, **ESTIMATE_SETTINGS)
         assert len(calls) == 2 * cfg.n_channels + 2
         for Phi, y, part, eps, tol, res in calls:
             x_ref, _ = penalty_search_g_bpdn(Phi, y, part, eps, tol)
@@ -900,7 +879,7 @@ class TestGBpdn:
             tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
             for name in ("conv-bpdn", "gcs-bpdn", "mcs-bpdn", "mgcs-bpdn"):
                 run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                              sigma_z)
+                              sigma_z, **ESTIMATE_SETTINGS)
         assert not eighs
         assert len(calls) == 3 * (2 * cfg.n_channels + 2)
         for Phi, y, part, eps, tol, res in calls:
@@ -933,7 +912,7 @@ class TestGBpdn:
             tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
             calls.clear()
             run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                          sigma_z)
+                          sigma_z, **ESTIMATE_SETTINGS)
             Phi, y, part, eps, tol, res = calls[call]
             x_ref, groups_ref, _, _ = plain_admm_g_bpdn(Phi, y, part, eps, tol)
             norms, norms_ref = (np.sqrt(part.energies(x)) for x in (res.x, x_ref))
@@ -1103,7 +1082,7 @@ class TestPerChannelCall:
             tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
             for name in ("conv-cosamp", "gcs-cosamp", "conv-bpdn", "gcs-bpdn"):
                 run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                              sigma_z)
+                              sigma_z, **ESTIMATE_SETTINGS)
         assert [solve for solve, _, _ in calls] == [g_cosamp, g_cosamp, g_bpdn, g_bpdn] * 2
         for solve, res, loop in calls:
             assert assert_matches_per_problem(res, loop) == [r.iterations for r in loop]
@@ -1188,8 +1167,7 @@ class TestMgcsStack:
         Phi_s, y_s, part_s = mgcs_stack(ens, part)
         np.testing.assert_array_equal(Phi_s, Phi)
         np.testing.assert_array_equal(y_s, y)
-        np.testing.assert_array_equal(part_s.perm, part.perm)
-        np.testing.assert_array_equal(part_s.sizes, part.sizes)
+        np.testing.assert_array_equal(part_s.groups, part.groups)
 
     def test_stacked_shapes(self):
         rng = np.random.default_rng(15)
@@ -1446,7 +1424,7 @@ def run_cosamp_estimators_on_desk_trials():
         tiling = make_block_tiling(cfg.D, cfg.J, config.dm, config.di)
         for name in ("conv-cosamp", "gcs-cosamp", "mcs-cosamp", "mgcs-cosamp"):
             run_estimator(name, y_grid, scheme, BasisSpec.dft(cfg.J, cfg.D), cfg, tiling,
-                          sigma_z)
+                          sigma_z, **ESTIMATE_SETTINGS)
     return cfg
 
 
