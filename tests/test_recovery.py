@@ -10,10 +10,16 @@ import pytest
 import mgcs.estimator
 import mgcs.recovery
 from mgcs.channel import FilterSpec
-from mgcs.errors import BudgetExceededError, ConvergenceError, DomainError
+from mgcs.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    ConvergenceError,
+    DomainError,
+)
 from mgcs.estimator import BasisSpec, build_phi, collect_measurements, draw_pilots
 from mgcs.harness import desk_experiment, desk_geometry, run_estimator, simulate_trial
 from mgcs.partition import (
+    Partition,
     make_block_tiling,
     singleton_partition,
     stack_partition,
@@ -307,6 +313,22 @@ class TestStackedFactor:
                                                         residual_tol=0.0)
         assert res.diagnostics["rank_deficient"] == (max_groups == 3)
 
+    def test_unequal_groups_are_rejected(self):
+        # per-channel selections grow in one batch of one group size; ragged
+        # groups fail when the partition is built, so G-OMP never sees them,
+        # per channel or joint
+        bounds = [0, 1, 3, 6, 7, 9, 12, 13, 16]
+        with pytest.raises(ConfigurationError, match="unequal size"):
+            Partition(16, tuple(np.arange(a, b) for a, b in zip(bounds, bounds[1:])))
+        rng = np.random.default_rng(61)
+        part = Partition(16, tuple(np.arange(a, a + 2) for a in range(0, 16, 2)))
+        ens = random_ensemble(rng, 10, 16, 2, 2, noise=1.0)
+        res = g_omp(ens.operator(), ens.observations, part, max_groups=4, residual_tol=0.0,
+                    joint=False)
+        assert res.diagnostics["channel_iterations"] == [4] * 4
+        assert g_omp(ens.operator(), ens.observations, part, max_groups=4,
+                     residual_tol=0.0, joint=True).iterations == 4
+
     def test_channels_stop_on_their_own(self):
         # channel 0 reaches the tolerance after one group, channel 1 runs to
         # the cap, channel 2 sees zero correlation from the start (its
@@ -462,6 +484,16 @@ class TestGCosamp:
         rng = np.random.default_rng(3)
         part = uniform_partition(16, 2)
         res = g_cosamp(partial_dft(8, 16, rng), np.zeros(8, dtype=complex), part, S=2,
+                       residual_tol=0.0, joint=True)
+        np.testing.assert_array_equal(res.x, 0)
+
+    def test_requires_equal_group_sizes(self):
+        # the group-sparse prune keeps S groups of one size; ragged groups fail
+        # when the partition is built, before G-CoSaMP is reached
+        with pytest.raises(ConfigurationError, match="unequal size"):
+            Partition(3, (np.array([0, 1]), np.array([2])))
+        part = Partition(8, tuple(np.arange(a, a + 2) for a in range(0, 8, 2)))
+        res = g_cosamp(np.eye(8, dtype=complex), np.zeros(8, dtype=complex), part, S=1,
                        residual_tol=0.0, joint=True)
         np.testing.assert_array_equal(res.x, 0)
 
